@@ -352,7 +352,6 @@ def wall_faces(grid: RectGrid, geom: MicroGeometry = None):
         raise ValueError("grid carries no layer refinement")
     faces = []
     nx, ny = grid.shape
-    scale = grid.eps if grid.eps is not None else 1.0
 
     def local_of(xm, ym):
         if geom is not None:
@@ -394,7 +393,6 @@ def wall_faces(grid: RectGrid, geom: MicroGeometry = None):
                         )
                     )
     faces.sort(key=lambda f: (f.column, f.key))
-    _ = scale
     return faces
 
 

@@ -522,25 +522,38 @@ def _versions():
 # report re-derivation from stored fields
 
 def rederive_report(study_dir):
-    """Rebuild grids from the manifest's config echo, reload fields, recompute."""
+    """Rebuild grids from the manifest's config echo, reload fields, recompute.
+
+    Every field file is checked against its manifest SHA-256 before it is
+    parsed; a missing, unlisted or altered file raises ConfigError.
+    """
     out = Path(study_dir)
     manifest = json.loads((out / "manifest.json").read_text())
     cfg = parse_config(manifest["config"])
     times = manifest["snapshot_times"]
+
+    def field_text(relpath):
+        try:
+            data = (out / relpath).read_bytes()
+        except FileNotFoundError as exc:
+            raise ConfigError(f"{relpath}: field file is missing") from exc
+        if manifest["files"].get(relpath) != _sha256(data):
+            raise ConfigError(f"{relpath}: content does not match its manifest SHA-256")
+        return data.decode()
 
     layout = InterfaceLayout(n_sigma=cfg.n_sigma, m=cfg.m)
     macro_sim = MacroSimulation(cfg.cell, float(cfg.H), layout, cfg.diffusion, cfg.kinetics)
     macro_snaps = []
     for idx, t in enumerate(times):
         u = np.zeros(macro_sim.n)
-        bulk = (out / f"fields/macro_bulk_s{idx:04d}.csv").read_text()
+        bulk = field_text(f"fields/macro_bulk_s{idx:04d}.csv")
         vals = _read_csv_column(bulk, "value")
         u[: macro_sim.nbp] = vals[: macro_sim.nbp]
         u[macro_sim.nbp : macro_sim.ovp] = vals[macro_sim.nbp :]
-        traces = (out / f"fields/macro_traces_s{idx:04d}.csv").read_text()
+        traces = field_text(f"fields/macro_traces_s{idx:04d}.csv")
         u[macro_sim.ovp : macro_sim.ovm] = _read_csv_column(traces, "v_plus")
         u[macro_sim.ovm : macro_sim.oc] = _read_csv_column(traces, "v_minus")
-        cells = (out / f"fields/macro_cells_s{idx:04d}.csv").read_text()
+        cells = field_text(f"fields/macro_cells_s{idx:04d}.csv")
         u[macro_sim.oc :] = _read_csv_column(cells, "value")
         macro_snaps.append(MacroState(t=t, u=u, dt=cfg.dt, sim=macro_sim))
 
@@ -550,7 +563,7 @@ def rederive_report(study_dir):
         grid = build_micro_grid(geom, cfg.k)
         snaps = []
         for idx, t in enumerate(times):
-            text = (out / f"fields/micro_eps{int(1/eps)}_s{idx:04d}.csv").read_text()
+            text = field_text(f"fields/micro_eps{int(1/eps)}_s{idx:04d}.csv")
             vals = _read_csv_column(text, "value")
             snaps.append(MicroState(t=t, u=Field(grid, vals, time=t), dt=cfg.dt))
         micro_runs.append((geom, grid, snaps))

@@ -41,6 +41,13 @@ class KineticsSpec:
             raise ValueError(f"unknown kinetics kind {self.kind!r}")
         if self.modulation is not None and self.modulation[0] not in _FACTOR_KINDS:
             raise ValueError(f"unknown modulation kind {self.modulation[0]!r}")
+        if self.kind == "tabulated":
+            u = np.asarray(self.params["u"], dtype=float)
+            rate = np.asarray(self.params["rate"], dtype=float)
+            if u.ndim != 1 or u.size == 0 or u.shape != rate.shape or np.any(np.diff(u) <= 0):
+                raise ValueError("tabulated knots u must be strictly increasing, one per rate")
+        if self.kind == "logistic_clamped" and self.params["u_cap"] == 0:
+            raise ValueError("logistic_clamped needs u_cap != 0")
 
     @property
     def lipschitz(self) -> float:
@@ -105,52 +112,6 @@ class KineticsSpec:
         if arc is None or arc_total is None:
             raise KineticsDomainError("arc modulation needs an arc-length position")
         return 1.0 + a * np.cos(2.0 * np.pi * np.asarray(arc, dtype=float) / arc_total)
-
-
-def eval_f(spec: KineticsSpec, side: str, t, x, u):
-    """Bulk reaction rate at x = (xbar, x_n); side selects the half-domain."""
-    xbar, x_n = x
-    if side == "+" and x_n < 0:
-        raise KineticsDomainError(f"x_n={x_n} not in the upper bulk")
-    if side == "-" and x_n > 0:
-        raise KineticsDomainError(f"x_n={x_n} not in the lower bulk")
-    return spec.base_rate(t, u)
-
-
-def eval_g(spec: KineticsSpec, t, y, u):
-    """Channel volume rate at reference-cell point y = (ybar, y_n)."""
-    ybar, y_n = y
-    if np.any(np.asarray(ybar) < 0) or np.any(np.asarray(ybar) > 1) or np.any(
-        np.abs(np.asarray(y_n)) > 1
-    ):
-        raise KineticsDomainError(f"y=({ybar}, {y_n}) outside the closed reference cell")
-    return spec.base_rate(t, u) * spec.position_factor(ybar, y_n)
-
-
-def eval_h(spec: KineticsSpec, t, y, u, arc=None, arc_total=None):
-    """Wall rate at a point y on the lateral wall (optionally with arc position)."""
-    ybar, y_n = y
-    if np.any(np.abs(np.asarray(y_n)) > 1):
-        raise KineticsDomainError(f"y_n={y_n} outside the layer")
-    return spec.base_rate(t, u) * spec.position_factor(ybar, y_n, arc=arc, arc_total=arc_total)
-
-
-def sample_micro_kinetics(spec: KineticsSpec, geom, grid, t, u):
-    """Channel volume rate per channel cell, evaluated at the cell's unfolded point.
-
-    Returns a per-cell array, zero on bulk cells.  Periodicity in ybar is
-    automatic: only the column-local coordinate enters.
-    """
-    from .geometry import CHAN  # local import to avoid cycle at module load
-
-    values = u.values if hasattr(u, "values") else np.asarray(u, dtype=float)
-    eps = float(geom.eps)
-    mask = grid.cell_tag == CHAN
-    ybar = np.mod(grid.cell_x[mask] / eps, 1.0)
-    y_n = grid.cell_y[mask] / eps
-    out = np.zeros(grid.n_cells)
-    out[mask] = spec.base_rate(t, values[mask]) * spec.position_factor(ybar, y_n)
-    return out
 
 
 @dataclass(frozen=True)

@@ -16,11 +16,10 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import linsolve
-from .errors import StabilityError
 from .geometry import CellGeometry
 from .grid import build_bulk_grid, build_cell_grid, boundary_row_faces, wall_faces
 from .kinetics import InitialData
-from .microsim import DiffusionSpec, KineticsBundle, _segment_lookup
+from .microsim import SOLVER_TOL, DiffusionSpec, ImexSimulation, KineticsBundle, _segment_lookup
 
 
 @dataclass(frozen=True)
@@ -47,6 +46,10 @@ class MacroState:
     sim: "MacroSimulation"
 
     @property
+    def values(self) -> np.ndarray:
+        return self.u
+
+    @property
     def bulk_plus(self) -> np.ndarray:
         return self.u[: self.sim.nbp]
 
@@ -68,14 +71,12 @@ class MacroState:
         return self.u[self.sim.oc :].reshape(self.sim.n_sigma, self.sim.ncc)
 
 
-class MacroSimulation:
+class MacroSimulation(ImexSimulation):
     def __init__(self, cell: CellGeometry, H, layout: InterfaceLayout,
-                 diff: DiffusionSpec, kin: KineticsBundle, solver_tol=1e-12):
-        self.cell = cell
+                 diff: DiffusionSpec, kin: KineticsBundle):
+        super().__init__(cell, layout.m, kin)
         self.layout = layout
         self.diff = diff
-        self.kin = kin
-        self.solver_tol = solver_tol
 
         self.cell_grid = build_cell_grid(cell, layout.m)
         self.grid_p = build_bulk_grid("+", H, layout.n_sigma)
@@ -93,8 +94,8 @@ class MacroSimulation:
         self._build_coupling_data()
         self.stiffness = self._assemble_stiffness()
         self.weights = self._assemble_weights()
-        self._implicit = {}
-        self._prepare_kinetics()
+        self.g_factor = kin.g.position_factor(self.cell_grid.cell_x, self.cell_grid.cell_y)
+        self._wall_kinetics(wall_faces(self.cell_grid))
 
     # -- assembly -----------------------------------------------------------
 
@@ -198,33 +199,7 @@ class MacroSimulation:
             w[self.oc + j * self.ncc : self.oc + (j + 1) * self.ncc] = dsig * self.cell_grid.cell_vol
         return w
 
-    def _prepare_kinetics(self):
-        cg = self.cell_grid
-        self.g_factor = self.kin.g.position_factor(cg.cell_x, cg.cell_y)
-        walls = wall_faces(cg)
-        self.wall_cells = np.array([w.cell for w in walls], dtype=np.int64)
-        self.wall_len = np.array([w.length for w in walls])
-        arc_total = float(self.cell.n_length)
-        arcs = np.array([self.cell.arc_coordinate(*w.local) for w in walls])
-        self.h_factor = self.kin.h.position_factor(
-            np.array([w.local[0] for w in walls]),
-            np.array([w.local[1] for w in walls]),
-            arc=arcs,
-            arc_total=arc_total,
-        )
-
     # -- stepping -----------------------------------------------------------
-
-    def max_stable_dt(self) -> float:
-        m = self.layout.m
-        ratio = float(self.cell.n_length / self.cell.area)
-        L = max(
-            self.kin.f_plus.lipschitz,
-            self.kin.f_minus.lipschitz,
-            self.kin.g.lipschitz,
-            self.kin.h.lipschitz * m * ratio,
-        )
-        return 0.5 / L if L > 0 else np.inf
 
     def explicit_rate(self, t, u) -> np.ndarray:
         out = np.zeros(self.n)
@@ -244,23 +219,8 @@ class MacroSimulation:
         out[self.oc :] = g.reshape(-1)
         return out
 
-    def _implicit_matrix(self, dt):
-        key = float(dt)
-        if key not in self._implicit:
-            mass = sp.diags(self.weights, format="csr")
-            self._implicit[key] = linsolve.SparseMatrix(
-                csr=(mass + key * self.stiffness.csr).tocsr(), symmetric=True
-            )
-        return self._implicit[key]
-
-    def step(self, state: MacroState, dt, enforce_stability=True) -> MacroState:
-        if enforce_stability and dt > self.max_stable_dt() * (1 + 1e-12):
-            raise StabilityError(
-                f"dt={dt:g} exceeds the explicit stability bound {self.max_stable_dt():g}"
-            )
-        rhs = self.weights * state.u + dt * self.explicit_rate(state.t, state.u)
-        x = linsolve.solve_spd(self._implicit_matrix(dt), rhs, tol=self.solver_tol, x0=state.u)
-        return MacroState(t=state.t + dt, u=x, dt=dt, sim=self)
+    def step(self, state: MacroState, dt) -> MacroState:
+        return MacroState(t=state.t + dt, u=self._advance(state.t, state.u, dt), dt=dt, sim=self)
 
     def initial_state(self, init: InitialData, dt) -> MacroState:
         u = np.zeros(self.n)
@@ -279,20 +239,6 @@ class MacroSimulation:
             ]
         return MacroState(t=0.0, u=u, dt=dt, sim=self)
 
-    def run(self, init: InitialData, T, dt, snapshot_stride=1):
-        state = self.initial_state(init, dt)
-        snaps = [state]
-        if T <= 0:
-            return snaps
-        n_steps = int(round(T / dt))
-        if abs(n_steps * dt - T) > 1e-9 * max(T, 1.0):
-            raise ValueError(f"T={T} is not an integer number of steps of dt={dt}")
-        for n in range(1, n_steps + 1):
-            state = self.step(state, dt)
-            if n % snapshot_stride == 0 or n == n_steps:
-                snaps.append(state)
-        return snaps
-
     # -- interface quantities ------------------------------------------------
 
     def cell_flux(self, state: MacroState):
@@ -308,15 +254,6 @@ class MacroSimulation:
         bp = self.diff.d_plus * (state.bulk_plus[self.adj_p] - state.v_plus) / self.half_p
         bm = self.diff.d_minus * (state.bulk_minus[self.adj_m] - state.v_minus) / self.half_m
         return np.abs(bp - fp), np.abs(bm - fm)
-
-    def weighted_mass(self, u) -> float:
-        return float(np.dot(self.weights, u))
-
-    def mass_report(self, before: MacroState, after: MacroState, dt) -> float:
-        rate = self.explicit_rate(before.t, before.u)
-        return abs(
-            self.weighted_mass(after.u) - self.weighted_mass(before.u) - dt * float(rate.sum())
-        )
 
     def steady_conduction(self, top_value, bottom_value):
         """Dirichlet override at x_n = +H / -H, zero kinetics, direct steady solve.
@@ -342,27 +279,6 @@ class MacroSimulation:
             rhs[idx_m] += t_m * bottom_value
         dir_part = sp.coo_matrix((vals, (rows, cols)), shape=(self.n, self.n)).tocsr()
         A = linsolve.SparseMatrix(csr=(self.stiffness.csr + dir_part).tocsr(), symmetric=True)
-        x = linsolve.solve_spd(A, rhs, tol=self.solver_tol)
+        x = linsolve.solve_spd(A, rhs, tol=SOLVER_TOL)
         return MacroState(t=np.inf, u=x, dt=0.0, sim=self)
 
-
-def assemble_macro(cell, H, layout: InterfaceLayout, diff: DiffusionSpec):
-    """Coupled SPD stiffness and accumulation weights (kinetics-independent)."""
-    sim = MacroSimulation(cell, H, layout, diff, KineticsBundle.zero())
-    return sim.stiffness, sim.weights
-
-
-def step_macro(sim: MacroSimulation, state: MacroState, dt) -> MacroState:
-    return sim.step(state, dt)
-
-
-def cell_flux(state: MacroState, j=None):
-    fp, fm = state.sim.cell_flux(state)
-    if j is None:
-        return fp, fm
-    return float(fp[j]), float(fm[j])
-
-
-def run_macro(cell, H, layout, diff, kin, init, T, dt, snapshot_stride=1, solver_tol=1e-12):
-    sim = MacroSimulation(cell, H, layout, diff, kin, solver_tol=solver_tol)
-    return sim.run(init, T, dt, snapshot_stride)

@@ -20,6 +20,9 @@ from .geometry import BULK_M, BULK_P, CHAN, MicroGeometry
 from .grid import Field, RectGrid, wall_faces
 from .kinetics import InitialData, KineticsSpec
 
+# relative residual of every implicit solve
+SOLVER_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class DiffusionSpec:
@@ -33,8 +36,8 @@ class DiffusionSpec:
         entries = [self.d_plus, self.d_minus]
         for pair in self.channel:
             entries.extend(pair)
-        if min(entries) <= 0:
-            raise GeometryError("diffusivities must be strictly positive (coercivity)")
+        if not all(np.isfinite(entries)) or min(entries) <= 0:
+            raise GeometryError("diffusivities must be finite and strictly positive (coercivity)")
 
     @property
     def c0(self) -> float:
@@ -110,104 +113,62 @@ def assemble_micro_operator(geom: MicroGeometry, grid: RectGrid, diff: Diffusion
     return A, weights
 
 
-class MicroSimulation:
-    """Holds the assembled operator plus precomputed kinetics positions."""
+class ImexSimulation:
+    """Backward-Euler diffusion with explicit kinetics on an assembled system.
 
-    def __init__(self, geom, grid, diff, kin: KineticsBundle, solver_tol=1e-12):
-        self.geom = geom
-        self.grid = grid
-        self.diff = diff
+    Subclasses assemble `stiffness` and `weights` and supply `explicit_rate`
+    and `initial_state`; one step solves (M + dt K) u_new = M u + dt r(t, u).
+    `refinement` is the reference-cell refinement that sets the wall term's
+    face/volume factor in the stability bound.
+    """
+
+    def __init__(self, cell, refinement, kin: KineticsBundle):
+        self.cell = cell
+        self.refinement = refinement
         self.kin = kin
-        self.solver_tol = solver_tol
-
-        self.stiffness, self.weights = assemble_micro_operator(geom, grid, diff)
         self._implicit = {}
 
-        eps = float(geom.eps)
-        self.mask_p = grid.cell_tag == BULK_P
-        self.mask_m = grid.cell_tag == BULK_M
-        self.mask_c = grid.cell_tag == CHAN
-        self.g_factor = kin.g.position_factor(
-            np.mod(grid.cell_x[self.mask_c] / eps, 1.0), grid.cell_y[self.mask_c] / eps
-        )
-
-        self.walls = wall_faces(grid, geom)
-        self.wall_cells = np.array([w.cell for w in self.walls], dtype=np.int64)
-        self.wall_len = np.array([w.length for w in self.walls])
-        arc_total = float(geom.cell.n_length)
-        arcs = np.array([geom.cell.arc_coordinate(*w.local) for w in self.walls])
-        self.h_factor = kin.h.position_factor(
-            np.array([w.local[0] for w in self.walls]),
-            np.array([w.local[1] for w in self.walls]),
+    def _wall_kinetics(self, walls):
+        self.wall_cells = np.array([w.cell for w in walls], dtype=np.int64)
+        self.wall_len = np.array([w.length for w in walls])
+        arcs = np.array([self.cell.arc_coordinate(*w.local) for w in walls])
+        self.h_factor = self.kin.h.position_factor(
+            np.array([w.local[0] for w in walls]),
+            np.array([w.local[1] for w in walls]),
             arc=arcs,
-            arc_total=arc_total,
+            arc_total=float(self.cell.n_length),
         )
 
     def max_stable_dt(self) -> float:
         """Explicit-part bound 0.5 / L with the wall term's face/volume factor."""
-        k = self.grid.k
-        ratio = float(self.geom.cell.n_length / self.geom.cell.area)
+        ratio = float(self.cell.n_length / self.cell.area)
         L = max(
             self.kin.f_plus.lipschitz,
             self.kin.f_minus.lipschitz,
             self.kin.g.lipschitz,
-            self.kin.h.lipschitz * k * ratio,
+            self.kin.h.lipschitz * self.refinement * ratio,
         )
         return 0.5 / L if L > 0 else np.inf
 
-    def explicit_rate(self, t, values) -> np.ndarray:
-        """Weighted reaction vector plus the wall-flux sink at time t."""
-        out = np.zeros(self.grid.n_cells)
-        out[self.mask_p] = self.kin.f_plus.base_rate(t, values[self.mask_p])
-        out[self.mask_m] = self.kin.f_minus.base_rate(t, values[self.mask_m])
-        out[self.mask_c] = self.kin.g.base_rate(t, values[self.mask_c]) * self.g_factor
-        out *= self.weights
-        if len(self.wall_cells):
-            sink = self.kin.h.base_rate(t, values[self.wall_cells]) * self.h_factor * self.wall_len
-            np.subtract.at(out, self.wall_cells, sink)
-        return out
-
-    def _implicit_matrix(self, dt):
+    def _advance(self, t, u, dt) -> np.ndarray:
+        """Values after one step of size dt from u at time t."""
+        if dt > self.max_stable_dt() * (1 + 1e-12):
+            raise StabilityError(
+                f"dt={dt:g} exceeds the explicit stability bound {self.max_stable_dt():g}"
+            )
         key = float(dt)
         if key not in self._implicit:
             mass = sp.diags(self.weights, format="csr")
             self._implicit[key] = linsolve.SparseMatrix(
                 csr=(mass + key * self.stiffness.csr).tocsr(), symmetric=True
             )
-        return self._implicit[key]
-
-    def step(self, state: MicroState, dt, enforce_stability=True) -> MicroState:
-        if enforce_stability and dt > self.max_stable_dt() * (1 + 1e-12):
-            raise StabilityError(
-                f"dt={dt:g} exceeds the explicit stability bound {self.max_stable_dt():g}"
-            )
-        u = state.values
-        rhs = self.weights * u + dt * self.explicit_rate(state.t, u)
-        x = linsolve.solve_spd(self._implicit_matrix(dt), rhs, tol=self.solver_tol, x0=u)
-        t_new = state.t + dt
-        return MicroState(t=t_new, u=Field(self.grid, x, time=t_new), dt=dt)
-
-    def initial_state(self, init: InitialData, dt) -> MicroState:
-        g = self.grid
-        eps = float(self.geom.eps)
-        vals = np.empty(g.n_cells)
-        vals[self.mask_p] = [
-            init.u_plus(x, y) for x, y in zip(g.cell_x[self.mask_p], g.cell_y[self.mask_p])
-        ]
-        vals[self.mask_m] = [
-            init.u_minus(x, y) for x, y in zip(g.cell_x[self.mask_m], g.cell_y[self.mask_m])
-        ]
-        xc = g.cell_x[self.mask_c]
-        vals[self.mask_c] = [
-            init.u_channel(x, np.mod(x / eps, 1.0), y / eps)
-            for x, y in zip(xc, g.cell_y[self.mask_c])
-        ]
-        return MicroState(t=0.0, u=Field(g, vals, time=0.0), dt=dt)
+        rhs = self.weights * u + dt * self.explicit_rate(t, u)
+        return linsolve.solve_spd(self._implicit[key], rhs, tol=SOLVER_TOL, x0=u)
 
     def weighted_mass(self, values) -> float:
         return float(np.dot(self.weights, values))
 
-    def mass_report(self, before: MicroState, after: MicroState, dt) -> float:
+    def mass_report(self, before, after, dt) -> float:
         """|Delta mass - dt * (reactions - wall outflow)| for one step."""
         rate = self.explicit_rate(before.t, before.values)
         return abs(
@@ -231,14 +192,56 @@ class MicroSimulation:
         return snaps
 
 
-def step_micro(sim: MicroSimulation, state: MicroState, dt) -> MicroState:
-    return sim.step(state, dt)
+class MicroSimulation(ImexSimulation):
+    """Holds the assembled operator plus precomputed kinetics positions."""
 
+    def __init__(self, geom, grid, diff, kin: KineticsBundle):
+        super().__init__(geom.cell, grid.k, kin)
+        self.geom = geom
+        self.grid = grid
+        self.diff = diff
 
-def micro_mass_report(sim: MicroSimulation, before: MicroState, after: MicroState, dt) -> float:
-    return sim.mass_report(before, after, dt)
+        self.stiffness, self.weights = assemble_micro_operator(geom, grid, diff)
 
+        eps = float(geom.eps)
+        self.mask_p = grid.cell_tag == BULK_P
+        self.mask_m = grid.cell_tag == BULK_M
+        self.mask_c = grid.cell_tag == CHAN
+        self.g_factor = kin.g.position_factor(
+            np.mod(grid.cell_x[self.mask_c] / eps, 1.0), grid.cell_y[self.mask_c] / eps
+        )
+        self._wall_kinetics(wall_faces(grid, geom))
 
-def run_micro(geom, grid, diff, kin, init, T, dt, snapshot_stride=1, solver_tol=1e-12):
-    sim = MicroSimulation(geom, grid, diff, kin, solver_tol=solver_tol)
-    return sim.run(init, T, dt, snapshot_stride)
+    def explicit_rate(self, t, values) -> np.ndarray:
+        """Weighted reaction vector plus the wall-flux sink at time t."""
+        out = np.zeros(self.grid.n_cells)
+        out[self.mask_p] = self.kin.f_plus.base_rate(t, values[self.mask_p])
+        out[self.mask_m] = self.kin.f_minus.base_rate(t, values[self.mask_m])
+        out[self.mask_c] = self.kin.g.base_rate(t, values[self.mask_c]) * self.g_factor
+        out *= self.weights
+        if len(self.wall_cells):
+            sink = self.kin.h.base_rate(t, values[self.wall_cells]) * self.h_factor * self.wall_len
+            np.subtract.at(out, self.wall_cells, sink)
+        return out
+
+    def step(self, state: MicroState, dt) -> MicroState:
+        t_new = state.t + dt
+        x = self._advance(state.t, state.values, dt)
+        return MicroState(t=t_new, u=Field(self.grid, x, time=t_new), dt=dt)
+
+    def initial_state(self, init: InitialData, dt) -> MicroState:
+        g = self.grid
+        eps = float(self.geom.eps)
+        vals = np.empty(g.n_cells)
+        vals[self.mask_p] = [
+            init.u_plus(x, y) for x, y in zip(g.cell_x[self.mask_p], g.cell_y[self.mask_p])
+        ]
+        vals[self.mask_m] = [
+            init.u_minus(x, y) for x, y in zip(g.cell_x[self.mask_m], g.cell_y[self.mask_m])
+        ]
+        xc = g.cell_x[self.mask_c]
+        vals[self.mask_c] = [
+            init.u_channel(x, np.mod(x / eps, 1.0), y / eps)
+            for x, y in zip(xc, g.cell_y[self.mask_c])
+        ]
+        return MicroState(t=0.0, u=Field(g, vals, time=0.0), dt=dt)

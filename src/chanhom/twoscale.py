@@ -154,18 +154,6 @@ class Unfolder:
         return float(np.dot(lens, np.asarray(trace) ** 2))
 
 
-def unfold(u: Field, geom: MicroGeometry, cell_grid: RectGrid) -> TwoScaleField:
-    return Unfolder(geom, u.grid, cell_grid).unfold(u)
-
-
-def unfold_boundary(trace, geom: MicroGeometry, grid: RectGrid, cell_grid: RectGrid):
-    return Unfolder(geom, grid, cell_grid).unfold_boundary(trace)
-
-
-def average(phi: TwoScaleField, geom: MicroGeometry, grid: RectGrid) -> Field:
-    return Unfolder(geom, grid, phi.cell_grid).average(phi)
-
-
 # ---------------------------------------------------------------------------
 # error norms against a limit-model trajectory
 

@@ -208,3 +208,36 @@ def test_cli_misaligned_refinement_exits_one(tmp_path, capsys):
 def test_cli_missing_config_file(tmp_path, capsys):
     assert cli.main(["run", str(tmp_path / "nope.json")]) == 1
     assert "not found" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "edit, path",
+    [
+        (lambda raw: raw["diffusivity"].update(bulk_plus=float("nan")), "diffusivity"),
+        (lambda raw: raw["kinetics"].update(
+            g={"kind": "tabulated", "u": [1.0, 0.0], "rate": [0.0, 1.0]}), "kinetics.g"),
+        (lambda raw: raw["kinetics"]["f_plus"].update(u_cap=0), "kinetics.f_plus"),
+    ],
+    ids=["nan_diffusivity", "decreasing_knots", "zero_u_cap"],
+)
+def test_cli_bad_value_exits_one_with_path(tmp_path, capsys, edit, path):
+    raw = mini_config()
+    edit(raw)
+    p = write_config(tmp_path, raw)
+    assert cli.main(["run", str(p), "--out", str(tmp_path / "x")]) == 1
+    assert f"error: {path}:" in capsys.readouterr().err
+
+
+def test_cli_report_refuses_an_edited_field_file(tmp_path, capsys):
+    p = write_config(tmp_path, mini_config())
+    out = tmp_path / "study"
+    assert cli.main(["run", str(p), "--out", str(out)]) == 0
+    report = (out / "report.csv").read_bytes()
+    field = out / "fields" / "micro_eps4_s0001.csv"
+    data = bytearray(field.read_bytes())
+    data[-2] = ord("8") if data[-2] == ord("9") else ord("9")  # last digit of one value
+    field.write_bytes(bytes(data))
+    capsys.readouterr()
+    assert cli.main(["report", str(out)]) == 1
+    assert "fields/micro_eps4_s0001.csv" in capsys.readouterr().err
+    assert (out / "report.csv").read_bytes() == report

@@ -4,16 +4,9 @@ import numpy as np
 import pytest
 
 from chanhom.geometry import CHAN, ChannelProfile, build_micro_geometry, build_reference_cell
-from chanhom.grid import Field, build_micro_grid
-from chanhom.kinetics import (
-    InitialData,
-    KineticsDomainError,
-    KineticsSpec,
-    eval_f,
-    eval_g,
-    eval_h,
-    sample_micro_kinetics,
-)
+from chanhom.grid import build_micro_grid
+from chanhom.kinetics import InitialData, KineticsDomainError, KineticsSpec
+from chanhom.microsim import DiffusionSpec, KineticsBundle, MicroSimulation
 
 ALL_BUILTINS = [
     KineticsSpec("zero"),
@@ -26,10 +19,10 @@ ALL_BUILTINS = [
 
 
 def test_zero_and_linear_examples():
-    assert eval_g(KineticsSpec("zero"), 0.0, (0.5, 0.0), 123.0) == 0.0
-    assert eval_g(KineticsSpec("linear_decay", {"lam": 1.0}), 0.0, (0.5, 0.0), 2.0) == -2.0
+    assert KineticsSpec("zero").base_rate(0.0, 123.0) == 0.0
+    assert KineticsSpec("linear_decay", {"lam": 1.0}).base_rate(0.0, 2.0) == -2.0
     h = KineticsSpec("exchange", {"kappa": 0.5, "u_ext": 1.0})
-    assert eval_h(h, 0.0, (0.25, 0.0), 3.0) == pytest.approx(1.0)
+    assert h.base_rate(0.0, 3.0) == pytest.approx(1.0)
 
 
 def test_logistic_clamp_is_linear_beyond_the_bound():
@@ -66,19 +59,10 @@ def test_modulated_lipschitz_bound():
 
 
 def test_domain_errors():
-    g = KineticsSpec("zero")
-    with pytest.raises(KineticsDomainError):
-        eval_g(g, 0.0, (1.5, 0.0), 1.0)
-    with pytest.raises(KineticsDomainError):
-        eval_g(g, 0.0, (0.5, 2.0), 1.0)
-    with pytest.raises(KineticsDomainError):
-        eval_f(g, "+", 0.0, (0.5, -0.5), 1.0)
-    with pytest.raises(KineticsDomainError):
-        eval_f(g, "-", 0.0, (0.5, 0.5), 1.0)
     arc = KineticsSpec("constant", {"value": 1.0}, modulation=("arc_cos", 0.5))
     with pytest.raises(KineticsDomainError):
-        eval_h(arc, 0.0, (0.25, 0.0), 1.0)  # needs an arc position
-    assert eval_h(arc, 0.0, (0.25, 0.0), 1.0, arc=1.0, arc_total=4.0) == pytest.approx(
+        arc.position_factor(0.25, 0.0)  # needs an arc position
+    assert arc.position_factor(0.25, 0.0, arc=1.0, arc_total=4.0) == pytest.approx(
         1.0 + 0.5 * np.cos(2 * np.pi * 0.25)
     )
 
@@ -90,22 +74,33 @@ def micro_setup(eps=F(1, 4), k=4):
     return geom, grid
 
 
+def channel_rates(spec, geom, grid, values):
+    """Per-cell channel rate of a micro run whose only non-zero kinetics is g.
+
+    `explicit_rate` returns the rate times the accumulation weight; dividing
+    the weight out leaves the sampled rate.
+    """
+    z = KineticsSpec("zero")
+    sim = MicroSimulation(geom, grid, DiffusionSpec.isotropic(1.0, 1.0, 1.0),
+                          KineticsBundle(f_plus=z, f_minus=z, g=spec, h=z))
+    return sim.explicit_rate(0.0, values) / sim.weights
+
+
 def test_sampling_matches_direct_evaluation_when_position_free():
     geom, grid = micro_setup()
     spec = KineticsSpec("linear_decay", {"lam": 0.5})
     rng = np.random.default_rng(0)
-    u = Field(grid, rng.normal(size=grid.n_cells))
-    rates = sample_micro_kinetics(spec, geom, grid, 0.0, u)
+    u = rng.normal(size=grid.n_cells)
+    rates = channel_rates(spec, geom, grid, u)
     chan = grid.cell_tag == CHAN
-    assert np.allclose(rates[chan], -0.5 * u.values[chan])
+    assert np.allclose(rates[chan], -0.5 * u[chan])
     assert (rates[~chan] == 0.0).all()
 
 
 def test_height_pattern_is_column_periodic():
     geom, grid = micro_setup()
     spec = KineticsSpec("constant", {"value": 1.0}, modulation=("yn", 1.0))
-    u = Field.constant(grid, 1.0)
-    rates = sample_micro_kinetics(spec, geom, grid, 0.0, u)
+    rates = channel_rates(spec, geom, grid, np.ones(grid.n_cells))
     chan = grid.cell_tag == CHAN
     by_col = rates[chan].reshape(geom.n_columns, -1)
     for c in range(1, geom.n_columns):
@@ -118,8 +113,7 @@ def test_height_pattern_is_column_periodic():
 def test_horizontal_pattern_differs_in_column_but_matches_across():
     geom, grid = micro_setup()
     spec = KineticsSpec("constant", {"value": 1.0}, modulation=("ybar", 1.0))
-    u = Field.constant(grid, 1.0)
-    rates = sample_micro_kinetics(spec, geom, grid, 0.0, u)
+    rates = channel_rates(spec, geom, grid, np.ones(grid.n_cells))
     chan = grid.cell_tag == CHAN
     by_col = rates[chan].reshape(geom.n_columns, -1)
     assert not np.allclose(by_col[0], by_col[0][::-1])  # varies within the column
@@ -134,10 +128,8 @@ def test_sampling_commutes_with_column_shift():
     k = grid.k
     dense = grid.cells_dense(rng.normal(size=grid.n_cells))
     shifted = np.roll(dense, k, axis=0)  # shift the field by one column
-    u = Field(grid, dense[grid.cell_i, grid.cell_j])
-    us = Field(grid, shifted[grid.cell_i, grid.cell_j])
-    r = sample_micro_kinetics(spec, geom, grid, 0.0, u)
-    rs = sample_micro_kinetics(spec, geom, grid, 0.0, us)
+    r = channel_rates(spec, geom, grid, dense[grid.cell_i, grid.cell_j])
+    rs = channel_rates(spec, geom, grid, shifted[grid.cell_i, grid.cell_j])
     r_dense = grid.cells_dense(r)
     rs_dense = grid.cells_dense(rs)
     assert np.allclose(np.roll(r_dense, k, axis=0), rs_dense)

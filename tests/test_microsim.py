@@ -7,6 +7,7 @@ from chanhom.errors import StabilityError
 from chanhom.geometry import BULK_P, CHAN, ChannelProfile, build_micro_geometry, build_reference_cell
 from chanhom.grid import build_micro_grid, leps_diff, norm_leps
 from chanhom.kinetics import InitialData, KineticsSpec
+from chanhom.macrosim import InterfaceLayout, MacroSimulation
 from chanhom.microsim import DiffusionSpec, KineticsBundle, MicroSimulation
 
 B1_DIFF = DiffusionSpec.isotropic(1.0, 2.0, 0.5)
@@ -121,8 +122,15 @@ def test_initial_channel_sampling_uses_local_height():
     assert (s0.values[grid.cell_tag == BULK_P] == 1.0).all()
 
 
-def test_time_step_stability_guard():
-    _, _, sim = setup(kin=B1_KIN)
+def limit_sim(kin):
+    cell = build_reference_cell(ChannelProfile.rectangle(F(1, 2)))
+    return MacroSimulation(cell, 1.0, InterfaceLayout(n_sigma=8, m=4), B1_DIFF, kin)
+
+
+@pytest.mark.parametrize("make", [lambda kin: setup(kin=kin)[2], limit_sim],
+                         ids=["micro", "macro"])
+def test_time_step_stability_guard(make):
+    sim = make(B1_KIN)
     bound = sim.max_stable_dt()
     assert bound == pytest.approx(0.5 / 21.0)  # logistic clamp dominates
     state = sim.initial_state(B1_INIT, dt=bound * 2)
