@@ -59,6 +59,21 @@ def _need(mapping, key, path):
     return mapping[key]
 
 
+def _number(raw, path, integer=False):
+    """A finite float (or integral int) from a config value; ConfigError naming the path."""
+    try:
+        val = float(raw)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: not a finite number ({raw!r})") from exc
+    if not math.isfinite(val):
+        raise ConfigError(f"{path}: not a finite number ({raw!r})")
+    if not integer:
+        return val
+    if not val.is_integer():
+        raise ConfigError(f"{path}: not an integer ({raw!r})")
+    return raw if isinstance(raw, int) else int(val)  # ints stay exact beyond 2**53
+
+
 def _frac_value(raw, path) -> Fraction:
     try:
         return Fraction(str(raw))
@@ -106,11 +121,14 @@ def _kinetics_spec(raw, path) -> KineticsSpec:
         raise ConfigError(f"{path}.kind: unknown kinetics kind {kind!r}")
     for name in required[kind]:
         _need(params, name, path)
+        if kind != "tabulated":
+            params[name] = _number(params[name], f"{path}.{name}")
     modulation = None
     if raw.get("modulation") is not None:
         mod = raw["modulation"]
         modulation = (_need(mod, "kind", f"{path}.modulation"),
-                      float(_need(mod, "amplitude", f"{path}.modulation")))
+                      _number(_need(mod, "amplitude", f"{path}.modulation"),
+                              f"{path}.modulation.amplitude"))
     try:
         return KineticsSpec(kind, params, modulation)
     except ValueError as exc:
@@ -119,27 +137,28 @@ def _kinetics_spec(raw, path) -> KineticsSpec:
 
 def _initial_fn(raw, path, channel=False):
     kind = _need(raw, "kind", path)
+
+    def num(key):
+        return _number(_need(raw, key, path), f"{path}.{key}")
+
+    def freq():
+        return _number(raw.get("frequency", 1), f"{path}.frequency", integer=True)
+
     if kind == "constant":
-        v = float(_need(raw, "value", path))
+        v = num("value")
         if channel:
             return lambda xb, yb, yn: v
         return lambda x, y: v
     if kind == "cosine_xbar" and not channel:
-        base = float(_need(raw, "base", path))
-        amp = float(_need(raw, "amplitude", path))
-        freq = int(raw.get("frequency", 1))
-        return lambda x, y: base + amp * math.cos(freq * math.pi * x)
+        base, amp, k = num("base"), num("amplitude"), freq()
+        return lambda x, y: base + amp * math.cos(k * math.pi * x)
     if kind == "affine_yn" and channel:
-        base = float(_need(raw, "base", path))
-        slope = float(_need(raw, "slope", path))
+        base, slope = num("base"), num("slope")
         return lambda xb, yb, yn: base + slope * yn
     if kind == "affine_yn_cosine_xbar" and channel:
-        base = float(_need(raw, "base", path))
-        slope = float(_need(raw, "slope", path))
-        amp = float(_need(raw, "amplitude", path))
-        freq = int(raw.get("frequency", 1))
+        base, slope, amp, k = num("base"), num("slope"), num("amplitude"), freq()
         return lambda xb, yb, yn: (base + slope * yn) * (
-            1.0 + amp * math.cos(freq * math.pi * xb)
+            1.0 + amp * math.cos(k * math.pi * xb)
         )
     raise ConfigError(f"{path}.kind: unknown initial-data kind {kind!r}")
 
@@ -147,7 +166,7 @@ def _initial_fn(raw, path, channel=False):
 def parse_config(raw: dict) -> StudyConfig:
     if not isinstance(raw, dict):
         raise ConfigError("top level: expected a JSON object")
-    if int(raw.get("schema", SCHEMA_VERSION)) != SCHEMA_VERSION:
+    if _number(raw.get("schema", SCHEMA_VERSION), "schema", integer=True) != SCHEMA_VERSION:
         raise ConfigError(f"schema: unsupported version {raw.get('schema')}")
 
     geo = _need(raw, "geometry", "")
@@ -174,16 +193,22 @@ def parse_config(raw: dict) -> StudyConfig:
     cell = build_reference_cell(profile)
 
     dif = _need(raw, "diffusivity", "")
-    d_plus = float(_need(dif, "bulk_plus", "diffusivity"))
-    d_minus = float(_need(dif, "bulk_minus", "diffusivity"))
+    d_plus = _number(_need(dif, "bulk_plus", "diffusivity"), "diffusivity.bulk_plus")
+    d_minus = _number(_need(dif, "bulk_minus", "diffusivity"), "diffusivity.bulk_minus")
     chan = _need(dif, "channel", "diffusivity")
     if len(chan) != len(profile.segments):
         raise ConfigError(
             f"diffusivity.channel: need one (d_ybar, d_yn) pair per profile segment "
             f"({len(profile.segments)}), got {len(chan)}"
         )
+    pairs = []
+    for i, pair in enumerate(chan):
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+            raise ConfigError(f"diffusivity.channel[{i}]: expected a (d_ybar, d_yn) pair")
+        pairs.append(tuple(_number(d, f"diffusivity.channel[{i}][{a}]")
+                           for a, d in enumerate(pair)))
     try:
-        diffusion = DiffusionSpec(d_plus, d_minus, tuple((float(a), float(b)) for a, b in chan))
+        diffusion = DiffusionSpec(d_plus, d_minus, tuple(pairs))
     except ValueError as exc:
         raise ConfigError(f"diffusivity: {exc}") from exc
 
@@ -217,13 +242,16 @@ def parse_config(raw: dict) -> StudyConfig:
         raise ConfigError("epsilon: values must be strictly decreasing")
 
     tim = _need(raw, "time", "")
-    T = float(_need(tim, "T", "time"))
+    T = _number(_need(tim, "T", "time"), "time.T")
     dt_raw = tim.get("dt", {"rule": "eps_min_over", "factor": 8})
     rule = dt_raw.get("rule", "eps_min_over")
     if rule == "eps_min_over":
-        dt = float(min(epsilons)) / float(dt_raw.get("factor", 8))
+        factor = _number(dt_raw.get("factor", 8), "time.dt.factor")
+        if factor <= 0:
+            raise ConfigError("time.dt.factor: must be > 0")
+        dt = float(min(epsilons)) / factor
     elif rule == "fixed":
-        dt = float(_need(dt_raw, "value", "time.dt"))
+        dt = _number(_need(dt_raw, "value", "time.dt"), "time.dt.value")
     else:
         raise ConfigError(f"time.dt.rule: unknown rule {rule!r}")
     if dt <= 0 or T < 0:
@@ -233,9 +261,10 @@ def parse_config(raw: dict) -> StudyConfig:
         raise ConfigError(f"time: T={T} is not an integer multiple of dt={dt}")
 
     ref = raw.get("refinement", {})
-    k = int(ref.get("k", 4))
-    m = int(ref.get("m", k))
-    n_sigma = int(ref.get("n_sigma", max(32, int(1 / min(epsilons)))))
+    k = _number(ref.get("k", 4), "refinement.k", integer=True)
+    m = _number(ref.get("m", k), "refinement.m", integer=True)
+    n_sigma = _number(ref.get("n_sigma", max(32, int(1 / min(epsilons)))),
+                      "refinement.n_sigma", integer=True)
     if k != m:
         raise ConfigError("refinement: unfolding needs k == m")
     align = profile.alignment
@@ -248,14 +277,14 @@ def parse_config(raw: dict) -> StudyConfig:
         raise ConfigError("refinement.n_sigma: interface nodes must be at least as fine "
                           "as the smallest epsilon columns")
 
-    stride = int(raw.get("snapshot_stride", 4))
+    stride = _number(raw.get("snapshot_stride", 4), "snapshot_stride", integer=True)
     if stride < 1:
         raise ConfigError("snapshot_stride: must be >= 1")
 
     diag = raw.get("diagnostics", {})
-    shift_l = int(diag.get("shift_l", 1))
-    shift_h = float(diag.get("shift_h", 0.125))
-    theta = float(diag.get("theta", 1.0))
+    shift_l = _number(diag.get("shift_l", 1), "diagnostics.shift_l", integer=True)
+    shift_h = _number(diag.get("shift_h", 0.125), "diagnostics.shift_h")
+    theta = _number(diag.get("theta", 1.0), "diagnostics.theta")
 
     echo = {
         "schema": SCHEMA_VERSION,
@@ -293,7 +322,7 @@ def parse_config(raw: dict) -> StudyConfig:
         "snapshot_stride": stride,
         "diagnostics": {"shift_l": shift_l, "shift_h": shift_h, "theta": theta},
         "output_dir": raw.get("output_dir", "out"),
-        "seed": int(raw.get("seed", 0)),
+        "seed": _number(raw.get("seed", 0), "seed", integer=True),
     }
     return StudyConfig(
         echo=echo,
@@ -528,7 +557,12 @@ def rederive_report(study_dir):
     parsed; a missing, unlisted or altered file raises ConfigError.
     """
     out = Path(study_dir)
-    manifest = json.loads((out / "manifest.json").read_text())
+    try:
+        manifest = json.loads((out / "manifest.json").read_text())
+    except FileNotFoundError as exc:
+        raise ConfigError(f"{out / 'manifest.json'}: study manifest not found") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{out / 'manifest.json'}: not valid JSON ({exc})") from exc
     cfg = parse_config(manifest["config"])
     times = manifest["snapshot_times"]
 

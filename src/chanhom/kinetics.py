@@ -48,6 +48,8 @@ class KineticsSpec:
                 raise ValueError("tabulated knots u must be strictly increasing, one per rate")
         if self.kind == "logistic_clamped" and self.params["u_cap"] == 0:
             raise ValueError("logistic_clamped needs u_cap != 0")
+        if self.kind == "logistic_clamped" and not self.params["clamp"] > 0:
+            raise ValueError("logistic_clamped needs clamp > 0")
 
     @property
     def lipschitz(self) -> float:
@@ -61,7 +63,7 @@ class KineticsSpec:
         if self.kind == "linear_decay":
             return abs(p["lam"])
         if self.kind == "logistic_clamped":
-            return abs(p["r"]) * (1.0 + 2.0 * p["clamp"] / p["u_cap"])
+            return abs(p["r"]) * (1.0 + 2.0 * p["clamp"] / abs(p["u_cap"]))
         if self.kind == "exchange":
             return abs(p["kappa"])
         slopes = np.diff(np.asarray(p["rate"], float)) / np.diff(np.asarray(p["u"], float))

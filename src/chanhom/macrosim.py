@@ -7,7 +7,8 @@ values tie the bulk half-cell flux to the integrated cell-problem boundary
 flux on the corresponding side; they carry no accumulation term, so their
 rows are discrete per-side flux balances.  Summing the two sides gives the
 jump of the bulk normal fluxes across the interface.  The whole system is
-assembled once, symmetric positive definite, and solved monolithically.
+assembled once, symmetric positive definite, and solved monolithically
+by the block-tridiagonal direct solve, one block per interface node.
 """
 
 from dataclasses import dataclass
@@ -94,6 +95,10 @@ class MacroSimulation(ImexSimulation):
         self._build_coupling_data()
         self.stiffness = self._assemble_stiffness()
         self.weights = self._assemble_weights()
+        # one block per interface node: its bulk columns, traces and cell problem
+        nodes = np.arange(self.n_sigma)
+        self.blocks = np.concatenate([self.grid_p.cell_i, self.grid_m.cell_i, nodes, nodes,
+                                      np.repeat(nodes, self.ncc)])
         self.g_factor = kin.g.position_factor(self.cell_grid.cell_x, self.cell_grid.cell_y)
         self._wall_kinetics(wall_faces(self.cell_grid))
 
@@ -278,7 +283,9 @@ class MacroSimulation(ImexSimulation):
             vals.append(t_m)
             rhs[idx_m] += t_m * bottom_value
         dir_part = sp.coo_matrix((vals, (rows, cols)), shape=(self.n, self.n)).tocsr()
-        A = linsolve.SparseMatrix(csr=(self.stiffness.csr + dir_part).tocsr(), symmetric=True)
+        A = linsolve.SparseMatrix(
+            csr=(self.stiffness.csr + dir_part).tocsr(), symmetric=True, blocks=self.blocks
+        )
         x = linsolve.solve_spd(A, rhs, tol=SOLVER_TOL)
         return MacroState(t=np.inf, u=x, dt=0.0, sim=self)
 

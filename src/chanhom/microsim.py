@@ -116,10 +116,12 @@ def assemble_micro_operator(geom: MicroGeometry, grid: RectGrid, diff: Diffusion
 class ImexSimulation:
     """Backward-Euler diffusion with explicit kinetics on an assembled system.
 
-    Subclasses assemble `stiffness` and `weights` and supply `explicit_rate`
-    and `initial_state`; one step solves (M + dt K) u_new = M u + dt r(t, u).
-    `refinement` is the reference-cell refinement that sets the wall term's
-    face/volume factor in the stability bound.
+    Subclasses assemble `stiffness` and `weights`, label every unknown with
+    its `blocks` entry (M + dt K is block tridiagonal in these labels), and
+    supply `explicit_rate` and `initial_state`; one step solves
+    (M + dt K) u_new = M u + dt r(t, u).  `refinement` is the reference-cell
+    refinement that sets the wall term's face/volume factor in the stability
+    bound.
     """
 
     def __init__(self, cell, refinement, kin: KineticsBundle):
@@ -160,7 +162,7 @@ class ImexSimulation:
         if key not in self._implicit:
             mass = sp.diags(self.weights, format="csr")
             self._implicit[key] = linsolve.SparseMatrix(
-                csr=(mass + key * self.stiffness.csr).tocsr(), symmetric=True
+                csr=(mass + key * self.stiffness.csr).tocsr(), symmetric=True, blocks=self.blocks
             )
         rhs = self.weights * u + dt * self.explicit_rate(t, u)
         return linsolve.solve_spd(self._implicit[key], rhs, tol=SOLVER_TOL, x0=u)
@@ -177,7 +179,10 @@ class ImexSimulation:
         )
 
     def run(self, init: InitialData, T, dt, snapshot_stride=1):
-        """Backward-Euler/explicit stepping to T; returns snapshot states."""
+        """Backward-Euler/explicit stepping to T; returns snapshot states.
+
+        The factored implicit matrices are dropped on return.
+        """
         state = self.initial_state(init, dt)
         snaps = [state]
         if T <= 0:
@@ -185,10 +190,13 @@ class ImexSimulation:
         n_steps = int(round(T / dt))
         if abs(n_steps * dt - T) > 1e-9 * max(T, 1.0):
             raise ValueError(f"T={T} is not an integer number of steps of dt={dt}")
-        for n in range(1, n_steps + 1):
-            state = self.step(state, dt)
-            if n % snapshot_stride == 0 or n == n_steps:
-                snaps.append(state)
+        try:
+            for n in range(1, n_steps + 1):
+                state = self.step(state, dt)
+                if n % snapshot_stride == 0 or n == n_steps:
+                    snaps.append(state)
+        finally:
+            self._implicit.clear()
         return snaps
 
 
@@ -202,6 +210,7 @@ class MicroSimulation(ImexSimulation):
         self.diff = diff
 
         self.stiffness, self.weights = assemble_micro_operator(geom, grid, diff)
+        self.blocks = grid.cell_i  # cells are numbered column by column
 
         eps = float(geom.eps)
         self.mask_p = grid.cell_tag == BULK_P

@@ -213,12 +213,29 @@ def test_cli_missing_config_file(tmp_path, capsys):
 @pytest.mark.parametrize(
     "edit, path",
     [
-        (lambda raw: raw["diffusivity"].update(bulk_plus=float("nan")), "diffusivity"),
+        (lambda raw: raw["diffusivity"].update(bulk_plus=float("nan")),
+         "diffusivity.bulk_plus"),
         (lambda raw: raw["kinetics"].update(
             g={"kind": "tabulated", "u": [1.0, 0.0], "rate": [0.0, 1.0]}), "kinetics.g"),
         (lambda raw: raw["kinetics"]["f_plus"].update(u_cap=0), "kinetics.f_plus"),
+        (lambda raw: raw["diffusivity"].update(bulk_plus="abc"), "diffusivity.bulk_plus"),
+        (lambda raw: raw["diffusivity"].update(channel=[[0.5, None]]),
+         "diffusivity.channel[0][1]"),
+        (lambda raw: raw["initial"]["bulk_plus"].update(value="one"), "initial.bulk_plus.value"),
+        (lambda raw: raw["kinetics"]["g"].update(modulation={"kind": "yn", "amplitude": "x"}),
+         "kinetics.g.modulation.amplitude"),
+        (lambda raw: raw["kinetics"]["f_plus"].update(r="fast"), "kinetics.f_plus.r"),
+        (lambda raw: raw["kinetics"]["f_minus"].update(clamp=-1.0), "kinetics.f_minus"),
+        (lambda raw: raw["time"].update(T=float("inf")), "time.T"),
+        (lambda raw: raw["refinement"].update(k="four"), "refinement.k"),
+        (lambda raw: raw["refinement"].update(n_sigma=8.5), "refinement.n_sigma"),
+        (lambda raw: raw["time"].update(dt={"rule": "eps_min_over", "factor": 0}),
+         "time.dt.factor"),
     ],
-    ids=["nan_diffusivity", "decreasing_knots", "zero_u_cap"],
+    ids=["nan_diffusivity", "decreasing_knots", "zero_u_cap", "string_diffusivity",
+         "null_channel_diffusivity", "string_initial_value", "string_amplitude",
+         "string_rate", "negative_clamp", "infinite_horizon", "string_refinement",
+         "fractional_n_sigma", "zero_dt_factor"],
 )
 def test_cli_bad_value_exits_one_with_path(tmp_path, capsys, edit, path):
     raw = mini_config()
@@ -226,6 +243,11 @@ def test_cli_bad_value_exits_one_with_path(tmp_path, capsys, edit, path):
     p = write_config(tmp_path, raw)
     assert cli.main(["run", str(p), "--out", str(tmp_path / "x")]) == 1
     assert f"error: {path}:" in capsys.readouterr().err
+
+
+def test_cli_report_without_manifest_exits_one(tmp_path, capsys):
+    assert cli.main(["report", str(tmp_path)]) == 1
+    assert "manifest.json" in capsys.readouterr().err
 
 
 def test_cli_report_refuses_an_edited_field_file(tmp_path, capsys):

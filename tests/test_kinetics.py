@@ -42,6 +42,13 @@ def test_declared_lipschitz_certificate(spec):
     assert (steps <= L * np.abs(np.diff(u)) + 1e-12).all()
 
 
+def test_logistic_lipschitz_certificate_with_a_negative_cap():
+    spec = KineticsSpec("logistic_clamped", {"r": 1.0, "u_cap": -2.0, "clamp": 3.0})
+    u = np.linspace(-12.0, 12.0, 1001)
+    steps = np.abs(np.diff(spec.base_rate(0.0, u)))
+    assert (steps <= spec.lipschitz * np.abs(np.diff(u)) + 1e-12).all()
+
+
 @pytest.mark.parametrize("spec", ALL_BUILTINS, ids=lambda s: s.kind)
 def test_continuity_in_time_by_fine_sampling(spec):
     ts = np.linspace(0.0, 1.0, 200)

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chanhom.errors import SolverError
 from chanhom.linsolve import SparseMatrix, assemble, solve_spd
@@ -91,9 +93,73 @@ def test_nonconvergence_raises_with_residual():
     A = random_spd(rng, 50)
     b = rng.normal(size=50)
     with pytest.raises(SolverError) as err:
-        solve_spd(A, b, tol=1e-14, maxit=1)
+        solve_spd(A, b, tol=0.0)  # round-off keeps the true residual above zero
     assert err.value.residual is not None
     assert err.value.residual > 0
+
+
+def block_tridiagonal_spd(rng, n_blocks, max_size):
+    """Random SPD matrix coupling only neighbouring blocks, unknowns shuffled.
+
+    Returns the matrix and the block label of every unknown; the labels are
+    arbitrary distinct integers whose sorted order is the block order.
+    """
+    sizes = rng.integers(1, max_size + 1, size=n_blocks)
+    names = np.sort(rng.choice(np.arange(-1000, 1000), size=n_blocks, replace=False))
+    rank = np.repeat(np.arange(n_blocks), sizes)
+    n = len(rank)
+    near = np.abs(rank[:, None] - rank[None, :]) <= 1
+    dense = np.where(near & (rng.random((n, n)) < 0.5), rng.normal(size=(n, n)), 0.0)
+    dense = dense + dense.T
+    dense += np.diag(np.abs(dense).sum(axis=1) + rng.random(n) + 0.1)
+    perm = rng.permutation(n)
+    return dense[np.ix_(perm, perm)], names[rank[perm]]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), n_blocks=st.integers(1, 8), max_size=st.integers(1, 7))
+def test_block_solve_matches_dense_solve_with_shuffled_labels(seed, n_blocks, max_size):
+    rng = np.random.default_rng(seed)
+    dense, labels = block_tridiagonal_spd(rng, n_blocks, max_size)
+    A = SparseMatrix(csr=sp.csr_matrix(dense), symmetric=True, blocks=labels)
+    b = rng.normal(size=len(labels))
+    x = solve_spd(A, b, tol=1e-12)
+    oracle = np.linalg.solve(dense, b)
+    assert np.max(np.abs(x - oracle)) <= 1e-10 * np.max(np.abs(oracle))
+
+
+def test_coupling_of_non_adjacent_blocks_is_rejected():
+    dense = 4.0 * np.eye(3)
+    dense[0, 2] = dense[2, 0] = -1.0
+    A = SparseMatrix(csr=sp.csr_matrix(dense), symmetric=True, blocks=np.array([0, 1, 2]))
+    with pytest.raises(SolverError, match="non-adjacent"):
+        solve_spd(A, np.ones(3))
+
+
+def test_indefinite_matrix_is_rejected():
+    A = assemble([0, 0, 1, 1], [0, 1, 0, 1], [1.0, 2.0, 2.0, 1.0], 2)
+    with pytest.raises(SolverError, match="positive definite"):
+        solve_spd(A, np.ones(2))
+
+
+def test_warm_start_meeting_tol_is_returned_bit_exactly():
+    rng = np.random.default_rng(3)
+    dense, labels = block_tridiagonal_spd(rng, 5, 6)
+    A = SparseMatrix(csr=sp.csr_matrix(dense), symmetric=True, blocks=labels)
+    x0 = rng.normal(size=len(labels))
+    b = A.csr @ x0
+    assert np.linalg.norm(b - A.csr @ x0) <= 1e-12 * np.linalg.norm(b)
+    assert np.array_equal(solve_spd(A, b, tol=1e-12, x0=x0), x0)
+
+
+def test_warm_started_solve_meets_tol():
+    rng = np.random.default_rng(4)
+    dense, labels = block_tridiagonal_spd(rng, 6, 5)
+    A = SparseMatrix(csr=sp.csr_matrix(dense), symmetric=True, blocks=labels)
+    b = rng.normal(size=len(labels))
+    x0 = rng.normal(size=len(labels))
+    x = solve_spd(A, b, tol=1e-12, x0=x0)
+    assert np.linalg.norm(b - A.csr @ x) <= 1e-12 * np.linalg.norm(b)
 
 
 def test_asymmetric_assembly_rejected():

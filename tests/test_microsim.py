@@ -3,6 +3,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from chanhom import linsolve
 from chanhom.errors import StabilityError
 from chanhom.geometry import BULK_P, CHAN, ChannelProfile, build_micro_geometry, build_reference_cell
 from chanhom.grid import build_micro_grid, leps_diff, norm_leps
@@ -136,6 +137,30 @@ def test_time_step_stability_guard(make):
     state = sim.initial_state(B1_INIT, dt=bound * 2)
     with pytest.raises(StabilityError):
         sim.step(state, bound * 2)
+
+
+@pytest.mark.parametrize("make", [lambda kin: setup(kin=kin)[2], limit_sim],
+                         ids=["micro", "macro"])
+def test_step_solves_once_through_the_linsolve_module(make, monkeypatch):
+    """One `linsolve.solve_spd(matrix, rhs, ...)` call per step, looked up on the module."""
+    sim = make(B1_KIN)
+    calls = []
+    solve = linsolve.solve_spd
+
+    def counted(A, b, *args, **kwargs):
+        calls.append(len(b))
+        return solve(A, b, *args, **kwargs)
+
+    monkeypatch.setattr(linsolve, "solve_spd", counted)
+    state = sim.initial_state(B1_INIT, dt=1e-2)
+    sim.step(state, 1e-2)
+    assert calls == [len(state.values)]
+
+
+def test_run_drops_the_factored_matrices():
+    _, _, sim = setup(kin=B1_KIN)
+    snaps = sim.run(B1_INIT, 0.04, 1e-2)
+    assert len(snaps) == 5 and not sim._implicit
 
 
 def test_wall_exchange_reduces_mass():
