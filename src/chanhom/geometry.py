@@ -197,10 +197,6 @@ class MicroGeometry:
         return int(1 / self.eps)
 
     @property
-    def column_indices(self) -> range:
-        return range(self.n_columns)
-
-    @property
     def channel_area(self) -> Fraction:
         return self.eps * self.cell.area
 

@@ -35,17 +35,18 @@ class FaceSet:
     axis: int
 
 
-@dataclass
-class WallFace:
-    """One face between a channel cell and the void part of the layer."""
+@dataclass(frozen=True)
+class Walls:
+    """Faces between channel and void cells, column by column in lattice-key order.
 
-    cell: int
-    column: int
-    key: tuple          # integer lattice key in reference-cell units, for cross-grid matching
-    length: float
-    midpoint: tuple     # physical coordinates on this grid
-    local: tuple        # (ybar, y_n) reference-cell coordinates of the midpoint
-    normal_axis: int
+    Every column of the layer is a copy of the reference column, so the key
+    and the reference-cell coordinates of a face are shared by all columns.
+    """
+
+    cells: np.ndarray   # (n_columns, n_faces) adjacent channel cell
+    length: np.ndarray  # (n_columns, n_faces) face length on this grid
+    local: np.ndarray   # (n_faces, 2) reference-cell (ybar, y_n) of the midpoint
+    key: np.ndarray     # (n_faces, 4) (axis, sgn, 2k ybar, 2k (y_n + 1)), sorted
 
 
 class RectGrid:
@@ -140,11 +141,6 @@ class Field:
             raise ValueError("field contains non-finite values")
 
     @staticmethod
-    def from_function(grid, fn, time=0.0) -> "Field":
-        vals = np.array([fn(x, y) for x, y in zip(grid.cell_x, grid.cell_y)], dtype=float)
-        return Field(grid, vals, time)
-
-    @staticmethod
     def constant(grid, value, time=0.0) -> "Field":
         return Field(grid, np.full(grid.n_cells, float(value)), time)
 
@@ -179,23 +175,27 @@ def _check_alignment(cell: CellGeometry, k: int):
         raise AlignmentError("; ".join(offenders))
 
 
+def _reference_edges(k: int):
+    """Edges of the reference cell Z = (0,1) x (-1,1) at spacing 1/k."""
+    return np.arange(k + 1) / k, np.arange(2 * k + 1) / k - 1.0
+
+
 def _layer_tags(cell: CellGeometry, k: int, n_columns: int):
     """CHAN/VOID tags for the 2k layer rows of every column (alignment assumed)."""
+    ybar = (np.arange(k) + 0.5) / k
+    y_n = (np.arange(2 * k) + 0.5) / k - 1.0
     block = np.full((k, 2 * k), VOID, dtype=np.int8)
-    for i in range(k):
-        ybar = (i + 0.5) / k
-        for j in range(2 * k):
-            y_n = (j + 0.5) / k - 1.0
-            if cell.contains(ybar, y_n):
-                block[i, j] = CHAN
+    for x0, x1, y0, y1 in cell.rectangles:
+        inside_x = (float(x0) < ybar) & (ybar < float(x1))
+        inside_y = (float(y0) < y_n) & (y_n < float(y1))
+        block[np.ix_(inside_x, inside_y)] = CHAN
     return np.tile(block, (n_columns, 1))
 
 
 def build_cell_grid(cell: CellGeometry, m: int) -> RectGrid:
     """Uniform grid of spacing 1/m on the reference cell Z = (0,1) x (-1,1)."""
     _check_alignment(cell, m)
-    x = np.arange(m + 1) / m
-    y = np.arange(2 * m + 1) / m - 1.0
+    x, y = _reference_edges(m)
     tag = _layer_tags(cell, m, 1)
     return RectGrid(x, y, tag, eps=None, layer_refinement=m)
 
@@ -305,108 +305,84 @@ def norm_heps(u: Field) -> float:
 # ---------------------------------------------------------------------------
 # unfolding index plumbing
 
-def _local_layer_offsets(grid: RectGrid):
-    """(row office of the layer, k) for a micro grid."""
-    if grid.eps is None or grid.k is None:
-        raise ValueError("not a micro grid")
-    eps = grid.eps
-    j0 = int(np.argmin(np.abs(grid.y + eps)))
-    return j0, grid.k
+def _reference_column(grid: RectGrid):
+    """(first layer row, tags of the first column) of a micro or reference-cell grid.
 
-
-def channel_index_matrix(grid: RectGrid) -> np.ndarray:
-    """(n_columns, n_local) cell indices of channel cells, local order (i, j)."""
-    j0, k = _local_layer_offsets(grid)
-    ncol = grid.shape[0] // k
-    cols = []
-    for c in range(ncol):
-        ids = []
-        for i_loc in range(k):
-            for j_loc in range(2 * k):
-                idx = grid.index[c * k + i_loc, j0 + j_loc]
-                if idx >= 0 and grid.tag[c * k + i_loc, j0 + j_loc] == CHAN:
-                    ids.append(idx)
-        cols.append(ids)
-    out = np.asarray(cols, dtype=np.int64)
-    return out
-
-
-def chan_cell_indices(cell_grid: RectGrid) -> np.ndarray:
-    """Channel cell indices of a reference-cell grid in local order (i, j)."""
-    ids = []
-    for i in range(cell_grid.shape[0]):
-        for j in range(cell_grid.shape[1]):
-            if cell_grid.tag[i, j] == CHAN:
-                ids.append(cell_grid.index[i, j])
-    return np.asarray(ids, dtype=np.int64)
-
-
-def wall_faces(grid: RectGrid, geom: MicroGeometry = None):
-    """Faces between channel and void cells, with reference-cell lattice keys.
-
-    For a micro grid pass the geometry so midpoints can be mapped to local
-    coordinates; for a reference-cell grid the coordinates are already local.
+    The layer is this column tiled across the grid: every column holds the
+    same tags, so index maps found on it hold in every column after an
+    offset of k cells in x.
     """
     k = grid.k
     if k is None:
         raise ValueError("grid carries no layer refinement")
-    faces = []
-    nx, ny = grid.shape
+    half = 1.0 if grid.eps is None else grid.eps  # the layer is |x_n| < eps, |y_n| < 1
+    j0 = int(np.argmin(np.abs(grid.y + half)))
+    return j0, grid.tag[:k, j0:j0 + 2 * k]
 
-    def local_of(xm, ym):
-        if geom is not None:
-            col, ybar, y_n = geom.to_local(xm, ym)
-            return col, ybar, y_n
-        return 0, xm, ym
 
+def _tiled(grid: RectGrid, j0, i_loc, j_loc):
+    """Grid rows (n_columns, n) and layer rows (n,) of local cells in every column."""
+    starts = np.arange(grid.shape[0] // grid.k)[:, None] * grid.k
+    return starts + i_loc, j0 + j_loc
+
+
+def channel_index_matrix(grid: RectGrid) -> np.ndarray:
+    """(n_columns, n_local) cell indices of channel cells, local order (i, j)."""
+    j0, block = _reference_column(grid)
+    return grid.index[_tiled(grid, j0, *np.nonzero(block == CHAN))]
+
+
+def chan_cell_indices(cell_grid: RectGrid) -> np.ndarray:
+    """Channel cell indices of a reference-cell grid in local order (i, j)."""
+    return channel_index_matrix(cell_grid)[0]
+
+
+def _half_lattice(edges):
+    """Edges and cell midpoints interleaved: entry n lies n half-spacings in."""
+    out = np.empty(2 * len(edges) - 1)
+    out[0::2] = edges
+    out[1::2] = 0.5 * (edges[:-1] + edges[1:])
+    return out
+
+
+def wall_faces(grid: RectGrid) -> Walls:
+    """Faces between channel and void cells of a micro or reference-cell grid.
+
+    The faces of the reference column are found once, keyed on the
+    half-spacing lattice of the reference cell, and offset to every column.
+    Faces on the top and bottom rows of the layer are channel openings, not
+    wall.
+    """
+    k = grid.k
+    j0, block = _reference_column(grid)
+    outside = np.pad(block, 1, constant_values=CHAN)
+    parts = []
     for axis in (0, 1):
-        for i in range(nx):
-            for j in range(ny):
-                if grid.tag[i, j] != CHAN:
-                    continue
-                for sgn in (-1, 1):
-                    ii = i + (sgn if axis == 0 else 0)
-                    jj = j + (sgn if axis == 1 else 0)
-                    if not (0 <= ii < nx and 0 <= jj < ny):
-                        continue  # grid boundary: channel openings, not wall
-                    if grid.tag[ii, jj] != VOID:
-                        continue
-                    if axis == 0:
-                        xm = grid.x[i + (sgn > 0)]
-                        ym = grid.yc[j]
-                        length = grid.dy[j]
-                    else:
-                        xm = grid.xc[i]
-                        ym = grid.y[j + (sgn > 0)]
-                        length = grid.dx[i]
-                    col, ybar, y_n = local_of(xm, ym)
-                    key = (axis, sgn, round(2 * k * ybar), round(2 * k * (y_n + 1)))
-                    faces.append(
-                        WallFace(
-                            cell=int(grid.index[i, j]),
-                            column=col,
-                            key=key,
-                            length=float(length),
-                            midpoint=(float(xm), float(ym)),
-                            local=(float(ybar), float(y_n)),
-                            normal_axis=axis,
-                        )
-                    )
-    faces.sort(key=lambda f: (f.column, f.key))
-    return faces
+        for sgn in (-1, 1):
+            di, dj = (sgn, 0) if axis == 0 else (0, sgn)
+            beside = outside[1 + di:k + 1 + di, 1 + dj:2 * k + 1 + dj]
+            # row-major (i, j) order is the key order within one (axis, sgn)
+            i, j = np.nonzero((block == CHAN) & (beside == VOID))
+            parts.append(np.stack([i, j, np.full_like(i, axis), np.full_like(i, sgn),
+                                   2 * i + 1 + di, 2 * j + 1 + dj], axis=1))
+    faces = np.concatenate(parts)
+    key = faces[:, 2:]
+    x_ref, y_ref = _reference_edges(k)  # bit for bit the reference-cell grid's coordinates
+    local = np.stack([_half_lattice(x_ref)[key[:, 2]], _half_lattice(y_ref)[key[:, 3]]], axis=1)
+    gi, gj = _tiled(grid, j0, faces[:, 0], faces[:, 1])
+    return Walls(cells=grid.index[gi, gj],
+                 length=np.where(key[:, 0] == 0, grid.dy[gj], grid.dx[gi]),
+                 local=local, key=key)
 
 
 def boundary_row_faces(grid: RectGrid, side: str):
-    """Channel faces of a reference-cell grid on y_n = +1 ('+') or y_n = -1 ('-').
+    """Channel cells of a reference-cell grid on y_n = +1 ('+') or y_n = -1 ('-').
 
-    Returns (cell index, face length, face midpoint ybar) triples in i order.
+    Returns (cell indices, face lengths) in i order.
     """
     j = grid.shape[1] - 1 if side == "+" else 0
-    out = []
-    for i in range(grid.shape[0]):
-        if grid.tag[i, j] == CHAN:
-            out.append((int(grid.index[i, j]), float(grid.dx[i]), float(grid.xc[i])))
-    return out
+    i = np.flatnonzero(grid.tag[:, j] == CHAN)
+    return grid.index[i, j], grid.dx[i]
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,7 @@ from .twoscale import (
     Unfolder,
     apriori_norm,
     calibrate_trace_constant,
+    margin_columns,
     shift_diagnostic,
     trace_inequality_diagnostic,
     ts_error,
@@ -74,6 +75,18 @@ def _number(raw, path, integer=False):
     return raw if isinstance(raw, int) else int(val)  # ints stay exact beyond 2**53
 
 
+def _container(raw, path, kind, size=None):
+    """raw if it is a JSON object (kind dict) or array (kind list, of `size` entries if given)."""
+    if kind is dict:
+        ok, want = isinstance(raw, dict), "an object"
+    else:
+        ok = isinstance(raw, (list, tuple)) and size in (None, len(raw))
+        want = f"an array of {size} entries" if size else "an array"
+    if not ok:
+        raise ConfigError(f"{path}: expected {want}")
+    return raw
+
+
 def _frac_value(raw, path) -> Fraction:
     try:
         return Fraction(str(raw))
@@ -105,9 +118,7 @@ class StudyConfig:
 
 
 def _kinetics_spec(raw, path) -> KineticsSpec:
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: expected an object")
-    kind = _need(raw, "kind", path)
+    kind = _need(_container(raw, path, dict), "kind", path)
     params = {key: val for key, val in raw.items() if key not in ("kind", "modulation")}
     required = {
         "zero": (),
@@ -117,15 +128,17 @@ def _kinetics_spec(raw, path) -> KineticsSpec:
         "exchange": ("kappa", "u_ext"),
         "tabulated": ("u", "rate"),
     }
-    if kind not in required:
+    if not isinstance(kind, str) or kind not in required:
         raise ConfigError(f"{path}.kind: unknown kinetics kind {kind!r}")
     for name in required[kind]:
-        _need(params, name, path)
-        if kind != "tabulated":
-            params[name] = _number(params[name], f"{path}.{name}")
+        if kind == "tabulated":
+            knots = _container(_need(params, name, path), f"{path}.{name}", list)
+            params[name] = [_number(v, f"{path}.{name}[{i}]") for i, v in enumerate(knots)]
+        else:
+            params[name] = _number(_need(params, name, path), f"{path}.{name}")
     modulation = None
     if raw.get("modulation") is not None:
-        mod = raw["modulation"]
+        mod = _container(raw["modulation"], f"{path}.modulation", dict)
         modulation = (_need(mod, "kind", f"{path}.modulation"),
                       _number(_need(mod, "amplitude", f"{path}.modulation"),
                               f"{path}.modulation.amplitude"))
@@ -136,7 +149,8 @@ def _kinetics_spec(raw, path) -> KineticsSpec:
 
 
 def _initial_fn(raw, path, channel=False):
-    kind = _need(raw, "kind", path)
+    """Initial values as a function of coordinate arrays (scalars broadcast)."""
+    kind = _need(_container(raw, path, dict), "kind", path)
 
     def num(key):
         return _number(_need(raw, key, path), f"{path}.{key}")
@@ -151,14 +165,14 @@ def _initial_fn(raw, path, channel=False):
         return lambda x, y: v
     if kind == "cosine_xbar" and not channel:
         base, amp, k = num("base"), num("amplitude"), freq()
-        return lambda x, y: base + amp * math.cos(k * math.pi * x)
+        return lambda x, y: base + amp * np.cos(k * np.pi * x)
     if kind == "affine_yn" and channel:
         base, slope = num("base"), num("slope")
         return lambda xb, yb, yn: base + slope * yn
     if kind == "affine_yn_cosine_xbar" and channel:
         base, slope, amp, k = num("base"), num("slope"), num("amplitude"), freq()
         return lambda xb, yb, yn: (base + slope * yn) * (
-            1.0 + amp * math.cos(k * math.pi * xb)
+            1.0 + amp * np.cos(k * np.pi * xb)
         )
     raise ConfigError(f"{path}.kind: unknown initial-data kind {kind!r}")
 
@@ -169,33 +183,28 @@ def parse_config(raw: dict) -> StudyConfig:
     if _number(raw.get("schema", SCHEMA_VERSION), "schema", integer=True) != SCHEMA_VERSION:
         raise ConfigError(f"schema: unsupported version {raw.get('schema')}")
 
-    geo = _need(raw, "geometry", "")
+    geo = _container(_need(raw, "geometry", ""), "geometry", dict)
     H = _frac_value(_need(geo, "H", "geometry"), "geometry.H")
-    prof_raw = _need(geo, "profile", "geometry")
-    segs = _need(prof_raw, "segments", "geometry.profile")
+    prof_raw = _container(_need(geo, "profile", "geometry"), "geometry.profile", dict)
+    segs = _container(_need(prof_raw, "segments", "geometry.profile"),
+                      "geometry.profile.segments", list)
+    segments = []
+    for i, s in enumerate(segs):
+        at = f"geometry.profile.segments[{i}]"
+        _container(s, at, dict)
+        lo, hi = _container(_need(s, "interval", at), f"{at}.interval", list, 2)
+        interval = (_frac_value(lo, f"{at}.interval[0]"), _frac_value(hi, f"{at}.interval[1]"))
+        segments.append((interval, _frac_value(_need(s, "width", at), f"{at}.width")))
     try:
-        profile = ChannelProfile.from_pairs(
-            [
-                (
-                    (
-                        _frac_value(_need(s, "interval", f"geometry.profile.segments[{i}]")[0],
-                                    f"geometry.profile.segments[{i}].interval[0]"),
-                        _frac_value(s["interval"][1], f"geometry.profile.segments[{i}].interval[1]"),
-                    ),
-                    _frac_value(_need(s, "width", f"geometry.profile.segments[{i}]"),
-                                f"geometry.profile.segments[{i}].width"),
-                )
-                for i, s in enumerate(segs)
-            ]
-        )
+        profile = ChannelProfile.from_pairs(segments)
     except ValueError as exc:
         raise ConfigError(f"geometry.profile: {exc}") from exc
     cell = build_reference_cell(profile)
 
-    dif = _need(raw, "diffusivity", "")
+    dif = _container(_need(raw, "diffusivity", ""), "diffusivity", dict)
     d_plus = _number(_need(dif, "bulk_plus", "diffusivity"), "diffusivity.bulk_plus")
     d_minus = _number(_need(dif, "bulk_minus", "diffusivity"), "diffusivity.bulk_minus")
-    chan = _need(dif, "channel", "diffusivity")
+    chan = _container(_need(dif, "channel", "diffusivity"), "diffusivity.channel", list)
     if len(chan) != len(profile.segments):
         raise ConfigError(
             f"diffusivity.channel: need one (d_ybar, d_yn) pair per profile segment "
@@ -203,8 +212,7 @@ def parse_config(raw: dict) -> StudyConfig:
         )
     pairs = []
     for i, pair in enumerate(chan):
-        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-            raise ConfigError(f"diffusivity.channel[{i}]: expected a (d_ybar, d_yn) pair")
+        pair = _container(pair, f"diffusivity.channel[{i}]", list, 2)
         pairs.append(tuple(_number(d, f"diffusivity.channel[{i}][{a}]")
                            for a, d in enumerate(pair)))
     try:
@@ -212,7 +220,7 @@ def parse_config(raw: dict) -> StudyConfig:
     except ValueError as exc:
         raise ConfigError(f"diffusivity: {exc}") from exc
 
-    kin_raw = _need(raw, "kinetics", "")
+    kin_raw = _container(_need(raw, "kinetics", ""), "kinetics", dict)
     kinetics = KineticsBundle(
         f_plus=_kinetics_spec(_need(kin_raw, "f_plus", "kinetics"), "kinetics.f_plus"),
         f_minus=_kinetics_spec(_need(kin_raw, "f_minus", "kinetics"), "kinetics.f_minus"),
@@ -220,14 +228,14 @@ def parse_config(raw: dict) -> StudyConfig:
         h=_kinetics_spec(_need(kin_raw, "h", "kinetics"), "kinetics.h"),
     )
 
-    ini = _need(raw, "initial", "")
+    ini = _container(_need(raw, "initial", ""), "initial", dict)
     initial = InitialData(
         u_plus=_initial_fn(_need(ini, "bulk_plus", "initial"), "initial.bulk_plus"),
         u_minus=_initial_fn(_need(ini, "bulk_minus", "initial"), "initial.bulk_minus"),
         u_channel=_initial_fn(_need(ini, "channel", "initial"), "initial.channel", channel=True),
     )
 
-    eps_raw = _need(raw, "epsilon", "")
+    eps_raw = _container(_need(raw, "epsilon", ""), "epsilon", list)
     if not eps_raw:
         raise ConfigError("epsilon: need at least one value")
     epsilons = []
@@ -241,9 +249,9 @@ def parse_config(raw: dict) -> StudyConfig:
     if any(b >= a for a, b in zip(epsilons, epsilons[1:])):
         raise ConfigError("epsilon: values must be strictly decreasing")
 
-    tim = _need(raw, "time", "")
+    tim = _container(_need(raw, "time", ""), "time", dict)
     T = _number(_need(tim, "T", "time"), "time.T")
-    dt_raw = tim.get("dt", {"rule": "eps_min_over", "factor": 8})
+    dt_raw = _container(tim.get("dt", {"rule": "eps_min_over", "factor": 8}), "time.dt", dict)
     rule = dt_raw.get("rule", "eps_min_over")
     if rule == "eps_min_over":
         factor = _number(dt_raw.get("factor", 8), "time.dt.factor")
@@ -260,7 +268,7 @@ def parse_config(raw: dict) -> StudyConfig:
     if abs(n_steps * dt - T) > 1e-9 * max(T, 1.0):
         raise ConfigError(f"time: T={T} is not an integer multiple of dt={dt}")
 
-    ref = raw.get("refinement", {})
+    ref = _container(raw.get("refinement", {}), "refinement", dict)
     k = _number(ref.get("k", 4), "refinement.k", integer=True)
     m = _number(ref.get("m", k), "refinement.m", integer=True)
     n_sigma = _number(ref.get("n_sigma", max(32, int(1 / min(epsilons)))),
@@ -281,10 +289,24 @@ def parse_config(raw: dict) -> StudyConfig:
     if stride < 1:
         raise ConfigError("snapshot_stride: must be >= 1")
 
-    diag = raw.get("diagnostics", {})
+    diag = _container(raw.get("diagnostics", {}), "diagnostics", dict)
     shift_l = _number(diag.get("shift_l", 1), "diagnostics.shift_l", integer=True)
     shift_h = _number(diag.get("shift_h", 0.125), "diagnostics.shift_h")
     theta = _number(diag.get("theta", 1.0), "diagnostics.theta")
+    if shift_h <= 0:
+        raise ConfigError("diagnostics.shift_h: must be > 0")
+    if theta <= 0:
+        raise ConfigError("diagnostics.theta: must be > 0")
+    for i, eps in enumerate(epsilons):
+        if not len(margin_columns(build_micro_geometry(eps, H, cell), 2 * shift_h, shift_l)):
+            raise ConfigError(
+                f"diagnostics: shift_h={shift_h} and shift_l={shift_l} leave no column of "
+                f"epsilon[{i}]={eps} inside the margin 2*shift_h with its shift in the domain"
+            )
+
+    output_dir = raw.get("output_dir", "out")
+    if not isinstance(output_dir, str):
+        raise ConfigError(f"output_dir: expected a string ({output_dir!r})")
 
     echo = {
         "schema": SCHEMA_VERSION,
@@ -311,17 +333,13 @@ def parse_config(raw: dict) -> StudyConfig:
                 ("h", kinetics.h),
             )
         },
-        "initial": {key: dict(val) for key, val in (
-            ("bulk_plus", _need(ini, "bulk_plus", "initial")),
-            ("bulk_minus", _need(ini, "bulk_minus", "initial")),
-            ("channel", _need(ini, "channel", "initial")),
-        )},
+        "initial": {key: dict(ini[key]) for key in ("bulk_plus", "bulk_minus", "channel")},
         "time": {"T": T, "dt": {"rule": "fixed", "value": dt}},
         "epsilon": [str(e) for e in epsilons],
         "refinement": {"k": k, "m": m, "n_sigma": n_sigma},
         "snapshot_stride": stride,
         "diagnostics": {"shift_l": shift_l, "shift_h": shift_h, "theta": theta},
-        "output_dir": raw.get("output_dir", "out"),
+        "output_dir": output_dir,
         "seed": _number(raw.get("seed", 0), "seed", integer=True),
     }
     return StudyConfig(
@@ -613,29 +631,25 @@ def rederive_report(study_dir):
 def _chan_face_map(uf: Unfolder):
     """Channel-channel micro faces paired with their reference-cell distances."""
     grid, cg = uf.grid, uf.cell_grid
-    pos = {int(c): i for i, c in enumerate(uf.chan_ids)}
-    inv = {
-        int(c): (col, i)
-        for col in range(uf.columns.shape[0])
-        for i, c in enumerate(uf.columns[col])
-    }
-    ref_dist = {}
+    ncol, nloc = uf.columns.shape
+    col = np.full(grid.n_cells, -1)
+    col[uf.columns] = np.arange(ncol)[:, None]
+    loc = np.full(grid.n_cells, -1)
+    loc[uf.columns] = np.arange(nloc)
+    ref_loc = np.full(cg.n_cells, -1)
+    ref_loc[uf.chan_ids] = np.arange(nloc)
+    # a channel face is named by its axis and the local index of its lower cell
+    ref_dist = np.zeros((2, nloc))
     for fs in cg.faces:
-        for a, b, da, db in zip(fs.a, fs.b, fs.dist_a, fs.dist_b):
-            if cg.cell_tag[a] == CHAN and cg.cell_tag[b] == CHAN:
-                ref_dist[(pos[int(a)], pos[int(b)])] = float(da + db)
-    rows = []
+        keep = (ref_loc[fs.a] >= 0) & (ref_loc[fs.b] >= 0)
+        ref_dist[fs.axis, ref_loc[fs.a[keep]]] = (fs.dist_a + fs.dist_b)[keep]
+    parts = []
     for fs in grid.faces:
-        for a, b, da, db in zip(fs.a, fs.b, fs.dist_a, fs.dist_b):
-            if grid.cell_tag[a] != CHAN or grid.cell_tag[b] != CHAN:
-                continue
-            col, ia = inv[int(a)]
-            col_b, ib = inv[int(b)]
-            if col != col_b:
-                continue
-            rows.append((int(a), int(b), col, ia, ib, float(da + db), ref_dist[(ia, ib)]))
-    a, b, col, ia, ib, dmic, dref = (np.array(x) for x in zip(*rows))
-    return a.astype(int), b.astype(int), col.astype(int), ia.astype(int), ib.astype(int), dmic, dref
+        keep = (loc[fs.a] >= 0) & (loc[fs.b] >= 0)
+        a, b = fs.a[keep], fs.b[keep]
+        parts.append((a, b, col[a], loc[a], loc[b], (fs.dist_a + fs.dist_b)[keep],
+                      ref_dist[fs.axis, loc[a]]))
+    return tuple(np.concatenate(x) for x in zip(*parts))
 
 
 def verify_operators(cfg: StudyConfig, n_fields=100, tol=1e-12):

@@ -112,23 +112,15 @@ class MacroSimulation(ImexSimulation):
         d[:, 1] = dmat[seg, 1]
         self.cell_diff = d
 
-        self.top = boundary_row_faces(self.cell_grid, "+")
-        self.bot = boundary_row_faces(self.cell_grid, "-")
-        half_top = 0.5 * self.cell_grid.dy[-1]
-        half_bot = 0.5 * self.cell_grid.dy[0]
-        self.top_cells = np.array([c for c, _, _ in self.top], dtype=np.int64)
-        self.top_coef = np.array([ln * d[c, 1] / half_top for c, ln, _ in self.top])
-        self.bot_cells = np.array([c for c, _, _ in self.bot], dtype=np.int64)
-        self.bot_coef = np.array([ln * d[c, 1] / half_bot for c, ln, _ in self.bot])
+        cg = self.cell_grid
+        self.top_cells, top_len = boundary_row_faces(cg, "+")
+        self.bot_cells, bot_len = boundary_row_faces(cg, "-")
+        self.top_coef = top_len * d[self.top_cells, 1] / (0.5 * cg.dy[-1])
+        self.bot_coef = bot_len * d[self.bot_cells, 1] / (0.5 * cg.dy[0])
 
         # bulk cells adjacent to the interface, one per node
-        self.adj_p = np.array(
-            [self.grid_p.index[i, 0] for i in range(self.n_sigma)], dtype=np.int64
-        )
-        self.adj_m = np.array(
-            [self.grid_m.index[i, self.grid_m.shape[1] - 1] for i in range(self.n_sigma)],
-            dtype=np.int64,
-        )
+        self.adj_p = self.grid_p.index[:, 0]
+        self.adj_m = self.grid_m.index[:, -1]
         self.half_p = 0.5 * self.grid_p.dy[0]
         self.half_m = 0.5 * self.grid_m.dy[-1]
 
@@ -199,9 +191,7 @@ class MacroSimulation(ImexSimulation):
         w = np.zeros(self.n)
         w[: self.nbp] = self.grid_p.cell_vol
         w[self.nbp : self.ovp] = self.grid_m.cell_vol
-        dsig = self.layout.spacing
-        for j in range(self.n_sigma):
-            w[self.oc + j * self.ncc : self.oc + (j + 1) * self.ncc] = dsig * self.cell_grid.cell_vol
+        w[self.oc :] = np.tile(self.layout.spacing * self.cell_grid.cell_vol, self.n_sigma)
         return w
 
     # -- stepping -----------------------------------------------------------
@@ -219,8 +209,7 @@ class MacroSimulation(ImexSimulation):
         if len(self.wall_cells):
             hv = self.kin.h.base_rate(t, cells[:, self.wall_cells]) * self.h_factor[None, :]
             hv *= dsig * self.wall_len[None, :]
-            for f, cell_idx in enumerate(self.wall_cells):  # duplicates per corner cell
-                g[:, cell_idx] -= hv[:, f]
+            np.subtract.at(g, (slice(None), self.wall_cells), hv)
         out[self.oc :] = g.reshape(-1)
         return out
 
@@ -230,18 +219,16 @@ class MacroSimulation(ImexSimulation):
     def initial_state(self, init: InitialData, dt) -> MacroState:
         u = np.zeros(self.n)
         gp, gm, cg = self.grid_p, self.grid_m, self.cell_grid
-        u[: self.nbp] = [init.u_plus(x, y) for x, y in zip(gp.cell_x, gp.cell_y)]
-        u[self.nbp : self.ovp] = [init.u_minus(x, y) for x, y in zip(gm.cell_x, gm.cell_y)]
+        u[: self.nbp] = init.u_plus(gp.cell_x, gp.cell_y)
+        u[self.nbp : self.ovp] = init.u_minus(gm.cell_x, gm.cell_y)
         nodes = self.layout.nodes
         sp_mid = 0.5 * float(self.cell.s_plus[0] + self.cell.s_plus[1])
         sm_mid = 0.5 * float(self.cell.s_minus[0] + self.cell.s_minus[1])
-        for j, xb in enumerate(nodes):
-            u[self.ovp + j] = init.u_channel(xb, sp_mid, 1.0)
-            u[self.ovm + j] = init.u_channel(xb, sm_mid, -1.0)
-            off = self.oc + j * self.ncc
-            u[off : off + self.ncc] = [
-                init.u_channel(xb, yb, yn) for yb, yn in zip(cg.cell_x, cg.cell_y)
-            ]
+        u[self.ovp : self.ovm] = init.u_channel(nodes, sp_mid, 1.0)
+        u[self.ovm : self.oc] = init.u_channel(nodes, sm_mid, -1.0)
+        u[self.oc :].reshape(self.n_sigma, self.ncc)[:] = init.u_channel(
+            nodes[:, None], cg.cell_x, cg.cell_y
+        )
         return MacroState(t=0.0, u=u, dt=dt, sim=self)
 
     # -- interface quantities ------------------------------------------------

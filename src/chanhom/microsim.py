@@ -131,15 +131,13 @@ class ImexSimulation:
         self._implicit = {}
 
     def _wall_kinetics(self, walls):
-        self.wall_cells = np.array([w.cell for w in walls], dtype=np.int64)
-        self.wall_len = np.array([w.length for w in walls])
-        arcs = np.array([self.cell.arc_coordinate(*w.local) for w in walls])
-        self.h_factor = self.kin.h.position_factor(
-            np.array([w.local[0] for w in walls]),
-            np.array([w.local[1] for w in walls]),
-            arc=arcs,
-            arc_total=float(self.cell.n_length),
+        self.wall_cells = walls.cells.reshape(-1)
+        self.wall_len = walls.length.reshape(-1)
+        arcs = np.array([self.cell.arc_coordinate(ybar, y_n) for ybar, y_n in walls.local])
+        factor = self.kin.h.position_factor(
+            walls.local[:, 0], walls.local[:, 1], arc=arcs, arc_total=float(self.cell.n_length)
         )
+        self.h_factor = np.tile(factor, len(walls.cells))
 
     def max_stable_dt(self) -> float:
         """Explicit-part bound 0.5 / L with the wall term's face/volume factor."""
@@ -219,7 +217,7 @@ class MicroSimulation(ImexSimulation):
         self.g_factor = kin.g.position_factor(
             np.mod(grid.cell_x[self.mask_c] / eps, 1.0), grid.cell_y[self.mask_c] / eps
         )
-        self._wall_kinetics(wall_faces(grid, geom))
+        self._wall_kinetics(wall_faces(grid))
 
     def explicit_rate(self, t, values) -> np.ndarray:
         """Weighted reaction vector plus the wall-flux sink at time t."""
@@ -242,15 +240,8 @@ class MicroSimulation(ImexSimulation):
         g = self.grid
         eps = float(self.geom.eps)
         vals = np.empty(g.n_cells)
-        vals[self.mask_p] = [
-            init.u_plus(x, y) for x, y in zip(g.cell_x[self.mask_p], g.cell_y[self.mask_p])
-        ]
-        vals[self.mask_m] = [
-            init.u_minus(x, y) for x, y in zip(g.cell_x[self.mask_m], g.cell_y[self.mask_m])
-        ]
+        vals[self.mask_p] = init.u_plus(g.cell_x[self.mask_p], g.cell_y[self.mask_p])
+        vals[self.mask_m] = init.u_minus(g.cell_x[self.mask_m], g.cell_y[self.mask_m])
         xc = g.cell_x[self.mask_c]
-        vals[self.mask_c] = [
-            init.u_channel(x, np.mod(x / eps, 1.0), y / eps)
-            for x, y in zip(xc, g.cell_y[self.mask_c])
-        ]
+        vals[self.mask_c] = init.u_channel(xc, np.mod(xc / eps, 1.0), g.cell_y[self.mask_c] / eps)
         return MicroState(t=0.0, u=Field(g, vals, time=0.0), dt=dt)

@@ -92,20 +92,12 @@ class Unfolder:
         self.chan_ids = chan_cell_indices(cell_grid)       # (nloc,) cell-grid ids
         self.cell_vol = cell_grid.cell_vol[self.chan_ids]  # reference volumes
 
-        micro_walls = wall_faces(grid, geom)
         ref_walls = wall_faces(cell_grid)
-        self.ref_wall_cells = np.array([w.cell for w in ref_walls], dtype=np.int64)
-        self.ref_wall_len = np.array([w.length for w in ref_walls])
-        ncol = self.columns.shape[0]
-        per_col = [[] for _ in range(ncol)]
-        for w in micro_walls:
-            per_col[w.column].append(w)
-        keys = [w.key for w in ref_walls]
-        self.micro_wall_cells = np.empty((ncol, len(ref_walls)), dtype=np.int64)
-        for c, ws in enumerate(per_col):
-            if [w.key for w in ws] != keys:
-                raise ValueError("wall faces of column do not match the reference cell")
-            self.micro_wall_cells[c] = [w.cell for w in ws]
+        self.ref_wall_cells = ref_walls.cells[0]
+        self.ref_wall_len = ref_walls.length[0]
+        # every column is a copy of the reference cell, walls included
+        pos = np.searchsorted(self.chan_ids, self.ref_wall_cells)
+        self.micro_wall_cells = self.columns[:, pos]
 
     # -- operators ----------------------------------------------------------
 
@@ -243,7 +235,7 @@ def apriori_norm(micro_states) -> float:
 # ---------------------------------------------------------------------------
 # shift diagnostic
 
-def _margin_columns(geom: MicroGeometry, margin: float, shift: int):
+def margin_columns(geom: MicroGeometry, margin: float, shift: int):
     """Columns whose cell lies inside the interior margin, shift staying in-domain."""
     eps = float(geom.eps)
     ncol = geom.n_columns
@@ -268,10 +260,10 @@ def shift_diagnostic(micro_states, geom: MicroGeometry, grid: RectGrid, l: int, 
     sets are nonempty and the shifted cells stay inside the domain.
     """
     eps = float(geom.eps)
-    cols_lhs = _margin_columns(geom, 2 * h, l)
+    cols_lhs = margin_columns(geom, 2 * h, l)
     if len(cols_lhs) == 0:
         raise ValueError("interior margin 2h leaves no complete column")
-    cols_rhs = _margin_columns(geom, h, l)
+    cols_rhs = margin_columns(geom, h, l)
 
     k = grid.k
     col_cells = channel_index_matrix(grid)
@@ -359,10 +351,8 @@ def calibrate_trace_constant(cell_grid: RectGrid) -> float:
     basis, ids = _low_frequency_basis(cell_grid)
     vol = cell_grid.cell_vol[ids]
     walls = wall_faces(cell_grid)
-    wall_cells = np.array([w.cell for w in walls], dtype=np.int64)
-    wall_len = np.array([w.length for w in walls])
-    pos = {int(c): i for i, c in enumerate(ids)}
-    wall_rows = np.array([pos[int(c)] for c in wall_cells], dtype=int)
+    wall_len = walls.length[0]
+    wall_rows = np.searchsorted(ids, walls.cells[0])
 
     gram_vol = basis.T @ (vol[:, None] * basis)
     tb = basis[wall_rows]

@@ -107,7 +107,7 @@ def test_energy_norm_of_constant_equals_weighted_norm():
 
 def test_energy_norm_unit_gradient_bulk_contribution():
     geom, g = make_micro()  # H=1, eps=1/4
-    u = Field.from_function(g, lambda x, y: y)
+    u = Field(g, g.cell_y)
     wp = np.where(g.cell_tag == BULK_P, 1.0, 0.0)
     contrib = gradient_quadrature(g, u.values, wp)
     assert contrib == pytest.approx(0.75, abs=1e-12)  # area of the upper bulk

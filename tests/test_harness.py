@@ -231,11 +231,31 @@ def test_cli_missing_config_file(tmp_path, capsys):
         (lambda raw: raw["refinement"].update(n_sigma=8.5), "refinement.n_sigma"),
         (lambda raw: raw["time"].update(dt={"rule": "eps_min_over", "factor": 0}),
          "time.dt.factor"),
+        (lambda raw: raw.update(geometry=5), "geometry"),
+        (lambda raw: raw.update(refinement=[]), "refinement"),
+        (lambda raw: raw["time"].update(dt=5), "time.dt"),
+        (lambda raw: raw["diffusivity"].update(channel=5), "diffusivity.channel"),
+        (lambda raw: raw["geometry"]["profile"].update(segments=5), "geometry.profile.segments"),
+        (lambda raw: raw["geometry"]["profile"]["segments"][0].update(interval=["-1"]),
+         "geometry.profile.segments[0].interval"),
+        (lambda raw: raw["diagnostics"].update(theta=0), "diagnostics.theta"),
+        (lambda raw: raw["diagnostics"].update(shift_h=-1), "diagnostics.shift_h"),
+        (lambda raw: raw["diagnostics"].update(shift_l=100), "diagnostics"),
+        (lambda raw: raw["kinetics"].update(
+            g={"kind": "tabulated", "u": [0, float("nan")], "rate": [0, 1]}), "kinetics.g.u[1]"),
+        (lambda raw: raw["kinetics"].update(
+            g={"kind": "tabulated", "u": [0, 1], "rate": [0, float("inf")]}),
+         "kinetics.g.rate[1]"),
+        (lambda raw: raw["kinetics"]["g"].update(kind=[]), "kinetics.g.kind"),
+        (lambda raw: raw.update(output_dir=5), "output_dir"),
     ],
     ids=["nan_diffusivity", "decreasing_knots", "zero_u_cap", "string_diffusivity",
          "null_channel_diffusivity", "string_initial_value", "string_amplitude",
          "string_rate", "negative_clamp", "infinite_horizon", "string_refinement",
-         "fractional_n_sigma", "zero_dt_factor"],
+         "fractional_n_sigma", "zero_dt_factor", "number_geometry", "array_refinement",
+         "number_dt", "number_channel_diffusivity", "number_segments", "short_interval",
+         "zero_theta", "negative_shift_h", "empty_shift_margin", "nan_tabulated_knot",
+         "infinite_tabulated_rate", "array_kinetics_kind", "number_output_dir"],
 )
 def test_cli_bad_value_exits_one_with_path(tmp_path, capsys, edit, path):
     raw = mini_config()
@@ -243,6 +263,7 @@ def test_cli_bad_value_exits_one_with_path(tmp_path, capsys, edit, path):
     p = write_config(tmp_path, raw)
     assert cli.main(["run", str(p), "--out", str(tmp_path / "x")]) == 1
     assert f"error: {path}:" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()  # rejected before any solve
 
 
 def test_cli_report_without_manifest_exits_one(tmp_path, capsys):
