@@ -389,20 +389,17 @@ def boundary_row_faces(grid: RectGrid, side: str):
 # cross-grid comparison by interval overlap
 
 def _axis_overlaps(edges_a, edges_b):
-    ia = ib = 0
-    out_a, out_b, w = [], [], []
-    while ia < len(edges_a) - 1 and ib < len(edges_b) - 1:
-        lo = max(edges_a[ia], edges_b[ib])
-        hi = min(edges_a[ia + 1], edges_b[ib + 1])
-        if hi > lo:
-            out_a.append(ia)
-            out_b.append(ib)
-            w.append(hi - lo)
-        if edges_a[ia + 1] <= edges_b[ib + 1]:
-            ia += 1
-        else:
-            ib += 1
-    return np.asarray(out_a, dtype=int), np.asarray(out_b, dtype=int), np.asarray(w)
+    """Overlapping cell pairs of two 1D edge arrays, in order, with their lengths.
+
+    Every piece between consecutive breakpoints of the common extent lies in
+    exactly one cell of each array.
+    """
+    cuts = np.union1d(edges_a, edges_b)
+    cuts = cuts[(cuts >= max(edges_a[0], edges_b[0])) & (cuts <= min(edges_a[-1], edges_b[-1]))]
+    lo = cuts[:-1]
+    ia = np.searchsorted(edges_a, lo, side="right") - 1
+    ib = np.searchsorted(edges_b, lo, side="right") - 1
+    return ia, ib, np.diff(cuts)
 
 
 def l2_overlap_diff_sq(grid_a: RectGrid, dense_a, grid_b: RectGrid, dense_b) -> float:

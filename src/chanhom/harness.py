@@ -14,6 +14,7 @@ import hashlib
 import json
 import math
 import time as _time
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -436,32 +437,54 @@ def report_csv_text(rep: TwoScaleReport) -> str:
 
 
 # -- field CSV serialization -------------------------------------------------
+#
+# Within one grid every snapshot repeats the same coordinates and region
+# names, so each file's text is built once per grid with every value left as
+# a `%.17g` slot (which formats exactly as `_fmt`), and a snapshot is one
+# `template % values`.  Templates are held weakly by the grid (or limit-model
+# simulation) they describe: they go when it goes, and a later grid never
+# sees an earlier one's text.
+
+_MICRO_ROWS = weakref.WeakKeyDictionary()   # RectGrid -> template
+_BULK_ROWS = weakref.WeakKeyDictionary()    # MacroSimulation -> template
+_CELL_ROWS = weakref.WeakKeyDictionary()    # MacroSimulation -> template
+
+
+def _template(cache, key, header, prefixes):
+    """The cached file text for `key`: header, then one value slot per row prefix."""
+    text = cache.get(key)
+    if text is None:
+        rows = "".join(p.replace("%", "%%") + "%.17g\n" for p in prefixes())
+        text = cache[key] = header + "\n" + rows
+    return text
+
 
 def micro_field_csv(grid, state: MicroState) -> str:
-    lines = ["xbar,xn,region,value"]
-    for x, y, tag, v in zip(grid.cell_x, grid.cell_y, grid.cell_tag, state.values):
-        lines.append(f"{_fmt(x)},{_fmt(y)},{_TAG_NAMES[int(tag)]},{_fmt(v)}")
-    return "\n".join(lines) + "\n"
+    template = _template(_MICRO_ROWS, grid, "xbar,xn,region,value", lambda: (
+        f"{x:.17g},{y:.17g},{_TAG_NAMES[tag]},"
+        for x, y, tag in zip(grid.cell_x.tolist(), grid.cell_y.tolist(),
+                             grid.cell_tag.tolist())
+    ))
+    return template % tuple(state.values.tolist())
 
 
 def macro_bulk_csv(sim: MacroSimulation, state: MacroState) -> str:
-    lines = ["xbar,xn,region,value"]
-    for g, vals, name in (
-        (sim.grid_p, state.bulk_plus, "bulk+"),
-        (sim.grid_m, state.bulk_minus, "bulk-"),
-    ):
-        for x, y, v in zip(g.cell_x, g.cell_y, vals):
-            lines.append(f"{_fmt(x)},{_fmt(y)},{name},{_fmt(v)}")
-    return "\n".join(lines) + "\n"
+    template = _template(_BULK_ROWS, sim, "xbar,xn,region,value", lambda: (
+        f"{x:.17g},{y:.17g},{name},"
+        for g, name in ((sim.grid_p, "bulk+"), (sim.grid_m, "bulk-"))
+        for x, y in zip(g.cell_x.tolist(), g.cell_y.tolist())
+    ))
+    return template % tuple(state.u[: sim.ovp].tolist())
 
 
 def macro_cells_csv(sim: MacroSimulation, state: MacroState) -> str:
-    lines = ["node,xbar_node,ybar,yn,value"]
     cg = sim.cell_grid
-    for j, xb in enumerate(sim.layout.nodes):
-        for yb, yn, v in zip(cg.cell_x, cg.cell_y, state.cells[j]):
-            lines.append(f"{j},{_fmt(xb)},{_fmt(yb)},{_fmt(yn)},{_fmt(v)}")
-    return "\n".join(lines) + "\n"
+    template = _template(_CELL_ROWS, sim, "node,xbar_node,ybar,yn,value", lambda: (
+        f"{j},{xb:.17g},{yb:.17g},{yn:.17g},"
+        for j, xb in enumerate(sim.layout.nodes.tolist())
+        for yb, yn in zip(cg.cell_x.tolist(), cg.cell_y.tolist())
+    ))
+    return template % tuple(state.cells.ravel().tolist())
 
 
 def macro_traces_csv(sim: MacroSimulation, state: MacroState) -> str:
@@ -476,10 +499,10 @@ def macro_traces_csv(sim: MacroSimulation, state: MacroState) -> str:
 
 
 def _read_csv_column(text, column):
-    lines = text.strip().split("\n")
-    header = lines[0].split(",")
-    idx = header.index(column)
-    return np.array([float(line.split(",")[idx]) for line in lines[1:]])
+    header, _, body = text.strip().partition("\n")
+    names = header.split(",")
+    cells = body.replace("\n", ",").split(",")
+    return np.array(cells[names.index(column):: len(names)], dtype=float)
 
 
 # -- manifest ----------------------------------------------------------------
@@ -581,15 +604,18 @@ def rederive_report(study_dir):
         raise ConfigError(f"{out / 'manifest.json'}: study manifest not found") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{out / 'manifest.json'}: not valid JSON ({exc})") from exc
-    cfg = parse_config(manifest["config"])
-    times = manifest["snapshot_times"]
+    _container(manifest, "manifest.json", dict)
+    cfg = parse_config(_need(manifest, "config", "manifest.json"))
+    times = _container(_need(manifest, "snapshot_times", "manifest.json"),
+                       "manifest.json.snapshot_times", list)
+    files = _container(_need(manifest, "files", "manifest.json"), "manifest.json.files", dict)
 
     def field_text(relpath):
         try:
             data = (out / relpath).read_bytes()
         except FileNotFoundError as exc:
             raise ConfigError(f"{relpath}: field file is missing") from exc
-        if manifest["files"].get(relpath) != _sha256(data):
+        if files.get(relpath) != _sha256(data):
             raise ConfigError(f"{relpath}: content does not match its manifest SHA-256")
         return data.decode()
 

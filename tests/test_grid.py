@@ -2,6 +2,8 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chanhom.errors import AlignmentError
 from chanhom.geometry import (
@@ -14,6 +16,7 @@ from chanhom.geometry import (
 )
 from chanhom.grid import (
     Field,
+    _axis_overlaps,
     build_cell_grid,
     build_micro_grid,
     gradient_quadrature,
@@ -157,6 +160,41 @@ def test_overlap_diff_of_identical_fields_is_zero():
     assert leps_diff(u, u) == 0.0
     dense = g.cells_dense(u.values)
     assert l2_overlap_diff_sq(g, dense, g, dense) == 0.0
+
+
+def overlaps_by_walking(edges_a, edges_b):
+    """Reference: walk both edge arrays together, emitting every positive overlap."""
+    ia = ib = 0
+    out_a, out_b, w = [], [], []
+    while ia < len(edges_a) - 1 and ib < len(edges_b) - 1:
+        lo = max(edges_a[ia], edges_b[ib])
+        hi = min(edges_a[ia + 1], edges_b[ib + 1])
+        if hi > lo:
+            out_a.append(ia)
+            out_b.append(ib)
+            w.append(hi - lo)
+        if edges_a[ia + 1] <= edges_b[ib + 1]:
+            ia += 1
+        else:
+            ib += 1
+    return np.asarray(out_a, dtype=int), np.asarray(out_b, dtype=int), np.asarray(w)
+
+
+# edges mixing a shared dyadic lattice (nested grids) with arbitrary breakpoints
+edge_arrays = st.lists(
+    st.one_of(st.integers(-32, 64).map(lambda i: i / 16),
+              st.floats(-2.0, 4.0, allow_nan=False, allow_subnormal=False)),
+    min_size=2, max_size=24, unique=True,
+).map(lambda xs: np.array(sorted(xs)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(edges_a=edge_arrays, edges_b=edge_arrays)
+def test_axis_overlaps_match_the_walking_loop(edges_a, edges_b):
+    got, want = _axis_overlaps(edges_a, edges_b), overlaps_by_walking(edges_a, edges_b)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+    assert np.array_equal(got[2].view(np.int64), want[2].view(np.int64))
 
 
 def test_projected_diff_matches_plain_diff_on_same_grid():

@@ -284,3 +284,20 @@ def test_cli_report_refuses_an_edited_field_file(tmp_path, capsys):
     assert cli.main(["report", str(out)]) == 1
     assert "fields/micro_eps4_s0001.csv" in capsys.readouterr().err
     assert (out / "report.csv").read_bytes() == report
+
+
+@pytest.mark.parametrize("edit, named", [
+    (lambda manifest: {}, "manifest.json.config required"),
+    (lambda manifest: [1], "manifest.json: expected an object"),
+    (lambda manifest: dict(manifest, snapshot_times=3), "manifest.json.snapshot_times"),
+    (lambda manifest: dict(manifest, files=[]), "manifest.json.files"),
+], ids=["empty_object", "array", "number_snapshot_times", "array_files"])
+def test_cli_report_refuses_a_malformed_manifest(tmp_path, capsys, edit, named):
+    p = write_config(tmp_path, mini_config())
+    out = tmp_path / "study"
+    assert cli.main(["run", str(p), "--out", str(out)]) == 0
+    path = out / "manifest.json"
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    capsys.readouterr()
+    assert cli.main(["report", str(out)]) == 1
+    assert f"error: {named}" in capsys.readouterr().err

@@ -2,11 +2,15 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chanhom.geometry import CHAN, ChannelProfile, build_micro_geometry, build_reference_cell
 from chanhom.grid import build_micro_grid
 from chanhom.kinetics import InitialData, KineticsDomainError, KineticsSpec
+from chanhom.macrosim import InterfaceLayout, MacroSimulation
 from chanhom.microsim import DiffusionSpec, KineticsBundle, MicroSimulation
+from test_tiling import aligned_profiles
 
 ALL_BUILTINS = [
     KineticsSpec("zero"),
@@ -147,3 +151,83 @@ def test_initial_data_constants():
     assert ini.u_plus(0.3, 0.7) == 1.0
     assert ini.u_minus(0.3, -0.7) == 0.0
     assert ini.u_channel(0.3, 0.5, 0.0) == 0.5
+
+
+# -- randomized Lipschitz kinetics on random aligned profiles ----------------
+
+MODULATIONS = ("cos_ybar", "ybar", "yn", "linear_yn", "arc_cos")
+coef = st.floats(-2.0, 2.0, allow_subnormal=False)
+
+
+@st.composite
+def tabulated(draw):
+    """Strictly increasing knots at least 0.1 apart, random rates."""
+    gaps = draw(st.lists(st.floats(0.1, 1.0), min_size=0, max_size=4))
+    u = np.cumsum([draw(st.floats(-2.0, 1.0))] + gaps)
+    return KineticsSpec("tabulated", {"u": u.tolist(),
+                                      "rate": [draw(coef) for _ in range(len(u))]})
+
+
+@st.composite
+def logistic(draw):
+    cap = draw(st.floats(0.25, 3.0)) * draw(st.sampled_from((-1.0, 1.0)))
+    return KineticsSpec("logistic_clamped", {"r": draw(coef), "u_cap": cap,
+                                             "clamp": draw(st.floats(0.1, 5.0))})
+
+
+def exchange(modulations=(None,)):
+    return st.builds(
+        lambda kappa, u_ext, kind, amp: KineticsSpec(
+            "exchange", {"kappa": kappa, "u_ext": u_ext}, kind and (kind, amp)),
+        coef, coef, st.sampled_from(modulations), st.floats(-1.0, 1.0))
+
+
+RATES = st.one_of(tabulated(), logistic(), exchange())
+# the channel rate sees (ybar, y_n) only; the wall rate may also use the arc position
+CHANNEL_RATES = st.one_of(tabulated(), logistic(), exchange((None,) + MODULATIONS[:-1]))
+SMOOTH_INITIAL = InitialData(
+    u_plus=lambda x, y: 1.0 + 0.3 * np.cos(np.pi * x),
+    u_minus=lambda x, y: 0.5,
+    u_channel=lambda xb, yb, yn: 0.75 + 0.25 * yn,
+)
+
+
+@pytest.mark.parametrize("modulation", MODULATIONS)
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(profile_k=aligned_profiles(), inv_eps=st.integers(2, 3), f_plus=RATES,
+       f_minus=RATES, g=CHANNEL_RATES, h_rate=st.tuples(coef, coef, st.floats(-1.0, 1.0)))
+def test_random_kinetics_keep_mass_flux_balance_and_determinism(
+        modulation, profile_k, inv_eps, f_plus, f_minus, g, h_rate):
+    """Per example: the micro mass identity per step, the macro per-side flux
+    balance at every snapshot after the initial one, and bit-identical reruns."""
+    profile, k = profile_k
+    kappa, u_ext, amp = h_rate
+    h = KineticsSpec("exchange", {"kappa": kappa, "u_ext": u_ext}, (modulation, amp))
+    kin = KineticsBundle(f_plus, f_minus, g, h)
+    cell = build_reference_cell(profile)
+    diff = DiffusionSpec.isotropic(1.0, 2.0, 0.5, len(profile.segments))
+    geom = build_micro_geometry(F(1, inv_eps), 1, cell)
+    grid = build_micro_grid(geom, k)
+
+    def micro():
+        return MicroSimulation(geom, grid, diff, kin)
+
+    def macro():
+        return MacroSimulation(cell, 1.0, InterfaceLayout(n_sigma=inv_eps, m=k), diff, kin)
+
+    sim = micro()
+    dt = min(1 / 64, 0.5 * sim.max_stable_dt())  # the limit model has the same bound
+    state = sim.initial_state(SMOOTH_INITIAL, dt)
+    for _ in range(4):
+        new = sim.step(state, dt)
+        assert sim.mass_report(state, new, dt) <= 1e-12 * abs(sim.weighted_mass(state.values))
+        state = new
+
+    macro_runs = [macro().run(SMOOTH_INITIAL, 4 * dt, dt) for _ in range(2)]
+    for snap in macro_runs[0][1:]:
+        rp, rm = snap.sim.flux_balance_residuals(snap)
+        assert max(rp.max(), rm.max()) <= 1e-9
+    micro_runs = [micro().run(SMOOTH_INITIAL, 4 * dt, dt) for _ in range(2)]
+    for a, b in (micro_runs, macro_runs):
+        assert len(a) == len(b) == 5
+        assert all(np.array_equal(x.values, y.values) for x, y in zip(a, b))
