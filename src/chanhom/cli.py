@@ -111,11 +111,7 @@ def _dispatch(args) -> int:
         writer = harness.StudyWriter(out)
         for eps in cfg.epsilons:
             _, grid, _, snaps = harness.run_micro_study(cfg, eps)
-            for idx, state in enumerate(snaps):
-                writer.write(
-                    f"fields/micro_eps{int(1 / eps)}_s{idx:04d}.csv",
-                    harness.micro_field_csv(grid, state),
-                )
+            harness.write_micro_fields(writer, eps, grid, snaps)
             print(f"eps={eps}: {len(snaps)} snapshots, {grid.n_cells} cells")
         return 0
 
@@ -124,12 +120,7 @@ def _dispatch(args) -> int:
         out = Path(args.out if args.out is not None else cfg.output_dir)
         writer = harness.StudyWriter(out)
         sim, snaps = harness.run_macro_study(cfg)
-        for idx, state in enumerate(snaps):
-            writer.write(f"fields/macro_bulk_s{idx:04d}.csv", harness.macro_bulk_csv(sim, state))
-            writer.write(f"fields/macro_cells_s{idx:04d}.csv", harness.macro_cells_csv(sim, state))
-            writer.write(
-                f"fields/macro_traces_s{idx:04d}.csv", harness.macro_traces_csv(sim, state)
-            )
+        harness.write_macro_fields(writer, sim, snaps)
         print(f"macro run: {len(snaps)} snapshots, {sim.n} unknowns")
         return 0
 

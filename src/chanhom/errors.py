@@ -20,7 +20,6 @@ class StabilityError(ValueError):
 class SolverError(RuntimeError):
     """Linear solver failure; carries the final relative residual."""
 
-    def __init__(self, message, residual=None, iterations=None):
+    def __init__(self, message, residual=None):
         super().__init__(message)
         self.residual = residual
-        self.iterations = iterations

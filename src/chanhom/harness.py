@@ -34,7 +34,7 @@ from .geometry import (
 from .grid import Field, build_cell_grid, build_micro_grid
 from .kinetics import InitialData, KineticsSpec
 from .macrosim import InterfaceLayout, MacroSimulation, MacroState
-from .microsim import DiffusionSpec, KineticsBundle, MicroSimulation, MicroState
+from .microsim import DiffusionSpec, KineticsBundle, MicroSimulation, MicroState, snapshot_steps
 from .twoscale import (
     TwoScaleField,
     TwoScaleReport,
@@ -498,6 +498,25 @@ def macro_traces_csv(sim: MacroSimulation, state: MacroState) -> str:
     return "\n".join(lines) + "\n"
 
 
+def field_path(idx, eps=None, part=None) -> str:
+    """Path of snapshot idx: the micro field of `eps`, or limit-model bulk/cells/traces `part`."""
+    name = f"micro_eps{int(1 / eps)}" if eps is not None else f"macro_{part}"
+    return f"fields/{name}_s{idx:04d}.csv"
+
+
+def write_micro_fields(writer, eps, grid, snaps):
+    for idx, state in enumerate(snaps):
+        writer.write(field_path(idx, eps=eps), micro_field_csv(grid, state))
+
+
+def write_macro_fields(writer, sim, snaps):
+    # the writers are looked up by name at call time, so a rebound writer is used
+    for idx, state in enumerate(snaps):
+        writer.write(field_path(idx, part="bulk"), macro_bulk_csv(sim, state))
+        writer.write(field_path(idx, part="cells"), macro_cells_csv(sim, state))
+        writer.write(field_path(idx, part="traces"), macro_traces_csv(sim, state))
+
+
 def _read_csv_column(text, column):
     header, _, body = text.strip().partition("\n")
     names = header.split(",")
@@ -548,16 +567,8 @@ def run_study(cfg: StudyConfig, out_dir=None, threads=1):
     for eps, geom, grid, snaps, secs in results:
         timings[f"micro eps={eps}"] = secs
         micro_runs.append((geom, grid, snaps))
-        for idx, state in enumerate(snaps):
-            writer.write(
-                f"fields/micro_eps{int(1 / eps)}_s{idx:04d}.csv",
-                micro_field_csv(grid, state),
-            )
-
-    for idx, state in enumerate(macro_snaps):
-        writer.write(f"fields/macro_bulk_s{idx:04d}.csv", macro_bulk_csv(macro_sim, state))
-        writer.write(f"fields/macro_cells_s{idx:04d}.csv", macro_cells_csv(macro_sim, state))
-        writer.write(f"fields/macro_traces_s{idx:04d}.csv", macro_traces_csv(macro_sim, state))
+        write_micro_fields(writer, eps, grid, snaps)
+    write_macro_fields(writer, macro_sim, macro_snaps)
 
     rep = compute_report(cfg, micro_runs, macro_sim, macro_snaps)
     writer.write("report.csv", report_csv_text(rep))
@@ -591,6 +602,21 @@ def _versions():
 # ---------------------------------------------------------------------------
 # report re-derivation from stored fields
 
+def _check_schedule(cfg: StudyConfig, times):
+    """ConfigError unless `times` are the snapshot times a run of cfg stores:
+    t = 0, every snapshot_stride steps, and the last step."""
+    steps = snapshot_steps(cfg.T, cfg.dt, cfg.snapshot_stride)
+    if len(times) != len(steps):
+        raise ConfigError(
+            f"manifest.json.snapshot_times: {len(times)} entries, but config.time and "
+            f"config.snapshot_stride give {len(steps)} snapshots"
+        )
+    for i, (t, n) in enumerate(zip(times, steps)):
+        if abs(t - n * cfg.dt) > 1e-9 * max(cfg.T, 1.0):
+            raise ConfigError(f"manifest.json.snapshot_times[{i}]: {t!r} is not the time of "
+                              f"step {n} (dt={cfg.dt!r})")
+
+
 def rederive_report(study_dir):
     """Rebuild grids from the manifest's config echo, reload fields, recompute.
 
@@ -608,7 +634,10 @@ def rederive_report(study_dir):
     cfg = parse_config(_need(manifest, "config", "manifest.json"))
     times = _container(_need(manifest, "snapshot_times", "manifest.json"),
                        "manifest.json.snapshot_times", list)
+    times = [_number(t, f"manifest.json.snapshot_times[{i}]") for i, t in enumerate(times)]
+    _check_schedule(cfg, times)
     files = _container(_need(manifest, "files", "manifest.json"), "manifest.json.files", dict)
+    read = set()
 
     def field_text(relpath):
         try:
@@ -617,6 +646,7 @@ def rederive_report(study_dir):
             raise ConfigError(f"{relpath}: field file is missing") from exc
         if files.get(relpath) != _sha256(data):
             raise ConfigError(f"{relpath}: content does not match its manifest SHA-256")
+        read.add(relpath)
         return data.decode()
 
     layout = InterfaceLayout(n_sigma=cfg.n_sigma, m=cfg.m)
@@ -624,14 +654,14 @@ def rederive_report(study_dir):
     macro_snaps = []
     for idx, t in enumerate(times):
         u = np.zeros(macro_sim.n)
-        bulk = field_text(f"fields/macro_bulk_s{idx:04d}.csv")
+        bulk = field_text(field_path(idx, part="bulk"))
         vals = _read_csv_column(bulk, "value")
         u[: macro_sim.nbp] = vals[: macro_sim.nbp]
         u[macro_sim.nbp : macro_sim.ovp] = vals[macro_sim.nbp :]
-        traces = field_text(f"fields/macro_traces_s{idx:04d}.csv")
+        traces = field_text(field_path(idx, part="traces"))
         u[macro_sim.ovp : macro_sim.ovm] = _read_csv_column(traces, "v_plus")
         u[macro_sim.ovm : macro_sim.oc] = _read_csv_column(traces, "v_minus")
-        cells = field_text(f"fields/macro_cells_s{idx:04d}.csv")
+        cells = field_text(field_path(idx, part="cells"))
         u[macro_sim.oc :] = _read_csv_column(cells, "value")
         macro_snaps.append(MacroState(t=t, u=u, dt=cfg.dt, sim=macro_sim))
 
@@ -641,10 +671,14 @@ def rederive_report(study_dir):
         grid = build_micro_grid(geom, cfg.k)
         snaps = []
         for idx, t in enumerate(times):
-            text = field_text(f"fields/micro_eps{int(1/eps)}_s{idx:04d}.csv")
+            text = field_text(field_path(idx, eps=eps))
             vals = _read_csv_column(text, "value")
             snaps.append(MicroState(t=t, u=Field(grid, vals, time=t), dt=cfg.dt))
         micro_runs.append((geom, grid, snaps))
+    unread = sorted(rel for rel in files if rel.startswith("fields/") and rel not in read)
+    if unread:
+        raise ConfigError(f"{unread[0]}: listed in manifest.json.files but not part of the "
+                          f"study its config and snapshot_times describe")
 
     rep = compute_report(cfg, micro_runs, macro_sim, macro_snaps)
     (out / "report.csv").write_text(report_csv_text(rep))

@@ -37,21 +37,20 @@ class SparseMatrix:
         return BlockLDL(self.csr, self.blocks)
 
 
-def assemble(rows, cols, vals, n, require_symmetric=True) -> SparseMatrix:
+def assemble(rows, cols, vals, n) -> SparseMatrix:
     """Build from COO triplets (duplicates summed) and certify symmetry."""
     m = sp.coo_matrix(
         (np.asarray(vals, dtype=float), (np.asarray(rows), np.asarray(cols))), shape=(n, n)
     ).tocsr()
     m.sum_duplicates()
-    if require_symmetric:
-        scale = np.abs(m.data).max() if m.nnz else 1.0
-        skew = abs(m - m.T)
-        worst = skew.data.max() if skew.nnz else 0.0
-        if worst > SYMMETRY_RTOL * scale:
-            raise SolverError(
-                f"assembled matrix is not symmetric (max skew {worst:.3e}, scale {scale:.3e})"
-            )
-    return SparseMatrix(csr=m, symmetric=require_symmetric)
+    scale = np.abs(m.data).max() if m.nnz else 1.0
+    skew = abs(m - m.T)
+    worst = skew.data.max() if skew.nnz else 0.0
+    if worst > SYMMETRY_RTOL * scale:
+        raise SolverError(
+            f"assembled matrix is not symmetric (max skew {worst:.3e}, scale {scale:.3e})"
+        )
+    return SparseMatrix(csr=m, symmetric=True)
 
 
 def _group(keys, sel, n_groups):

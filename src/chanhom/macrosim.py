@@ -20,7 +20,15 @@ from . import linsolve
 from .geometry import CellGeometry
 from .grid import build_bulk_grid, build_cell_grid, boundary_row_faces, wall_faces
 from .kinetics import InitialData
-from .microsim import SOLVER_TOL, DiffusionSpec, ImexSimulation, KineticsBundle, _segment_lookup
+from .microsim import (
+    SOLVER_TOL,
+    DiffusionSpec,
+    ImexSimulation,
+    KineticsBundle,
+    channel_tensor,
+    pair_triplets,
+    two_point_stiffness,
+)
 
 
 @dataclass(frozen=True)
@@ -105,14 +113,9 @@ class MacroSimulation(ImexSimulation):
     # -- assembly -----------------------------------------------------------
 
     def _build_coupling_data(self):
-        d = np.empty((self.ncc, 2))
-        seg = _segment_lookup(self.cell.profile, self.cell_grid.cell_y)
-        dmat = np.asarray(self.diff.channel, dtype=float)
-        d[:, 0] = dmat[seg, 0]
-        d[:, 1] = dmat[seg, 1]
-        self.cell_diff = d
-
         cg = self.cell_grid
+        # the channel tensor enters the cell problems unscaled
+        d = self.cell_diff = channel_tensor(self.cell.profile, cg.cell_y, self.diff)
         self.top_cells, top_len = boundary_row_faces(cg, "+")
         self.bot_cells, bot_len = boundary_row_faces(cg, "-")
         self.top_coef = top_len * d[self.top_cells, 1] / (0.5 * cg.dy[-1])
@@ -124,67 +127,41 @@ class MacroSimulation(ImexSimulation):
         self.half_p = 0.5 * self.grid_p.dy[0]
         self.half_m = 0.5 * self.grid_m.dy[-1]
 
-    def _bulk_entries(self, grid, d_scalar, offset, rows, cols, vals):
-        for fs in grid.faces:
-            trans = fs.length * d_scalar / (fs.dist_a + fs.dist_b)
-            rows.extend([fs.a + offset, fs.b + offset, fs.a + offset, fs.b + offset])
-            cols.extend([fs.a + offset, fs.b + offset, fs.b + offset, fs.a + offset])
-            vals.extend([trans, trans, -trans, -trans])
-
-    def _pair(self, i, j, t, rows, cols, vals):
-        rows.extend([i, j, i, j])
-        cols.extend([i, j, j, i])
-        vals.extend([t, t, -t, -t])
-
     def _assemble_stiffness(self) -> linsolve.SparseMatrix:
-        rows, cols, vals = [], [], []
-        self._bulk_entries(self.grid_p, self.diff.d_plus, 0, rows, cols, vals)
-        self._bulk_entries(self.grid_m, self.diff.d_minus, self.nbp, rows, cols, vals)
-
         dsig = self.layout.spacing
-        rows = [np.asarray(r) for r in rows]
-        cols = [np.asarray(c) for c in cols]
-        vals = [np.asarray(v, dtype=float) for v in vals]
-        extra_r, extra_c, extra_v = [], [], []
-
+        bulk_p = two_point_stiffness(self.grid_p, 1.0, self.diff.d_plus)
+        bulk_m = two_point_stiffness(self.grid_m, 1.0, self.diff.d_minus)
         # one reference-cell stiffness block, replicated per node with dsig weight
-        base_r, base_c, base_v = [], [], []
-        for fs in self.cell_grid.faces:
-            da = self.cell_diff[fs.a, fs.axis]
-            db = self.cell_diff[fs.b, fs.axis]
-            trans = dsig * fs.length / (fs.dist_a / da + fs.dist_b / db)
-            base_r.extend([fs.a, fs.b, fs.a, fs.b])
-            base_c.extend([fs.a, fs.b, fs.b, fs.a])
-            base_v.extend([trans, trans, -trans, -trans])
-        base_r = np.concatenate(base_r)
-        base_c = np.concatenate(base_c)
-        base_v = np.concatenate(base_v)
+        cell_r, cell_c, cell_v = two_point_stiffness(self.cell_grid, self.cell_diff, dsig)
 
-        for j in range(self.n_sigma):
-            off = self.oc + j * self.ncc
-            extra_r.append(base_r + off)
-            extra_c.append(base_c + off)
-            extra_v.append(base_v)
-            # trace <-> bulk coupling
-            tp = self.grid_p.dx[j] * self.diff.d_plus / self.half_p
-            tm = self.grid_m.dx[j] * self.diff.d_minus / self.half_m
-            r4, c4, v4 = [], [], []
-            self._pair(int(self.adj_p[j]), self.ovp + j, tp, r4, c4, v4)
-            self._pair(self.nbp + int(self.adj_m[j]), self.ovm + j, tm, r4, c4, v4)
-            # trace <-> cell coupling (Dirichlet rows of the cell problem)
-            for cell_idx, coef in zip(self.top_cells, dsig * self.top_coef):
-                self._pair(off + int(cell_idx), self.ovp + j, coef, r4, c4, v4)
-            for cell_idx, coef in zip(self.bot_cells, dsig * self.bot_coef):
-                self._pair(off + int(cell_idx), self.ovm + j, coef, r4, c4, v4)
-            extra_r.append(np.asarray(r4))
-            extra_c.append(np.asarray(c4))
-            extra_v.append(np.asarray(v4, dtype=float))
+        # (n_sigma, pairs) arrays: the trace <-> adjacent bulk cell pair of each
+        # side, then the trace <-> cell pairs (Dirichlet rows of the cell
+        # problem) along its top and its bottom boundary row
+        nodes = np.arange(self.n_sigma)[:, None]
+        off = self.oc + nodes * self.ncc
+        n_top, n_bot = len(self.top_cells), len(self.bot_cells)
+        near = np.hstack([self.adj_p[:, None], self.nbp + self.adj_m[:, None],
+                          off + self.top_cells, off + self.bot_cells])
+        trace = nodes + np.repeat([self.ovp, self.ovm, self.ovp, self.ovm], [1, 1, n_top, n_bot])
+        coef = np.hstack([
+            (self.grid_p.dx * self.diff.d_plus / self.half_p)[:, None],
+            (self.grid_m.dx * self.diff.d_minus / self.half_m)[:, None],
+            np.broadcast_to(dsig * self.top_coef, (self.n_sigma, n_top)),
+            np.broadcast_to(dsig * self.bot_coef, (self.n_sigma, n_bot)),
+        ])
+        pair_r, pair_c, pair_v = (
+            x.reshape(self.n_sigma, -1) for x in pair_triplets(near, trace, coef, axis=-1)
+        )
 
+        # bulk faces, then per node its cell block followed by its trace pairs:
+        # the triplet order fixes the summation order of duplicates
+        rows = [bulk_p[0], self.nbp + bulk_m[0], np.hstack([cell_r + off, pair_r])]
+        cols = [bulk_p[1], self.nbp + bulk_m[1], np.hstack([cell_c + off, pair_c])]
+        vals = [bulk_p[2], bulk_m[2],
+                np.hstack([np.broadcast_to(cell_v, (self.n_sigma, len(cell_v))), pair_v])]
         return linsolve.assemble(
-            np.concatenate(rows + extra_r),
-            np.concatenate(cols + extra_c),
-            np.concatenate(vals + extra_v),
-            self.n,
+            np.concatenate(rows, axis=None), np.concatenate(cols, axis=None),
+            np.concatenate(vals, axis=None), self.n,
         )
 
     def _assemble_weights(self) -> np.ndarray:
@@ -252,24 +229,14 @@ class MacroSimulation(ImexSimulation):
 
         Harness-level oracle hook, not part of the transport model.
         """
-        rows, cols, vals = [], [], []
-        rhs = np.zeros(self.n)
         gp, gm = self.grid_p, self.grid_m
         jtop = gp.shape[1] - 1
-        for i in range(self.n_sigma):
-            idx = int(gp.index[i, jtop])
-            t = gp.dx[i] * self.diff.d_plus / (0.5 * gp.dy[jtop])
-            rows.append(idx)
-            cols.append(idx)
-            vals.append(t)
-            rhs[idx] += t * top_value
-            idx_m = self.nbp + int(gm.index[i, 0])
-            t_m = gm.dx[i] * self.diff.d_minus / (0.5 * gm.dy[0])
-            rows.append(idx_m)
-            cols.append(idx_m)
-            vals.append(t_m)
-            rhs[idx_m] += t_m * bottom_value
-        dir_part = sp.coo_matrix((vals, (rows, cols)), shape=(self.n, self.n)).tocsr()
+        rows = np.concatenate([gp.index[:, jtop], self.nbp + gm.index[:, 0]])
+        t = np.concatenate([gp.dx * self.diff.d_plus / (0.5 * gp.dy[jtop]),
+                            gm.dx * self.diff.d_minus / (0.5 * gm.dy[0])])
+        rhs = np.zeros(self.n)
+        rhs[rows] += t * np.repeat([top_value, bottom_value], self.n_sigma)
+        dir_part = sp.coo_matrix((t, (rows, rows)), shape=(self.n, self.n)).tocsr()
         A = linsolve.SparseMatrix(
             csr=(self.stiffness.csr + dir_part).tocsr(), symmetric=True, blocks=self.blocks
         )

@@ -39,13 +39,6 @@ class DiffusionSpec:
         if not all(np.isfinite(entries)) or min(entries) <= 0:
             raise GeometryError("diffusivities must be finite and strictly positive (coercivity)")
 
-    @property
-    def c0(self) -> float:
-        vals = [self.d_plus, self.d_minus]
-        for pair in self.channel:
-            vals.extend(pair)
-        return float(min(vals))
-
     @staticmethod
     def isotropic(d_plus, d_minus, d_channel, n_segments=1) -> "DiffusionSpec":
         return DiffusionSpec(
@@ -77,40 +70,56 @@ class MicroState:
         return self.u.values
 
 
-def _segment_lookup(profile, y_n):
-    """Profile segment index per value of y_n (vectorized)."""
+def channel_tensor(profile, y_n, diff: DiffusionSpec) -> np.ndarray:
+    """(len(y_n), 2) channel tensor (d_ybar, d_yn) of the profile segment holding each y_n."""
     breaks = np.array([float(hi) for (lo, hi), _ in profile.segments[:-1]])
-    return np.searchsorted(breaks, y_n, side="right")
+    return np.asarray(diff.channel, dtype=float)[np.searchsorted(breaks, y_n, side="right")]
 
 
-def cell_diffusivities(geom: MicroGeometry, grid: RectGrid, diff: DiffusionSpec):
-    """Directional diffusivity of every cell; channel values carry the eps factor."""
-    eps = float(geom.eps)
-    d = np.empty((grid.n_cells, 2))
-    for tag_val, val in ((BULK_P, diff.d_plus), (BULK_M, diff.d_minus)):
-        d[grid.cell_tag == tag_val] = val
-    chan = grid.cell_tag == CHAN
-    seg = _segment_lookup(geom.cell.profile, grid.cell_y[chan] / eps)
-    dmat = np.asarray(diff.channel, dtype=float)
-    d[chan, 0] = eps * dmat[seg, 0]
-    d[chan, 1] = eps * dmat[seg, 1]
-    return d
+def pair_triplets(i, j, t, axis=0):
+    """COO rows (i, j, i, j), cols (i, j, j, i), vals (t, t, -t, -t), stacked along `axis`."""
+    return (np.stack([i, j, i, j], axis), np.stack([i, j, j, i], axis),
+            np.stack([t, t, -t, -t], axis))
+
+
+def two_point_stiffness(grid: RectGrid, d, scale=1.0):
+    """COO triplets of the two-point flux stiffness of one grid, axis by axis.
+
+    `d` is the directional diffusivity per cell (broadcast to (n_cells, 2)); a
+    face has the harmonic transmissibility scale * length / (dist_a / d_a + dist_b / d_b).
+    """
+    d = np.broadcast_to(np.asarray(d, dtype=float), (grid.n_cells, 2))
+    parts = [
+        pair_triplets(fs.a, fs.b, scale * fs.length
+                      / (fs.dist_a / d[fs.a, fs.axis] + fs.dist_b / d[fs.b, fs.axis]))
+        for fs in grid.faces
+    ]
+    return tuple(np.concatenate(part, axis=None) for part in zip(*parts))
 
 
 def assemble_micro_operator(geom: MicroGeometry, grid: RectGrid, diff: DiffusionSpec):
-    """Stiffness (SPD, zero row sums) and the weighted accumulation vector."""
-    d = cell_diffusivities(geom, grid, diff)
-    rows, cols, vals = [], [], []
-    for fs in grid.faces:
-        trans = fs.length / (fs.dist_a / d[fs.a, fs.axis] + fs.dist_b / d[fs.b, fs.axis])
-        rows.extend([fs.a, fs.b, fs.a, fs.b])
-        cols.extend([fs.a, fs.b, fs.b, fs.a])
-        vals.extend([trans, trans, -trans, -trans])
-    A = linsolve.assemble(
-        np.concatenate(rows), np.concatenate(cols), np.concatenate(vals), grid.n_cells
-    )
-    weights = grid.weight * grid.cell_vol
-    return A, weights
+    """Stiffness (SPD, zero row sums) and the weighted accumulation vector.
+
+    Channel cells carry the eps-scaled channel tensor of the critical scaling.
+    """
+    eps = float(geom.eps)
+    d = np.empty((grid.n_cells, 2))
+    d[grid.cell_tag == BULK_P] = diff.d_plus
+    d[grid.cell_tag == BULK_M] = diff.d_minus
+    chan = grid.cell_tag == CHAN
+    d[chan] = eps * channel_tensor(geom.cell.profile, grid.cell_y[chan] / eps, diff)
+    A = linsolve.assemble(*two_point_stiffness(grid, d), grid.n_cells)
+    return A, grid.weight * grid.cell_vol
+
+
+def snapshot_steps(T, dt, stride) -> list:
+    """Step numbers whose states a run to T stores: 0, every `stride` steps, the last."""
+    if T <= 0:
+        return [0]
+    n_steps = int(round(T / dt))
+    if abs(n_steps * dt - T) > 1e-9 * max(T, 1.0):
+        raise ValueError(f"T={T} is not an integer number of steps of dt={dt}")
+    return [n for n in range(n_steps + 1) if n % stride == 0 or n == n_steps]
 
 
 class ImexSimulation:
@@ -181,17 +190,13 @@ class ImexSimulation:
 
         The factored implicit matrices are dropped on return.
         """
+        stored = snapshot_steps(T, dt, snapshot_stride)
         state = self.initial_state(init, dt)
         snaps = [state]
-        if T <= 0:
-            return snaps
-        n_steps = int(round(T / dt))
-        if abs(n_steps * dt - T) > 1e-9 * max(T, 1.0):
-            raise ValueError(f"T={T} is not an integer number of steps of dt={dt}")
         try:
-            for n in range(1, n_steps + 1):
+            for n in range(1, stored[-1] + 1):
                 state = self.step(state, dt)
-                if n % snapshot_stride == 0 or n == n_steps:
+                if n == stored[len(snaps)]:
                     snaps.append(state)
         finally:
             self._implicit.clear()

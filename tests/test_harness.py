@@ -286,18 +286,46 @@ def test_cli_report_refuses_an_edited_field_file(tmp_path, capsys):
     assert (out / "report.csv").read_bytes() == report
 
 
+def with_time(manifest, i, value):
+    times = list(manifest["snapshot_times"])
+    times[i] = value
+    return dict(manifest, snapshot_times=times)
+
+
+def with_horizon(manifest, T, n_times):
+    """config.time.T edited to T, snapshot_times cut to their first n_times."""
+    config = dict(manifest["config"], time=dict(manifest["config"]["time"], T=T))
+    return dict(manifest, config=config, snapshot_times=manifest["snapshot_times"][:n_times])
+
+
+# the mini study runs 16 steps of 1/128 and stores steps 0, 4, 8, 12 and 16
 @pytest.mark.parametrize("edit, named", [
     (lambda manifest: {}, "manifest.json.config required"),
     (lambda manifest: [1], "manifest.json: expected an object"),
     (lambda manifest: dict(manifest, snapshot_times=3), "manifest.json.snapshot_times"),
     (lambda manifest: dict(manifest, files=[]), "manifest.json.files"),
-], ids=["empty_object", "array", "number_snapshot_times", "array_files"])
+    (lambda manifest: with_time(manifest, 1, "soon"), "manifest.json.snapshot_times[1]"),
+    (lambda manifest: with_time(manifest, 1, None), "manifest.json.snapshot_times[1]"),
+    (lambda manifest: with_time(manifest, 1, float("nan")), "manifest.json.snapshot_times[1]"),
+    (lambda manifest: dict(manifest, snapshot_times=manifest["snapshot_times"][:2]),
+     "manifest.json.snapshot_times: 2 entries"),
+    (lambda manifest: with_horizon(manifest, 15 / 128, 5), "manifest.json.snapshot_times[4]"),
+    (lambda manifest: with_horizon(manifest, 8 / 128, 5), "manifest.json.snapshot_times: 5"),
+    (lambda manifest: with_horizon(manifest, 8 / 128, 3), "fields/macro_bulk_s0003.csv"),
+    (lambda manifest: dict(manifest, files=dict(
+        manifest["files"], **{"fields/micro_eps8_s0000.csv": "0" * 64})),
+     "fields/micro_eps8_s0000.csv"),
+], ids=["empty_object", "array", "number_snapshot_times", "array_files", "string_time",
+        "null_time", "nan_time", "two_times", "horizon_off_schedule", "horizon_shorter",
+        "horizon_and_times_cut", "unread_field_file"])
 def test_cli_report_refuses_a_malformed_manifest(tmp_path, capsys, edit, named):
     p = write_config(tmp_path, mini_config())
     out = tmp_path / "study"
     assert cli.main(["run", str(p), "--out", str(out)]) == 0
+    report = (out / "report.csv").read_bytes()
     path = out / "manifest.json"
     path.write_text(json.dumps(edit(json.loads(path.read_text()))))
     capsys.readouterr()
     assert cli.main(["report", str(out)]) == 1
     assert f"error: {named}" in capsys.readouterr().err
+    assert (out / "report.csv").read_bytes() == report

@@ -1,0 +1,80 @@
+"""The benchmark's span tracer against the program it rebinds.
+
+`perfbench/spans.py` times the program's layers by rebinding functions and
+methods where the program looks them up.  A refactor that moves a traced
+name, or calls a writer through a reference taken at import time, silences
+a span without failing any benchmark check; these tests catch that.
+"""
+
+import importlib
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from chanhom import cli, harness
+
+from test_harness import mini_config
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+@pytest.fixture
+def spans(monkeypatch):
+    monkeypatch.syspath_prepend(str(REPO / "perfbench"))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave the benchmark's tree as it is
+    return importlib.import_module("spans")
+
+
+def _resolve(module, attr):
+    obj = importlib.import_module(module)
+    for part in attr.split("."):
+        obj = getattr(obj, part)
+    return obj
+
+
+def _bindings(spans):
+    """Every name bound in a chanhom module, plus every traced method."""
+    out = {}
+    for name, mod in list(sys.modules.items()):
+        if name == "chanhom" or name.startswith("chanhom."):
+            out.update({(name, key): val for key, val in vars(mod).items()})
+    for _, module, attr, _ in spans.TRACED:
+        if "." in attr:
+            cls_name, meth = attr.split(".")
+            out[(module, attr)] = vars(getattr(sys.modules[module], cls_name))[meth]
+    return out
+
+
+def test_every_traced_entry_resolves(spans):
+    for name, module, attr, _ in spans.TRACED:
+        assert callable(_resolve(module, attr)), name
+
+
+def test_traced_study_and_cli_fire_every_writer_span(spans, tmp_path, capsys):
+    raw = mini_config()
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    before = _bindings(spans)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert harness.micro_field_csv is not before[("chanhom.harness", "micro_field_csv")]
+        harness.run_study(harness.parse_config(raw), out_dir=tmp_path / "study", threads=1)
+        assert cli.main(["micro", str(cfg_path), "--out", str(tmp_path / "micro")]) == 0
+        assert cli.main(["macro", str(cfg_path), "--out", str(tmp_path / "macro")]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+
+    fired = [rec[3] for rec in tracer.spans]
+    written = [p for d in ("study", "micro", "macro") for p in (tmp_path / d / "fields").iterdir()]
+    assert len(written) == 2 * (5 + 3 * 5)  # 5 snapshots: one micro and three macro files each
+    assert fired.count("harness.field_csv") == len(written)
+    assert "microsim.MicroSimulation.init" in fired
+    assert "macrosim.MacroSimulation.init" in fired
+
+    after = _bindings(spans)
+    assert after.keys() == before.keys()
+    assert [key for key, val in before.items() if after[key] is not val] == []
