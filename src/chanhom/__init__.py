@@ -14,7 +14,7 @@ from .grid import Field, RectGrid, build_bulk_grid, build_cell_grid, build_micro
 from .kinetics import InitialData, KineticsSpec
 from .macrosim import InterfaceLayout, MacroSimulation, MacroState
 from .microsim import DiffusionSpec, KineticsBundle, MicroSimulation, MicroState
-from .twoscale import TwoScaleField, TwoScaleReport, Unfolder
+from .twoscale import TwoScaleReport, Unfolder
 
 __all__ = [
     "CellGeometry",
@@ -36,7 +36,6 @@ __all__ = [
     "KineticsBundle",
     "MicroSimulation",
     "MicroState",
-    "TwoScaleField",
     "TwoScaleReport",
     "Unfolder",
 ]

@@ -129,7 +129,6 @@ class Field:
 
     grid: RectGrid
     values: np.ndarray
-    time: float = 0.0
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -141,8 +140,8 @@ class Field:
             raise ValueError("field contains non-finite values")
 
     @staticmethod
-    def constant(grid, value, time=0.0) -> "Field":
-        return Field(grid, np.full(grid.n_cells, float(value)), time)
+    def constant(grid, value) -> "Field":
+        return Field(grid, np.full(grid.n_cells, float(value)))
 
 
 def graded_edges(start, stop, h0, ratio=GRADING_RATIO):

@@ -32,11 +32,10 @@ from .geometry import (
     build_reference_cell,
 )
 from .grid import Field, build_cell_grid, build_micro_grid
-from .kinetics import InitialData, KineticsSpec
+from .kinetics import BASE_KINDS, InitialData, KineticsSpec
 from .macrosim import InterfaceLayout, MacroSimulation, MacroState
 from .microsim import DiffusionSpec, KineticsBundle, MicroSimulation, MicroState, snapshot_steps
 from .twoscale import (
-    TwoScaleField,
     TwoScaleReport,
     Unfolder,
     apriori_norm,
@@ -121,17 +120,9 @@ class StudyConfig:
 def _kinetics_spec(raw, path) -> KineticsSpec:
     kind = _need(_container(raw, path, dict), "kind", path)
     params = {key: val for key, val in raw.items() if key not in ("kind", "modulation")}
-    required = {
-        "zero": (),
-        "constant": ("value",),
-        "linear_decay": ("lam",),
-        "logistic_clamped": ("r", "u_cap", "clamp"),
-        "exchange": ("kappa", "u_ext"),
-        "tabulated": ("u", "rate"),
-    }
-    if not isinstance(kind, str) or kind not in required:
+    if not isinstance(kind, str) or kind not in BASE_KINDS:
         raise ConfigError(f"{path}.kind: unknown kinetics kind {kind!r}")
-    for name in required[kind]:
+    for name in BASE_KINDS[kind]:
         if kind == "tabulated":
             knots = _container(_need(params, name, path), f"{path}.{name}", list)
             params[name] = [_number(v, f"{path}.{name}[{i}]") for i, v in enumerate(knots)]
@@ -405,11 +396,10 @@ def run_macro_study(cfg: StudyConfig):
 
 def compute_report(cfg: StudyConfig, micro_runs, macro_sim, macro_snaps) -> TwoScaleReport:
     """Error norms and diagnostics from trajectories (used by run and report)."""
-    cell_grid = build_cell_grid(cfg.cell, cfg.m)
-    trace_const = calibrate_trace_constant(cell_grid)
+    trace_const = calibrate_trace_constant(macro_sim.cell_grid)
     rep = TwoScaleReport([], [], [], [], [], [], [])
     for eps, (geom, grid, snaps) in zip(cfg.epsilons, micro_runs):
-        uf = Unfolder(geom, grid, cell_grid)
+        uf = Unfolder(geom, grid, macro_sim.cell_grid)
         errs = ts_error(snaps, macro_snaps, uf, macro_sim)
         ratio, _, _ = shift_diagnostic(snaps, geom, grid, cfg.shift_l, cfg.shift_h)
         lhs, rhs = trace_inequality_diagnostic(
@@ -519,15 +509,19 @@ def write_macro_fields(writer, sim, snaps):
 
 def _read_csv_column(text, column):
     header, _, body = text.strip().partition("\n")
-    names = header.split(",")
-    cells = body.replace("\n", ",").split(",")
-    return np.array(cells[names.index(column):: len(names)], dtype=float)
+    # one string per row; loadtxt converts only that column, correctly rounded like float()
+    return np.loadtxt(body.split("\n"), delimiter=",", usecols=header.split(",").index(column),
+                      comments=None, ndmin=1)
 
 
 # -- manifest ----------------------------------------------------------------
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def _config_sha256(echo) -> str:
+    return _sha256(json.dumps(echo, sort_keys=True).encode())
 
 
 class StudyWriter:
@@ -576,6 +570,7 @@ def run_study(cfg: StudyConfig, out_dir=None, threads=1):
     manifest = {
         "schema": SCHEMA_VERSION,
         "config": cfg.echo,
+        "config_sha256": _config_sha256(cfg.echo),
         "versions": _versions(),
         "snapshot_times": [s.t for s in macro_snaps],
         "timings": timings,
@@ -621,7 +616,8 @@ def rederive_report(study_dir):
     """Rebuild grids from the manifest's config echo, reload fields, recompute.
 
     Every field file is checked against its manifest SHA-256 before it is
-    parsed; a missing, unlisted or altered file raises ConfigError.
+    parsed; a missing, unlisted or altered file raises ConfigError, and so
+    does a config echo that no longer matches the manifest's config_sha256.
     """
     out = Path(study_dir)
     try:
@@ -663,7 +659,7 @@ def rederive_report(study_dir):
         u[macro_sim.ovm : macro_sim.oc] = _read_csv_column(traces, "v_minus")
         cells = field_text(field_path(idx, part="cells"))
         u[macro_sim.oc :] = _read_csv_column(cells, "value")
-        macro_snaps.append(MacroState(t=t, u=u, dt=cfg.dt, sim=macro_sim))
+        macro_snaps.append(MacroState(t=t, u=u, sim=macro_sim))
 
     micro_runs = []
     for eps in cfg.epsilons:
@@ -673,12 +669,15 @@ def rederive_report(study_dir):
         for idx, t in enumerate(times):
             text = field_text(field_path(idx, eps=eps))
             vals = _read_csv_column(text, "value")
-            snaps.append(MicroState(t=t, u=Field(grid, vals, time=t), dt=cfg.dt))
+            snaps.append(MicroState(t=t, u=Field(grid, vals)))
         micro_runs.append((geom, grid, snaps))
     unread = sorted(rel for rel in files if rel.startswith("fields/") and rel not in read)
     if unread:
         raise ConfigError(f"{unread[0]}: listed in manifest.json.files but not part of the "
                           f"study its config and snapshot_times describe")
+    if manifest.get("config_sha256") != _config_sha256(cfg.echo):
+        raise ConfigError("manifest.json.config_sha256: does not match manifest.json.config "
+                          "(missing, or the config was edited after the run)")
 
     rep = compute_report(cfg, micro_runs, macro_sim, macro_snaps)
     (out / "report.csv").write_text(report_csv_text(rep))
@@ -747,16 +746,14 @@ def verify_operators(cfg: StudyConfig, n_fields=100, tol=1e-12):
             rhs = uf.wall_norm_sq_micro(tr)
             res["boundary_norm"] = max(res["boundary_norm"], abs(lhs - rhs) / abs(rhs))
 
-            lhs_g = (tv.values[fcol, fib] - tv.values[fcol, fia]) / dref
+            lhs_g = (tv[fcol, fib] - tv[fcol, fia]) / dref
             rhs_g = float(eps) * (v.values[fb] - v.values[fa]) / dmic
             scale = np.maximum(np.maximum(np.abs(lhs_g), np.abs(rhs_g)), 1e-300)
             res["gradient_commutation"] = max(
                 res["gradient_commutation"], float(np.max(np.abs(lhs_g - rhs_g) / scale))
             )
 
-            phi = TwoScaleField(
-                eps=uf.eps, cell_grid=uf.cell_grid, values=rng.normal(size=uf.columns.shape)
-            )
+            phi = rng.normal(size=uf.columns.shape)
             lhs = uf.ts_inner(tv, phi)
             rhs = inv_eps * float(
                 np.dot(grid.cell_vol[chan], v.values[chan] * uf.average(phi).values[chan])

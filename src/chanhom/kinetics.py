@@ -26,7 +26,16 @@ class KineticsDomainError(ValueError):
     """Evaluation point outside the rate's domain."""
 
 
-_BASE_KINDS = ("zero", "constant", "linear_decay", "logistic_clamped", "exchange", "tabulated")
+# every base kind and the parameters it requires
+BASE_KINDS = {
+    "zero": (),
+    "constant": ("value",),
+    "linear_decay": ("lam",),
+    "logistic_clamped": ("r", "u_cap", "clamp"),
+    "exchange": ("kappa", "u_ext"),
+    "tabulated": ("u", "rate"),
+}
+_BASE_KINDS = tuple(BASE_KINDS)
 _FACTOR_KINDS = ("cos_ybar", "ybar", "yn", "linear_yn", "arc_cos")
 
 

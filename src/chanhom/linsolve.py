@@ -29,7 +29,6 @@ class SparseMatrix:
     """
 
     csr: sp.csr_matrix
-    symmetric: bool
     blocks: np.ndarray = None
 
     @cached_property
@@ -50,7 +49,7 @@ def assemble(rows, cols, vals, n) -> SparseMatrix:
         raise SolverError(
             f"assembled matrix is not symmetric (max skew {worst:.3e}, scale {scale:.3e})"
         )
-    return SparseMatrix(csr=m, symmetric=True)
+    return SparseMatrix(csr=m)
 
 
 def _group(keys, sel, n_groups):
@@ -135,8 +134,6 @@ def solve_spd(A: SparseMatrix, b, tol=1e-10, x0=None) -> np.ndarray:
     block-factored correction.  Raises SolverError with the true relative
     residual when the corrected x still misses tol.
     """
-    if not A.symmetric:
-        raise SolverError("solve_spd needs a matrix assembled as symmetric")
     M = A.csr
     b = np.asarray(b, dtype=float)
     nb = float(np.linalg.norm(b))

@@ -51,7 +51,6 @@ class InterfaceLayout:
 class MacroState:
     t: float
     u: np.ndarray
-    dt: float
     sim: "MacroSimulation"
 
     @property
@@ -191,9 +190,10 @@ class MacroSimulation(ImexSimulation):
         return out
 
     def step(self, state: MacroState, dt) -> MacroState:
-        return MacroState(t=state.t + dt, u=self._advance(state.t, state.u, dt), dt=dt, sim=self)
+        return MacroState(t=state.t + dt, u=self._advance(state.t, state.u, dt), sim=self)
 
-    def initial_state(self, init: InitialData, dt) -> MacroState:
+    def initial_state(self, init: InitialData, dt=None) -> MacroState:
+        """The state at t = 0; `dt` is unused, accepted so `initial_state(init, dt)` works."""
         u = np.zeros(self.n)
         gp, gm, cg = self.grid_p, self.grid_m, self.cell_grid
         u[: self.nbp] = init.u_plus(gp.cell_x, gp.cell_y)
@@ -206,7 +206,7 @@ class MacroSimulation(ImexSimulation):
         u[self.oc :].reshape(self.n_sigma, self.ncc)[:] = init.u_channel(
             nodes[:, None], cg.cell_x, cg.cell_y
         )
-        return MacroState(t=0.0, u=u, dt=dt, sim=self)
+        return MacroState(t=0.0, u=u, sim=self)
 
     # -- interface quantities ------------------------------------------------
 
@@ -238,8 +238,8 @@ class MacroSimulation(ImexSimulation):
         rhs[rows] += t * np.repeat([top_value, bottom_value], self.n_sigma)
         dir_part = sp.coo_matrix((t, (rows, rows)), shape=(self.n, self.n)).tocsr()
         A = linsolve.SparseMatrix(
-            csr=(self.stiffness.csr + dir_part).tocsr(), symmetric=True, blocks=self.blocks
+            csr=(self.stiffness.csr + dir_part).tocsr(), blocks=self.blocks
         )
         x = linsolve.solve_spd(A, rhs, tol=SOLVER_TOL)
-        return MacroState(t=np.inf, u=x, dt=0.0, sim=self)
+        return MacroState(t=np.inf, u=x, sim=self)
 

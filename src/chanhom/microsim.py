@@ -63,7 +63,6 @@ class KineticsBundle:
 class MicroState:
     t: float
     u: Field
-    dt: float
 
     @property
     def values(self) -> np.ndarray:
@@ -169,7 +168,7 @@ class ImexSimulation:
         if key not in self._implicit:
             mass = sp.diags(self.weights, format="csr")
             self._implicit[key] = linsolve.SparseMatrix(
-                csr=(mass + key * self.stiffness.csr).tocsr(), symmetric=True, blocks=self.blocks
+                csr=(mass + key * self.stiffness.csr).tocsr(), blocks=self.blocks
             )
         rhs = self.weights * u + dt * self.explicit_rate(t, u)
         return linsolve.solve_spd(self._implicit[key], rhs, tol=SOLVER_TOL, x0=u)
@@ -191,7 +190,7 @@ class ImexSimulation:
         The factored implicit matrices are dropped on return.
         """
         stored = snapshot_steps(T, dt, snapshot_stride)
-        state = self.initial_state(init, dt)
+        state = self.initial_state(init)
         snaps = [state]
         try:
             for n in range(1, stored[-1] + 1):
@@ -237,11 +236,11 @@ class MicroSimulation(ImexSimulation):
         return out
 
     def step(self, state: MicroState, dt) -> MicroState:
-        t_new = state.t + dt
         x = self._advance(state.t, state.values, dt)
-        return MicroState(t=t_new, u=Field(self.grid, x, time=t_new), dt=dt)
+        return MicroState(t=state.t + dt, u=Field(self.grid, x))
 
-    def initial_state(self, init: InitialData, dt) -> MicroState:
+    def initial_state(self, init: InitialData, dt=None) -> MicroState:
+        """The state at t = 0; `dt` is unused, accepted so `initial_state(init, dt)` works."""
         g = self.grid
         eps = float(self.geom.eps)
         vals = np.empty(g.n_cells)
@@ -249,4 +248,4 @@ class MicroSimulation(ImexSimulation):
         vals[self.mask_m] = init.u_minus(g.cell_x[self.mask_m], g.cell_y[self.mask_m])
         xc = g.cell_x[self.mask_c]
         vals[self.mask_c] = init.u_channel(xc, np.mod(xc / eps, 1.0), g.cell_y[self.mask_c] / eps)
-        return MicroState(t=0.0, u=Field(g, vals, time=0.0), dt=dt)
+        return MicroState(t=0.0, u=Field(g, vals))

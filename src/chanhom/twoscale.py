@@ -27,20 +27,6 @@ from .grid import (
 
 
 @dataclass
-class TwoScaleField:
-    """Values indexed by (interface column, reference-cell channel cell)."""
-
-    eps: float
-    cell_grid: RectGrid
-    values: np.ndarray  # (n_columns, n_channel_cells)
-    time: float = 0.0
-
-    @property
-    def n_columns(self) -> int:
-        return self.values.shape[0]
-
-
-@dataclass
 class TwoScaleReport:
     """Per-epsilon error norms and diagnostics of one convergence study.
 
@@ -101,14 +87,9 @@ class Unfolder:
 
     # -- operators ----------------------------------------------------------
 
-    def unfold(self, u: Field) -> TwoScaleField:
-        """Exact remap of channel cells to (column, reference-cell) indices."""
-        return TwoScaleField(
-            eps=self.eps,
-            cell_grid=self.cell_grid,
-            values=u.values[self.columns].copy(),
-            time=u.time,
-        )
+    def unfold(self, u: Field) -> np.ndarray:
+        """Exact remap of channel cells to an (n_columns, n_local) array."""
+        return u.values[self.columns]
 
     def unfold_boundary(self, trace: np.ndarray) -> np.ndarray:
         """Remap wall-face trace values to (column, reference wall face)."""
@@ -122,19 +103,19 @@ class Unfolder:
         """Piecewise-constant trace on the channel walls (adjacent cell value)."""
         return u.values[self.micro_wall_cells.reshape(-1)]
 
-    def average(self, phi: TwoScaleField) -> Field:
+    def average(self, phi: np.ndarray) -> Field:
         """Adjoint of unfold w.r.t. the scaled pairings: the inverse remap."""
         vals = np.zeros(self.grid.n_cells)
-        vals[self.columns] = phi.values
-        return Field(self.grid, vals, time=phi.time)
+        vals[self.columns] = phi
+        return Field(self.grid, vals)
 
     # -- quadratures ---------------------------------------------------------
 
-    def ts_inner(self, phi: TwoScaleField, psi: TwoScaleField) -> float:
+    def ts_inner(self, phi: np.ndarray, psi: np.ndarray) -> float:
         """Inner product on interface x reference cell (columns weigh eps)."""
-        return float(self.eps * np.einsum("kc,kc,c->", phi.values, psi.values, self.cell_vol))
+        return float(self.eps * np.einsum("kc,kc,c->", phi, psi, self.cell_vol))
 
-    def ts_norm(self, phi: TwoScaleField) -> float:
+    def ts_norm(self, phi: np.ndarray) -> float:
         return float(np.sqrt(max(self.ts_inner(phi, phi), 0.0)))
 
     def wall_inner(self, a: np.ndarray, b: np.ndarray) -> float:
@@ -197,9 +178,8 @@ def ts_error(micro_states, macro_states, unfolder: Unfolder, macro_sim):
     micro_grid = unfolder.grid
 
     for w, ms, Ms in zip(tw, micro_states, macro_states):
-        tsf = unfolder.unfold(ms.u)
         cells = Ms.cells[:, chan_ids]
-        diff = tsf.values[col_of_node] - cells
+        diff = unfolder.unfold(ms.u)[col_of_node] - cells
         e_chan_sq += w * dsig * float(np.einsum("jc,jc,c->", diff, diff, vol))
 
         tr_micro = unfolder.unfold_boundary(unfolder.wall_trace(ms.u))
@@ -238,15 +218,9 @@ def apriori_norm(micro_states) -> float:
 def margin_columns(geom: MicroGeometry, margin: float, shift: int):
     """Columns whose cell lies inside the interior margin, shift staying in-domain."""
     eps = float(geom.eps)
-    ncol = geom.n_columns
-    cols = [
-        c
-        for c in range(ncol)
-        if c * eps >= margin - 1e-12
-        and (c + 1) * eps <= 1.0 - margin + 1e-12
-        and 0 <= c + shift < ncol
-    ]
-    return np.array(cols, dtype=int)
+    c = np.arange(geom.n_columns)
+    return c[(c * eps >= margin - 1e-12) & ((c + 1) * eps <= 1.0 - margin + 1e-12)
+             & (c + shift >= 0) & (c + shift < geom.n_columns)]
 
 
 def shift_diagnostic(micro_states, geom: MicroGeometry, grid: RectGrid, l: int, h: float):
@@ -258,67 +232,50 @@ def shift_diagnostic(micro_states, geom: MicroGeometry, grid: RectGrid, l: int, 
     analogue of the interior shift estimate; the ratio is meaningful (order
     one) when eps*l is small against h, but is computed whenever the margin
     sets are nonempty and the shifted cells stay inside the domain.
+
+    On the tiled layer a shift by l periods is a permutation of cells: channel
+    cell columns[c, loc] moves to columns[c + l, loc], bulk cell (i, j) to
+    index[i + l*k, j].
     """
     eps = float(geom.eps)
     cols_lhs = margin_columns(geom, 2 * h, l)
     if len(cols_lhs) == 0:
         raise ValueError("interior margin 2h leaves no complete column")
     cols_rhs = margin_columns(geom, h, l)
+    cols = np.union1d(cols_lhs, cols_rhs)
 
-    k = grid.k
-    col_cells = channel_index_matrix(grid)
-    times = _snapshot_times(micro_states)
-    tw = _trapezoid_weights(times)
-
-    # delta field on every cell whose horizontal shift stays in-domain
-    n_shift = l * k
-    nx, _ = grid.shape
-    src_i = np.arange(nx)
-    ok_i = (src_i + n_shift >= 0) & (src_i + n_shift < nx)
-
-    def delta_values(values):
-        dense = grid.cells_dense(values, fill=np.nan)
-        shifted = np.full_like(dense, np.nan)
-        shifted[src_i[ok_i], :] = dense[src_i[ok_i] + n_shift, :]
-        d = shifted - dense
-        out = d[grid.cell_i, grid.cell_j]
-        return np.nan_to_num(out, nan=0.0), np.isfinite(out)
-
-    chan_lhs = col_cells[cols_lhs].reshape(-1)
-    vol = grid.cell_vol
-
-    sup_l2 = 0.0
-    grad_sq = 0.0
-    for w, s in zip(tw, micro_states):
-        d, fin = delta_values(s.values)
-        l2 = float(np.dot(vol[chan_lhs], d[chan_lhs] ** 2))
-        sup_l2 = max(sup_l2, l2)
-        mask = np.zeros(grid.n_cells, dtype=bool)
-        mask[chan_lhs] = True
-        mask &= fin
-        grad_sq += w * gradient_quadrature(grid, d, np.ones(grid.n_cells), valid=mask)
-    lhs = np.sqrt(sup_l2 / eps) + np.sqrt(eps * grad_sq)
-
-    # right side: margin h
-    d0, _ = delta_values(micro_states[0].values)
-    chan_rhs = col_cells[cols_rhs].reshape(-1)
+    columns = channel_index_matrix(grid)
+    chan_lhs = columns[cols_lhs].reshape(-1)
+    chan_rhs = columns[cols_rhs].reshape(-1)
+    # the centre test keeps i + l*k a grid row; bulk rows hold no void cell
     in_sigma_h = (grid.cell_x >= h) & (grid.cell_x <= 1.0 - h) & (
         grid.cell_x + eps * l >= 0.0
     ) & (grid.cell_x + eps * l <= 1.0)
-    mask_bp = (grid.cell_tag == BULK_P) & in_sigma_h
-    mask_bm = (grid.cell_tag == BULK_M) & in_sigma_h
-    init_sq = (
-        float(np.dot(vol[mask_bp], d0[mask_bp] ** 2))
-        + float(np.dot(vol[mask_bm], d0[mask_bm] ** 2))
-        + float(np.dot(vol[chan_rhs], d0[chan_rhs] ** 2)) / eps
-    )
-    bulk_sq = 0.0
-    for w, s in zip(tw, micro_states):
-        d, _ = delta_values(s.values)
-        bulk_sq += w * (
-            float(np.dot(vol[mask_bp], d[mask_bp] ** 2))
-            + float(np.dot(vol[mask_bm], d[mask_bm] ** 2))
-        )
+    bulk_p = np.flatnonzero((grid.cell_tag == BULK_P) & in_sigma_h)
+    bulk_m = np.flatnonzero((grid.cell_tag == BULK_M) & in_sigma_h)
+    bulk = np.concatenate([bulk_p, bulk_m])
+    src = np.concatenate([columns[cols].reshape(-1), bulk])
+    dst = np.concatenate([columns[cols + l].reshape(-1),
+                          grid.index[grid.cell_i[bulk] + l * grid.k, grid.cell_j[bulk]]])
+
+    # gradient_quadrature reads only faces between two chan_lhs cells, so d
+    # may stay zero outside src
+    valid = np.zeros(grid.n_cells, dtype=bool)
+    valid[chan_lhs] = True
+    vol = grid.cell_vol
+    d = np.zeros(grid.n_cells)
+    tw = _trapezoid_weights(_snapshot_times(micro_states))
+
+    sup_l2 = grad_sq = bulk_sq = init_sq = 0.0
+    for n, (w, s) in enumerate(zip(tw, micro_states)):
+        d[src] = s.values[dst] - s.values[src]
+        sup_l2 = max(sup_l2, float(np.dot(vol[chan_lhs], d[chan_lhs] ** 2)))
+        grad_sq += w * gradient_quadrature(grid, d, 1.0, valid=valid)
+        b = float(np.dot(vol[bulk_p], d[bulk_p] ** 2)) + float(np.dot(vol[bulk_m], d[bulk_m] ** 2))
+        bulk_sq += w * b
+        if n == 0:
+            init_sq = b + float(np.dot(vol[chan_rhs], d[chan_rhs] ** 2)) / eps
+    lhs = np.sqrt(sup_l2 / eps) + np.sqrt(eps * grad_sq)
     rhs = eps + np.sqrt(init_sq) + np.sqrt(bulk_sq)
     return float(lhs / rhs), float(lhs), float(rhs)
 

@@ -156,7 +156,7 @@ def ref_steady_conduction(sim, top_value, bottom_value):
         rhs[idx_m] += t_m * bottom_value
     dir_part = sp.coo_matrix((vals, (rows, cols)), shape=(sim.n, sim.n)).tocsr()
     A = linsolve.SparseMatrix(
-        csr=(ref_macro_csr(sim) + dir_part).tocsr(), symmetric=True, blocks=sim.blocks
+        csr=(ref_macro_csr(sim) + dir_part).tocsr(), blocks=sim.blocks
     )
     return linsolve.solve_spd(A, rhs, tol=SOLVER_TOL)
 

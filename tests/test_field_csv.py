@@ -94,7 +94,7 @@ def test_writers_match_rowwise_formatting(seed):
         grid = build_micro_grid(build_micro_geometry(eps, cfg.H, cfg.cell), cfg.k)
         for _ in range(2):  # the second snapshot reuses the grid's template
             vals = awkward_values(rng, grid.n_cells)
-            state = MicroState(t=0.0, u=Field(grid, vals), dt=cfg.dt)
+            state = MicroState(t=0.0, u=Field(grid, vals))
             text = harness.micro_field_csv(grid, state)
             assert text == rowwise_micro(grid, state)
             assert same_bits(harness._read_csv_column(text, "value"), vals)
@@ -105,7 +105,7 @@ def test_writers_match_rowwise_formatting(seed):
     sim = MacroSimulation(cfg.cell, float(cfg.H), InterfaceLayout(cfg.n_sigma, cfg.m),
                           cfg.diffusion, cfg.kinetics)
     for _ in range(2):
-        state = MacroState(t=0.0, u=awkward_values(rng, sim.n), dt=cfg.dt, sim=sim)
+        state = MacroState(t=0.0, u=awkward_values(rng, sim.n), sim=sim)
         with np.errstate(over="ignore"):  # fluxes of 1e300 traces
             for write, oracle in ((harness.macro_bulk_csv, rowwise_bulk),
                                   (harness.macro_cells_csv, rowwise_cells),
@@ -121,7 +121,7 @@ def test_template_belongs_to_its_grid_and_goes_with_it():
     texts = []
     for shift in (0.0, 0.5):
         grid = RectGrid(np.arange(4) + shift, np.arange(3) + shift, tag)
-        state = MicroState(t=0.0, u=Field(grid, rng.normal(size=6)), dt=1.0)
+        state = MicroState(t=0.0, u=Field(grid, rng.normal(size=6)))
         texts.append(harness.micro_field_csv(grid, state))
         assert texts[-1] == rowwise_micro(grid, state)
         assert len(harness._MICRO_ROWS) == cached + 1
@@ -135,7 +135,7 @@ def test_template_belongs_to_its_grid_and_goes_with_it():
     for n_sigma in (8, 8):
         sim = MacroSimulation(cfg.cell, float(cfg.H), InterfaceLayout(n_sigma, cfg.m),
                               cfg.diffusion, cfg.kinetics)
-        state = MacroState(t=0.0, u=rng.normal(size=sim.n), dt=cfg.dt, sim=sim)
+        state = MacroState(t=0.0, u=rng.normal(size=sim.n), sim=sim)
         assert harness.macro_bulk_csv(sim, state) == rowwise_bulk(sim, state)
         assert harness.macro_cells_csv(sim, state) == rowwise_cells(sim, state)
         assert sim in harness._BULK_ROWS and sim in harness._CELL_ROWS
@@ -148,5 +148,5 @@ def test_percent_in_a_row_prefix_is_literal(monkeypatch):
     monkeypatch.setitem(harness._TAG_NAMES, 0, "bulk%s")
     tag = np.zeros((2, 1), dtype=np.int8)
     grid = RectGrid([0.0, 1.0, 2.0], [0.0, 1.0], tag)
-    state = MicroState(t=0.0, u=Field(grid, np.array([1.5, -0.0])), dt=1.0)
+    state = MicroState(t=0.0, u=Field(grid, np.array([1.5, -0.0])))
     assert harness.micro_field_csv(grid, state) == rowwise_micro(grid, state)

@@ -298,6 +298,12 @@ def with_horizon(manifest, T, n_times):
     return dict(manifest, config=config, snapshot_times=manifest["snapshot_times"][:n_times])
 
 
+def with_config(manifest, section, **edit):
+    """config.<section> updated with `edit`, config_sha256 left as the run wrote it."""
+    config = dict(manifest["config"], **{section: dict(manifest["config"][section], **edit)})
+    return dict(manifest, config=config)
+
+
 # the mini study runs 16 steps of 1/128 and stores steps 0, 4, 8, 12 and 16
 @pytest.mark.parametrize("edit, named", [
     (lambda manifest: {}, "manifest.json.config required"),
@@ -315,9 +321,16 @@ def with_horizon(manifest, T, n_times):
     (lambda manifest: dict(manifest, files=dict(
         manifest["files"], **{"fields/micro_eps8_s0000.csv": "0" * 64})),
      "fields/micro_eps8_s0000.csv"),
+    (lambda manifest: with_config(manifest, "diffusivity", bulk_plus=5.0),
+     "manifest.json.config_sha256"),
+    (lambda manifest: with_config(manifest, "diagnostics", shift_h=0.0625),
+     "manifest.json.config_sha256"),
+    (lambda manifest: {key: val for key, val in manifest.items() if key != "config_sha256"},
+     "manifest.json.config_sha256"),
 ], ids=["empty_object", "array", "number_snapshot_times", "array_files", "string_time",
         "null_time", "nan_time", "two_times", "horizon_off_schedule", "horizon_shorter",
-        "horizon_and_times_cut", "unread_field_file"])
+        "horizon_and_times_cut", "unread_field_file", "edited_diffusivity", "edited_shift_h",
+        "no_config_hash"])
 def test_cli_report_refuses_a_malformed_manifest(tmp_path, capsys, edit, named):
     p = write_config(tmp_path, mini_config())
     out = tmp_path / "study"

@@ -217,7 +217,7 @@ def test_random_kinetics_keep_mass_flux_balance_and_determinism(
 
     sim = micro()
     dt = min(1 / 64, 0.5 * sim.max_stable_dt())  # the limit model has the same bound
-    state = sim.initial_state(SMOOTH_INITIAL, dt)
+    state = sim.initial_state(SMOOTH_INITIAL)
     for _ in range(4):
         new = sim.step(state, dt)
         assert sim.mass_report(state, new, dt) <= 1e-12 * abs(sim.weighted_mass(state.values))

@@ -9,7 +9,7 @@ from chanhom.linsolve import SparseMatrix, assemble, solve_spd
 
 
 def identity_matrix(n):
-    return SparseMatrix(csr=sp.identity(n, format="csr"), symmetric=True)
+    return SparseMatrix(csr=sp.identity(n, format="csr"))
 
 
 def test_identity_solve_returns_rhs():
@@ -60,7 +60,7 @@ def random_spd(rng, n):
     m = sp.random(n, n, density=0.05, random_state=np.random.RandomState(rng.integers(2**31)))
     m = m + m.T
     m = m + sp.diags(np.abs(m).sum(axis=1).A1 + 1.0)
-    return SparseMatrix(csr=m.tocsr(), symmetric=True)
+    return SparseMatrix(csr=m.tocsr())
 
 
 def test_residual_contract_on_random_spd_systems():
@@ -121,7 +121,7 @@ def block_tridiagonal_spd(rng, n_blocks, max_size):
 def test_block_solve_matches_dense_solve_with_shuffled_labels(seed, n_blocks, max_size):
     rng = np.random.default_rng(seed)
     dense, labels = block_tridiagonal_spd(rng, n_blocks, max_size)
-    A = SparseMatrix(csr=sp.csr_matrix(dense), symmetric=True, blocks=labels)
+    A = SparseMatrix(csr=sp.csr_matrix(dense), blocks=labels)
     b = rng.normal(size=len(labels))
     x = solve_spd(A, b, tol=1e-12)
     oracle = np.linalg.solve(dense, b)
@@ -131,7 +131,7 @@ def test_block_solve_matches_dense_solve_with_shuffled_labels(seed, n_blocks, ma
 def test_coupling_of_non_adjacent_blocks_is_rejected():
     dense = 4.0 * np.eye(3)
     dense[0, 2] = dense[2, 0] = -1.0
-    A = SparseMatrix(csr=sp.csr_matrix(dense), symmetric=True, blocks=np.array([0, 1, 2]))
+    A = SparseMatrix(csr=sp.csr_matrix(dense), blocks=np.array([0, 1, 2]))
     with pytest.raises(SolverError, match="non-adjacent"):
         solve_spd(A, np.ones(3))
 
@@ -145,7 +145,7 @@ def test_indefinite_matrix_is_rejected():
 def test_warm_start_meeting_tol_is_returned_bit_exactly():
     rng = np.random.default_rng(3)
     dense, labels = block_tridiagonal_spd(rng, 5, 6)
-    A = SparseMatrix(csr=sp.csr_matrix(dense), symmetric=True, blocks=labels)
+    A = SparseMatrix(csr=sp.csr_matrix(dense), blocks=labels)
     x0 = rng.normal(size=len(labels))
     b = A.csr @ x0
     assert np.linalg.norm(b - A.csr @ x0) <= 1e-12 * np.linalg.norm(b)
@@ -155,7 +155,7 @@ def test_warm_start_meeting_tol_is_returned_bit_exactly():
 def test_warm_started_solve_meets_tol():
     rng = np.random.default_rng(4)
     dense, labels = block_tridiagonal_spd(rng, 6, 5)
-    A = SparseMatrix(csr=sp.csr_matrix(dense), symmetric=True, blocks=labels)
+    A = SparseMatrix(csr=sp.csr_matrix(dense), blocks=labels)
     b = rng.normal(size=len(labels))
     x0 = rng.normal(size=len(labels))
     x = solve_spd(A, b, tol=1e-12, x0=x0)
@@ -165,9 +165,3 @@ def test_warm_started_solve_meets_tol():
 def test_asymmetric_assembly_rejected():
     with pytest.raises(SolverError, match="not symmetric"):
         assemble([0, 1], [1, 0], [1.0, 2.0], 2)
-
-
-def test_unsymmetric_flag_refused_by_solver():
-    m = sp.identity(3, format="csr")
-    with pytest.raises(SolverError, match="symmetric"):
-        solve_spd(SparseMatrix(csr=m, symmetric=False), np.ones(3))

@@ -60,7 +60,7 @@ def test_vanishing_channel_tensor_decouples_the_bulks():
         u_channel=lambda xb, yb, yn: 0.7,
     )
     dt = 1e-2
-    s0 = sim.initial_state(init, dt)
+    s0 = sim.initial_state(init)
     s1 = sim.step(s0, dt)
 
     # standalone pure-Neumann oracle on the upper bulk grid, assembled here
@@ -98,7 +98,7 @@ def test_single_node_schur_complement_signs():
 
 def test_constant_state_preserved_exactly():
     sim = make_sim()
-    s0 = sim.initial_state(InitialData.constants(2.0, 2.0, 2.0), dt=1e-2)
+    s0 = sim.initial_state(InitialData.constants(2.0, 2.0, 2.0))
     s1 = sim.step(s0, 1e-2)
     assert np.array_equal(s0.u, s1.u)
 
@@ -106,7 +106,7 @@ def test_constant_state_preserved_exactly():
 def test_mass_identity_zero_kinetics():
     sim = make_sim()
     rng = np.random.default_rng(1)
-    s = sim.initial_state(B1_INIT, dt=1e-2)
+    s = sim.initial_state(B1_INIT)
     s.u[: sim.oc] += 0.1 * rng.uniform(size=sim.oc)
     m0 = sim.weighted_mass(s.u)
     for _ in range(20):
@@ -123,7 +123,7 @@ def test_wall_exchange_reduces_total_mass():
         h=KineticsSpec("exchange", {"kappa": 0.5, "u_ext": 0.0}),
     )
     sim = make_sim(kin=kin)
-    s = sim.initial_state(InitialData.constants(1.0, 1.0, 1.0), dt=1e-2)
+    s = sim.initial_state(InitialData.constants(1.0, 1.0, 1.0))
     masses = [sim.weighted_mass(s.u)]
     for _ in range(5):
         s = sim.step(s, 1e-2)
@@ -134,7 +134,7 @@ def test_wall_exchange_reduces_total_mass():
 def test_per_side_flux_balance_every_step():
     sim = make_sim(kin=B1_KIN)
     dt = 1 / 128
-    s = sim.initial_state(B1_INIT, dt)
+    s = sim.initial_state(B1_INIT)
     for _ in range(16):
         s = sim.step(s, dt)
         rp, rm = sim.flux_balance_residuals(s)
@@ -144,7 +144,7 @@ def test_per_side_flux_balance_every_step():
 
 def test_initial_traces_match_channel_data_on_the_lids():
     sim = make_sim()
-    s = sim.initial_state(B1_INIT, dt=1e-2)
+    s = sim.initial_state(B1_INIT)
     assert np.allclose(s.v_plus, 1.0)
     assert np.allclose(s.v_minus, 0.0)
 
@@ -191,7 +191,7 @@ def test_steady_conduction_matches_series_resistance_network():
 def test_interface_uniform_data_gives_uniform_traces():
     # x-independent data: every interface node sees the same cell problem
     sim = make_sim(kin=B1_KIN)
-    s = sim.initial_state(B1_INIT, dt=1 / 128)
+    s = sim.initial_state(B1_INIT)
     for _ in range(16):
         s = sim.step(s, 1 / 128)
     assert s.v_plus.max() - s.v_plus.min() <= 1e-9
@@ -202,7 +202,7 @@ def test_interface_uniform_data_gives_uniform_traces():
 
 def test_constant_state_gives_zero_cell_flux():
     sim = make_sim()
-    s = sim.initial_state(InitialData.constants(1.5, 1.5, 1.5), dt=1e-2)
+    s = sim.initial_state(InitialData.constants(1.5, 1.5, 1.5))
     fp, fm = sim.cell_flux(s)
     assert np.max(np.abs(fp)) == 0.0
     assert np.max(np.abs(fm)) == 0.0

@@ -62,7 +62,7 @@ def test_interface_transmissibility_matches_harmonic_formula():
 
 def test_constant_state_is_preserved_exactly():
     _, grid, sim = setup()
-    s0 = sim.initial_state(InitialData.constants(3.0, 3.0, 3.0), dt=1e-2)
+    s0 = sim.initial_state(InitialData.constants(3.0, 3.0, 3.0))
     s1 = sim.step(s0, 1e-2)
     assert np.array_equal(s0.values, s1.values)
 
@@ -70,7 +70,7 @@ def test_constant_state_is_preserved_exactly():
 def test_weighted_mass_is_conserved_with_zero_kinetics():
     _, grid, sim = setup()
     rng = np.random.default_rng(0)
-    state = sim.initial_state(InitialData.constants(0.0, 0.0, 0.0), dt=1e-2)
+    state = sim.initial_state(InitialData.constants(0.0, 0.0, 0.0))
     state.u.values[:] = rng.uniform(0.0, 1.0, grid.n_cells)
     m0 = sim.weighted_mass(state.values)
     for _ in range(20):
@@ -89,7 +89,7 @@ def test_uniform_linear_decay_matches_scalar_step():
     )
     _, grid, sim = setup(kin=kin)
     dt = 1e-2
-    s0 = sim.initial_state(InitialData.constants(1.0, 1.0, 1.0), dt)
+    s0 = sim.initial_state(InitialData.constants(1.0, 1.0, 1.0))
     s1 = sim.step(s0, dt)
     assert np.allclose(s1.values, 1.0 - dt, atol=1e-13)
 
@@ -97,7 +97,7 @@ def test_uniform_linear_decay_matches_scalar_step():
 def test_zero_kinetics_is_dissipative_and_monotone():
     _, grid, sim = setup()
     rng = np.random.default_rng(5)
-    state = sim.initial_state(InitialData.constants(0.0, 0.0, 0.0), dt=5e-3)
+    state = sim.initial_state(InitialData.constants(0.0, 0.0, 0.0))
     state.u.values[:] = rng.uniform(-1.0, 2.0, grid.n_cells)
     lo, hi = state.values.min(), state.values.max()
     n0 = norm_leps(state.u)
@@ -116,7 +116,7 @@ def test_zero_horizon_returns_initial_state_only():
 
 def test_initial_channel_sampling_uses_local_height():
     geom, grid, sim = setup()
-    s0 = sim.initial_state(B1_INIT, dt=1e-2)
+    s0 = sim.initial_state(B1_INIT)
     chan = grid.cell_tag == CHAN
     eps = float(geom.eps)
     assert np.allclose(s0.values[chan], 0.5 * (1.0 + grid.cell_y[chan] / eps))
@@ -134,7 +134,7 @@ def test_time_step_stability_guard(make):
     sim = make(B1_KIN)
     bound = sim.max_stable_dt()
     assert bound == pytest.approx(0.5 / 21.0)  # logistic clamp dominates
-    state = sim.initial_state(B1_INIT, dt=bound * 2)
+    state = sim.initial_state(B1_INIT)
     with pytest.raises(StabilityError):
         sim.step(state, bound * 2)
 
@@ -152,7 +152,7 @@ def test_step_solves_once_through_the_linsolve_module(make, monkeypatch):
         return solve(A, b, *args, **kwargs)
 
     monkeypatch.setattr(linsolve, "solve_spd", counted)
-    state = sim.initial_state(B1_INIT, dt=1e-2)
+    state = sim.initial_state(B1_INIT)
     sim.step(state, 1e-2)
     assert calls == [len(state.values)]
 
@@ -171,7 +171,7 @@ def test_wall_exchange_reduces_mass():
         h=KineticsSpec("exchange", {"kappa": 0.5, "u_ext": 0.0}),
     )
     _, grid, sim = setup(kin=kin)
-    state = sim.initial_state(InitialData.constants(1.0, 1.0, 1.0), dt=1e-2)
+    state = sim.initial_state(InitialData.constants(1.0, 1.0, 1.0))
     masses = [sim.weighted_mass(state.values)]
     for _ in range(5):
         state = sim.step(state, 1e-2)
@@ -183,7 +183,7 @@ def test_wall_exchange_reduces_mass():
 def test_mass_identity_holds_with_nonlinear_kinetics():
     _, grid, sim = setup(kin=B1_KIN)
     dt = 1 / 128
-    state = sim.initial_state(B1_INIT, dt)
+    state = sim.initial_state(B1_INIT)
     scale = abs(sim.weighted_mass(state.values)) + 1.0
     for _ in range(10):
         new = sim.step(state, dt)
@@ -205,7 +205,7 @@ def test_halving_the_time_step_halves_the_error():
 def test_zero_kinetics_relaxes_to_the_weighted_mean():
     # pure Neumann diffusion equilibrates at total weighted mass / total weight
     _, grid, sim = setup()
-    state = sim.initial_state(B1_INIT, dt=1.0)
+    state = sim.initial_state(B1_INIT)
     target = sim.weighted_mass(state.values) / sim.weights.sum()
     for _ in range(60):
         state = sim.step(state, 1.0)  # implicit diffusion, no stability limit

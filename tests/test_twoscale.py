@@ -9,7 +9,6 @@ from chanhom.kinetics import InitialData
 from chanhom.macrosim import InterfaceLayout, MacroSimulation, MacroState
 from chanhom.microsim import DiffusionSpec, KineticsBundle, MicroSimulation, MicroState
 from chanhom.twoscale import (
-    TwoScaleField,
     Unfolder,
     _low_frequency_basis,
     apriori_norm,
@@ -31,7 +30,7 @@ def setup(eps=F(1, 4), k=4):
 def test_constant_unfolds_to_constant():
     _, grid, _, uf = setup()
     tsf = uf.unfold(Field.constant(grid, 2.5))
-    assert (tsf.values == 2.5).all()
+    assert (tsf == 2.5).all()
 
 
 def test_refinement_mismatch_rejected():
@@ -64,7 +63,7 @@ def test_boundary_norm_equality_and_trace_commutation():
     tsf = uf.unfold(v)
     pos = {int(c): i for i, c in enumerate(uf.chan_ids)}
     cols = [pos[int(c)] for c in uf.ref_wall_cells]
-    assert np.array_equal(tsf.values[:, cols], tb)
+    assert np.array_equal(tsf[:, cols], tb)
 
 
 def test_gradient_commutation_identity():
@@ -86,7 +85,7 @@ def test_gradient_commutation_identity():
             if col != col_b:
                 continue
             dist_ref = float(da + db) / eps
-            lhs = (tsf.values[col, ib] - tsf.values[col, ia]) / dist_ref
+            lhs = (tsf[col, ib] - tsf[col, ia]) / dist_ref
             rhs = eps * (v.values[b] - v.values[a]) / float(da + db)
             assert lhs == pytest.approx(rhs, rel=1e-12)
             checked += 1
@@ -100,7 +99,7 @@ def test_averaging_is_the_exact_adjoint():
     inv_eps = 1.0 / float(geom.eps)
     for _ in range(20):
         v = Field(grid, rng.normal(size=grid.n_cells))
-        phi = TwoScaleField(uf.eps, uf.cell_grid, rng.normal(size=uf.columns.shape))
+        phi = rng.normal(size=uf.columns.shape)
         lhs = uf.ts_inner(uf.unfold(v), phi)
         rhs = inv_eps * float(
             np.dot(grid.cell_vol[chan], v.values[chan] * uf.average(phi).values[chan])
@@ -111,7 +110,7 @@ def test_averaging_is_the_exact_adjoint():
 def test_averaging_norm_bound_is_sharp_for_aligned_grids():
     geom, grid, _, uf = setup()
     rng = np.random.default_rng(4)
-    phi = TwoScaleField(uf.eps, uf.cell_grid, rng.normal(size=uf.columns.shape))
+    phi = rng.normal(size=uf.columns.shape)
     back = uf.average(phi)
     chan = grid.cell_tag == CHAN
     norm_micro = np.sqrt(float(np.dot(grid.cell_vol[chan], back.values[chan] ** 2)))
@@ -146,9 +145,9 @@ def test_error_vanishes_when_micro_is_the_unfolded_macro():
         u = np.zeros(sim.n)
         cells = rng.normal(size=(4, sim.ncc))
         u[sim.oc:] = cells.reshape(-1)
-        macro_states.append(MacroState(t=t, u=u, dt=0.25, sim=sim))
-        phi = TwoScaleField(uf.eps, cg, cells[:, chan_cell_indices(cg)])
-        micro_states.append(MicroState(t=t, u=uf.average(phi), dt=0.25))
+        macro_states.append(MacroState(t=t, u=u, sim=sim))
+        phi = cells[:, chan_cell_indices(cg)]
+        micro_states.append(MicroState(t=t, u=uf.average(phi)))
     errs = ts_error(micro_states, macro_states, uf, sim)
     assert errs["E_chan"] == 0.0
     assert errs["E_N"] == 0.0
@@ -162,8 +161,8 @@ def test_error_against_zero_macro_is_the_scaled_norm():
     chan = grid.cell_tag == CHAN
     vals[chan] = rng.normal(size=chan.sum())
     T = 0.5
-    micro_states = [MicroState(t=t, u=Field(grid, vals), dt=T) for t in (0.0, T)]
-    macro_states = [MacroState(t=t, u=np.zeros(sim.n), dt=T, sim=sim) for t in (0.0, T)]
+    micro_states = [MicroState(t=t, u=Field(grid, vals)) for t in (0.0, T)]
+    macro_states = [MacroState(t=t, u=np.zeros(sim.n), sim=sim) for t in (0.0, T)]
     errs = ts_error(micro_states, macro_states, uf, sim)
     norm_chan = np.sqrt(float(np.dot(grid.cell_vol[chan], vals[chan] ** 2)))
     expected = np.sqrt(T) * norm_chan / np.sqrt(float(geom.eps))
@@ -173,15 +172,15 @@ def test_error_against_zero_macro_is_the_scaled_norm():
 def test_mismatched_snapshot_times_rejected():
     geom, grid, cg, uf = setup()
     sim = _macro_sim(n_sigma=4)
-    micro = [MicroState(t=0.0, u=Field.constant(grid, 0.0), dt=1.0)]
-    macro = [MacroState(t=0.5, u=np.zeros(sim.n), dt=1.0, sim=sim)]
+    micro = [MicroState(t=0.0, u=Field.constant(grid, 0.0))]
+    macro = [MacroState(t=0.5, u=np.zeros(sim.n), sim=sim)]
     with pytest.raises(ValueError, match="different times"):
         ts_error(micro, macro, uf, sim)
 
 
 def test_shift_of_constant_field_is_zero():
     geom, grid, _, _ = setup(eps=F(1, 8))
-    states = [MicroState(t=t, u=Field.constant(grid, 3.0), dt=0.5) for t in (0.0, 0.5)]
+    states = [MicroState(t=t, u=Field.constant(grid, 3.0)) for t in (0.0, 0.5)]
     ratio, lhs, rhs = shift_diagnostic(states, geom, grid, l=1, h=1 / 8)
     assert lhs == 0.0
     assert ratio == 0.0
@@ -203,7 +202,7 @@ def test_shift_ratio_is_small_for_horizontally_uniform_runs():
 
 def test_empty_margin_rejected():
     geom, grid, _, _ = setup(eps=F(1, 4))
-    states = [MicroState(t=0.0, u=Field.constant(grid, 0.0), dt=1.0)]
+    states = [MicroState(t=0.0, u=Field.constant(grid, 0.0))]
     with pytest.raises(ValueError, match="margin"):
         shift_diagnostic(states, geom, grid, l=1, h=0.5)
 
@@ -213,7 +212,7 @@ def test_apriori_norm_of_constant_in_time():
     from chanhom.grid import norm_heps
 
     u = Field.constant(grid, 2.0)
-    states = [MicroState(t=t, u=u, dt=0.5) for t in (0.0, 0.5)]
+    states = [MicroState(t=t, u=u) for t in (0.0, 0.5)]
     assert apriori_norm(states) == pytest.approx(np.sqrt(0.5) * norm_heps(u), rel=1e-12)
 
 
