@@ -401,16 +401,19 @@ def _axis_overlaps(edges_a, edges_b):
     return ia, ib, np.diff(cuts)
 
 
-def l2_overlap_diff_sq(grid_a: RectGrid, dense_a, grid_b: RectGrid, dense_b) -> float:
+def l2_overlap_diff_sq(grid_a: RectGrid, values_a, grid_b: RectGrid, values_b) -> float:
     """Integral of (a - b)^2 over the intersection of the two grids' extents.
 
-    Inputs are dense (nx, ny) arrays; use 0 entries to encode extension by zero.
+    Inputs are per-cell vectors; void cells read as 0 (extension by zero).
     """
     xa, xb, wx = _axis_overlaps(grid_a.x, grid_b.x)
     ya, yb, wy = _axis_overlaps(grid_a.y, grid_b.y)
     if len(xa) == 0 or len(ya) == 0:
         return 0.0
-    diff = dense_a[np.ix_(xa, ya)] - dense_b[np.ix_(xb, yb)]
+    # index -1 (void) picks the appended 0
+    a = np.append(values_a, 0.0)[grid_a.index[np.ix_(xa, ya)]]
+    b = np.append(values_b, 0.0)[grid_b.index[np.ix_(xb, yb)]]
+    diff = a - b
     return float(np.einsum("i,j,ij->", wx, wy, diff**2))
 
 
@@ -421,9 +424,9 @@ def leps_diff(field_a: Field, field_b: Field) -> float:
         raise ValueError("fields come from different scale parameters")
     total = 0.0
     for tag_val, w in ((BULK_P, 1.0), (BULK_M, 1.0), (CHAN, 1.0 / ga.eps)):
-        da = ga.cells_dense(np.where(ga.cell_tag == tag_val, field_a.values, 0.0))
-        db = gb.cells_dense(np.where(gb.cell_tag == tag_val, field_b.values, 0.0))
-        total += w * l2_overlap_diff_sq(ga, da, gb, db)
+        va = np.where(ga.cell_tag == tag_val, field_a.values, 0.0)
+        vb = np.where(gb.cell_tag == tag_val, field_b.values, 0.0)
+        total += w * l2_overlap_diff_sq(ga, va, gb, vb)
     return float(np.sqrt(total))
 
 

@@ -438,13 +438,15 @@ def report_csv_text(rep: TwoScaleReport) -> str:
 _MICRO_ROWS = weakref.WeakKeyDictionary()   # RectGrid -> template
 _BULK_ROWS = weakref.WeakKeyDictionary()    # MacroSimulation -> template
 _CELL_ROWS = weakref.WeakKeyDictionary()    # MacroSimulation -> template
+_TRACE_ROWS = weakref.WeakKeyDictionary()   # MacroSimulation -> template
 
 
-def _template(cache, key, header, prefixes):
-    """The cached file text for `key`: header, then one value slot per row prefix."""
+def _template(cache, key, header, prefixes, slots=1):
+    """The cached file text for `key`: header, then `slots` value slots per row prefix."""
     text = cache.get(key)
     if text is None:
-        rows = "".join(p.replace("%", "%%") + "%.17g\n" for p in prefixes())
+        tail = ",".join(["%.17g"] * slots) + "\n"
+        rows = "".join(p.replace("%", "%%") + tail for p in prefixes())
         text = cache[key] = header + "\n" + rows
     return text
 
@@ -478,14 +480,11 @@ def macro_cells_csv(sim: MacroSimulation, state: MacroState) -> str:
 
 
 def macro_traces_csv(sim: MacroSimulation, state: MacroState) -> str:
-    lines = ["node,xbar_node,v_plus,v_minus,F_plus,F_minus"]
-    fp, fm = sim.cell_flux(state)
-    for j, xb in enumerate(sim.layout.nodes):
-        lines.append(
-            f"{j},{_fmt(xb)},{_fmt(state.v_plus[j])},{_fmt(state.v_minus[j])},"
-            f"{_fmt(fp[j])},{_fmt(fm[j])}"
-        )
-    return "\n".join(lines) + "\n"
+    template = _template(_TRACE_ROWS, sim, "node,xbar_node,v_plus,v_minus,F_plus,F_minus",
+                         lambda: (f"{j},{xb:.17g}," for j, xb in
+                                  enumerate(sim.layout.nodes.tolist())), slots=4)
+    values = np.column_stack([state.v_plus, state.v_minus, *sim.cell_flux(state)])
+    return template % tuple(values.ravel().tolist())
 
 
 def field_path(idx, eps=None, part=None) -> str:

@@ -1,12 +1,23 @@
 """Sparse SPD solves for the implicit diffusion steps.
 
 Every implicit operator in this package is block tridiagonal once its
-unknowns are grouped by a block label: one grid column per block on the
-micro grid, one interface node (its bulk columns, traces and cell problem)
-per block in the limit model.  A matrix is factored once, as a block LDL^T
-with one dense inverse Schur complement per block, and each solve is one
-forward and one backward sweep over the blocks.  The sweeps run in a fixed
-order, so repeated solves of identical systems are bit-identical.
+unknowns are grouped by a block label.  A `SparseMatrix` is factored once,
+by the factorization its builder names, and every solve reuses the factor:
+
+* `BlockLDL` (the default; one grid column per block on the micro grid): a
+  block LDL^T with one dense inverse Schur complement per block, and each
+  solve is one forward and one backward sweep over the blocks.
+* `CosineModes` (the limit model, one interface node per block): the
+  operator is the same block at every node plus a uniform coupling along
+  the interface, so cosine modes along the interface decouple it exactly.
+  Construction certifies that structure and one inverse per mode; a solve
+  is a dense orthonormal DCT-II product, one batched per-mode product and
+  the inverse transform.  The transform is O(n_blocks^2) per unknown of a
+  block, but one BLAS product: at 512 blocks it still takes half the time
+  of a block sweep.
+
+Both run in a fixed order, so repeated solves of identical systems are
+bit-identical.
 """
 
 from dataclasses import dataclass
@@ -26,14 +37,17 @@ class SparseMatrix:
 
     `blocks` labels every unknown with its block; the matrix may couple only
     blocks whose labels are neighbours in sorted order.  None is one block.
+    `factorization` is the factor class built from (csr, blocks) on first use;
+    None is BlockLDL.
     """
 
     csr: sp.csr_matrix
     blocks: np.ndarray = None
+    factorization: type = None
 
     @cached_property
-    def factor(self) -> "BlockLDL":
-        return BlockLDL(self.csr, self.blocks)
+    def factor(self):
+        return (self.factorization or BlockLDL)(self.csr, self.blocks)
 
 
 def assemble(rows, cols, vals, n) -> SparseMatrix:
@@ -52,6 +66,13 @@ def assemble(rows, cols, vals, n) -> SparseMatrix:
     return SparseMatrix(csr=m)
 
 
+def _labels(blocks, n):
+    """Block rank 0 .. n_blocks-1 of every unknown (None: one block)."""
+    if blocks is None:
+        return np.zeros(n, dtype=np.int64)
+    return np.unique(np.asarray(blocks), return_inverse=True)[1]
+
+
 def _group(keys, sel, n_groups):
     """Indices of `sel` split by the value of keys[sel] (0 .. n_groups-1)."""
     sel = sel[np.argsort(keys[sel], kind="stable")]
@@ -68,8 +89,7 @@ class BlockLDL:
 
     def __init__(self, csr, blocks=None):
         n = csr.shape[0]
-        label = (np.zeros(n, dtype=np.int64) if blocks is None
-                 else np.unique(np.asarray(blocks), return_inverse=True)[1])
+        label = _labels(blocks, n)
         sizes = np.bincount(label)
         self.order = np.argsort(label, kind="stable")
         bounds = np.concatenate([[0], np.cumsum(sizes)])
@@ -127,11 +147,76 @@ class BlockLDL:
         return x
 
 
+class CosineModes:
+    """Exact mode-by-mode solve of a matrix separable along its blocks.
+
+    Node-major (unknowns grouped by block, each block in ascending index
+    order), the matrix must be I (x) A0 + K (x) diag(c) for n equal blocks:
+    K is the Neumann path Laplacian (1, 2, ..., 2, 1 on its diagonal, -1
+    beside it; 0 for one block), so every block is A0 + k_i diag(c) and
+    every neighbour coupling is -diag(c).  The orthonormal DCT-II matrix Q
+    diagonalises K with eigenvalues lam_k = 2 - 2 cos(pi k / n), and
+
+        A^{-1} = (Q^T (x) I) blockdiag((A0 + lam_k diag(c))^{-1}) (Q (x) I).
+
+    A0 and c are read from the first block and its coupling to the second;
+    the whole matrix must then match the separable form to SYMMETRY_RTOL
+    times its largest entry, and every mode block must be positive definite,
+    or SolverError is raised.
+    """
+
+    def __init__(self, csr, blocks=None):
+        n = csr.shape[0]
+        label = _labels(blocks, n)
+        sizes = np.bincount(label)
+        nb, m = len(sizes), int(sizes[0])
+        if np.any(sizes != m):
+            raise SolverError("blocks of unequal size; no cosine-mode factor")
+        self.order = np.argsort(label, kind="stable")
+
+        A = csr[self.order][:, self.order]
+        k = np.full(nb, 2.0)
+        k[0] -= 1.0
+        k[-1] -= 1.0
+        K = sp.diags([k, -np.ones(nb - 1), -np.ones(nb - 1)], [0, 1, -1])
+        c = -A[:m, m : 2 * m].diagonal() if nb > 1 else np.zeros(m)
+        A0 = A[:m, :m].toarray() - k[0] * np.diag(c)
+        separable = sp.kron(sp.identity(nb), sp.csr_matrix(A0)) + sp.kron(K, sp.diags(c))
+        worst = abs(A - separable).max()
+        scale = abs(A).max() if A.nnz else 1.0
+        if worst > SYMMETRY_RTOL * scale:
+            raise SolverError(
+                f"matrix is not I (x) A0 + K (x) diag(c) along its blocks "
+                f"(max deviation {worst:.3e}, scale {scale:.3e})"
+            )
+
+        modes = np.arange(nb)
+        self.dct = np.sqrt(np.where(modes == 0, 1.0, 2.0) / nb)[:, None] * np.cos(
+            np.pi * np.outer(modes, 2 * modes + 1) / (2 * nb)
+        )
+        self.inv = np.empty((nb, m, m))
+        for i, lam in enumerate(2.0 - 2.0 * np.cos(np.pi * modes / nb)):
+            try:
+                L_inv = np.linalg.inv(np.linalg.cholesky(A0 + lam * np.diag(c)))
+            except np.linalg.LinAlgError as exc:
+                raise SolverError(f"mode {i} is not positive definite") from exc
+            np.matmul(L_inv.T, L_inv, out=self.inv[i])
+
+    def solve(self, b) -> np.ndarray:
+        """x with A x = b: transform, per-mode inverse, inverse transform."""
+        nb, m = self.inv.shape[:2]
+        y = self.dct @ b[self.order].reshape(nb, m)
+        w = np.matmul(self.inv, y[:, :, None])[:, :, 0]
+        x = np.empty_like(b)
+        x[self.order] = (self.dct.T @ w).reshape(-1)
+        return x
+
+
 def solve_spd(A: SparseMatrix, b, tol=1e-10, x0=None) -> np.ndarray:
     """Direct solve down to ||Ax - b|| <= tol * ||b||, warm-started at x0.
 
     Returns x0 itself when it already meets tol, otherwise x0 plus the
-    block-factored correction.  Raises SolverError with the true relative
+    factored correction.  Raises SolverError with the true relative
     residual when the corrected x still misses tol.
     """
     M = A.csr
@@ -147,6 +232,6 @@ def solve_spd(A: SparseMatrix, b, tol=1e-10, x0=None) -> np.ndarray:
     final = float(np.linalg.norm(b - M @ x)) / nb
     if final > tol:
         raise SolverError(
-            f"block solve missed tol={tol:g} (relative residual {final:.3e})", residual=final
+            f"direct solve missed tol={tol:g} (relative residual {final:.3e})", residual=final
         )
     return x

@@ -7,8 +7,16 @@ values tie the bulk half-cell flux to the integrated cell-problem boundary
 flux on the corresponding side; they carry no accumulation term, so their
 rows are discrete per-side flux balances.  Summing the two sides gives the
 jump of the bulk normal fluxes across the interface.  The whole system is
-assembled once, symmetric positive definite, and solved monolithically
-by the block-tridiagonal direct solve, one block per interface node.
+assembled once, symmetric positive definite, and solved monolithically.
+
+Grouped by interface node (its bulk columns, traces and cell problem), the
+implicit operator is one block A0 repeated along the interface plus the
+bulk grids' horizontal faces, which couple each node to its neighbours by
+-diag(c): the diffusivities do not depend on the position along the
+interface, its partition is uniform and the kinetics are explicit.  So the
+solve runs mode by mode in cosine modes along the interface
+(`linsolve.CosineModes`), whose construction checks that structure on the
+assembled matrix.
 """
 
 from dataclasses import dataclass
@@ -80,6 +88,8 @@ class MacroState:
 
 
 class MacroSimulation(ImexSimulation):
+    factorization = linsolve.CosineModes
+
     def __init__(self, cell: CellGeometry, H, layout: InterfaceLayout,
                  diff: DiffusionSpec, kin: KineticsBundle):
         super().__init__(cell, layout.m, kin)
@@ -238,7 +248,8 @@ class MacroSimulation(ImexSimulation):
         rhs[rows] += t * np.repeat([top_value, bottom_value], self.n_sigma)
         dir_part = sp.coo_matrix((t, (rows, rows)), shape=(self.n, self.n)).tocsr()
         A = linsolve.SparseMatrix(
-            csr=(self.stiffness.csr + dir_part).tocsr(), blocks=self.blocks
+            csr=(self.stiffness.csr + dir_part).tocsr(), blocks=self.blocks,
+            factorization=self.factorization,
         )
         x = linsolve.solve_spd(A, rhs, tol=SOLVER_TOL)
         return MacroState(t=np.inf, u=x, sim=self)

@@ -125,12 +125,15 @@ class ImexSimulation:
     """Backward-Euler diffusion with explicit kinetics on an assembled system.
 
     Subclasses assemble `stiffness` and `weights`, label every unknown with
-    its `blocks` entry (M + dt K is block tridiagonal in these labels), and
-    supply `explicit_rate` and `initial_state`; one step solves
+    its `blocks` entry (M + dt K is block tridiagonal in these labels), name
+    the `factorization` that factors M + dt K in those blocks, and supply
+    `explicit_rate` and `initial_state`; one step solves
     (M + dt K) u_new = M u + dt r(t, u).  `refinement` is the reference-cell
     refinement that sets the wall term's face/volume factor in the stability
     bound.
     """
+
+    factorization = linsolve.BlockLDL
 
     def __init__(self, cell, refinement, kin: KineticsBundle):
         self.cell = cell
@@ -168,7 +171,8 @@ class ImexSimulation:
         if key not in self._implicit:
             mass = sp.diags(self.weights, format="csr")
             self._implicit[key] = linsolve.SparseMatrix(
-                csr=(mass + key * self.stiffness.csr).tocsr(), blocks=self.blocks
+                csr=(mass + key * self.stiffness.csr).tocsr(), blocks=self.blocks,
+                factorization=self.factorization,
             )
         rhs = self.weights * u + dt * self.explicit_rate(t, u)
         return linsolve.solve_spd(self._implicit[key], rhs, tol=SOLVER_TOL, x0=u)

@@ -187,14 +187,10 @@ def ts_error(micro_states, macro_states, unfolder: Unfolder, macro_sim):
         dtr = tr_micro[col_of_node] - tr_macro
         e_wall_sq += w * dsig * float(np.einsum("jf,jf,f->", dtr, dtr, wall_len))
 
-        mp = micro_grid.cells_dense(
-            np.where(micro_grid.cell_tag == BULK_P, ms.values, 0.0)
-        )
-        e_bp_sq += w * l2_overlap_diff_sq(micro_grid, mp, gp, gp.cells_dense(Ms.bulk_plus))
-        mm = micro_grid.cells_dense(
-            np.where(micro_grid.cell_tag == BULK_M, ms.values, 0.0)
-        )
-        e_bm_sq += w * l2_overlap_diff_sq(micro_grid, mm, gm, gm.cells_dense(Ms.bulk_minus))
+        mp = np.where(micro_grid.cell_tag == BULK_P, ms.values, 0.0)
+        e_bp_sq += w * l2_overlap_diff_sq(micro_grid, mp, gp, Ms.bulk_plus)
+        mm = np.where(micro_grid.cell_tag == BULK_M, ms.values, 0.0)
+        e_bm_sq += w * l2_overlap_diff_sq(micro_grid, mm, gm, Ms.bulk_minus)
 
     return {
         "E_chan": float(np.sqrt(e_chan_sq)),

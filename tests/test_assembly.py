@@ -136,7 +136,7 @@ def ref_macro_csr(sim):
 
 
 def ref_steady_conduction(sim, top_value, bottom_value):
-    """Dirichlet rows added cell by cell, then the same direct solve."""
+    """Dirichlet rows added cell by cell, then the same factorization's solve."""
     rows, cols, vals = [], [], []
     rhs = np.zeros(sim.n)
     gp, gm = sim.grid_p, sim.grid_m
@@ -156,7 +156,8 @@ def ref_steady_conduction(sim, top_value, bottom_value):
         rhs[idx_m] += t_m * bottom_value
     dir_part = sp.coo_matrix((vals, (rows, cols)), shape=(sim.n, sim.n)).tocsr()
     A = linsolve.SparseMatrix(
-        csr=(ref_macro_csr(sim) + dir_part).tocsr(), blocks=sim.blocks
+        csr=(ref_macro_csr(sim) + dir_part).tocsr(), blocks=sim.blocks,
+        factorization=sim.factorization,
     )
     return linsolve.solve_spd(A, rhs, tol=SOLVER_TOL)
 

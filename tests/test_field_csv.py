@@ -131,17 +131,19 @@ def test_template_belongs_to_its_grid_and_goes_with_it():
     assert texts[0] != texts[1]
 
     cfg = shrunk_b1()
-    cached = len(harness._BULK_ROWS), len(harness._CELL_ROWS)
+    caches = (harness._BULK_ROWS, harness._CELL_ROWS, harness._TRACE_ROWS)
+    cached = [len(cache) for cache in caches]
     for n_sigma in (8, 8):
         sim = MacroSimulation(cfg.cell, float(cfg.H), InterfaceLayout(n_sigma, cfg.m),
                               cfg.diffusion, cfg.kinetics)
         state = MacroState(t=0.0, u=rng.normal(size=sim.n), sim=sim)
         assert harness.macro_bulk_csv(sim, state) == rowwise_bulk(sim, state)
         assert harness.macro_cells_csv(sim, state) == rowwise_cells(sim, state)
-        assert sim in harness._BULK_ROWS and sim in harness._CELL_ROWS
+        assert harness.macro_traces_csv(sim, state) == rowwise_traces(sim, state)
+        assert all(sim in cache for cache in caches)
         del sim, state
         gc.collect()
-        assert (len(harness._BULK_ROWS), len(harness._CELL_ROWS)) == cached
+        assert [len(cache) for cache in caches] == cached
 
 
 def test_percent_in_a_row_prefix_is_literal(monkeypatch):

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chanhom.errors import SolverError
-from chanhom.linsolve import SparseMatrix, assemble, solve_spd
+from chanhom.linsolve import CosineModes, SparseMatrix, assemble, solve_spd
 
 
 def identity_matrix(n):
@@ -165,3 +165,81 @@ def test_warm_started_solve_meets_tol():
 def test_asymmetric_assembly_rejected():
     with pytest.raises(SolverError, match="not symmetric"):
         assemble([0, 1], [1, 0], [1.0, 2.0], 2)
+
+
+# -- cosine-mode factor -------------------------------------------------------
+
+def separable(A0, c, n_nodes):
+    """I (x) A0 + K (x) diag(c), K the Neumann path Laplacian, node-major."""
+    K = 2.0 * np.eye(n_nodes) - np.eye(n_nodes, k=1) - np.eye(n_nodes, k=-1)
+    K[0, 0] -= 1.0
+    K[-1, -1] -= 1.0
+    return np.kron(np.eye(n_nodes), A0) + np.kron(K, np.diag(c))
+
+
+def interleaved(rng, n_nodes, size):
+    """Node-major position of every unknown, nodes interleaved at random.
+
+    Each node's unknowns keep their local order, as the factor requires.
+    Returns the positions and the node of every unknown.
+    """
+    node = rng.permutation(np.repeat(np.arange(n_nodes), size))
+    local = np.empty_like(node)
+    for j in range(n_nodes):
+        local[node == j] = np.arange(size)
+    return node * size + local, node
+
+
+def random_spd_block(rng, size):
+    G = rng.normal(size=(size, size))
+    return G @ G.T + 0.1 * np.eye(size)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), n_nodes=st.integers(1, 16), size=st.integers(1, 8))
+def test_cosine_modes_match_dense_solve_on_separable_systems(seed, n_nodes, size):
+    rng = np.random.default_rng(seed)
+    c = np.where(rng.random(size) < 0.3, 0.0, 3.0 * rng.random(size))
+    where, node = interleaved(rng, n_nodes, size)
+    dense = separable(random_spd_block(rng, size), c, n_nodes)[np.ix_(where, where)]
+    names = np.sort(rng.choice(np.arange(-1000, 1000), size=n_nodes, replace=False))
+    A = SparseMatrix(csr=sp.csr_matrix(dense), blocks=names[node], factorization=CosineModes)
+    b = rng.normal(size=len(where))
+    oracle = np.linalg.solve(dense, b)
+    scale = np.max(np.abs(oracle))
+    assert np.max(np.abs(A.factor.solve(b) - oracle)) <= 1e-10 * scale
+    assert np.max(np.abs(solve_spd(A, b, tol=1e-12) - oracle)) <= 1e-10 * scale
+
+
+def _couple(dense, i, j, value):
+    out = dense.copy()
+    out[i, j] += value
+    out[j, i] += value
+    return out
+
+
+def test_cosine_modes_reject_what_is_not_separable():
+    rng = np.random.default_rng(5)
+    n_nodes, size = 4, 3
+    fixed = separable(random_spd_block(rng, size), np.ones(size), n_nodes)
+    where, node = interleaved(rng, n_nodes, size)
+    CosineModes(sp.csr_matrix(fixed[np.ix_(where, where)]), node)  # the unperturbed matrix factors
+    n2 = 2 * size  # first unknown of node 2
+    broken = {
+        "perturbed node block": _couple(fixed, n2, n2 + 1, 1e-6),
+        "off-diagonal coupling": _couple(fixed, 0, size + 1, -0.5),
+        "unequal neighbour coupling": _couple(fixed, n2, n2 + size, -0.5),
+        "non-adjacent coupling": _couple(fixed, 0, n2, -0.5),
+    }
+    for name, dense in broken.items():
+        with pytest.raises(SolverError, match="not I"):
+            CosineModes(sp.csr_matrix(dense[np.ix_(where, where)]), node)
+    with pytest.raises(SolverError, match="unequal size"):
+        CosineModes(sp.identity(3, format="csr"), np.array([0, 0, 1]))
+
+
+def test_cosine_modes_reject_an_indefinite_mode():
+    # A0 = 1 and c = -1: mode 0 is 1 > 0, mode 1 is 1 + 2 * (-1) < 0
+    dense = np.array([[0.0, 1.0], [1.0, 0.0]])
+    with pytest.raises(SolverError, match="mode 1 is not positive definite"):
+        CosineModes(sp.csr_matrix(dense), np.array([0, 1]))

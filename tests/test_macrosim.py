@@ -3,10 +3,13 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from chanhom import linsolve
 from chanhom.geometry import ChannelProfile, build_reference_cell
 from chanhom.kinetics import InitialData, KineticsSpec
 from chanhom.macrosim import InterfaceLayout, MacroSimulation
 from chanhom.microsim import DiffusionSpec, KineticsBundle
+
+from test_geometry import hourglass
 
 B1_DIFF = DiffusionSpec.isotropic(1.0, 2.0, 0.5)
 B1_KIN = KineticsBundle(
@@ -206,3 +209,33 @@ def test_constant_state_gives_zero_cell_flux():
     fp, fm = sim.cell_flux(s)
     assert np.max(np.abs(fp)) == 0.0
     assert np.max(np.abs(fm)) == 0.0
+
+
+@pytest.mark.parametrize("hour", [False, True], ids=["rectangle", "hourglass"])
+@pytest.mark.parametrize("n_sigma", [1, 2, 7, 32, 128])
+def test_cosine_mode_solves_match_the_block_sweep(n_sigma, hour):
+    profile = hourglass() if hour else ChannelProfile.rectangle(F(1, 2))
+    cell = build_reference_cell(profile)
+    diff = DiffusionSpec.isotropic(1.0, 2.0, 0.5, len(profile.segments))
+
+    def make():
+        return MacroSimulation(cell, 1.0, InterfaceLayout(n_sigma=n_sigma, m=8), diff, B1_KIN)
+
+    sim, ref = make(), make()
+    assert sim.factorization is linsolve.CosineModes
+    ref.factorization = linsolve.BlockLDL  # the oracle: same CSR, block sweep
+
+    def assert_close(got, want):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    init = InitialData(
+        u_plus=lambda x, y: 1.0 + 0.5 * np.cos(3.0 * x) * y,
+        u_minus=lambda x, y: -0.3 * np.sin(2.0 * x) + 0.1 * y,
+        u_channel=lambda xb, yb, yn: 0.5 * (1.0 + yn) + 0.2 * xb * yb,
+    )
+    s = sim.initial_state(init)
+    for _ in range(4):
+        new = sim.step(s, 1 / 128)
+        assert_close(new.u, ref.step(s, 1 / 128).u)
+        s = new
+    assert_close(sim.steady_conduction(1.0, -0.25).u, ref.steady_conduction(1.0, -0.25).u)

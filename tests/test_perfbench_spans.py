@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from chanhom import cli, harness
+from chanhom.macrosim import InterfaceLayout, MacroSimulation
 
 from test_harness import mini_config
 
@@ -78,3 +79,32 @@ def test_traced_study_and_cli_fire_every_writer_span(spans, tmp_path, capsys):
     after = _bindings(spans)
     assert after.keys() == before.keys()
     assert [key for key, val in before.items() if after[key] is not val] == []
+
+
+def test_macro_solves_run_under_macro_steps(spans, tmp_path, capsys):
+    """Every limit-model solve is one full system solve inside a step.
+
+    The benchmark files `linsolve.solve_spd` spans under `macrosim.step` as
+    its `.macro` solve layer; a solve made elsewhere, or on part of the
+    system, would blur what that layer measures.
+    """
+    raw = mini_config()
+    cfg = harness.parse_config(raw)
+    sim = MacroSimulation(cfg.cell, float(cfg.H), InterfaceLayout(cfg.n_sigma, cfg.m),
+                          cfg.diffusion, cfg.kinetics)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert cli.main(["macro", str(cfg_path), "--out", str(tmp_path / "macro")]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+
+    by_id = {rec[1]: rec for rec in tracer.spans}
+    solves = [rec for rec in tracer.spans if rec[3] == "linsolve.solve_spd"]
+    assert len(solves) == round(cfg.T / cfg.dt)
+    for rec in solves:
+        assert by_id[rec[2]][3] == "macrosim.step"
+        assert rec[6] == sim.n

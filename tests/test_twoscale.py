@@ -3,8 +3,15 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from chanhom.geometry import CHAN, ChannelProfile, build_micro_geometry, build_reference_cell
-from chanhom.grid import Field, build_cell_grid, build_micro_grid, chan_cell_indices
+from chanhom.geometry import (
+    BULK_M,
+    BULK_P,
+    CHAN,
+    ChannelProfile,
+    build_micro_geometry,
+    build_reference_cell,
+)
+from chanhom.grid import Field, _axis_overlaps, build_cell_grid, build_micro_grid, chan_cell_indices
 from chanhom.kinetics import InitialData
 from chanhom.macrosim import InterfaceLayout, MacroSimulation, MacroState
 from chanhom.microsim import DiffusionSpec, KineticsBundle, MicroSimulation, MicroState
@@ -17,6 +24,8 @@ from chanhom.twoscale import (
     trace_inequality_diagnostic,
     ts_error,
 )
+
+from test_geometry import hourglass
 
 
 def setup(eps=F(1, 4), k=4):
@@ -176,6 +185,47 @@ def test_mismatched_snapshot_times_rejected():
     macro = [MacroState(t=0.5, u=np.zeros(sim.n), sim=sim)]
     with pytest.raises(ValueError, match="different times"):
         ts_error(micro, macro, uf, sim)
+
+
+def dense_bulk_errors(micro_states, macro_states, macro_sim):
+    """E_bulk_plus/minus as ts_error computed them: fields scattered to dense grids."""
+    def overlap_diff_sq(grid_a, dense_a, grid_b, dense_b):
+        xa, xb, wx = _axis_overlaps(grid_a.x, grid_b.x)
+        ya, yb, wy = _axis_overlaps(grid_a.y, grid_b.y)
+        diff = dense_a[np.ix_(xa, ya)] - dense_b[np.ix_(xb, yb)]
+        return float(np.einsum("i,j,ij->", wx, wy, diff**2))
+
+    times = np.array([s.t for s in micro_states])
+    dt = np.diff(times)
+    tw = np.concatenate([[0.0], 0.5 * dt]) + np.concatenate([0.5 * dt, [0.0]])
+    gp, gm = macro_sim.grid_p, macro_sim.grid_m
+    e_bp_sq = e_bm_sq = 0.0
+    for w, ms, Ms in zip(tw, micro_states, macro_states):
+        g = ms.u.grid
+        mp = g.cells_dense(np.where(g.cell_tag == BULK_P, ms.values, 0.0))
+        e_bp_sq += w * overlap_diff_sq(g, mp, gp, gp.cells_dense(Ms.bulk_plus))
+        mm = g.cells_dense(np.where(g.cell_tag == BULK_M, ms.values, 0.0))
+        e_bm_sq += w * overlap_diff_sq(g, mm, gm, gm.cells_dense(Ms.bulk_minus))
+    return float(np.sqrt(e_bp_sq)), float(np.sqrt(e_bm_sq))
+
+
+@pytest.mark.parametrize("profile", [ChannelProfile.rectangle(F(1, 2)), hourglass()],
+                         ids=["rectangle", "hourglass"])
+@pytest.mark.parametrize("inv_eps, n_sigma", [(2, 4), (4, 8), (8, 6)])
+def test_bulk_errors_match_the_dense_scatter_bit_for_bit(profile, inv_eps, n_sigma):
+    cell = build_reference_cell(profile)
+    geom = build_micro_geometry(F(1, inv_eps), 1, cell)
+    grid = build_micro_grid(geom, 8)
+    uf = Unfolder(geom, grid, build_cell_grid(cell, 8))
+    sim = MacroSimulation(cell, 1.0, InterfaceLayout(n_sigma=n_sigma, m=8),
+                          DiffusionSpec.isotropic(1.0, 2.0, 0.5, len(profile.segments)),
+                          KineticsBundle.zero())
+    rng = np.random.default_rng(inv_eps * 100 + n_sigma)
+    times = (0.0, 0.125, 0.5)
+    micro = [MicroState(t=t, u=Field(grid, rng.normal(size=grid.n_cells))) for t in times]
+    macro = [MacroState(t=t, u=rng.normal(size=sim.n), sim=sim) for t in times]
+    errs = ts_error(micro, macro, uf, sim)
+    assert (errs["E_bulk_plus"], errs["E_bulk_minus"]) == dense_bulk_errors(micro, macro, sim)
 
 
 def test_shift_of_constant_field_is_zero():
