@@ -1,12 +1,12 @@
 """Sparse SPD solves for the implicit diffusion steps.
 
-Every implicit operator in this package is block tridiagonal once its
-unknowns are grouped by a block label.  A `SparseMatrix` is factored once,
-by the factorization its builder names, and every solve reuses the factor:
+A `SparseMatrix` is factored once, by the factorization its builder names
+from a block label per unknown, and every solve reuses the factor:
 
-* `BlockLDL` (the default; one grid column per block on the micro grid): a
-  block LDL^T with one dense inverse Schur complement per block, and each
-  solve is one forward and one backward sweep over the blocks.
+* `BlockLDL` (the default, and the test oracle for the others): for any
+  matrix that is block tridiagonal in its labels, a block LDL^T with one
+  dense inverse Schur complement per block; each solve is one forward and
+  one backward sweep over the blocks.
 * `CosineModes` (the limit model, one interface node per block): the
   operator is the same block at every node plus a uniform coupling along
   the interface, so cosine modes along the interface decouple it exactly.
@@ -15,8 +15,15 @@ by the factorization its builder names, and every solve reuses the factor:
   the inverse transform.  The transform is O(n_blocks^2) per unknown of a
   block, but one BLAS product: at 512 blocks it still takes half the time
   of a block sweep.
+* `OpeningCapacitance` (the micro grid: bulk cells by grid column, channel
+  cells by channel): the bulk with its opening faces taken off is separable
+  along the columns and goes to `CosineModes`; the channels are isolated
+  equal-size blocks, inverted in one batched call; what joins them is a
+  dense capacitance system on the R bulk cells at the channel openings.  A
+  solve is the same two dense transforms as `CosineModes` plus one R x R
+  product and two batched channel solves, with no loop over columns.
 
-Both run in a fixed order, so repeated solves of identical systems are
+All run in a fixed order, so repeated solves of identical systems are
 bit-identical.
 """
 
@@ -35,8 +42,9 @@ SYMMETRY_RTOL = 1e-13
 class SparseMatrix:
     """CSR matrix with an assembly-time symmetry certificate.
 
-    `blocks` labels every unknown with its block; the matrix may couple only
-    blocks whose labels are neighbours in sorted order.  None is one block.
+    `blocks` labels every unknown with its block, in the encoding that
+    `factorization` reads (for `BlockLDL`, the matrix may couple only blocks
+    whose labels are neighbours in sorted order); None is one block.
     `factorization` is the factor class built from (csr, blocks) on first use;
     None is BlockLDL.
     """
@@ -209,6 +217,113 @@ class CosineModes:
         w = np.matmul(self.inv, y[:, :, None])[:, :, 0]
         x = np.empty_like(b)
         x[self.order] = (self.dct.T @ w).reshape(-1)
+        return x
+
+
+class OpeningCapacitance:
+    """Exact solve of two separable bulk blocks joined by isolated channels.
+
+    `blocks` labels a bulk unknown with its grid column (>= 0) and a channel
+    unknown with -1 - its channel (< 0).  With B the bulk and C the channel
+    unknowns, the matrix must have this form:
+
+    * A_sep = A_BB + diag(A_BC 1), the bulk with its opening faces taken off,
+      is separable along the columns, and is factored by `CosineModes`;
+    * A_CC is block diagonal, one block of equal size per channel;
+    * A_BC couples a bulk cell only to the channel of its own column
+      (channel = column // k, k = columns per channel).
+
+    The R bulk cells P with a nonzero A_BC row are the openings.  With
+    E = -rowsum(A_BC)[P] and F = A_BC[P], eliminating the channels leaves
+    A_sep + P^T G P with G = diag(E) - F A_CC^{-1} F^T, and Woodbury gives
+
+        (A_sep + P^T G P)^{-1} = A_sep^{-1} - A_sep^{-1} P^T G Z^{-1} P A_sep^{-1}
+
+    with the R x R capacitance matrix Z = I + D G, D = P A_sep^{-1} P^T.
+    D is read off the cosine modes at the opening cells, and G Z^{-1} is
+    kept dense.  A solve is one forward transform and per-mode product, the
+    opening rows of the result, one R x R product, the opening correction in
+    mode space and one inverse transform, with a batched channel solve before
+    and after.  A matrix of any other form raises SolverError.
+    """
+
+    def __init__(self, csr, blocks=None):
+        if blocks is None:
+            raise SolverError("no bulk and channel labels; no opening factor")
+        blocks = np.asarray(blocks)
+        bulk, chan = np.flatnonzero(blocks >= 0), np.flatnonzero(blocks < 0)
+        which = -1 - blocks[chan]
+        sizes = np.bincount(which)
+        if len(sizes) == 0 or np.any(sizes != sizes[0]):
+            raise SolverError("channels of unequal size; no opening factor")
+        n_chan, mc = len(sizes), int(sizes[0])
+        self.chan = chan[np.argsort(which, kind="stable")]
+
+        rows_b = csr[bulk]
+        A_BC = rows_b[:, self.chan]
+        A_sep = rows_b[:, bulk] + sp.diags(np.asarray(A_BC.sum(axis=1)).ravel())
+        self.modes = CosineModes(A_sep, blocks[bulk])
+        nb, m = self.modes.inv.shape[:2]
+        if nb % n_chan:
+            raise SolverError(f"{nb} bulk columns do not split into {n_chan} channels")
+        self.bulk = bulk[self.modes.order]  # node-major: column, then row
+
+        cc = csr[self.chan][:, self.chan].tocoo()
+        if np.any(cc.row // mc != cc.col // mc):
+            raise SolverError("matrix couples two channels; no opening factor")
+        A_CC = np.zeros((n_chan, mc, mc))
+        A_CC[cc.row // mc, cc.row % mc, cc.col % mc] = cc.data
+        try:
+            L_inv = np.linalg.inv(np.linalg.cholesky(A_CC))
+        except np.linalg.LinAlgError as exc:
+            raise SolverError("a channel block is not positive definite") from exc
+        self.chan_inv = np.matmul(L_inv.transpose(0, 2, 1), L_inv)
+
+        A_BC = A_BC[self.modes.order]
+        bc = A_BC.tocoo()
+        if np.any(bc.row // m // (nb // n_chan) != bc.col // mc):
+            raise SolverError("a bulk cell is coupled to a channel outside its column")
+        self.opening = np.unique(bc.row)  # node-major positions of the bulk opening cells
+        col, row = np.divmod(self.opening, m)
+        self.F = A_BC[self.opening]
+        self.Ft = self.F.T.tocsr()
+        E = -np.asarray(self.F.sum(axis=1)).ravel()
+        chan_inv = sp.bsr_matrix((self.chan_inv, np.arange(n_chan), np.arange(n_chan + 1)),
+                                 shape=(n_chan * mc,) * 2)
+        G = -(self.F @ chan_inv @ self.Ft).toarray()
+        G[np.diag_indices_from(G)] += E
+
+        # D = P A_sep^-1 P^T from the modes at the opening cells, one opening row at a time
+        self.qc = self.modes.dct[:, col]
+        self.rows, slot = np.unique(row, return_inverse=True)
+        self.onehot = (slot[:, None] == np.arange(len(self.rows))).astype(float)
+        D = np.empty((len(row),) * 2)
+        for s, r in enumerate(self.rows):
+            D[:, slot == s] = (self.qc * self.modes.inv[:, row, r]).T @ self.qc[:, slot == s]
+        self.inv_rows = np.ascontiguousarray(self.modes.inv[:, :, self.rows])
+        # W = G Z^{-1}, from Z^T W^T = G^T with Z^T = I + G D (G and D are symmetric)
+        Zt = G @ D
+        Zt[np.diag_indices_from(Zt)] += 1.0
+        self.W = np.linalg.solve(Zt, G).T
+
+    def solve(self, b) -> np.ndarray:
+        """x with A x = b: channels, bulk modes with the opening correction, channels."""
+        modes = self.modes
+        nb, m = modes.inv.shape[:2]
+        n_chan, mc = self.chan_inv.shape[:2]
+        b_c = b[self.chan]
+        y = b[self.bulk]
+        w_c = np.matmul(self.chan_inv, b_c.reshape(n_chan, mc, 1)).reshape(-1)
+        y[self.opening] -= self.F @ w_c
+        y = np.matmul(modes.inv, (modes.dct @ y.reshape(nb, m))[:, :, None])[:, :, 0]
+        q = self.W @ ((self.qc.T @ y[:, self.rows]) * self.onehot).sum(axis=1)
+        z = self.qc @ (self.onehot * q[:, None])
+        y -= np.matmul(self.inv_rows, z[:, :, None])[:, :, 0]
+        x_b = (modes.dct.T @ y).reshape(-1)
+        r_c = b_c - self.Ft @ x_b[self.opening]
+        x = np.empty_like(b)
+        x[self.bulk] = x_b
+        x[self.chan] = np.matmul(self.chan_inv, r_c.reshape(n_chan, mc, 1)).reshape(-1)
         return x
 
 

@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -243,3 +249,33 @@ def test_cosine_modes_reject_an_indefinite_mode():
     dense = np.array([[0.0, 1.0], [1.0, 0.0]])
     with pytest.raises(SolverError, match="mode 1 is not positive definite"):
         CosineModes(sp.csr_matrix(dense), np.array([0, 1]))
+
+
+# -- what the solves import ----------------------------------------------------
+
+HEAVY_SCIPY = ("scipy.linalg", "scipy.sparse.linalg", "scipy.fft", "scipy.sparse.csgraph")
+
+
+def test_runs_leave_heavy_scipy_modules_unloaded(tmp_path):
+    """A micro and a macro run import none of the heavy scipy subpackages.
+
+    `scipy.linalg` and `scipy.sparse.linalg` alone add 6.6-8 MB of peak RSS,
+    which is why the factors use only numpy's dense linear algebra.
+    """
+    repo = Path(__file__).resolve().parents[1]
+    code = f"""
+import json, sys
+sys.path[:0] = [{str(repo / "src")!r}, {str(repo / "tests")!r}]
+from test_harness import mini_config
+from chanhom import cli
+cfg = {str(tmp_path / "cfg.json")!r}
+with open(cfg, "w") as fh:
+    json.dump(mini_config(epsilon=["1/4", "1/8"]), fh)
+assert cli.main(["micro", cfg, "--out", {str(tmp_path / "micro")!r}]) == 0
+assert cli.main(["macro", cfg, "--out", {str(tmp_path / "macro")!r}]) == 0
+print(json.dumps([name for name in {HEAVY_SCIPY!r} if name in sys.modules]))
+"""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    assert json.loads(out.stdout.splitlines()[-1]) == []

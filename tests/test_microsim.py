@@ -2,14 +2,19 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chanhom import linsolve
-from chanhom.errors import StabilityError
+from chanhom.errors import SolverError, StabilityError
 from chanhom.geometry import BULK_P, CHAN, ChannelProfile, build_micro_geometry, build_reference_cell
 from chanhom.grid import build_micro_grid, leps_diff, norm_leps
 from chanhom.kinetics import InitialData, KineticsSpec
 from chanhom.macrosim import InterfaceLayout, MacroSimulation
 from chanhom.microsim import DiffusionSpec, KineticsBundle, MicroSimulation
+from test_geometry import hourglass
+from test_tiling import aligned_profiles
 
 B1_DIFF = DiffusionSpec.isotropic(1.0, 2.0, 0.5)
 B1_KIN = KineticsBundle(
@@ -141,6 +146,19 @@ def test_time_step_stability_guard(make):
 
 @pytest.mark.parametrize("make", [lambda kin: setup(kin=kin)[2], limit_sim],
                          ids=["micro", "macro"])
+def test_stability_bound_is_checked_once_per_dt(make, monkeypatch):
+    sim = make(B1_KIN)
+    calls = []
+    bound = sim.max_stable_dt
+    monkeypatch.setattr(sim, "max_stable_dt", lambda: calls.append(1) or bound())
+    state = sim.initial_state(B1_INIT)
+    for dt in (1 / 128, 1 / 128, 1 / 256, 1 / 128, 1 / 256, 1 / 256):
+        state = sim.step(state, dt)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("make", [lambda kin: setup(kin=kin)[2], limit_sim],
+                         ids=["micro", "macro"])
 def test_step_solves_once_through_the_linsolve_module(make, monkeypatch):
     """One `linsolve.solve_spd(matrix, rhs, ...)` call per step, looked up on the module."""
     sim = make(B1_KIN)
@@ -231,3 +249,88 @@ def test_run_is_deterministic():
         runs.append(sim.run(B1_INIT, T=0.125, dt=1 / 128, snapshot_stride=4))
     for a, b in zip(*runs):
         assert np.array_equal(a.values, b.values)
+
+
+# -- the opening-capacitance factor of the micro grid ---------------------------
+
+def micro_matrix(profile, k, inv_eps, diff, dt):
+    """The simulation and its M + dt K; H = 2 admits eps = 1."""
+    geom = build_micro_geometry(F(1, inv_eps), 2, build_reference_cell(profile))
+    sim = MicroSimulation(geom, build_micro_grid(geom, k), diff, KineticsBundle.zero())
+    return sim, (sp.diags(sim.weights) + dt * sim.stiffness.csr).tocsr()
+
+
+def assert_matches_block_sweep(sim, csr, b):
+    """The opening factor against BlockLDL on the same CSR, labelled by grid column."""
+    want = linsolve.BlockLDL(csr, sim.grid.cell_i).solve(b)
+    got = linsolve.OpeningCapacitance(csr, sim.blocks).solve(b)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+HOURGLASS_DIFF = DiffusionSpec(1.0, 2.0, ((0.5, 0.25), (0.3, 0.7), (0.5, 0.25)))
+
+
+@pytest.mark.parametrize("inv_eps", [1, 3, 4, 12])
+@pytest.mark.parametrize("profile, k, diff", [
+    (ChannelProfile.rectangle(F(1, 2)), 4, B1_DIFF), (hourglass(), 8, HOURGLASS_DIFF),
+], ids=["rectangle", "hourglass"])
+def test_opening_factor_matches_the_block_sweep(profile, k, diff, inv_eps):
+    rng = np.random.default_rng(inv_eps)
+    for dt in (1 / 512, 1.0):
+        sim, csr = micro_matrix(profile, k, inv_eps, diff, dt)
+        assert sim.factorization is linsolve.OpeningCapacitance
+        assert_matches_block_sweep(sim, csr, rng.normal(size=csr.shape[0]))
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(profile_k=aligned_profiles(), inv_eps=st.integers(1, 5),
+       log_dt=st.floats(-10.0, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_opening_factor_matches_the_block_sweep_on_random_profiles(profile_k, inv_eps,
+                                                                   log_dt, seed):
+    profile, k = profile_k
+    rng = np.random.default_rng(seed)
+    tensors = tuple(tuple(rng.uniform(0.1, 2.0, 2)) for _ in profile.segments)
+    diff = DiffusionSpec(*rng.uniform(0.1, 2.0, 2), tensors)
+    sim, csr = micro_matrix(profile, k, inv_eps, diff, 2.0**log_dt)
+    assert_matches_block_sweep(sim, csr, rng.normal(size=csr.shape[0]))
+
+
+def test_opening_factor_solves_are_bit_identical():
+    sim, csr = micro_matrix(hourglass(), 8, 3, HOURGLASS_DIFF, 1 / 128)
+    b = np.random.default_rng(7).normal(size=csr.shape[0])
+    first = linsolve.OpeningCapacitance(csr, sim.blocks)
+    x = first.solve(b)
+    assert np.array_equal(first.solve(b), x)
+    assert np.array_equal(linsolve.OpeningCapacitance(csr, sim.blocks).solve(b), x)
+
+
+def _couple(csr, i, j, t):
+    """csr plus the two-point term t (u_i - u_j)^2: symmetric, zero row sum."""
+    n = csr.shape[0]
+    return (csr + sp.csr_matrix(([t, t, -t, -t], ([i, j, i, j], [i, j, j, i])),
+                                shape=(n, n))).tocsr()
+
+
+def test_opening_factor_rejects_other_forms():
+    sim, csr = micro_matrix(ChannelProfile.rectangle(F(1, 2)), 4, 3, B1_DIFF, 1 / 128)
+    grid, blocks = sim.grid, sim.blocks
+    linsolve.OpeningCapacitance(csr, blocks)  # the unperturbed matrix factors
+    chan = np.flatnonzero(blocks < 0)
+    chan0, chan1 = chan[blocks[chan] == -1], chan[blocks[chan] == -2]
+    # a bulk cell with a channel cell above it: an opening of channel 0
+    above = grid.index[grid.cell_i[chan0], grid.cell_j[chan0] + 1]
+    opening = above[(above >= 0) & (blocks[np.maximum(above, 0)] >= 0)][0]
+    bulk_row = np.flatnonzero((blocks >= 0) & (grid.cell_j == grid.cell_j[opening]))
+
+    with pytest.raises(SolverError, match="couples two channels"):
+        linsolve.OpeningCapacitance(_couple(csr, chan0[0], chan1[0], 0.5), blocks)
+    moved = blocks.copy()
+    moved[chan1[0]] = -1
+    with pytest.raises(SolverError, match="unequal size"):
+        linsolve.OpeningCapacitance(csr, moved)
+    with pytest.raises(SolverError, match="not I"):
+        linsolve.OpeningCapacitance(_couple(csr, bulk_row[0], bulk_row[1], 1e-6), blocks)
+    with pytest.raises(SolverError, match="outside its column"):
+        linsolve.OpeningCapacitance(_couple(csr, opening, chan1[0], 0.5), blocks)
+    with pytest.raises(SolverError, match="no bulk and channel labels"):
+        linsolve.OpeningCapacitance(csr, None)

@@ -14,6 +14,8 @@ from pathlib import Path
 import pytest
 
 from chanhom import cli, harness
+from chanhom.geometry import build_micro_geometry
+from chanhom.grid import build_micro_grid
 from chanhom.macrosim import InterfaceLayout, MacroSimulation
 
 from test_harness import mini_config
@@ -108,3 +110,31 @@ def test_macro_solves_run_under_macro_steps(spans, tmp_path, capsys):
     for rec in solves:
         assert by_id[rec[2]][3] == "macrosim.step"
         assert rec[6] == sim.n
+
+
+def test_micro_solves_run_under_micro_steps(spans, tmp_path, capsys):
+    """Every channel-resolved solve is one full system solve inside a step.
+
+    The benchmark files `linsolve.solve_spd` spans under `microsim.step` as
+    its `.micro` solve layer: one solve per step and rung, on all cells of
+    that rung's grid.
+    """
+    raw = mini_config(epsilon=["1/4", "1/8"])
+    cfg = harness.parse_config(raw)
+    n_steps = round(cfg.T / cfg.dt)
+    cells = [build_micro_grid(build_micro_geometry(eps, cfg.H, cfg.cell), cfg.k).n_cells
+             for eps in cfg.epsilons]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert cli.main(["micro", str(cfg_path), "--out", str(tmp_path / "micro")]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+
+    by_id = {rec[1]: rec for rec in tracer.spans}
+    solves = [rec for rec in tracer.spans if rec[3] == "linsolve.solve_spd"]
+    assert all(by_id[rec[2]][3] == "microsim.step" for rec in solves)
+    assert [rec[6] for rec in solves] == [n for n in cells for _ in range(n_steps)]
