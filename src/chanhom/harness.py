@@ -581,7 +581,6 @@ def run_study(cfg: StudyConfig, out_dir=None, threads=1):
 
 def _versions():
     import platform
-    import scipy
 
     from . import __version__
 
@@ -589,7 +588,6 @@ def _versions():
         "chanhom": __version__,
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
     }
 
 

@@ -1,12 +1,10 @@
-"""Sparse SPD solves for the implicit diffusion steps.
+"""Sparse SPD solves for the implicit diffusion steps, in numpy alone.
 
-A `SparseMatrix` is factored once, by the factorization its builder names
-from a block label per unknown, and every solve reuses the factor:
+`assemble` sums COO triplets into a canonical `CSR` and certifies its
+symmetry.  A `SparseMatrix` is a CSR, a block label per unknown and the
+factorization that reads them; it is factored once, and every solve reuses
+the factor:
 
-* `BlockLDL` (the default, and the test oracle for the others): for any
-  matrix that is block tridiagonal in its labels, a block LDL^T with one
-  dense inverse Schur complement per block; each solve is one forward and
-  one backward sweep over the blocks.
 * `CosineModes` (the limit model, one interface node per block): the
   operator is the same block at every node plus a uniform coupling along
   the interface, so cosine modes along the interface decouple it exactly.
@@ -24,54 +22,147 @@ from a block label per unknown, and every solve reuses the factor:
   product and two batched channel solves, with no loop over columns.
 
 All run in a fixed order, so repeated solves of identical systems are
-bit-identical.
+bit-identical.  The tests keep a block LDL^T sweep as the oracle of both.
 """
 
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import SolverError
 
 SYMMETRY_RTOL = 1e-13
 
 
-@dataclass
-class SparseMatrix:
-    """CSR matrix with an assembly-time symmetry certificate.
+def _sum_by_key(keys, vals):
+    """Sorted unique keys and, per key, its values summed left to right in input order."""
+    order = np.argsort(keys, kind="stable")
+    keys, vals = keys[order], vals[order]
+    first = np.flatnonzero(np.diff(keys, prepend=-1))
+    sums = vals[first]
+    count = np.diff(first, append=len(keys))
+    for r in range(1, count.max(initial=0)):
+        more = np.flatnonzero(count > r)
+        sums[more] += vals[first[more] + r]
+    return keys[first], sums
 
-    `blocks` labels every unknown with its block, in the encoding that
-    `factorization` reads (for `BlockLDL`, the matrix may couple only blocks
-    whose labels are neighbours in sorted order); None is one block.
-    `factorization` is the factor class built from (csr, blocks) on first use;
-    None is BlockLDL.
+
+@dataclass(eq=False)
+class CSR:
+    """Canonical compressed sparse rows: each row's columns sorted and unique.
+
+    `from_triplets` sums duplicates left to right in their input order, and
+    `A @ x` sums each row left to right from zero, so both are reproducible
+    to the bit.  Index arrays are int32 unless the size needs int64.
     """
 
-    csr: sp.csr_matrix
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    shape: tuple
+
+    @classmethod
+    def from_triplets(cls, rows, cols, vals, n) -> "CSR":
+        rows = np.asarray(rows, dtype=np.int64).ravel()
+        cols = np.asarray(cols, dtype=np.int64).ravel()
+        vals = np.asarray(vals, dtype=float).ravel()
+        if len(rows) and (min(rows.min(), cols.min()) < 0 or max(rows.max(), cols.max()) >= n):
+            raise ValueError(f"triplet index outside the {n} x {n} matrix")
+        keys, data = _sum_by_key(rows * n + cols, vals)
+        index = np.int32 if max(len(rows), n) <= np.iinfo(np.int32).max else np.int64
+        indptr = np.zeros(n + 1, dtype=index)
+        np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
+        return cls(indptr, (keys % n).astype(index), data, (n, n))
+
+    @cached_property
+    def rows(self) -> np.ndarray:
+        """Row of every stored entry."""
+        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+
+    def getrow(self, i) -> "CSR":
+        lo, hi = self.indptr[i], self.indptr[i + 1]
+        return CSR(np.array([0, hi - lo]), self.indices[lo:hi], self.data[lo:hi],
+                   (1, self.shape[1]))
+
+    def _keys(self) -> np.ndarray:
+        """row * n + column of every stored entry, ascending."""
+        return self.rows * self.shape[0] + self.indices
+
+    @cached_property
+    def _diagonal(self) -> np.ndarray:
+        """Position in `data` of every row's diagonal entry."""
+        keys, diagonal = self._keys(), np.arange(self.shape[0]) * (self.shape[0] + 1)
+        at = np.minimum(np.searchsorted(keys, diagonal), len(keys) - 1)
+        if len(keys) == 0 or np.any(keys[at] != diagonal):
+            raise SolverError("a row stores no diagonal entry")
+        return at
+
+    def plus_diagonal(self, d, scale=1.0) -> "CSR":
+        """scale * A + diag(d) on A's pattern, which must store every diagonal entry."""
+        data = scale * self.data
+        data[self._diagonal] += d
+        return CSR(self.indptr, self.indices, data, self.shape)
+
+    def max_skew(self) -> float:
+        """max |a_ij - a_ji|, each (i, j) key matched with its (j, i) key."""
+        if len(self.data) == 0:
+            return 0.0
+        keys = self._keys()
+        mirror = self.indices.astype(np.int64) * self.shape[0] + self.rows
+        at = np.minimum(np.searchsorted(keys, mirror), len(keys) - 1)
+        partner = np.where(keys[at] == mirror, self.data[at], 0.0)
+        return float(np.abs(self.data - partner).max())
+
+    @cached_property
+    def _slices(self):
+        """(longest row, n) column and value slices, entry r of every row in slice r.
+
+        Rows shorter than the longest are padded at the end with value 0 at column 0.
+        """
+        n = self.shape[0]
+        place = (np.arange(len(self.indices)) - self.indptr[self.rows], self.rows)
+        cols = np.zeros((np.diff(self.indptr).max(initial=0), n), dtype=np.intp)
+        vals = np.zeros(cols.shape)
+        cols[place] = self.indices
+        vals[place] = self.data
+        return cols, vals
+
+    def __matmul__(self, x) -> np.ndarray:
+        cols, vals = self._slices
+        terms = np.take(np.asarray(x, dtype=float), cols)
+        terms *= vals
+        return np.add.reduce(terms, axis=0, initial=0.0)
+
+
+@dataclass
+class SparseMatrix:
+    """A CSR with the factorization that solves it.
+
+    `factorization` is the factor class built from (csr, blocks) on first
+    use; `blocks` labels every unknown with its block, in the encoding that
+    factorization reads (None is one block).
+    """
+
+    csr: CSR
+    factorization: type
     blocks: np.ndarray = None
-    factorization: type = None
 
     @cached_property
     def factor(self):
-        return (self.factorization or BlockLDL)(self.csr, self.blocks)
+        return self.factorization(self.csr, self.blocks)
 
 
-def assemble(rows, cols, vals, n) -> SparseMatrix:
+def assemble(rows, cols, vals, n) -> CSR:
     """Build from COO triplets (duplicates summed) and certify symmetry."""
-    m = sp.coo_matrix(
-        (np.asarray(vals, dtype=float), (np.asarray(rows), np.asarray(cols))), shape=(n, n)
-    ).tocsr()
-    m.sum_duplicates()
-    scale = np.abs(m.data).max() if m.nnz else 1.0
-    skew = abs(m - m.T)
-    worst = skew.data.max() if skew.nnz else 0.0
+    m = CSR.from_triplets(rows, cols, vals, n)
+    scale = np.abs(m.data).max() if len(m.data) else 1.0
+    worst = m.max_skew()
     if worst > SYMMETRY_RTOL * scale:
         raise SolverError(
             f"assembled matrix is not symmetric (max skew {worst:.3e}, scale {scale:.3e})"
         )
-    return SparseMatrix(csr=m)
+    return m
 
 
 def _labels(blocks, n):
@@ -81,78 +172,59 @@ def _labels(blocks, n):
     return np.unique(np.asarray(blocks), return_inverse=True)[1]
 
 
-def _group(keys, sel, n_groups):
-    """Indices of `sel` split by the value of keys[sel] (0 .. n_groups-1)."""
-    sel = sel[np.argsort(keys[sel], kind="stable")]
-    return np.split(sel, np.searchsorted(keys[sel], np.arange(1, n_groups)))
+def _separable_form(csr, order, m):
+    """A0 and c of a matrix I (x) A0 + K (x) diag(c), node-major in `order`.
 
-
-class BlockLDL:
-    """Block LDL^T of a symmetric matrix that is block tridiagonal in `blocks`.
-
-    Keeps per block the dense inverse of its Schur complement
-    S_i = A_ii - B_{i-1}^T S_{i-1}^{-1} B_{i-1} and the coupling B_i to the
-    next block as triplets (local row, local column, value).
+    They are read from the first block and its coupling to the second; the
+    whole matrix must then match the form to SYMMETRY_RTOL times its largest
+    entry, or SolverError is raised.
     """
+    n = csr.shape[0]
+    nb = n // m
+    where = np.empty(n, dtype=np.int64)
+    where[order] = np.arange(n)  # node-major position of every unknown
+    r, c, vals = where[csr.rows], where[csr.indices], csr.data
+    k = np.full(nb, 2.0)
+    k[0] -= 1.0
+    k[-1] -= 1.0
+    coef = np.zeros(m)
+    beside = (r < m) & (c - r == m)
+    coef[r[beside]] = -vals[beside]
+    A0 = np.zeros((m, m))
+    first = (r < m) & (c < m)
+    A0[r[first], c[first]] = vals[first]
+    A0[np.diag_indices(m)] -= k[0] * coef
 
-    def __init__(self, csr, blocks=None):
-        n = csr.shape[0]
-        label = _labels(blocks, n)
-        sizes = np.bincount(label)
-        self.order = np.argsort(label, kind="stable")
-        bounds = np.concatenate([[0], np.cumsum(sizes)])
-        self.spans = list(zip(bounds[:-1], bounds[1:]))
-        local = np.empty(n, dtype=np.int64)
-        local[self.order] = np.arange(n) - bounds[label[self.order]]
-
-        coo = csr.tocoo()
-        bi, bj = label[coo.row], label[coo.col]
-        if np.any(np.abs(bi - bj) > 1):
-            raise SolverError("matrix couples non-adjacent blocks; no block tridiagonal factor")
-        li, lj = local[coo.row], local[coo.col]
-        nb = len(sizes)
-        diag = _group(bi, np.flatnonzero(bi == bj), nb)
-        upper = _group(bi, np.flatnonzero(bj == bi + 1), nb)
-
-        self.inv, self.couple = [], []
-        for i in range(nb):
-            S = np.zeros((sizes[i], sizes[i]))
-            np.add.at(S, (li[diag[i]], lj[diag[i]]), coo.data[diag[i]])
-            if i:
-                r, c, v = self.couple[-1]
-                B = np.zeros((sizes[i - 1], sizes[i]))
-                np.add.at(B, (r, c), v)
-                S -= B.T @ (self.inv[-1] @ B)
-            try:
-                L_inv = np.linalg.inv(np.linalg.cholesky(S))
-            except np.linalg.LinAlgError as exc:
-                raise SolverError(f"block {i} is not positive definite") from exc
-            self.inv.append(L_inv.T @ L_inv)
-            up = upper[i]
-            self.couple.append((li[up], lj[up], coo.data[up]))
-
-    def solve(self, b) -> np.ndarray:
-        """x with A x = b: forward sweep, then backward sweep."""
-        y = b[self.order]
-        w = []  # S_i^{-1} y_i after the forward elimination
-        for i, (lo, hi) in enumerate(self.spans):
-            yi = y[lo:hi]
-            if i:
-                r, c, v = self.couple[i - 1]
-                yi = yi - np.bincount(c, weights=v * w[-1][r], minlength=hi - lo)
-            w.append(self.inv[i] @ yi)
-        xp = np.empty_like(y)
-        nxt = None
-        for i in reversed(range(len(self.spans))):
-            lo, hi = self.spans[i]
-            xi = w[i]
-            if nxt is not None:
-                r, c, v = self.couple[i]
-                xi = xi - self.inv[i] @ np.bincount(r, weights=v * nxt[c], minlength=hi - lo)
-            xp[lo:hi] = nxt = xi
-        x = np.empty_like(xp)
-        x[self.order] = xp
-        return x
+    # the separable form, one entry per slot: block i at A0's pattern and the
+    # diagonal, then the couplings (i, i + 1) and (i + 1, i) on the diagonal
+    pattern = (A0 != 0) | np.eye(m, dtype=bool)
+    slot = np.full((m, m), -1)
+    slot[pattern] = np.arange(pattern.sum())
+    li, lj = np.nonzero(pattern)
+    form = np.concatenate([
+        (A0[li, lj] + np.where(li == lj, k[:, None] * coef[li], 0.0)).ravel(),
+        np.tile(-coef, 2 * (nb - 1)),
+    ])
+    # each stored entry against its slot (none: the form is 0 there), and
+    # every slot that no entry fills against 0
+    (br, lr), (bc, lc) = np.divmod(r, m), np.divmod(c, m)
+    at = np.full(len(vals), -1)
+    inside = (br == bc) & (slot[lr, lc] >= 0)
+    at[inside] = br[inside] * len(li) + slot[lr, lc][inside]
+    beside = (np.abs(br - bc) == 1) & (lr == lc)
+    at[beside] = (nb * len(li) + (br > bc)[beside] * (nb - 1) * m
+                  + np.minimum(br, bc)[beside] * m + lr[beside])
+    filled = np.zeros(len(form), dtype=bool)
+    filled[at[at >= 0]] = True
+    worst = max(np.abs(vals - np.where(at >= 0, form[at], 0.0)).max(initial=0.0),
+                np.abs(form[~filled]).max(initial=0.0))
+    scale = np.abs(vals).max() if len(vals) else 1.0
+    if worst > SYMMETRY_RTOL * scale:
+        raise SolverError(
+            f"matrix is not I (x) A0 + K (x) diag(c) along its blocks "
+            f"(max deviation {worst:.3e}, scale {scale:.3e})"
+        )
+    return A0, coef
 
 
 class CosineModes:
@@ -167,10 +239,8 @@ class CosineModes:
 
         A^{-1} = (Q^T (x) I) blockdiag((A0 + lam_k diag(c))^{-1}) (Q (x) I).
 
-    A0 and c are read from the first block and its coupling to the second;
-    the whole matrix must then match the separable form to SYMMETRY_RTOL
-    times its largest entry, and every mode block must be positive definite,
-    or SolverError is raised.
+    Construction reads A0 and c and checks the form (`_separable_form`); every
+    mode block must be positive definite, or SolverError is raised.
     """
 
     def __init__(self, csr, blocks=None):
@@ -182,21 +252,7 @@ class CosineModes:
             raise SolverError("blocks of unequal size; no cosine-mode factor")
         self.order = np.argsort(label, kind="stable")
 
-        A = csr[self.order][:, self.order]
-        k = np.full(nb, 2.0)
-        k[0] -= 1.0
-        k[-1] -= 1.0
-        K = sp.diags([k, -np.ones(nb - 1), -np.ones(nb - 1)], [0, 1, -1])
-        c = -A[:m, m : 2 * m].diagonal() if nb > 1 else np.zeros(m)
-        A0 = A[:m, :m].toarray() - k[0] * np.diag(c)
-        separable = sp.kron(sp.identity(nb), sp.csr_matrix(A0)) + sp.kron(K, sp.diags(c))
-        worst = abs(A - separable).max()
-        scale = abs(A).max() if A.nnz else 1.0
-        if worst > SYMMETRY_RTOL * scale:
-            raise SolverError(
-                f"matrix is not I (x) A0 + K (x) diag(c) along its blocks "
-                f"(max deviation {worst:.3e}, scale {scale:.3e})"
-            )
+        A0, coef = _separable_form(csr, self.order, m)
 
         modes = np.arange(nb)
         self.dct = np.sqrt(np.where(modes == 0, 1.0, 2.0) / nb)[:, None] * np.cos(
@@ -205,7 +261,7 @@ class CosineModes:
         self.inv = np.empty((nb, m, m))
         for i, lam in enumerate(2.0 - 2.0 * np.cos(np.pi * modes / nb)):
             try:
-                L_inv = np.linalg.inv(np.linalg.cholesky(A0 + lam * np.diag(c)))
+                L_inv = np.linalg.inv(np.linalg.cholesky(A0 + lam * np.diag(coef)))
             except np.linalg.LinAlgError as exc:
                 raise SolverError(f"mode {i} is not positive definite") from exc
             np.matmul(L_inv.T, L_inv, out=self.inv[i])
@@ -220,6 +276,25 @@ class CosineModes:
         return x
 
 
+def _split(csr, bulk, chan):
+    """A_sep = A_BB + diag(A_BC 1) as a CSR, and the triplets of A_BC and A_CC.
+
+    All in local indices: bulk unknowns in ascending order, channel unknowns
+    in the order of `chan`.
+    """
+    local = np.empty(csr.shape[0], dtype=np.int64)
+    local[bulk] = np.arange(len(bulk))
+    local[chan] = np.arange(len(chan))
+    is_b = np.zeros(csr.shape[0], dtype=bool)
+    is_b[bulk] = True
+    rb, cb = is_b[csr.rows], is_b[csr.indices]
+    r, c, vals = local[csr.rows], local[csr.indices], csr.data
+    A_BB, BC, CC = [(r[sel], c[sel], vals[sel]) for sel in (rb & cb, rb & ~cb, ~rb & ~cb)]
+    n_b = len(bulk)
+    A_sep = CSR.from_triplets(*A_BB, n_b).plus_diagonal(np.bincount(BC[0], BC[2], n_b))
+    return A_sep, BC, CC
+
+
 class OpeningCapacitance:
     """Exact solve of two separable bulk blocks joined by isolated channels.
 
@@ -230,8 +305,9 @@ class OpeningCapacitance:
     * A_sep = A_BB + diag(A_BC 1), the bulk with its opening faces taken off,
       is separable along the columns, and is factored by `CosineModes`;
     * A_CC is block diagonal, one block of equal size per channel;
-    * A_BC couples a bulk cell only to the channel of its own column
-      (channel = column // k, k = columns per channel).
+    * A_BC couples a bulk cell to at most one channel cell, of the channel of
+      its own column (channel = column // k, k = columns per channel), and
+      every channel has as many such opening cells.
 
     The R bulk cells P with a nonzero A_BC row are the openings.  With
     E = -rowsum(A_BC)[P] and F = A_BC[P], eliminating the channels leaves
@@ -240,11 +316,12 @@ class OpeningCapacitance:
         (A_sep + P^T G P)^{-1} = A_sep^{-1} - A_sep^{-1} P^T G Z^{-1} P A_sep^{-1}
 
     with the R x R capacitance matrix Z = I + D G, D = P A_sep^{-1} P^T.
-    D is read off the cosine modes at the opening cells, and G Z^{-1} is
-    kept dense.  A solve is one forward transform and per-mode product, the
-    opening rows of the result, one R x R product, the opening correction in
-    mode space and one inverse transform, with a batched channel solve before
-    and after.  A matrix of any other form raises SolverError.
+    G is block diagonal, one block per channel.  D is read off the cosine
+    modes at the opening cells, and G Z^{-1} is kept dense.  A solve is one
+    forward transform and per-mode product, the opening rows of the result,
+    one R x R product, the opening correction in mode space and one inverse
+    transform, with a batched channel solve before and after.  A matrix of
+    any other form raises SolverError.
     """
 
     def __init__(self, csr, blocks=None):
@@ -259,39 +336,46 @@ class OpeningCapacitance:
         n_chan, mc = len(sizes), int(sizes[0])
         self.chan = chan[np.argsort(which, kind="stable")]
 
-        rows_b = csr[bulk]
-        A_BC = rows_b[:, self.chan]
-        A_sep = rows_b[:, bulk] + sp.diags(np.asarray(A_BC.sum(axis=1)).ravel())
+        A_sep, (br, bc, bv), (cr, cc, cv) = _split(csr, bulk, self.chan)
         self.modes = CosineModes(A_sep, blocks[bulk])
+        del A_sep  # freed before the dense R x R work below
         nb, m = self.modes.inv.shape[:2]
         if nb % n_chan:
             raise SolverError(f"{nb} bulk columns do not split into {n_chan} channels")
         self.bulk = bulk[self.modes.order]  # node-major: column, then row
 
-        cc = csr[self.chan][:, self.chan].tocoo()
-        if np.any(cc.row // mc != cc.col // mc):
+        if np.any(cr // mc != cc // mc):
             raise SolverError("matrix couples two channels; no opening factor")
         A_CC = np.zeros((n_chan, mc, mc))
-        A_CC[cc.row // mc, cc.row % mc, cc.col % mc] = cc.data
+        A_CC[cr // mc, cr % mc, cc % mc] = cv
         try:
             L_inv = np.linalg.inv(np.linalg.cholesky(A_CC))
         except np.linalg.LinAlgError as exc:
             raise SolverError("a channel block is not positive definite") from exc
         self.chan_inv = np.matmul(L_inv.transpose(0, 2, 1), L_inv)
 
-        A_BC = A_BC[self.modes.order]
-        bc = A_BC.tocoo()
-        if np.any(bc.row // m // (nb // n_chan) != bc.col // mc):
+        # F = A_BC at the openings, node-major: one entry per row
+        where = np.empty(len(bulk), dtype=np.int64)
+        where[self.modes.order] = np.arange(len(bulk))
+        row_nm = where[br]
+        if np.any(row_nm // m // (nb // n_chan) != bc // mc):
             raise SolverError("a bulk cell is coupled to a channel outside its column")
-        self.opening = np.unique(bc.row)  # node-major positions of the bulk opening cells
+        by_row = np.argsort(row_nm, kind="stable")
+        self.opening = row_nm[by_row]  # node-major positions of the bulk opening cells
+        self.f, self.f_col = bv[by_row], bc[by_row]
+        if np.any(np.diff(self.opening) == 0):
+            raise SolverError("a bulk cell touches two channel cells; no opening factor")
+        per_chan = np.bincount(self.f_col // mc, minlength=n_chan)
+        if np.any(per_chan != per_chan[0]):
+            raise SolverError("channels with unequal openings; no opening factor")
         col, row = np.divmod(self.opening, m)
-        self.F = A_BC[self.opening]
-        self.Ft = self.F.T.tocsr()
-        E = -np.asarray(self.F.sum(axis=1)).ravel()
-        chan_inv = sp.bsr_matrix((self.chan_inv, np.arange(n_chan), np.arange(n_chan + 1)),
-                                 shape=(n_chan * mc,) * 2)
-        G = -(self.F @ chan_inv @ self.Ft).toarray()
-        G[np.diag_indices_from(G)] += E
+
+        # G per channel: -F_j A_CC,j^{-1} F_j^T plus diag(E_j), E = -rowsum(F)
+        nr = int(per_chan[0])
+        f, at = self.f.reshape(n_chan, nr), (self.f_col % mc).reshape(n_chan, nr)
+        G = -(f[:, :, None] * self.chan_inv[np.arange(n_chan)[:, None, None],
+                                            at[:, :, None], at[:, None, :]]) * f[:, None, :]
+        G[:, np.arange(nr), np.arange(nr)] += -f
 
         # D = P A_sep^-1 P^T from the modes at the opening cells, one opening row at a time
         self.qc = self.modes.dct[:, col]
@@ -301,10 +385,16 @@ class OpeningCapacitance:
         for s, r in enumerate(self.rows):
             D[:, slot == s] = (self.qc * self.modes.inv[:, row, r]).T @ self.qc[:, slot == s]
         self.inv_rows = np.ascontiguousarray(self.modes.inv[:, :, self.rows])
-        # W = G Z^{-1}, from Z^T W^T = G^T with Z^T = I + G D (G and D are symmetric)
-        Zt = G @ D
-        Zt[np.diag_indices_from(Zt)] += 1.0
-        self.W = np.linalg.solve(Zt, G).T
+        # W = G Z^{-1}, from Z^T W^T = G^T with Z^T = I + G D (G and D are symmetric);
+        # G D overwrites D channel by channel, and G is dense only for the solve
+        R, Zt = len(row), D
+        for j in range(0, n_chan, 64):
+            rows_j = slice(j * nr, (j + 64) * nr)
+            Zt[rows_j] = np.matmul(G[j : j + 64], Zt[rows_j].reshape(-1, nr, R)).reshape(-1, R)
+        Zt[np.diag_indices(R)] += 1.0
+        dense = np.zeros((n_chan, nr, n_chan, nr))
+        dense[np.arange(n_chan), :, np.arange(n_chan), :] = G
+        self.W = np.linalg.solve(Zt, dense.reshape(R, R)).T
 
     def solve(self, b) -> np.ndarray:
         """x with A x = b: channels, bulk modes with the opening correction, channels."""
@@ -314,13 +404,13 @@ class OpeningCapacitance:
         b_c = b[self.chan]
         y = b[self.bulk]
         w_c = np.matmul(self.chan_inv, b_c.reshape(n_chan, mc, 1)).reshape(-1)
-        y[self.opening] -= self.F @ w_c
+        y[self.opening] -= self.f * w_c[self.f_col]
         y = np.matmul(modes.inv, (modes.dct @ y.reshape(nb, m))[:, :, None])[:, :, 0]
         q = self.W @ ((self.qc.T @ y[:, self.rows]) * self.onehot).sum(axis=1)
         z = self.qc @ (self.onehot * q[:, None])
         y -= np.matmul(self.inv_rows, z[:, :, None])[:, :, 0]
         x_b = (modes.dct.T @ y).reshape(-1)
-        r_c = b_c - self.Ft @ x_b[self.opening]
+        r_c = b_c - np.bincount(self.f_col, self.f * x_b[self.opening], n_chan * mc)
         x = np.empty_like(b)
         x[self.bulk] = x_b
         x[self.chan] = np.matmul(self.chan_inv, r_c.reshape(n_chan, mc, 1)).reshape(-1)

@@ -22,7 +22,6 @@ assembled matrix.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import linsolve
 from .geometry import CellGeometry
@@ -110,12 +109,13 @@ class MacroSimulation(ImexSimulation):
         self.n = self.oc + self.n_sigma * self.ncc
 
         self._build_coupling_data()
-        self.stiffness = self._assemble_stiffness()
-        self.weights = self._assemble_weights()
         # one block per interface node: its bulk columns, traces and cell problem
         nodes = np.arange(self.n_sigma)
         self.blocks = np.concatenate([self.grid_p.cell_i, self.grid_m.cell_i, nodes, nodes,
                                       np.repeat(nodes, self.ncc)])
+        self.stiffness = linsolve.SparseMatrix(self._assemble_stiffness(), self.factorization,
+                                               self.blocks)
+        self.weights = self._assemble_weights()
         self.g_factor = kin.g.position_factor(self.cell_grid.cell_x, self.cell_grid.cell_y)
         self._wall_kinetics(wall_faces(self.cell_grid))
 
@@ -136,7 +136,7 @@ class MacroSimulation(ImexSimulation):
         self.half_p = 0.5 * self.grid_p.dy[0]
         self.half_m = 0.5 * self.grid_m.dy[-1]
 
-    def _assemble_stiffness(self) -> linsolve.SparseMatrix:
+    def _assemble_stiffness(self) -> linsolve.CSR:
         dsig = self.layout.spacing
         bulk_p = two_point_stiffness(self.grid_p, 1.0, self.diff.d_plus)
         bulk_m = two_point_stiffness(self.grid_m, 1.0, self.diff.d_minus)
@@ -246,9 +246,10 @@ class MacroSimulation(ImexSimulation):
                             gm.dx * self.diff.d_minus / (0.5 * gm.dy[0])])
         rhs = np.zeros(self.n)
         rhs[rows] += t * np.repeat([top_value, bottom_value], self.n_sigma)
-        dir_part = sp.coo_matrix((t, (rows, rows)), shape=(self.n, self.n)).tocsr()
+        dirichlet = np.zeros(self.n)
+        dirichlet[rows] = t
         A = linsolve.SparseMatrix(
-            csr=(self.stiffness.csr + dir_part).tocsr(), blocks=self.blocks,
+            csr=self.stiffness.csr.plus_diagonal(dirichlet), blocks=self.blocks,
             factorization=self.factorization,
         )
         x = linsolve.solve_spd(A, rhs, tol=SOLVER_TOL)

@@ -19,7 +19,6 @@ matrix.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import linsolve
 from .errors import GeometryError, StabilityError
@@ -173,9 +172,8 @@ class ImexSimulation:
             bound = self.max_stable_dt()
             if dt > bound * (1 + 1e-12):
                 raise StabilityError(f"dt={dt:g} exceeds the explicit stability bound {bound:g}")
-            mass = sp.diags(self.weights, format="csr")
             self._implicit[key] = linsolve.SparseMatrix(
-                csr=(mass + key * self.stiffness.csr).tocsr(), blocks=self.blocks,
+                csr=self.stiffness.csr.plus_diagonal(self.weights, key), blocks=self.blocks,
                 factorization=self.factorization,
             )
         rhs = self.weights * u + dt * self.explicit_rate(t, u)
@@ -221,7 +219,7 @@ class MicroSimulation(ImexSimulation):
         self.grid = grid
         self.diff = diff
 
-        self.stiffness, self.weights = assemble_micro_operator(geom, grid, diff)
+        stiffness, self.weights = assemble_micro_operator(geom, grid, diff)
 
         eps = float(geom.eps)
         self.mask_p = grid.cell_tag == BULK_P
@@ -229,6 +227,7 @@ class MicroSimulation(ImexSimulation):
         self.mask_c = grid.cell_tag == CHAN
         # bulk cells by grid column, channel cells by channel (-1 - column // k)
         self.blocks = np.where(self.mask_c, -1 - grid.cell_i // grid.k, grid.cell_i)
+        self.stiffness = linsolve.SparseMatrix(stiffness, self.factorization, self.blocks)
         self.g_factor = kin.g.position_factor(
             np.mod(grid.cell_x[self.mask_c] / eps, 1.0), grid.cell_y[self.mask_c] / eps
         )

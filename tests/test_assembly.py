@@ -27,6 +27,7 @@ from chanhom.grid import build_micro_grid
 from chanhom.macrosim import InterfaceLayout, MacroSimulation
 from chanhom.microsim import SOLVER_TOL, DiffusionSpec, KineticsBundle, assemble_micro_operator
 
+from linsolve_oracles import from_scipy, to_scipy
 from test_geometry import hourglass
 
 
@@ -65,7 +66,7 @@ def ref_micro_csr(geom, grid, diff):
         vals.extend([trans, trans, -trans, -trans])
     return linsolve.assemble(
         np.concatenate(rows), np.concatenate(cols), np.concatenate(vals), grid.n_cells
-    ).csr
+    )
 
 
 def ref_bulk_entries(grid, d_scalar, offset, rows, cols, vals):
@@ -132,7 +133,7 @@ def ref_macro_csr(sim):
         vals.append(np.asarray(v4, dtype=float))
     return linsolve.assemble(
         np.concatenate(rows), np.concatenate(cols), np.concatenate(vals), sim.n
-    ).csr
+    )
 
 
 def ref_steady_conduction(sim, top_value, bottom_value):
@@ -156,7 +157,7 @@ def ref_steady_conduction(sim, top_value, bottom_value):
         rhs[idx_m] += t_m * bottom_value
     dir_part = sp.coo_matrix((vals, (rows, cols)), shape=(sim.n, sim.n)).tocsr()
     A = linsolve.SparseMatrix(
-        csr=(ref_macro_csr(sim) + dir_part).tocsr(), blocks=sim.blocks,
+        csr=from_scipy(to_scipy(ref_macro_csr(sim)) + dir_part), blocks=sim.blocks,
         factorization=sim.factorization,
     )
     return linsolve.solve_spd(A, rhs, tol=SOLVER_TOL)
@@ -194,7 +195,7 @@ def test_micro_stiffness_matches_face_loop(make_profile, k, dvals, inv_eps):
     grid = build_micro_grid(geom, k)
     diff = diffusion(profile, *dvals)
     A, _ = assemble_micro_operator(geom, grid, diff)
-    assert_same_csr(A.csr, ref_micro_csr(geom, grid, diff))
+    assert_same_csr(A, ref_micro_csr(geom, grid, diff))
 
 
 @pytest.mark.parametrize("make_profile, m, dvals", CASES, ids=CASE_IDS)
@@ -223,4 +224,4 @@ def test_random_diffusivities_match_the_reference(hour, d_plus, d_minus, channel
     geom = build_micro_geometry(F(1, 4), 1, cell)
     grid = build_micro_grid(geom, 8)
     A, _ = assemble_micro_operator(geom, grid, diff)
-    assert_same_csr(A.csr, ref_micro_csr(geom, grid, diff))
+    assert_same_csr(A, ref_micro_csr(geom, grid, diff))

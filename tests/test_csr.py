@@ -1,0 +1,161 @@
+"""The numpy CSR of `chanhom.linsolve` against scipy's sparse matrices.
+
+scipy sorts each row's triplets with an insertion sort up to 16 entries, so
+on such rows it sums duplicates in input order, as `CSR.from_triplets` does;
+the random triplets below keep every row within that length.
+"""
+
+from fractions import Fraction as F
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from chanhom import linsolve
+from chanhom.errors import SolverError
+from chanhom.geometry import ChannelProfile, build_micro_geometry, build_reference_cell
+from chanhom.grid import build_micro_grid
+from chanhom.macrosim import InterfaceLayout, MacroSimulation
+from chanhom.microsim import DiffusionSpec, KineticsBundle, MicroSimulation
+from linsolve_oracles import to_scipy
+from test_geometry import hourglass
+
+ROW_LIMIT = 16
+
+
+def assert_same_arrays(got, want):
+    assert got.shape == want.shape
+    for name in ("indptr", "indices", "data"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
+def scipy_csr(rows, cols, vals, n):
+    m = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+    m.sum_duplicates()
+    return m
+
+
+def random_triplets(rng, n, max_copies):
+    """Shuffled triplets, every key repeated 3 .. max_copies times, rows of <= 16 triplets.
+
+    About a third of the rows are empty.  Values span 16 decades, with signed
+    zeros; a fifth of the keys start with two copies that cancel exactly, and
+    a tenth hold -0.0 only.
+    """
+    rows, cols, vals = [], [], []
+    for i in range(n):
+        n_keys = 0 if rng.random() < 0.3 else int(rng.integers(1, ROW_LIMIT // max_copies + 1))
+        for j in rng.choice(n, size=min(n_keys, n), replace=False):
+            copies = int(rng.integers(3, max_copies + 1))
+            v = rng.normal(size=copies) * 10.0 ** rng.integers(-8, 8, size=copies)
+            v[rng.random(copies) < 0.1] = 0.0
+            v[rng.random(copies) < 0.1] = -0.0
+            if rng.random() < 0.2:
+                v[1] = -v[0]
+            if rng.random() < 0.1:
+                v[:] = -0.0
+            rows += [i] * copies
+            cols += [int(j)] * copies
+            vals.append(v)
+    perm = rng.permutation(len(rows))
+    vals = np.concatenate(vals) if vals else np.zeros(0)
+    return np.array(rows, dtype=np.int64)[perm], np.array(cols, dtype=np.int64)[perm], vals[perm]
+
+
+def random_vector(rng, n):
+    x = rng.normal(size=n)
+    x[rng.random(n) < 0.2] = 0.0
+    x[rng.random(n) < 0.2] = -0.0
+    return x
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12), max_copies=st.integers(3, 5))
+def test_csr_matches_scipy_on_random_triplets(seed, n, max_copies):
+    rng = np.random.default_rng(seed)
+    rows, cols, vals = random_triplets(rng, n, max_copies)
+    got = linsolve.CSR.from_triplets(rows, cols, vals, n)
+    want = scipy_csr(rows, cols, vals, n)
+    assert_same_arrays(got, want)
+    x = random_vector(rng, n)
+    assert (got @ x).tobytes() == (want @ x).tobytes()
+    for i in range(n):
+        assert got.getrow(i).indices.tolist() == want.getrow(i).indices.tolist()
+
+    skew = abs(want - want.T)
+    worst = skew.data.max() if skew.nnz else 0.0
+    scale = np.abs(want.data).max() if want.nnz else 1.0
+    if worst > linsolve.SYMMETRY_RTOL * scale:
+        message = f"assembled matrix is not symmetric (max skew {worst:.3e}, scale {scale:.3e})"
+        with pytest.raises(SolverError) as err:
+            linsolve.assemble(rows, cols, vals, n)
+        assert str(err.value) == message
+    else:
+        assert_same_arrays(linsolve.assemble(rows, cols, vals, n), want)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12))
+def test_symmetric_assembly_and_diagonal_shift_match_scipy(seed, n):
+    rng = np.random.default_rng(seed)
+    m = scipy_csr(*random_triplets(rng, n, 3), n)
+    m = (m + m.T + sp.identity(n)).tocsr()  # stores every diagonal entry
+    coo = m.tocoo()
+    A = linsolve.assemble(coo.row, coo.col, coo.data, n)
+    assert_same_arrays(A, m)
+    w, dt = rng.uniform(0.1, 2.0, n), float(rng.uniform(1e-4, 1.0))
+    assert_same_arrays(A.plus_diagonal(w, dt), (sp.diags(w, format="csr") + dt * m).tocsr())
+
+
+def test_signed_zeros_match_scipy():
+    """Copies of -0.0 sum to -0.0, and a row of -0.0 terms multiplies to +0.0."""
+    rows, cols = [0, 0, 0, 0, 1, 1], [0, 0, 1, 1, 0, 1]
+    vals = np.array([-0.0, -0.0, 1.0, -1.0, 2.0, 3.0])
+    got, want = linsolve.CSR.from_triplets(rows, cols, vals, 2), scipy_csr(rows, cols, vals, 2)
+    assert_same_arrays(got, want)
+    x = np.array([-0.0, -0.0])
+    assert (got @ x).tobytes() == (want @ x).tobytes()
+
+
+def test_rows_without_a_diagonal_entry_are_refused():
+    A = linsolve.assemble([0, 1], [1, 0], [1.0, 1.0], 2)
+    with pytest.raises(SolverError, match="no diagonal entry"):
+        A.plus_diagonal(np.ones(2))
+
+
+def capture_assembly(monkeypatch):
+    """Record the triplets every `linsolve.assemble` call receives."""
+    calls = []
+    assemble = linsolve.assemble
+
+    def recorded(rows, cols, vals, n):
+        calls.append((rows, cols, vals, n))
+        return assemble(rows, cols, vals, n)
+
+    monkeypatch.setattr(linsolve, "assemble", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("hour", [False, True], ids=["rectangle", "hourglass"])
+@pytest.mark.parametrize("inv_eps, n_sigma", [(4, 8), (16, 32)])
+def test_simulation_operators_match_scipy(monkeypatch, hour, inv_eps, n_sigma):
+    """The stiffness and M + dt K of both models, against scipy."""
+    profile = hourglass() if hour else ChannelProfile.rectangle(F(1, 2))
+    cell = build_reference_cell(profile)
+    diff = DiffusionSpec.isotropic(1.0, 2.0, 0.5, len(profile.segments))
+    calls = capture_assembly(monkeypatch)
+    geom = build_micro_geometry(F(1, inv_eps), 1, cell)
+    micro = MicroSimulation(geom, build_micro_grid(geom, 8), diff, KineticsBundle.zero())
+    macro = MacroSimulation(cell, 1.0, InterfaceLayout(n_sigma=n_sigma, m=8), diff,
+                            KineticsBundle.zero())
+    rng, dt = np.random.default_rng(inv_eps), 1 / 512
+    for sim, triplets in zip((micro, macro), calls):
+        want = scipy_csr(*triplets)
+        assert_same_arrays(sim.stiffness.csr, want)
+        x = rng.normal(size=want.shape[0])
+        assert (sim.stiffness.csr @ x).tobytes() == (want @ x).tobytes()
+        shifted = sim.stiffness.csr.plus_diagonal(sim.weights, dt)
+        assert_same_arrays(shifted, (sp.diags(sim.weights, format="csr") + dt * want).tocsr())
+        assert (shifted @ x).tobytes() == (to_scipy(shifted) @ x).tobytes()

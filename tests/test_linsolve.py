@@ -12,10 +12,11 @@ from hypothesis import strategies as st
 
 from chanhom.errors import SolverError
 from chanhom.linsolve import CosineModes, SparseMatrix, assemble, solve_spd
+from linsolve_oracles import BlockLDL, from_scipy, to_scipy
 
 
 def identity_matrix(n):
-    return SparseMatrix(csr=sp.identity(n, format="csr"))
+    return SparseMatrix(csr=from_scipy(sp.identity(n)), factorization=BlockLDL)
 
 
 def test_identity_solve_returns_rhs():
@@ -26,7 +27,8 @@ def test_identity_solve_returns_rhs():
 
 
 def test_two_by_two_row_sums():
-    A = assemble([0, 0, 1, 1], [0, 1, 0, 1], [2.0, -1.0, -1.0, 2.0], 2)
+    A = SparseMatrix(csr=assemble([0, 0, 1, 1], [0, 1, 0, 1], [2.0, -1.0, -1.0, 2.0], 2),
+                     factorization=BlockLDL)
     x = solve_spd(A, np.array([1.0, 1.0]))
     assert x == pytest.approx([1.0, 1.0], abs=1e-12)
 
@@ -52,11 +54,11 @@ def poisson_1d(n, h):
 
 def test_1d_poisson_linear_profile_against_dense_oracle():
     n, h = 64, 1.0 / 64
-    A = poisson_1d(n, h)
+    A = SparseMatrix(csr=poisson_1d(n, h), factorization=BlockLDL)
     b = np.zeros(n)
     b[-1] = (2.0 / h) * 1.0  # u(1) = 1, u(0) = 0, no source
     x = solve_spd(A, b, tol=1e-12)
-    dense = np.linalg.solve(A.csr.toarray(), b)
+    dense = np.linalg.solve(to_scipy(A.csr).toarray(), b)
     assert np.max(np.abs(x - dense)) <= 1e-10
     centers = (np.arange(n) + 0.5) * h
     assert np.max(np.abs(x - centers)) <= 1e-10  # exact linear profile
@@ -66,7 +68,7 @@ def random_spd(rng, n):
     m = sp.random(n, n, density=0.05, random_state=np.random.RandomState(rng.integers(2**31)))
     m = m + m.T
     m = m + sp.diags(np.abs(m).sum(axis=1).A1 + 1.0)
-    return SparseMatrix(csr=m.tocsr())
+    return SparseMatrix(csr=from_scipy(m), factorization=BlockLDL)
 
 
 def test_residual_contract_on_random_spd_systems():
@@ -127,7 +129,7 @@ def block_tridiagonal_spd(rng, n_blocks, max_size):
 def test_block_solve_matches_dense_solve_with_shuffled_labels(seed, n_blocks, max_size):
     rng = np.random.default_rng(seed)
     dense, labels = block_tridiagonal_spd(rng, n_blocks, max_size)
-    A = SparseMatrix(csr=sp.csr_matrix(dense), blocks=labels)
+    A = SparseMatrix(csr=from_scipy(dense), blocks=labels, factorization=BlockLDL)
     b = rng.normal(size=len(labels))
     x = solve_spd(A, b, tol=1e-12)
     oracle = np.linalg.solve(dense, b)
@@ -137,13 +139,14 @@ def test_block_solve_matches_dense_solve_with_shuffled_labels(seed, n_blocks, ma
 def test_coupling_of_non_adjacent_blocks_is_rejected():
     dense = 4.0 * np.eye(3)
     dense[0, 2] = dense[2, 0] = -1.0
-    A = SparseMatrix(csr=sp.csr_matrix(dense), blocks=np.array([0, 1, 2]))
+    A = SparseMatrix(csr=from_scipy(dense), blocks=np.array([0, 1, 2]), factorization=BlockLDL)
     with pytest.raises(SolverError, match="non-adjacent"):
         solve_spd(A, np.ones(3))
 
 
 def test_indefinite_matrix_is_rejected():
-    A = assemble([0, 0, 1, 1], [0, 1, 0, 1], [1.0, 2.0, 2.0, 1.0], 2)
+    A = SparseMatrix(csr=assemble([0, 0, 1, 1], [0, 1, 0, 1], [1.0, 2.0, 2.0, 1.0], 2),
+                     factorization=BlockLDL)
     with pytest.raises(SolverError, match="positive definite"):
         solve_spd(A, np.ones(2))
 
@@ -151,7 +154,7 @@ def test_indefinite_matrix_is_rejected():
 def test_warm_start_meeting_tol_is_returned_bit_exactly():
     rng = np.random.default_rng(3)
     dense, labels = block_tridiagonal_spd(rng, 5, 6)
-    A = SparseMatrix(csr=sp.csr_matrix(dense), blocks=labels)
+    A = SparseMatrix(csr=from_scipy(dense), blocks=labels, factorization=BlockLDL)
     x0 = rng.normal(size=len(labels))
     b = A.csr @ x0
     assert np.linalg.norm(b - A.csr @ x0) <= 1e-12 * np.linalg.norm(b)
@@ -161,7 +164,7 @@ def test_warm_start_meeting_tol_is_returned_bit_exactly():
 def test_warm_started_solve_meets_tol():
     rng = np.random.default_rng(4)
     dense, labels = block_tridiagonal_spd(rng, 6, 5)
-    A = SparseMatrix(csr=sp.csr_matrix(dense), blocks=labels)
+    A = SparseMatrix(csr=from_scipy(dense), blocks=labels, factorization=BlockLDL)
     b = rng.normal(size=len(labels))
     x0 = rng.normal(size=len(labels))
     x = solve_spd(A, b, tol=1e-12, x0=x0)
@@ -209,7 +212,7 @@ def test_cosine_modes_match_dense_solve_on_separable_systems(seed, n_nodes, size
     where, node = interleaved(rng, n_nodes, size)
     dense = separable(random_spd_block(rng, size), c, n_nodes)[np.ix_(where, where)]
     names = np.sort(rng.choice(np.arange(-1000, 1000), size=n_nodes, replace=False))
-    A = SparseMatrix(csr=sp.csr_matrix(dense), blocks=names[node], factorization=CosineModes)
+    A = SparseMatrix(csr=from_scipy(dense), blocks=names[node], factorization=CosineModes)
     b = rng.normal(size=len(where))
     oracle = np.linalg.solve(dense, b)
     scale = np.max(np.abs(oracle))
@@ -229,7 +232,7 @@ def test_cosine_modes_reject_what_is_not_separable():
     n_nodes, size = 4, 3
     fixed = separable(random_spd_block(rng, size), np.ones(size), n_nodes)
     where, node = interleaved(rng, n_nodes, size)
-    CosineModes(sp.csr_matrix(fixed[np.ix_(where, where)]), node)  # the unperturbed matrix factors
+    CosineModes(from_scipy(fixed[np.ix_(where, where)]), node)  # the unperturbed matrix factors
     n2 = 2 * size  # first unknown of node 2
     broken = {
         "perturbed node block": _couple(fixed, n2, n2 + 1, 1e-6),
@@ -239,43 +242,64 @@ def test_cosine_modes_reject_what_is_not_separable():
     }
     for name, dense in broken.items():
         with pytest.raises(SolverError, match="not I"):
-            CosineModes(sp.csr_matrix(dense[np.ix_(where, where)]), node)
+            CosineModes(from_scipy(dense[np.ix_(where, where)]), node)
     with pytest.raises(SolverError, match="unequal size"):
-        CosineModes(sp.identity(3, format="csr"), np.array([0, 0, 1]))
+        CosineModes(from_scipy(sp.identity(3)), np.array([0, 0, 1]))
+
+
+def test_cosine_modes_reject_an_entry_missing_from_one_block():
+    """The check covers the form's entries that the matrix does not store."""
+    rng = np.random.default_rng(6)
+    n_nodes, size = 4, 3
+    fixed = separable(random_spd_block(rng, size), np.ones(size), n_nodes)
+    n2 = 2 * size
+    broken = _couple(fixed, n2, n2 + 1, -fixed[n2, n2 + 1])  # a zero is not stored
+    with pytest.raises(SolverError, match="not I"):
+        CosineModes(from_scipy(broken), np.repeat(np.arange(n_nodes), size))
 
 
 def test_cosine_modes_reject_an_indefinite_mode():
     # A0 = 1 and c = -1: mode 0 is 1 > 0, mode 1 is 1 + 2 * (-1) < 0
     dense = np.array([[0.0, 1.0], [1.0, 0.0]])
     with pytest.raises(SolverError, match="mode 1 is not positive definite"):
-        CosineModes(sp.csr_matrix(dense), np.array([0, 1]))
+        CosineModes(from_scipy(dense), np.array([0, 1]))
 
 
-# -- what the solves import ----------------------------------------------------
-
-HEAVY_SCIPY = ("scipy.linalg", "scipy.sparse.linalg", "scipy.fft", "scipy.sparse.csgraph")
-
+# -- what a run imports ----------------------------------------------------------
 
 def test_runs_leave_heavy_scipy_modules_unloaded(tmp_path):
-    """A micro and a macro run import none of the heavy scipy subpackages.
+    """Importing the harness, a study run and its report load no scipy module at all.
 
-    `scipy.linalg` and `scipy.sparse.linalg` alone add 6.6-8 MB of peak RSS,
-    which is why the factors use only numpy's dense linear algebra.
+    `import scipy.sparse` alone costs about 0.2 s and 22 MB of RSS per
+    process; the program's sparse matrices and factors use numpy only.
     """
     repo = Path(__file__).resolve().parents[1]
     code = f"""
 import json, sys
-sys.path[:0] = [{str(repo / "src")!r}, {str(repo / "tests")!r}]
-from test_harness import mini_config
+sys.path.insert(0, {str(repo / "src")!r})
+
+def scipy_modules():
+    return sorted(name for name in sys.modules if name == "scipy" or name.startswith("scipy."))
+
+loaded = {{}}
+from chanhom import harness
+loaded["import"] = scipy_modules()
 from chanhom import cli
+raw = json.loads(open({str(repo / "configs" / "b1.json")!r}).read())
+raw["epsilon"] = ["1/4", "1/8"]
+raw["time"] = {{"T": 0.125, "dt": {{"rule": "fixed", "value": 1 / 64}}}}
+raw["refinement"] = {{"k": 4, "m": 4, "n_sigma": 8}}
 cfg = {str(tmp_path / "cfg.json")!r}
 with open(cfg, "w") as fh:
-    json.dump(mini_config(epsilon=["1/4", "1/8"]), fh)
-assert cli.main(["micro", cfg, "--out", {str(tmp_path / "micro")!r}]) == 0
-assert cli.main(["macro", cfg, "--out", {str(tmp_path / "macro")!r}]) == 0
-print(json.dumps([name for name in {HEAVY_SCIPY!r} if name in sys.modules]))
+    json.dump(raw, fh)
+study = {str(tmp_path / "study")!r}
+assert cli.main(["run", cfg, "--out", study]) == 0
+loaded["run"] = scipy_modules()
+assert cli.main(["report", study]) == 0
+loaded["report"] = scipy_modules()
+print(json.dumps(loaded))
 """
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=env)
-    assert json.loads(out.stdout.splitlines()[-1]) == []
+    assert json.loads(out.stdout.splitlines()[-1]) == {"import": [], "run": [], "report": []}

@@ -9,6 +9,7 @@ from chanhom.kinetics import InitialData, KineticsSpec
 from chanhom.macrosim import InterfaceLayout, MacroSimulation
 from chanhom.microsim import DiffusionSpec, KineticsBundle
 
+from linsolve_oracles import BlockLDL, to_scipy
 from test_geometry import hourglass
 
 B1_DIFF = DiffusionSpec.isotropic(1.0, 2.0, 0.5)
@@ -33,7 +34,7 @@ def make_sim(n_sigma=8, m=4, diff=B1_DIFF, kin=None):
 
 def test_stiffness_symmetric_with_zero_column_sums():
     sim = make_sim()
-    A = sim.stiffness.csr
+    A = to_scipy(sim.stiffness.csr)
     skew = abs(A - A.T)
     assert skew.nnz == 0 or skew.data.max() == 0.0
     rs = np.abs(A @ np.ones(sim.n))
@@ -87,7 +88,7 @@ def test_single_node_schur_complement_signs():
     cell = build_reference_cell(ChannelProfile.rectangle(F(1, 2)))
     diff = DiffusionSpec.isotropic(1.0, 1.0, 1.0)
     sim = MacroSimulation(cell, 1.0, InterfaceLayout(n_sigma=1, m=4), diff, KineticsBundle.zero())
-    A = sim.stiffness.csr.toarray()
+    A = to_scipy(sim.stiffness.csr).toarray()
     tr = [sim.ovp, sim.ovm]
     others = [i for i in range(sim.n) if i not in tr]
     A_vv = A[np.ix_(tr, tr)]
@@ -223,7 +224,7 @@ def test_cosine_mode_solves_match_the_block_sweep(n_sigma, hour):
 
     sim, ref = make(), make()
     assert sim.factorization is linsolve.CosineModes
-    ref.factorization = linsolve.BlockLDL  # the oracle: same CSR, block sweep
+    ref.factorization = BlockLDL  # the oracle: same CSR, block sweep
 
     def assert_close(got, want):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))

@@ -13,6 +13,7 @@ from chanhom.grid import build_micro_grid, leps_diff, norm_leps
 from chanhom.kinetics import InitialData, KineticsSpec
 from chanhom.macrosim import InterfaceLayout, MacroSimulation
 from chanhom.microsim import DiffusionSpec, KineticsBundle, MicroSimulation
+from linsolve_oracles import BlockLDL, from_scipy, to_scipy
 from test_geometry import hourglass
 from test_tiling import aligned_profiles
 
@@ -40,7 +41,7 @@ def setup(eps=F(1, 4), k=4, kin=None):
 
 def test_stiffness_is_exactly_symmetric_with_zero_row_sums():
     geom, grid, sim = setup()
-    A = sim.stiffness.csr
+    A = to_scipy(sim.stiffness.csr)
     skew = abs(A - A.T)
     assert skew.nnz == 0 or skew.data.max() == 0.0
     rs = np.abs(A @ np.ones(grid.n_cells))
@@ -62,7 +63,7 @@ def test_interface_transmissibility_matches_harmonic_formula():
     delta_c = grid.dy[j_top]
     delta_b = grid.dy[j_top + 1]
     expected = face_len / (delta_b / (2 * 1.0) + delta_c / (2 * eps * 0.5))
-    assert -sim.stiffness.csr[a, b] == pytest.approx(expected, rel=1e-13)
+    assert -to_scipy(sim.stiffness.csr)[a, b] == pytest.approx(expected, rel=1e-13)
 
 
 def test_constant_state_is_preserved_exactly():
@@ -257,12 +258,12 @@ def micro_matrix(profile, k, inv_eps, diff, dt):
     """The simulation and its M + dt K; H = 2 admits eps = 1."""
     geom = build_micro_geometry(F(1, inv_eps), 2, build_reference_cell(profile))
     sim = MicroSimulation(geom, build_micro_grid(geom, k), diff, KineticsBundle.zero())
-    return sim, (sp.diags(sim.weights) + dt * sim.stiffness.csr).tocsr()
+    return sim, from_scipy(sp.diags(sim.weights) + dt * to_scipy(sim.stiffness.csr))
 
 
 def assert_matches_block_sweep(sim, csr, b):
     """The opening factor against BlockLDL on the same CSR, labelled by grid column."""
-    want = linsolve.BlockLDL(csr, sim.grid.cell_i).solve(b)
+    want = BlockLDL(csr, sim.grid.cell_i).solve(b)
     got = linsolve.OpeningCapacitance(csr, sim.blocks).solve(b)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -307,8 +308,8 @@ def test_opening_factor_solves_are_bit_identical():
 def _couple(csr, i, j, t):
     """csr plus the two-point term t (u_i - u_j)^2: symmetric, zero row sum."""
     n = csr.shape[0]
-    return (csr + sp.csr_matrix(([t, t, -t, -t], ([i, j, i, j], [i, j, j, i])),
-                                shape=(n, n))).tocsr()
+    term = sp.csr_matrix(([t, t, -t, -t], ([i, j, i, j], [i, j, j, i])), shape=(n, n))
+    return from_scipy(to_scipy(csr) + term)
 
 
 def test_opening_factor_rejects_other_forms():
