@@ -61,10 +61,13 @@ def _load(args):
         raise ConfigError("a config file is required (positional or --config)")
     if args.config is not None and getattr(args, "config_flag", None) is not None:
         raise ConfigError("give the config either positionally or via --config, not both")
+    seed = getattr(args, "seed", None)
+    if seed is not None and seed < 0:
+        raise ConfigError("--seed: must be >= 0")
     cfg = harness.load_config(path)
-    if getattr(args, "seed", None) is not None:
-        cfg.echo["seed"] = args.seed
-        cfg.seed = args.seed
+    if seed is not None:
+        cfg.echo["seed"] = seed
+        cfg.seed = seed
     return cfg
 
 

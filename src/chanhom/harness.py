@@ -262,6 +262,8 @@ def parse_config(raw: dict) -> StudyConfig:
 
     ref = _container(raw.get("refinement", {}), "refinement", dict)
     k = _number(ref.get("k", 4), "refinement.k", integer=True)
+    if k < 1:
+        raise ConfigError("refinement.k: must be >= 1")
     m = _number(ref.get("m", k), "refinement.m", integer=True)
     n_sigma = _number(ref.get("n_sigma", max(32, int(1 / min(epsilons)))),
                       "refinement.n_sigma", integer=True)
@@ -295,6 +297,10 @@ def parse_config(raw: dict) -> StudyConfig:
                 f"diagnostics: shift_h={shift_h} and shift_l={shift_l} leave no column of "
                 f"epsilon[{i}]={eps} inside the margin 2*shift_h with its shift in the domain"
             )
+
+    seed = _number(raw.get("seed", 0), "seed", integer=True)
+    if seed < 0:
+        raise ConfigError("seed: must be >= 0")
 
     output_dir = raw.get("output_dir", "out")
     if not isinstance(output_dir, str):
@@ -332,7 +338,7 @@ def parse_config(raw: dict) -> StudyConfig:
         "snapshot_stride": stride,
         "diagnostics": {"shift_l": shift_l, "shift_h": shift_h, "theta": theta},
         "output_dir": output_dir,
-        "seed": _number(raw.get("seed", 0), "seed", integer=True),
+        "seed": seed,
     }
     return StudyConfig(
         echo=echo,

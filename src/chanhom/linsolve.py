@@ -14,12 +14,13 @@ the factor:
   block, but one BLAS product: at 512 blocks it still takes half the time
   of a block sweep.
 * `OpeningCapacitance` (the micro grid: bulk cells by grid column, channel
-  cells by channel): the bulk with its opening faces taken off is separable
-  along the columns and goes to `CosineModes`; the channels are isolated
-  equal-size blocks, inverted in one batched call; what joins them is a
-  dense capacitance system on the R bulk cells at the channel openings.  A
-  solve is the same two dense transforms as `CosineModes` plus one R x R
-  product and two batched channel solves, with no loop over columns.
+  cells by channel): with its R opening faces taken off, the bulk is
+  separable along the columns and goes to `CosineModes`, and the channels
+  are isolated equal-size blocks, inverted in one batched call.  The faces
+  come back through one symmetric Woodbury update, a dense R x R
+  capacitance system on them.  A solve is the same two dense transforms as
+  `CosineModes` plus one R x R product and two batched channel solves, with
+  no loop over columns.
 
 All run in a fixed order, so repeated solves of identical systems are
 bit-identical.  The tests keep a block LDL^T sweep as the oracle of both.
@@ -299,29 +300,30 @@ class OpeningCapacitance:
     """Exact solve of two separable bulk blocks joined by isolated channels.
 
     `blocks` labels a bulk unknown with its grid column (>= 0) and a channel
-    unknown with -1 - its channel (< 0).  With B the bulk and C the channel
-    unknowns, the matrix must have this form:
+    unknown with -1 - its channel (< 0).  The matrix must have this form:
 
-    * A_sep = A_BB + diag(A_BC 1), the bulk with its opening faces taken off,
-      is separable along the columns, and is factored by `CosineModes`;
-    * A_CC is block diagonal, one block of equal size per channel;
-    * A_BC couples a bulk cell to at most one channel cell, of the channel of
-      its own column (channel = column // k, k = columns per channel), and
-      every channel has as many such opening cells.
+    * A_BC couples a bulk cell p to at most one channel cell q, of the channel
+      of its own column (channel = column // k, k = columns per channel), and
+      every channel has as many such opening faces.  Each is a two-point term
+      t (e_p - e_q)(e_p - e_q)^T with t = -A_BC[p, q].
+    * Without its R opening faces the matrix is B = blockdiag(A_sep, A_ch):
+      A_sep, the bulk, is separable along the columns and is factored by
+      `CosineModes`; A_ch is block diagonal, one block of equal size per
+      channel, inverted in one batched call.
 
-    The R bulk cells P with a nonzero A_BC row are the openings.  With
-    E = -rowsum(A_BC)[P] and F = A_BC[P], eliminating the channels leaves
-    A_sep + P^T G P with G = diag(E) - F A_CC^{-1} F^T, and Woodbury gives
+    With U = P^T - Q^T the faces' columns e_p - e_q and T = diag(t), Woodbury
+    gives
 
-        (A_sep + P^T G P)^{-1} = A_sep^{-1} - A_sep^{-1} P^T G Z^{-1} P A_sep^{-1}
+        A^{-1} = B^{-1} - B^{-1} U Z^{-1} U^T B^{-1},
+        Z = T^{-1} + P A_sep^{-1} P^T + Q A_ch^{-1} Q^T,
 
-    with the R x R capacitance matrix Z = I + D G, D = P A_sep^{-1} P^T.
-    G is block diagonal, one block per channel.  D is read off the cosine
-    modes at the opening cells, and G Z^{-1} is kept dense.  A solve is one
-    forward transform and per-mode product, the opening rows of the result,
-    one R x R product, the opening correction in mode space and one inverse
-    transform, with a batched channel solve before and after.  A matrix of
-    any other form raises SolverError.
+    and Z is symmetric positive definite.  Its bulk part is read off the
+    cosine modes at (opening column, opening row), its channel part is
+    gathered from the channel inverses, and Z^{-1} is kept dense.  A solve is
+    a batched channel solve, the forward transform with one per-mode
+    product, the gather s = x_B[P] - x_C[Q], one R x R product, the
+    correction in mode space and the inverse transform, and a second batched
+    channel solve.  A matrix of any other form raises SolverError.
     """
 
     def __init__(self, csr, blocks=None):
@@ -346,74 +348,64 @@ class OpeningCapacitance:
 
         if np.any(cr // mc != cc // mc):
             raise SolverError("matrix couples two channels; no opening factor")
-        A_CC = np.zeros((n_chan, mc, mc))
-        A_CC[cr // mc, cr % mc, cc % mc] = cv
+        A_ch = np.zeros((n_chan, mc, mc))
+        A_ch[cr // mc, cr % mc, cc % mc] = cv
+        A_ch[:, np.arange(mc), np.arange(mc)] += np.bincount(bc, bv, n_chan * mc).reshape(-1, mc)
         try:
-            L_inv = np.linalg.inv(np.linalg.cholesky(A_CC))
+            L_inv = np.linalg.inv(np.linalg.cholesky(A_ch))
         except np.linalg.LinAlgError as exc:
             raise SolverError("a channel block is not positive definite") from exc
         self.chan_inv = np.matmul(L_inv.transpose(0, 2, 1), L_inv)
 
-        # F = A_BC at the openings, node-major: one entry per row
+        # the opening faces by node-major position of their bulk cell, so channel by channel
         where = np.empty(len(bulk), dtype=np.int64)
         where[self.modes.order] = np.arange(len(bulk))
-        row_nm = where[br]
-        if np.any(row_nm // m // (nb // n_chan) != bc // mc):
+        p = where[br]
+        if np.any(p // m // (nb // n_chan) != bc // mc):
             raise SolverError("a bulk cell is coupled to a channel outside its column")
-        by_row = np.argsort(row_nm, kind="stable")
-        self.opening = row_nm[by_row]  # node-major positions of the bulk opening cells
-        self.f, self.f_col = bv[by_row], bc[by_row]
-        if np.any(np.diff(self.opening) == 0):
+        by_p = np.argsort(p, kind="stable")
+        p, self.face_c, t = p[by_p], bc[by_p], -bv[by_p]  # face_c: the channel cell q
+        if np.any(np.diff(p) == 0):
             raise SolverError("a bulk cell touches two channel cells; no opening factor")
-        per_chan = np.bincount(self.f_col // mc, minlength=n_chan)
+        per_chan = np.bincount(self.face_c // mc, minlength=n_chan)
         if np.any(per_chan != per_chan[0]):
             raise SolverError("channels with unequal openings; no opening factor")
-        col, row = np.divmod(self.opening, m)
-
-        # G per channel: -F_j A_CC,j^{-1} F_j^T plus diag(E_j), E = -rowsum(F)
-        nr = int(per_chan[0])
-        f, at = self.f.reshape(n_chan, nr), (self.f_col % mc).reshape(n_chan, nr)
-        G = -(f[:, :, None] * self.chan_inv[np.arange(n_chan)[:, None, None],
-                                            at[:, :, None], at[:, None, :]]) * f[:, None, :]
-        G[:, np.arange(nr), np.arange(nr)] += -f
-
-        # D = P A_sep^-1 P^T from the modes at the opening cells, one opening row at a time
-        self.qc = self.modes.dct[:, col]
-        self.rows, slot = np.unique(row, return_inverse=True)
-        self.onehot = (slot[:, None] == np.arange(len(self.rows))).astype(float)
-        D = np.empty((len(row),) * 2)
-        for s, r in enumerate(self.rows):
-            D[:, slot == s] = (self.qc * self.modes.inv[:, row, r]).T @ self.qc[:, slot == s]
+        cols, col = np.unique(p // m, return_inverse=True)
+        self.rows, row = np.unique(p % m, return_inverse=True)
+        self.slot = col * len(self.rows) + row  # p in the (opening column, opening row) grid
+        self.qc = self.modes.dct[:, cols]
         self.inv_rows = np.ascontiguousarray(self.modes.inv[:, :, self.rows])
-        # W = G Z^{-1}, from Z^T W^T = G^T with Z^T = I + G D (G and D are symmetric);
-        # G D overwrites D channel by channel, and G is dense only for the solve
-        R, Zt = len(row), D
-        for j in range(0, n_chan, 64):
-            rows_j = slice(j * nr, (j + 64) * nr)
-            Zt[rows_j] = np.matmul(G[j : j + 64], Zt[rows_j].reshape(-1, nr, R)).reshape(-1, R)
-        Zt[np.diag_indices(R)] += 1.0
-        dense = np.zeros((n_chan, nr, n_chan, nr))
-        dense[np.arange(n_chan), :, np.arange(n_chan), :] = G
-        self.W = np.linalg.solve(Zt, dense.reshape(R, R)).T
+
+        # Z = T^-1 + P A_sep^-1 P^T + Q A_ch^-1 Q^T, the bulk part by pairs of opening rows
+        R, nr = len(p), int(per_chan[0])
+        Z = np.empty((R, R))
+        for s, r in enumerate(self.rows):
+            for s2, r2 in enumerate(self.rows):
+                pair = self.qc.T @ (self.modes.inv[:, r, r2, None] * self.qc)
+                Z[np.ix_(row == s, row == s2)] = pair[np.ix_(col[row == s], col[row == s2])]
+        Z[np.diag_indices(R)] += 1.0 / t
+        j, local = np.arange(n_chan), (self.face_c % mc).reshape(n_chan, nr)
+        Z.reshape(n_chan, nr, n_chan, nr)[j, :, j, :] += self.chan_inv[
+            j[:, None, None], local[:, :, None], local[:, None, :]]
+        self.W = np.linalg.inv(Z)
 
     def solve(self, b) -> np.ndarray:
-        """x with A x = b: channels, bulk modes with the opening correction, channels."""
+        """x with A x = b: channels and bulk modes, the face correction, channels."""
         modes = self.modes
         nb, m = modes.inv.shape[:2]
         n_chan, mc = self.chan_inv.shape[:2]
         b_c = b[self.chan]
-        y = b[self.bulk]
-        w_c = np.matmul(self.chan_inv, b_c.reshape(n_chan, mc, 1)).reshape(-1)
-        y[self.opening] -= self.f * w_c[self.f_col]
-        y = np.matmul(modes.inv, (modes.dct @ y.reshape(nb, m))[:, :, None])[:, :, 0]
-        q = self.W @ ((self.qc.T @ y[:, self.rows]) * self.onehot).sum(axis=1)
-        z = self.qc @ (self.onehot * q[:, None])
-        y -= np.matmul(self.inv_rows, z[:, :, None])[:, :, 0]
-        x_b = (modes.dct.T @ y).reshape(-1)
-        r_c = b_c - np.bincount(self.f_col, self.f * x_b[self.opening], n_chan * mc)
+        x_c = np.matmul(self.chan_inv, b_c.reshape(n_chan, mc, 1)).reshape(-1)
+        y = np.matmul(modes.inv, (modes.dct @ b[self.bulk].reshape(nb, m))[:, :, None])[:, :, 0]
+        s = (self.qc.T @ y[:, self.rows]).reshape(-1)[self.slot] - x_c[self.face_c]
+        q = self.W @ s
+        z = np.zeros((self.qc.shape[1], len(self.rows)))
+        z.flat[self.slot] = q
+        y -= np.matmul(self.inv_rows, (self.qc @ z)[:, :, None])[:, :, 0]
         x = np.empty_like(b)
-        x[self.bulk] = x_b
-        x[self.chan] = np.matmul(self.chan_inv, r_c.reshape(n_chan, mc, 1)).reshape(-1)
+        x[self.bulk] = (modes.dct.T @ y).reshape(-1)
+        b_c += np.bincount(self.face_c, q, n_chan * mc)
+        x[self.chan] = np.matmul(self.chan_inv, b_c.reshape(n_chan, mc, 1)).reshape(-1)
         return x
 
 

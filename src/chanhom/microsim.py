@@ -9,11 +9,11 @@ condition on conforming grids.  Diffusion is advanced implicitly (backward
 Euler), the reaction terms and the wall flux explicitly.
 
 The implicit operator is two bulk blocks that are the same in every grid
-column, plus one isolated block per channel that touches the bulk only at
-its openings.  `linsolve.OpeningCapacitance` solves it in cosine modes along
-the columns, with the channels eliminated through a capacitance system on
-the opening cells; its construction checks that structure on the assembled
-matrix.
+column, plus one isolated block per channel that touches the bulk only
+through the faces of its openings.  `linsolve.OpeningCapacitance` solves the
+bulk in cosine modes along the columns and the channels block by block,
+and joins them through a capacitance system on the opening faces; its
+construction checks that structure on the assembled matrix.
 """
 
 from dataclasses import dataclass

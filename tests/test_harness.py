@@ -172,6 +172,12 @@ def test_cli_verify_operators_exit_zero(tmp_path, capsys):
     assert "max identity residual" in capsys.readouterr().out
 
 
+def test_cli_verify_operators_refuses_a_negative_seed(tmp_path, capsys):
+    p = write_config(tmp_path, mini_config())
+    assert cli.main(["verify-operators", str(p), "--seed", "-1"]) == 1
+    assert "error: --seed:" in capsys.readouterr().err
+
+
 def test_cli_micro_macro_commands(tmp_path, capsys):
     p = write_config(tmp_path, mini_config())
     assert cli.main(["micro", str(p), "--out", str(tmp_path / "m1")]) == 0
@@ -248,6 +254,9 @@ def test_cli_missing_config_file(tmp_path, capsys):
          "kinetics.g.rate[1]"),
         (lambda raw: raw["kinetics"]["g"].update(kind=[]), "kinetics.g.kind"),
         (lambda raw: raw.update(output_dir=5), "output_dir"),
+        (lambda raw: raw["refinement"].update(k=0, m=0), "refinement.k"),
+        (lambda raw: raw["refinement"].update(k=-4, m=-4), "refinement.k"),
+        (lambda raw: raw.update(seed=-1), "seed"),
     ],
     ids=["nan_diffusivity", "decreasing_knots", "zero_u_cap", "string_diffusivity",
          "null_channel_diffusivity", "string_initial_value", "string_amplitude",
@@ -255,7 +264,8 @@ def test_cli_missing_config_file(tmp_path, capsys):
          "fractional_n_sigma", "zero_dt_factor", "number_geometry", "array_refinement",
          "number_dt", "number_channel_diffusivity", "number_segments", "short_interval",
          "zero_theta", "negative_shift_h", "empty_shift_margin", "nan_tabulated_knot",
-         "infinite_tabulated_rate", "array_kinetics_kind", "number_output_dir"],
+         "infinite_tabulated_rate", "array_kinetics_kind", "number_output_dir",
+         "zero_refinement", "negative_refinement", "negative_seed"],
 )
 def test_cli_bad_value_exits_one_with_path(tmp_path, capsys, edit, path):
     raw = mini_config()

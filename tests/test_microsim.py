@@ -269,12 +269,18 @@ def assert_matches_block_sweep(sim, csr, b):
 
 
 HOURGLASS_DIFF = DiffusionSpec(1.0, 2.0, ((0.5, 0.25), (0.3, 0.7), (0.5, 0.25)))
+# wide at the bottom, narrow at the top: most opening columns hold one opening only
+FUNNEL = ChannelProfile.from_pairs(
+    [((-1, F(-1, 2)), F(3, 4)), ((F(-1, 2), F(1, 2)), F(1, 2)), ((F(1, 2), 1), F(1, 4))]
+)
+FUNNEL_DIFF = DiffusionSpec(0.7, 1.6, ((0.4, 0.9), (1.2, 0.6), (0.8, 1.5)))
 
 
 @pytest.mark.parametrize("inv_eps", [1, 3, 4, 12])
 @pytest.mark.parametrize("profile, k, diff", [
     (ChannelProfile.rectangle(F(1, 2)), 4, B1_DIFF), (hourglass(), 8, HOURGLASS_DIFF),
-], ids=["rectangle", "hourglass"])
+    (FUNNEL, 8, FUNNEL_DIFF),
+], ids=["rectangle", "hourglass", "funnel"])
 def test_opening_factor_matches_the_block_sweep(profile, k, diff, inv_eps):
     rng = np.random.default_rng(inv_eps)
     for dt in (1 / 512, 1.0):
@@ -303,6 +309,22 @@ def test_opening_factor_solves_are_bit_identical():
     x = first.solve(b)
     assert np.array_equal(first.solve(b), x)
     assert np.array_equal(linsolve.OpeningCapacitance(csr, sim.blocks).solve(b), x)
+
+
+def kept_bytes(obj):
+    """nbytes of every array an object keeps, through the objects it keeps."""
+    return sum(v.nbytes if isinstance(v, np.ndarray) else kept_bytes(v)
+               for v in vars(obj).values() if isinstance(v, np.ndarray) or hasattr(v, "__dict__"))
+
+
+def test_opening_factor_keeps_one_transform_column_per_opening_column():
+    # 1/eps 128: 512 grid columns, 256 of them hold a top and a bottom opening (R = 512).
+    # The factor keeps 17.5 MB; one transform column per opening cell would add 1 MB.
+    _, _, sim = setup(eps=F(1, 128))
+    factor = linsolve.OpeningCapacitance(sim.stiffness.csr.plus_diagonal(sim.weights, 1 / 512),
+                                         sim.blocks)
+    assert factor.qc.shape == (512, 256) and factor.W.shape == (512, 512)
+    assert kept_bytes(factor) < 18.0e6
 
 
 def _couple(csr, i, j, t):
