@@ -52,6 +52,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     rep = sub.add_parser("report", help="re-derive report.csv from a stored study")
     rep.add_argument("study_dir")
+
+    exp = sub.add_parser("export", help="write a stored study's snapshots as CSV files")
+    exp.add_argument("study_dir")
+    exp.add_argument("--out", required=True, help="directory to write fields/*.csv into")
     return p
 
 
@@ -64,6 +68,8 @@ def _load(args):
     seed = getattr(args, "seed", None)
     if seed is not None and seed < 0:
         raise ConfigError("--seed: must be >= 0")
+    if getattr(args, "threads", 1) < 1:
+        raise ConfigError("--threads: must be >= 1")
     cfg = harness.load_config(path)
     if seed is not None:
         cfg.echo["seed"] = seed
@@ -114,7 +120,7 @@ def _dispatch(args) -> int:
         writer = harness.StudyWriter(out)
         for eps in cfg.epsilons:
             _, grid, _, snaps = harness.run_micro_study(cfg, eps)
-            harness.write_micro_fields(writer, eps, grid, snaps)
+            harness.write_micro_fields(writer, eps, snaps)
             print(f"eps={eps}: {len(snaps)} snapshots, {grid.n_cells} cells")
         return 0
 
@@ -130,6 +136,11 @@ def _dispatch(args) -> int:
     if args.command == "report":
         rep = harness.rederive_report(args.study_dir)
         print(harness.report_csv_text(rep), end="")
+        return 0
+
+    if args.command == "export":
+        files = harness.export_study(args.study_dir, args.out)
+        print(f"{len(files)} CSV files written to {Path(args.out) / 'fields'}")
         return 0
 
     return 1

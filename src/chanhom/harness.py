@@ -5,12 +5,15 @@ initial data, time horizon, the list of scale parameters, refinements, and
 output options.  Running a study solves the channel-resolved problem for
 every scale parameter, solves the limit model once, computes the
 unfolding-based error norms per scale, and writes a report CSV, all field
-snapshots, and a manifest with content hashes.  Everything is rebuildable:
-the `report` entry point re-derives the report from the stored fields and
-the config echoed in the manifest, byte for byte.
+snapshots (float64 `.npy` values, plus each limit-model snapshot's interface
+traces as CSV), and a manifest with content hashes.  Everything is
+rebuildable: the `report` entry point re-derives the report from the stored
+fields and the config echoed in the manifest, byte for byte, and `export`
+writes the stored snapshots as CSV for human readers.
 """
 
 import hashlib
+import io
 import json
 import math
 import time as _time
@@ -46,7 +49,8 @@ from .twoscale import (
     ts_error,
 )
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 1   # config format: the "schema" of a config and of its echo
+STUDY_SCHEMA = 2     # study format: the "schema" of manifest.json (2: float64 .npy fields)
 _TAG_NAMES = {BULK_P: "bulk+", BULK_M: "bulk-", CHAN: "channel"}
 
 
@@ -439,7 +443,8 @@ def report_csv_text(rep: TwoScaleReport) -> str:
 # a `%.17g` slot (which formats exactly as `_fmt`), and a snapshot is one
 # `template % values`.  Templates are held weakly by the grid (or limit-model
 # simulation) they describe: they go when it goes, and a later grid never
-# sees an earlier one's text.
+# sees an earlier one's text.  A study stores only the traces CSV; `export`
+# writes all four.
 
 _MICRO_ROWS = weakref.WeakKeyDictionary()   # RectGrid -> template
 _BULK_ROWS = weakref.WeakKeyDictionary()    # MacroSimulation -> template
@@ -493,30 +498,57 @@ def macro_traces_csv(sim: MacroSimulation, state: MacroState) -> str:
     return template % tuple(values.ravel().tolist())
 
 
-def field_path(idx, eps=None, part=None) -> str:
-    """Path of snapshot idx: the micro field of `eps`, or limit-model bulk/cells/traces `part`."""
+# -- the study's field files -------------------------------------------------
+#
+# Coordinates and regions are a function of the config echo, so a study
+# stores only each snapshot's values, as a little-endian float64 `.npy` file
+# (an exact round trip): `state.values` of a micro snapshot, `state.u` of a
+# limit-model one.  Each limit-model snapshot also keeps its interface
+# traces and cell fluxes as CSV, the jump observable in readable form.
+
+def field_path(idx, eps=None) -> str:
+    """Stored values of snapshot idx: the micro field of `eps`, or the limit-model state."""
+    name = f"micro_eps{int(1 / eps)}" if eps is not None else "macro"
+    return f"fields/{name}_s{idx:04d}.npy"
+
+
+def csv_path(idx, eps=None, part=None) -> str:
+    """CSV of snapshot idx: the micro field of `eps`, or limit-model bulk/cells/traces `part`."""
     name = f"micro_eps{int(1 / eps)}" if eps is not None else f"macro_{part}"
     return f"fields/{name}_s{idx:04d}.csv"
 
 
-def write_micro_fields(writer, eps, grid, snaps):
+def _npy_bytes(values) -> bytes:
+    """The `.npy` file of a vector of values, as little-endian float64."""
+    buf = io.BytesIO()
+    np.save(buf, np.asarray(values, dtype="<f8"), allow_pickle=False)
+    return buf.getvalue()
+
+
+def _read_npy(relpath, data, n) -> np.ndarray:
+    """The `n` finite float64 values of a `.npy` file; ConfigError naming it otherwise."""
+    try:
+        vals = np.lib.format.read_array(io.BytesIO(data), allow_pickle=False)
+    except ValueError as exc:  # bad magic or header, object dtype, short data
+        raise ConfigError(f"{relpath}: not a readable .npy file ({exc})") from exc
+    if vals.dtype != np.dtype("<f8") or vals.shape != (n,):
+        raise ConfigError(f"{relpath}: holds {vals.dtype.str} values of shape {vals.shape}, "
+                          f"expected <f8 of shape ({n},)")
+    if not np.isfinite(vals).all():
+        raise ConfigError(f"{relpath}: holds non-finite values")
+    return vals
+
+
+def write_micro_fields(writer, eps, snaps):
     for idx, state in enumerate(snaps):
-        writer.write(field_path(idx, eps=eps), micro_field_csv(grid, state))
+        writer.write(field_path(idx, eps=eps), _npy_bytes(state.values))
 
 
 def write_macro_fields(writer, sim, snaps):
-    # the writers are looked up by name at call time, so a rebound writer is used
+    # macro_traces_csv is looked up by name at call time, so a rebound writer is used
     for idx, state in enumerate(snaps):
-        writer.write(field_path(idx, part="bulk"), macro_bulk_csv(sim, state))
-        writer.write(field_path(idx, part="cells"), macro_cells_csv(sim, state))
-        writer.write(field_path(idx, part="traces"), macro_traces_csv(sim, state))
-
-
-def _read_csv_column(text, column):
-    header, _, body = text.strip().partition("\n")
-    # one string per row; loadtxt converts only that column, correctly rounded like float()
-    return np.loadtxt(body.split("\n"), delimiter=",", usecols=header.split(",").index(column),
-                      comments=None, ndmin=1)
+        writer.write(field_path(idx), _npy_bytes(state.u))
+        writer.write(csv_path(idx, part="traces"), macro_traces_csv(sim, state))
 
 
 # -- manifest ----------------------------------------------------------------
@@ -535,8 +567,10 @@ class StudyWriter:
         (self.out / "fields").mkdir(parents=True, exist_ok=True)
         self.files = {}
 
-    def write(self, relpath, text):
-        data = text.encode()
+    def write(self, relpath, data):
+        """Write `data` (bytes, or text stored as UTF-8) and record its SHA-256."""
+        if isinstance(data, str):
+            data = data.encode()
         (self.out / relpath).write_bytes(data)
         self.files[str(relpath)] = _sha256(data)
 
@@ -566,14 +600,14 @@ def run_study(cfg: StudyConfig, out_dir=None, threads=1):
     for eps, geom, grid, snaps, secs in results:
         timings[f"micro eps={eps}"] = secs
         micro_runs.append((geom, grid, snaps))
-        write_micro_fields(writer, eps, grid, snaps)
+        write_micro_fields(writer, eps, snaps)
     write_macro_fields(writer, macro_sim, macro_snaps)
 
     rep = compute_report(cfg, micro_runs, macro_sim, macro_snaps)
     writer.write("report.csv", report_csv_text(rep))
 
     manifest = {
-        "schema": SCHEMA_VERSION,
+        "schema": STUDY_SCHEMA,
         "config": cfg.echo,
         "config_sha256": _config_sha256(cfg.echo),
         "versions": _versions(),
@@ -615,12 +649,23 @@ def _check_schedule(cfg: StudyConfig, times):
                               f"step {n} (dt={cfg.dt!r})")
 
 
-def rederive_report(study_dir):
-    """Rebuild grids from the manifest's config echo, reload fields, recompute.
+@dataclass
+class StoredStudy:
+    cfg: StudyConfig
+    micro_runs: list     # (geom, grid, snaps) per eps
+    macro_sim: MacroSimulation
+    macro_snaps: list
+    traces: list         # the verified traces CSV text of each limit-model snapshot
+
+
+def load_study(study_dir) -> StoredStudy:
+    """Rebuild grids from the manifest's config echo and reload every snapshot.
 
     Every field file is checked against its manifest SHA-256 before it is
-    parsed; a missing, unlisted or altered file raises ConfigError, and so
-    does a config echo that no longer matches the manifest's config_sha256.
+    read; a missing, unlisted, altered or malformed file raises ConfigError,
+    and so do a manifest of another study schema, a traces CSV that is not
+    the one its limit-model snapshot gives, and a config echo that no longer
+    matches the manifest's config_sha256.
     """
     out = Path(study_dir)
     try:
@@ -630,7 +675,11 @@ def rederive_report(study_dir):
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{out / 'manifest.json'}: not valid JSON ({exc})") from exc
     _container(manifest, "manifest.json", dict)
-    cfg = parse_config(_need(manifest, "config", "manifest.json"))
+    raw_cfg = _need(manifest, "config", "manifest.json")
+    if manifest.get("schema") != STUDY_SCHEMA:
+        raise ConfigError(f"manifest.json.schema: study schema {manifest.get('schema')!r} "
+                          f"(this version reads schema {STUDY_SCHEMA}, float64 .npy fields)")
+    cfg = parse_config(raw_cfg)
     times = _container(_need(manifest, "snapshot_times", "manifest.json"),
                        "manifest.json.snapshot_times", list)
     times = [_number(t, f"manifest.json.snapshot_times[{i}]") for i, t in enumerate(times)]
@@ -638,7 +687,7 @@ def rederive_report(study_dir):
     files = _container(_need(manifest, "files", "manifest.json"), "manifest.json.files", dict)
     read = set()
 
-    def field_text(relpath):
+    def field_bytes(relpath):
         try:
             data = (out / relpath).read_bytes()
         except FileNotFoundError as exc:
@@ -646,33 +695,30 @@ def rederive_report(study_dir):
         if files.get(relpath) != _sha256(data):
             raise ConfigError(f"{relpath}: content does not match its manifest SHA-256")
         read.add(relpath)
-        return data.decode()
+        return data
+
+    def field_values(relpath, n):
+        return _read_npy(relpath, field_bytes(relpath), n)
 
     layout = InterfaceLayout(n_sigma=cfg.n_sigma, m=cfg.m)
     macro_sim = MacroSimulation(cfg.cell, float(cfg.H), layout, cfg.diffusion, cfg.kinetics)
-    macro_snaps = []
+    macro_snaps, traces = [], []
     for idx, t in enumerate(times):
-        u = np.zeros(macro_sim.n)
-        bulk = field_text(field_path(idx, part="bulk"))
-        vals = _read_csv_column(bulk, "value")
-        u[: macro_sim.nbp] = vals[: macro_sim.nbp]
-        u[macro_sim.nbp : macro_sim.ovp] = vals[macro_sim.nbp :]
-        traces = field_text(field_path(idx, part="traces"))
-        u[macro_sim.ovp : macro_sim.ovm] = _read_csv_column(traces, "v_plus")
-        u[macro_sim.ovm : macro_sim.oc] = _read_csv_column(traces, "v_minus")
-        cells = field_text(field_path(idx, part="cells"))
-        u[macro_sim.oc :] = _read_csv_column(cells, "value")
-        macro_snaps.append(MacroState(t=t, u=u, sim=macro_sim))
+        state = MacroState(t=t, u=field_values(field_path(idx), macro_sim.n), sim=macro_sim)
+        relpath = csv_path(idx, part="traces")
+        text = macro_traces_csv(macro_sim, state)
+        if field_bytes(relpath) != text.encode():
+            raise ConfigError(f"{relpath}: is not the traces CSV of {field_path(idx)}")
+        macro_snaps.append(state)
+        traces.append(text)
 
     micro_runs = []
     for eps in cfg.epsilons:
         geom = build_micro_geometry(eps, cfg.H, cfg.cell)
         grid = build_micro_grid(geom, cfg.k)
-        snaps = []
-        for idx, t in enumerate(times):
-            text = field_text(field_path(idx, eps=eps))
-            vals = _read_csv_column(text, "value")
-            snaps.append(MicroState(t=t, u=Field(grid, vals)))
+        snaps = [MicroState(t=t, u=Field(grid, field_values(field_path(idx, eps=eps),
+                                                            grid.n_cells)))
+                 for idx, t in enumerate(times)]
         micro_runs.append((geom, grid, snaps))
     unread = sorted(rel for rel in files if rel.startswith("fields/") and rel not in read)
     if unread:
@@ -681,10 +727,35 @@ def rederive_report(study_dir):
     if manifest.get("config_sha256") != _config_sha256(cfg.echo):
         raise ConfigError("manifest.json.config_sha256: does not match manifest.json.config "
                           "(missing, or the config was edited after the run)")
+    return StoredStudy(cfg, micro_runs, macro_sim, macro_snaps, traces)
 
-    rep = compute_report(cfg, micro_runs, macro_sim, macro_snaps)
-    (out / "report.csv").write_text(report_csv_text(rep))
+
+def rederive_report(study_dir):
+    """Recompute report.csv of a stored study (checked by `load_study`) and rewrite it."""
+    study = load_study(study_dir)
+    rep = compute_report(study.cfg, study.micro_runs, study.macro_sim, study.macro_snaps)
+    (Path(study_dir) / "report.csv").write_text(report_csv_text(rep))
     return rep
+
+
+def export_study(study_dir, out_dir) -> dict:
+    """Write a stored study's snapshots as CSV files under out_dir/fields.
+
+    The study is checked as `report` checks it. Each snapshot gets the CSV
+    files of study schema 1: `micro_eps{n}`, `macro_bulk`, `macro_cells` and
+    `macro_traces`. Returns the SHA-256 of each written file.
+    """
+    study = load_study(study_dir)
+    writer = StudyWriter(out_dir)
+    for eps, (_, grid, snaps) in zip(study.cfg.epsilons, study.micro_runs):
+        for idx, state in enumerate(snaps):
+            writer.write(csv_path(idx, eps=eps), micro_field_csv(grid, state))
+    sim = study.macro_sim
+    for idx, (state, traces) in enumerate(zip(study.macro_snaps, study.traces)):
+        writer.write(csv_path(idx, part="bulk"), macro_bulk_csv(sim, state))
+        writer.write(csv_path(idx, part="cells"), macro_cells_csv(sim, state))
+        writer.write(csv_path(idx, part="traces"), traces)
+    return writer.files
 
 
 # ---------------------------------------------------------------------------

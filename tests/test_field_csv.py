@@ -1,4 +1,4 @@
-"""Field CSV writers and reader against the row-by-row formatting they replace."""
+"""Field CSV writers and `chanhom export` against the row-by-row formatting they replace."""
 
 import gc
 import json
@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chanhom import harness
+from chanhom import cli, harness
 from chanhom.geometry import build_micro_geometry
 from chanhom.grid import Field, RectGrid, build_micro_grid
 from chanhom.macrosim import InterfaceLayout, MacroSimulation, MacroState
@@ -58,6 +58,14 @@ def rowwise_traces(sim, state):
     return "\n".join(lines) + "\n"
 
 
+def read_csv_column(text, column):
+    """One column of a field CSV, as the schema-1 study reader parsed it."""
+    header, _, body = text.strip().partition("\n")
+    # one string per row; loadtxt converts only that column, correctly rounded like float()
+    return np.loadtxt(body.split("\n"), delimiter=",", usecols=header.split(",").index(column),
+                      comments=None, ndmin=1)
+
+
 def rowwise_column(text, column):
     lines = text.strip().split("\n")
     idx = lines[0].split(",").index(column)
@@ -97,9 +105,9 @@ def test_writers_match_rowwise_formatting(seed):
             state = MicroState(t=0.0, u=Field(grid, vals))
             text = harness.micro_field_csv(grid, state)
             assert text == rowwise_micro(grid, state)
-            assert same_bits(harness._read_csv_column(text, "value"), vals)
+            assert same_bits(read_csv_column(text, "value"), vals)
             for column in ("xbar", "xn"):
-                assert same_bits(harness._read_csv_column(text, column),
+                assert same_bits(read_csv_column(text, column),
                                  rowwise_column(text, column))
 
     sim = MacroSimulation(cfg.cell, float(cfg.H), InterfaceLayout(cfg.n_sigma, cfg.m),
@@ -152,3 +160,32 @@ def test_percent_in_a_row_prefix_is_literal(monkeypatch):
     grid = RectGrid([0.0, 1.0, 2.0], [0.0, 1.0], tag)
     state = MicroState(t=0.0, u=Field(grid, np.array([1.5, -0.0])))
     assert harness.micro_field_csv(grid, state) == rowwise_micro(grid, state)
+
+
+def test_export_writes_the_rowwise_csvs_of_the_stored_states(tmp_path, capsys):
+    """`chanhom export` of a stored study gives, file for file, the row-by-row CSVs of
+    the states the study ran through."""
+    cfg = shrunk_b1()
+    study, csv = tmp_path / "study", tmp_path / "csv"
+    harness.run_study(cfg, out_dir=study)
+    assert cli.main(["export", str(study), "--out", str(csv)]) == 0
+    assert "CSV files written" in capsys.readouterr().out
+
+    expected = {}
+    for eps in cfg.epsilons:
+        _, grid, _, snaps = harness.run_micro_study(cfg, eps)
+        for idx, state in enumerate(snaps):
+            expected[f"fields/micro_eps{int(1 / eps)}_s{idx:04d}.csv"] = rowwise_micro(grid, state)
+    sim, snaps = harness.run_macro_study(cfg)
+    for idx, state in enumerate(snaps):
+        for part, oracle in (("bulk", rowwise_bulk), ("cells", rowwise_cells),
+                             ("traces", rowwise_traces)):
+            expected[f"fields/macro_{part}_s{idx:04d}.csv"] = oracle(sim, state)
+    written = {str(path.relative_to(csv)) for path in csv.rglob("*") if path.is_file()}
+    assert written == set(expected)
+    for rel, text in expected.items():
+        assert (csv / rel).read_bytes() == text.encode(), rel
+    # the study keeps the traces CSV itself, byte for byte as exported
+    for rel in expected:
+        if "macro_traces" in rel:
+            assert (study / rel).read_bytes() == (csv / rel).read_bytes()

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 from pathlib import Path
 
@@ -257,6 +258,8 @@ def test_cli_missing_config_file(tmp_path, capsys):
         (lambda raw: raw["refinement"].update(k=0, m=0), "refinement.k"),
         (lambda raw: raw["refinement"].update(k=-4, m=-4), "refinement.k"),
         (lambda raw: raw.update(seed=-1), "seed"),
+        (lambda raw: ["--threads", "0"], "--threads"),
+        (lambda raw: ["--threads", "-2"], "--threads"),
     ],
     ids=["nan_diffusivity", "decreasing_knots", "zero_u_cap", "string_diffusivity",
          "null_channel_diffusivity", "string_initial_value", "string_amplitude",
@@ -265,13 +268,14 @@ def test_cli_missing_config_file(tmp_path, capsys):
          "number_dt", "number_channel_diffusivity", "number_segments", "short_interval",
          "zero_theta", "negative_shift_h", "empty_shift_margin", "nan_tabulated_knot",
          "infinite_tabulated_rate", "array_kinetics_kind", "number_output_dir",
-         "zero_refinement", "negative_refinement", "negative_seed"],
+         "zero_refinement", "negative_refinement", "negative_seed", "zero_threads",
+         "negative_threads"],
 )
 def test_cli_bad_value_exits_one_with_path(tmp_path, capsys, edit, path):
     raw = mini_config()
-    edit(raw)
+    options = edit(raw) or []  # an edit returns the command-line options it adds, if any
     p = write_config(tmp_path, raw)
-    assert cli.main(["run", str(p), "--out", str(tmp_path / "x")]) == 1
+    assert cli.main(["run", str(p), "--out", str(tmp_path / "x"), *options]) == 1
     assert f"error: {path}:" in capsys.readouterr().err
     assert not (tmp_path / "x").exists()  # rejected before any solve
 
@@ -286,13 +290,13 @@ def test_cli_report_refuses_an_edited_field_file(tmp_path, capsys):
     out = tmp_path / "study"
     assert cli.main(["run", str(p), "--out", str(out)]) == 0
     report = (out / "report.csv").read_bytes()
-    field = out / "fields" / "micro_eps4_s0001.csv"
+    field = out / "fields" / "micro_eps4_s0001.npy"
     data = bytearray(field.read_bytes())
     data[-2] = ord("8") if data[-2] == ord("9") else ord("9")  # last digit of one value
     field.write_bytes(bytes(data))
     capsys.readouterr()
     assert cli.main(["report", str(out)]) == 1
-    assert "fields/micro_eps4_s0001.csv" in capsys.readouterr().err
+    assert "fields/micro_eps4_s0001.npy" in capsys.readouterr().err
     assert (out / "report.csv").read_bytes() == report
 
 
@@ -327,7 +331,7 @@ def with_config(manifest, section, **edit):
      "manifest.json.snapshot_times: 2 entries"),
     (lambda manifest: with_horizon(manifest, 15 / 128, 5), "manifest.json.snapshot_times[4]"),
     (lambda manifest: with_horizon(manifest, 8 / 128, 5), "manifest.json.snapshot_times: 5"),
-    (lambda manifest: with_horizon(manifest, 8 / 128, 3), "fields/macro_bulk_s0003.csv"),
+    (lambda manifest: with_horizon(manifest, 8 / 128, 3), "fields/macro_s0003.npy"),
     (lambda manifest: dict(manifest, files=dict(
         manifest["files"], **{"fields/micro_eps8_s0000.csv": "0" * 64})),
      "fields/micro_eps8_s0000.csv"),
@@ -337,10 +341,11 @@ def with_config(manifest, section, **edit):
      "manifest.json.config_sha256"),
     (lambda manifest: {key: val for key, val in manifest.items() if key != "config_sha256"},
      "manifest.json.config_sha256"),
+    (lambda manifest: dict(manifest, schema=1), "manifest.json.schema"),
 ], ids=["empty_object", "array", "number_snapshot_times", "array_files", "string_time",
         "null_time", "nan_time", "two_times", "horizon_off_schedule", "horizon_shorter",
         "horizon_and_times_cut", "unread_field_file", "edited_diffusivity", "edited_shift_h",
-        "no_config_hash"])
+        "no_config_hash", "schema_1"])
 def test_cli_report_refuses_a_malformed_manifest(tmp_path, capsys, edit, named):
     p = write_config(tmp_path, mini_config())
     out = tmp_path / "study"
@@ -352,3 +357,73 @@ def test_cli_report_refuses_a_malformed_manifest(tmp_path, capsys, edit, named):
     assert cli.main(["report", str(out)]) == 1
     assert f"error: {named}" in capsys.readouterr().err
     assert (out / "report.csv").read_bytes() == report
+
+
+def npy_of(array, allow_pickle=False):
+    buf = io.BytesIO()
+    np.save(buf, array, allow_pickle=allow_pickle)
+    return buf.getvalue()
+
+
+def forged_traces(data, vals):
+    """The traces CSV with the last digit of its last value changed."""
+    data = bytearray(data)
+    data[-2] = ord("8") if data[-2] == ord("9") else ord("9")
+    return bytes(data)
+
+
+def with_nan(vals):
+    vals = vals.copy()
+    vals[3] = np.nan
+    return npy_of(vals)
+
+
+MICRO = "fields/micro_eps4_s0001.npy"
+
+
+# each forge maps the file's bytes and, for a .npy file, its values to new bytes
+@pytest.mark.parametrize("rel, forge, named", [
+    (MICRO, lambda data, vals: npy_of(vals.astype(np.float32)), "holds <f4 values"),
+    (MICRO, lambda data, vals: npy_of(vals[:, None]), "holds <f8 values of shape (288, 1)"),
+    (MICRO, lambda data, vals: npy_of(vals[:-1]), "holds <f8 values of shape (287,)"),
+    (MICRO, lambda data, vals: npy_of(vals.astype(object), allow_pickle=True),
+     "not a readable .npy file"),
+    (MICRO, lambda data, vals: data[:20], "not a readable .npy file"),
+    (MICRO, lambda data, vals: with_nan(vals), "holds non-finite values"),
+    ("fields/macro_s0002.npy", lambda data, vals: npy_of(vals[1:]), "holds <f8 values"),
+    ("fields/macro_traces_s0002.csv", forged_traces,
+     "is not the traces CSV of fields/macro_s0002.npy"),
+], ids=["float32", "two_dimensional", "wrong_length", "object_array", "truncated_header",
+        "nan_values", "wrong_macro_length", "edited_traces"])
+def test_cli_report_refuses_a_forged_field_file(tmp_path, capsys, rel, forge, named):
+    """A field file replaced and rehashed in the manifest is still refused by its content."""
+    p = write_config(tmp_path, mini_config())
+    out = tmp_path / "study"
+    assert cli.main(["run", str(p), "--out", str(out)]) == 0
+    report = (out / "report.csv").read_bytes()
+    data = (out / rel).read_bytes()
+    vals = np.load(io.BytesIO(data)) if rel.endswith(".npy") else None
+    data = forge(data, vals)
+    (out / rel).write_bytes(data)
+    path = out / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["files"][rel] = hashlib.sha256(data).hexdigest()
+    path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert cli.main(["report", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {rel}: ") and named in err
+    assert "Traceback" not in err
+    assert (out / "report.csv").read_bytes() == report
+
+
+def test_cli_export_refuses_a_study_report_refuses(tmp_path, capsys):
+    p = write_config(tmp_path, mini_config())
+    out = tmp_path / "study"
+    assert cli.main(["run", str(p), "--out", str(out)]) == 0
+    (out / "fields" / "macro_s0001.npy").write_bytes(npy_of(np.zeros(3)))
+    capsys.readouterr()
+    assert cli.main(["export", str(out), "--out", str(tmp_path / "csv")]) == 1
+    assert "error: fields/macro_s0001.npy: content does not match" in capsys.readouterr().err
+    assert not (tmp_path / "csv").exists()
+    assert cli.main(["export", str(out)]) == 1  # --out is required

@@ -268,7 +268,7 @@ def test_cosine_modes_reject_an_indefinite_mode():
 # -- what a run imports ----------------------------------------------------------
 
 def test_runs_leave_heavy_scipy_modules_unloaded(tmp_path):
-    """Importing the harness, a study run and its report load no scipy module at all.
+    """Importing the harness, a study run, its report and its export load no scipy module.
 
     `import scipy.sparse` alone costs about 0.2 s and 22 MB of RSS per
     process; the program's sparse matrices and factors use numpy only.
@@ -297,9 +297,12 @@ assert cli.main(["run", cfg, "--out", study]) == 0
 loaded["run"] = scipy_modules()
 assert cli.main(["report", study]) == 0
 loaded["report"] = scipy_modules()
+assert cli.main(["export", study, "--out", {str(tmp_path / "csv")!r}]) == 0
+loaded["export"] = scipy_modules()
 print(json.dumps(loaded))
 """
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=env)
-    assert json.loads(out.stdout.splitlines()[-1]) == {"import": [], "run": [], "report": []}
+    assert json.loads(out.stdout.splitlines()[-1]) == {"import": [], "run": [], "report": [],
+                                                      "export": []}

@@ -67,14 +67,21 @@ def test_traced_study_and_cli_fire_every_writer_span(spans, tmp_path, capsys):
         harness.run_study(harness.parse_config(raw), out_dir=tmp_path / "study", threads=1)
         assert cli.main(["micro", str(cfg_path), "--out", str(tmp_path / "micro")]) == 0
         assert cli.main(["macro", str(cfg_path), "--out", str(tmp_path / "macro")]) == 0
+        assert cli.main(["export", str(tmp_path / "study"), "--out", str(tmp_path / "csv")]) == 0
     finally:
         tracer.uninstall()
     capsys.readouterr()
 
     fired = [rec[3] for rec in tracer.spans]
-    written = [p for d in ("study", "micro", "macro") for p in (tmp_path / d / "fields").iterdir()]
-    assert len(written) == 2 * (5 + 3 * 5)  # 5 snapshots: one micro and three macro files each
-    assert fired.count("harness.field_csv") == len(written)
+    written = [p for d in ("study", "micro", "macro", "csv") for p in (tmp_path / d).rglob("*")
+               if p.is_file() and p.name != "manifest.json"]
+    # 5 snapshots: the study's report and three files each, one micro .npy, a limit-model
+    # .npy and its traces CSV; the export's four CSVs each
+    assert len(written) == 1 + 3 * 5 + 5 + 2 * 5 + 4 * 5
+    assert fired.count("harness.StudyWriter.write") == len(written)
+    csvs = [p for p in written if p.suffix == ".csv" and p.name != "report.csv"]
+    assert len(csvs) == 2 * 5 + 4 * 5  # the traces CSVs of study and macro, the exported CSVs
+    assert fired.count("harness.field_csv") == len(csvs)
     assert "microsim.MicroSimulation.init" in fired
     assert "macrosim.MacroSimulation.init" in fired
 
