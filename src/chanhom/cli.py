@@ -28,26 +28,22 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command")
 
-    def config_arg(sp):
-        sp.add_argument("config", nargs="?", default=None)
-        sp.add_argument("--config", dest="config_flag", default=None, help="config file path")
-
     run = sub.add_parser("run", help="full study: micro sweep, limit model, error report")
-    config_arg(run)
+    run.add_argument("config", help="config file path")
     run.add_argument("--out", default=None, help="output directory (default from config)")
     run.add_argument("--threads", type=int, default=1, help="parallel micro runs")
     run.add_argument("--seed", type=int, default=None, help="override config seed")
 
     ver = sub.add_parser("verify-operators", help="unfolding identity suite on random fields")
-    config_arg(ver)
+    ver.add_argument("config", help="config file path")
     ver.add_argument("--seed", type=int, default=None)
 
     mic = sub.add_parser("micro", help="channel-resolved runs only, write fields")
-    config_arg(mic)
+    mic.add_argument("config", help="config file path")
     mic.add_argument("--out", default=None)
 
     mac = sub.add_parser("macro", help="limit-model run only, write fields")
-    config_arg(mac)
+    mac.add_argument("config", help="config file path")
     mac.add_argument("--out", default=None)
 
     rep = sub.add_parser("report", help="re-derive report.csv from a stored study")
@@ -60,17 +56,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args):
-    path = args.config if args.config is not None else getattr(args, "config_flag", None)
-    if path is None:
-        raise ConfigError("a config file is required (positional or --config)")
-    if args.config is not None and getattr(args, "config_flag", None) is not None:
-        raise ConfigError("give the config either positionally or via --config, not both")
     seed = getattr(args, "seed", None)
     if seed is not None and seed < 0:
         raise ConfigError("--seed: must be >= 0")
     if getattr(args, "threads", 1) < 1:
         raise ConfigError("--threads: must be >= 1")
-    cfg = harness.load_config(path)
+    cfg = harness.load_config(args.config)
     if seed is not None:
         cfg.echo["seed"] = seed
         cfg.seed = seed

@@ -268,12 +268,9 @@ def cell_gradients(grid: RectGrid, values, valid=None):
             fa, fb, fg = fs.a[keep], fs.b[keep], fg[keep]
         else:
             fa, fb = fs.a, fs.b
-        s = np.zeros(grid.n_cells)
-        c = np.zeros(grid.n_cells)
-        np.add.at(s, fa, fg)
-        np.add.at(s, fb, fg)
-        np.add.at(c, fa, 1.0)
-        np.add.at(c, fb, 1.0)
+        ends = np.concatenate([fa, fb])  # each cell sums its fa terms, then its fb terms
+        s = np.bincount(ends, np.concatenate([fg, fg]), minlength=grid.n_cells)
+        c = np.bincount(ends, minlength=grid.n_cells)
         grad[:, fs.axis] = s / np.maximum(c, 1.0)
     return grad
 

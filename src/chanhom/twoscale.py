@@ -9,7 +9,7 @@ then hold at machine precision, which is what the verification suite
 checks before trusting the error norms.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,11 +41,7 @@ class TwoScaleReport:
     e_wall: list
     apriori: list
     shift_ratio: list
-    trace_ratio: list = None
-
-    def __post_init__(self):
-        if self.trace_ratio is None:
-            self.trace_ratio = []
+    trace_ratio: list = field(default_factory=list)
 
     def rows(self):
         for i in range(len(self.eps)):

@@ -125,6 +125,59 @@ def test_rows_without_a_diagonal_entry_are_refused():
         A.plus_diagonal(np.ones(2))
 
 
+def check_lookup_against_dense(rng, stored):
+    """`find`, `deviation` and the diagonal lookup of a CSR with pattern `stored`, densely.
+
+    A tenth of the stored entries hold 0.0.  B sits on a random set of keys;
+    on some of A's keys it takes A's value, so their difference is 0.
+    """
+    n = len(stored)
+    dense = np.where(stored, rng.normal(size=(n, n)), 0.0)
+    dense[stored & (rng.random((n, n)) < 0.1)] = 0.0
+    rows, cols = np.nonzero(stored)
+    A = linsolve.CSR.from_triplets(rows, cols, dense[rows, cols], n)
+
+    qr, qc = np.divmod(rng.integers(0, n * n, size=3 * n * n), n)  # repeats, any order
+    at = A.find(qr, qc)
+    hit = at >= 0
+    assert np.array_equal(hit, stored[qr, qc])
+    assert np.array_equal(A.rows[at[hit]], qr[hit])
+    assert np.array_equal(A.indices[at[hit]], qc[hit])
+
+    on_b = rng.random((n, n)) < rng.choice([0.0, 0.5, 1.0])
+    B = np.where(on_b, rng.normal(size=(n, n)), 0.0)
+    same = on_b & stored & (rng.random((n, n)) < 0.5)
+    B[same] = dense[same]
+    br, bc = np.nonzero(on_b)
+    perm = rng.permutation(len(br))
+    br, bc = br[perm], bc[perm]
+    assert A.deviation(br, bc, B[br, bc]) == np.abs(dense - B).max(initial=0.0)
+    assert A.deviation(A.indices, A.rows, A.data) == np.abs(dense - dense.T).max(initial=0.0)
+
+    if np.diagonal(stored).all():
+        assert np.array_equal(to_scipy(A.plus_diagonal(np.ones(n))).toarray(), dense + np.eye(n))
+    else:
+        with pytest.raises(SolverError, match="no diagonal entry"):
+            A.plus_diagonal(np.ones(n))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 10),
+       density=st.sampled_from([0.0, 0.3, 1.0]))
+def test_find_and_deviation_match_a_dense_oracle(seed, n, density):
+    rng = np.random.default_rng(seed)
+    check_lookup_against_dense(rng, rng.random((n, n)) < density)
+
+
+@pytest.mark.parametrize("stored", [
+    np.zeros((3, 3), dtype=bool),  # an empty CSR
+    ~np.eye(3, dtype=bool) | np.diag([True, False, True]),  # row 1 has no diagonal entry
+    np.eye(3, dtype=bool) | (np.arange(3)[:, None] == [2, 2, 0]),  # (0, 2) without (2, 0)
+], ids=["empty", "row-without-diagonal", "one-sided-entry"])
+def test_find_and_deviation_on_chosen_patterns(stored):
+    check_lookup_against_dense(np.random.default_rng(1), stored)
+
+
 def capture_assembly(monkeypatch):
     """Record the triplets every `linsolve.assemble` call receives."""
     calls = []

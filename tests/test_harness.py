@@ -212,6 +212,14 @@ def test_cli_misaligned_refinement_exits_one(tmp_path, capsys):
     assert "refinement.k" in err or "alignment" in err
 
 
+@pytest.mark.parametrize("command", ["run", "verify-operators"])
+def test_cli_without_a_config_is_a_usage_error(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main([command]) == 1
+    assert "the following arguments are required: config" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cli_missing_config_file(tmp_path, capsys):
     assert cli.main(["run", str(tmp_path / "nope.json")]) == 1
     assert "not found" in capsys.readouterr().err

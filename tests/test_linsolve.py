@@ -239,6 +239,8 @@ def test_cosine_modes_reject_what_is_not_separable():
         "off-diagonal coupling": _couple(fixed, 0, size + 1, -0.5),
         "unequal neighbour coupling": _couple(fixed, n2, n2 + size, -0.5),
         "non-adjacent coupling": _couple(fixed, 0, n2, -0.5),
+        # c != 0, so the form has this entry, but the matrix stores none
+        "missing neighbour coupling": _couple(fixed, n2, n2 + size, -fixed[n2, n2 + size]),
     }
     for name, dense in broken.items():
         with pytest.raises(SolverError, match="not I"):
