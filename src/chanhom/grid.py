@@ -398,19 +398,29 @@ def _axis_overlaps(edges_a, edges_b):
     return ia, ib, np.diff(cuts)
 
 
-def l2_overlap_diff_sq(grid_a: RectGrid, values_a, grid_b: RectGrid, values_b) -> float:
-    """Integral of (a - b)^2 over the intersection of the two grids' extents.
+def overlap_map(grid_a: RectGrid, grid_b: RectGrid):
+    """The pieces of the two grids' common extent: (cells_a, cells_b, wx, wy).
 
-    Inputs are per-cell vectors; void cells read as 0 (extension by zero).
+    Piece (i, j) is wx[i] by wy[j] and lies in cell cells_a[i, j] of grid_a
+    and cells_b[i, j] of grid_b (-1 where that cell is void).
     """
     xa, xb, wx = _axis_overlaps(grid_a.x, grid_b.x)
     ya, yb, wy = _axis_overlaps(grid_a.y, grid_b.y)
-    if len(xa) == 0 or len(ya) == 0:
+    return grid_a.index[np.ix_(xa, ya)], grid_b.index[np.ix_(xb, yb)], wx, wy
+
+
+def l2_overlap_diff_sq(grid_a: RectGrid, values_a, grid_b: RectGrid, values_b,
+                       overlap=None) -> float:
+    """Integral of (a - b)^2 over the intersection of the two grids' extents.
+
+    Inputs are per-cell vectors; void cells read as 0 (extension by zero).
+    `overlap` is the grids' `overlap_map`, computed here when not given.
+    """
+    cells_a, cells_b, wx, wy = overlap if overlap is not None else overlap_map(grid_a, grid_b)
+    if cells_a.size == 0:
         return 0.0
     # index -1 (void) picks the appended 0
-    a = np.append(values_a, 0.0)[grid_a.index[np.ix_(xa, ya)]]
-    b = np.append(values_b, 0.0)[grid_b.index[np.ix_(xb, yb)]]
-    diff = a - b
+    diff = np.append(values_a, 0.0)[cells_a] - np.append(values_b, 0.0)[cells_b]
     return float(np.einsum("i,j,ij->", wx, wy, diff**2))
 
 

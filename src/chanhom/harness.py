@@ -16,6 +16,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import time as _time
 import weakref
 from concurrent.futures import ThreadPoolExecutor
@@ -79,6 +80,14 @@ def _number(raw, path, integer=False):
     return raw if isinstance(raw, int) else int(val)  # ints stay exact beyond 2**53
 
 
+def _known(mapping, path, keys):
+    """mapping, unless it holds a key outside `keys`: ConfigError naming that key's path."""
+    for key in mapping:
+        if key not in keys:
+            raise ConfigError(f"{path}.{key}: unknown key" if path else f"{key}: unknown key")
+    return mapping
+
+
 def _container(raw, path, kind, size=None):
     """raw if it is a JSON object (kind dict) or array (kind list, of `size` entries if given)."""
     if kind is dict:
@@ -126,6 +135,7 @@ def _kinetics_spec(raw, path) -> KineticsSpec:
     params = {key: val for key, val in raw.items() if key not in ("kind", "modulation")}
     if not isinstance(kind, str) or kind not in BASE_KINDS:
         raise ConfigError(f"{path}.kind: unknown kinetics kind {kind!r}")
+    _known(raw, path, ("kind", "modulation", *BASE_KINDS[kind]))
     for name in BASE_KINDS[kind]:
         if kind == "tabulated":
             knots = _container(_need(params, name, path), f"{path}.{name}", list)
@@ -134,7 +144,8 @@ def _kinetics_spec(raw, path) -> KineticsSpec:
             params[name] = _number(_need(params, name, path), f"{path}.{name}")
     modulation = None
     if raw.get("modulation") is not None:
-        mod = _container(raw["modulation"], f"{path}.modulation", dict)
+        mod = _known(_container(raw["modulation"], f"{path}.modulation", dict),
+                     f"{path}.modulation", ("kind", "amplitude"))
         modulation = (_need(mod, "kind", f"{path}.modulation"),
                       _number(_need(mod, "amplitude", f"{path}.modulation"),
                               f"{path}.modulation.amplitude"))
@@ -154,18 +165,25 @@ def _initial_fn(raw, path, channel=False):
     def freq():
         return _number(raw.get("frequency", 1), f"{path}.frequency", integer=True)
 
+    def only(*keys):
+        _known(raw, path, ("kind", *keys))
+
     if kind == "constant":
+        only("value")
         v = num("value")
         if channel:
             return lambda xb, yb, yn: v
         return lambda x, y: v
     if kind == "cosine_xbar" and not channel:
+        only("base", "amplitude", "frequency")
         base, amp, k = num("base"), num("amplitude"), freq()
         return lambda x, y: base + amp * np.cos(k * np.pi * x)
     if kind == "affine_yn" and channel:
+        only("base", "slope")
         base, slope = num("base"), num("slope")
         return lambda xb, yb, yn: base + slope * yn
     if kind == "affine_yn_cosine_xbar" and channel:
+        only("base", "slope", "amplitude", "frequency")
         base, slope, amp, k = num("base"), num("slope"), num("amplitude"), freq()
         return lambda xb, yb, yn: (base + slope * yn) * (
             1.0 + amp * np.cos(k * np.pi * xb)
@@ -178,16 +196,21 @@ def parse_config(raw: dict) -> StudyConfig:
         raise ConfigError("top level: expected a JSON object")
     if _number(raw.get("schema", SCHEMA_VERSION), "schema", integer=True) != SCHEMA_VERSION:
         raise ConfigError(f"schema: unsupported version {raw.get('schema')}")
+    _known(raw, "", ("schema", "geometry", "diffusivity", "kinetics", "initial", "epsilon",
+                     "time", "refinement", "snapshot_stride", "diagnostics", "output_dir",
+                     "seed"))
 
-    geo = _container(_need(raw, "geometry", ""), "geometry", dict)
+    geo = _known(_container(_need(raw, "geometry", ""), "geometry", dict), "geometry",
+                 ("H", "profile"))
     H = _frac_value(_need(geo, "H", "geometry"), "geometry.H")
-    prof_raw = _container(_need(geo, "profile", "geometry"), "geometry.profile", dict)
+    prof_raw = _known(_container(_need(geo, "profile", "geometry"), "geometry.profile", dict),
+                      "geometry.profile", ("segments",))
     segs = _container(_need(prof_raw, "segments", "geometry.profile"),
                       "geometry.profile.segments", list)
     segments = []
     for i, s in enumerate(segs):
         at = f"geometry.profile.segments[{i}]"
-        _container(s, at, dict)
+        _known(_container(s, at, dict), at, ("interval", "width"))
         lo, hi = _container(_need(s, "interval", at), f"{at}.interval", list, 2)
         interval = (_frac_value(lo, f"{at}.interval[0]"), _frac_value(hi, f"{at}.interval[1]"))
         segments.append((interval, _frac_value(_need(s, "width", at), f"{at}.width")))
@@ -197,7 +220,8 @@ def parse_config(raw: dict) -> StudyConfig:
         raise ConfigError(f"geometry.profile: {exc}") from exc
     cell = build_reference_cell(profile)
 
-    dif = _container(_need(raw, "diffusivity", ""), "diffusivity", dict)
+    dif = _known(_container(_need(raw, "diffusivity", ""), "diffusivity", dict), "diffusivity",
+                 ("bulk_plus", "bulk_minus", "channel"))
     d_plus = _number(_need(dif, "bulk_plus", "diffusivity"), "diffusivity.bulk_plus")
     d_minus = _number(_need(dif, "bulk_minus", "diffusivity"), "diffusivity.bulk_minus")
     chan = _container(_need(dif, "channel", "diffusivity"), "diffusivity.channel", list)
@@ -216,7 +240,8 @@ def parse_config(raw: dict) -> StudyConfig:
     except ValueError as exc:
         raise ConfigError(f"diffusivity: {exc}") from exc
 
-    kin_raw = _container(_need(raw, "kinetics", ""), "kinetics", dict)
+    kin_raw = _known(_container(_need(raw, "kinetics", ""), "kinetics", dict), "kinetics",
+                     ("f_plus", "f_minus", "g", "h"))
     kinetics = KineticsBundle(
         f_plus=_kinetics_spec(_need(kin_raw, "f_plus", "kinetics"), "kinetics.f_plus"),
         f_minus=_kinetics_spec(_need(kin_raw, "f_minus", "kinetics"), "kinetics.f_minus"),
@@ -224,7 +249,8 @@ def parse_config(raw: dict) -> StudyConfig:
         h=_kinetics_spec(_need(kin_raw, "h", "kinetics"), "kinetics.h"),
     )
 
-    ini = _container(_need(raw, "initial", ""), "initial", dict)
+    ini = _known(_container(_need(raw, "initial", ""), "initial", dict), "initial",
+                 ("bulk_plus", "bulk_minus", "channel"))
     initial = InitialData(
         u_plus=_initial_fn(_need(ini, "bulk_plus", "initial"), "initial.bulk_plus"),
         u_minus=_initial_fn(_need(ini, "bulk_minus", "initial"), "initial.bulk_minus"),
@@ -245,16 +271,18 @@ def parse_config(raw: dict) -> StudyConfig:
     if any(b >= a for a, b in zip(epsilons, epsilons[1:])):
         raise ConfigError("epsilon: values must be strictly decreasing")
 
-    tim = _container(_need(raw, "time", ""), "time", dict)
+    tim = _known(_container(_need(raw, "time", ""), "time", dict), "time", ("T", "dt"))
     T = _number(_need(tim, "T", "time"), "time.T")
     dt_raw = _container(tim.get("dt", {"rule": "eps_min_over", "factor": 8}), "time.dt", dict)
     rule = dt_raw.get("rule", "eps_min_over")
     if rule == "eps_min_over":
+        _known(dt_raw, "time.dt", ("rule", "factor"))
         factor = _number(dt_raw.get("factor", 8), "time.dt.factor")
         if factor <= 0:
             raise ConfigError("time.dt.factor: must be > 0")
         dt = float(min(epsilons)) / factor
     elif rule == "fixed":
+        _known(dt_raw, "time.dt", ("rule", "value"))
         dt = _number(_need(dt_raw, "value", "time.dt"), "time.dt.value")
     else:
         raise ConfigError(f"time.dt.rule: unknown rule {rule!r}")
@@ -264,7 +292,8 @@ def parse_config(raw: dict) -> StudyConfig:
     if abs(n_steps * dt - T) > 1e-9 * max(T, 1.0):
         raise ConfigError(f"time: T={T} is not an integer multiple of dt={dt}")
 
-    ref = _container(raw.get("refinement", {}), "refinement", dict)
+    ref = _known(_container(raw.get("refinement", {}), "refinement", dict), "refinement",
+                 ("k", "m", "n_sigma"))
     k = _number(ref.get("k", 4), "refinement.k", integer=True)
     if k < 1:
         raise ConfigError("refinement.k: must be >= 1")
@@ -287,7 +316,8 @@ def parse_config(raw: dict) -> StudyConfig:
     if stride < 1:
         raise ConfigError("snapshot_stride: must be >= 1")
 
-    diag = _container(raw.get("diagnostics", {}), "diagnostics", dict)
+    diag = _known(_container(raw.get("diagnostics", {}), "diagnostics", dict), "diagnostics",
+                  ("shift_l", "shift_h", "theta"))
     shift_l = _number(diag.get("shift_l", 1), "diagnostics.shift_l", integer=True)
     shift_h = _number(diag.get("shift_h", 0.125), "diagnostics.shift_h")
     theta = _number(diag.get("theta", 1.0), "diagnostics.theta")
@@ -619,7 +649,15 @@ def run_study(cfg: StudyConfig, out_dir=None, threads=1):
     return rep, manifest
 
 
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def _versions():
+    """What a bit-identical rerun needs the same of: versions, BLAS threading, CPU count.
+
+    LAPACK rounds differently with another thread count once a matrix has
+    about 128 rows, so the thread variables are recorded with the versions.
+    """
     import platform
 
     from . import __version__
@@ -628,6 +666,8 @@ def _versions():
         "chanhom": __version__,
         "python": platform.python_version(),
         "numpy": np.__version__,
+        "blas_threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
+        "cpu_count": os.cpu_count(),
     }
 
 

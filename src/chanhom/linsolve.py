@@ -8,11 +8,12 @@ the factor:
 * `CosineModes` (the limit model, one interface node per block): the
   operator is the same block at every node plus a uniform coupling along
   the interface, so cosine modes along the interface decouple it exactly.
-  Construction certifies that structure and one inverse per mode; a solve
-  is a dense orthonormal DCT-II product, one batched per-mode product and
-  the inverse transform.  The transform is O(n_blocks^2) per unknown of a
-  block, but one BLAS product: at 512 blocks it still takes half the time
-  of a block sweep.
+  Construction certifies that structure and diagonalises every mode block
+  in one eigenbasis (fast diagonalisation); a solve is a dense orthonormal
+  DCT-II product, one product with the eigenbasis, a scaling, and both
+  products back.  The transform is O(n_blocks^2) per unknown of a block,
+  but one BLAS product: at 512 blocks it still takes half the time of a
+  block sweep.
 * `OpeningCapacitance` (the micro grid: bulk cells by grid column, channel
   cells by channel): with its R opening faces taken off, the bulk is
   separable along the columns and goes to `CosineModes`, and the channels
@@ -229,8 +230,15 @@ class CosineModes:
 
         A^{-1} = (Q^T (x) I) blockdiag((A0 + lam_k diag(c))^{-1}) (Q (x) I).
 
-    Construction reads A0 and c and checks the form (`_separable_form`); every
-    mode block must be positive definite, or SolverError is raised.
+    One eigenbasis serves every mode (Lynch, Rice & Thomas 1964): with
+    A0 = L L^T and L^-1 diag(c) L^-T = V diag(mu) V^T, S = L^-T V gives
+
+        (A0 + lam_k diag(c))^{-1} = S diag(1 / D_k) S^T,  D_k = 1 + lam_k mu,
+
+    so the factor keeps S (m x m) and 1 / D (n x m).  Construction reads A0
+    and c and checks the form (`_separable_form`); every mode block must be
+    positive definite (A0 has a Cholesky factor and every D_k > 0), or
+    SolverError is raised.
     """
 
     def __init__(self, csr, blocks):
@@ -247,21 +255,25 @@ class CosineModes:
         self.dct = np.sqrt(np.where(modes == 0, 1.0, 2.0) / nb)[:, None] * np.cos(
             np.pi * np.outer(modes, 2 * modes + 1) / (2 * nb)
         )
-        self.inv = np.empty((nb, m, m))
-        for i, lam in enumerate(2.0 - 2.0 * np.cos(np.pi * modes / nb)):
-            try:
-                L_inv = np.linalg.inv(np.linalg.cholesky(A0 + lam * np.diag(coef)))
-            except np.linalg.LinAlgError as exc:
-                raise SolverError(f"mode {i} is not positive definite") from exc
-            np.matmul(L_inv.T, L_inv, out=self.inv[i])
+        try:
+            L_inv = np.linalg.inv(np.linalg.cholesky(A0))
+        except np.linalg.LinAlgError as exc:
+            raise SolverError("mode 0 is not positive definite") from exc
+        mu, V = np.linalg.eigh((L_inv * coef) @ L_inv.T)
+        self.S = L_inv.T @ V
+        D = 1.0 + np.outer(2.0 - 2.0 * np.cos(np.pi * modes / nb), mu)
+        indefinite = np.flatnonzero(np.any(D <= 0.0, axis=1))
+        if len(indefinite):
+            raise SolverError(f"mode {indefinite[0]} is not positive definite")
+        self.inv_D = 1.0 / D
 
     def solve(self, b) -> np.ndarray:
-        """x with A x = b: transform, per-mode inverse, inverse transform."""
-        nb, m = self.inv.shape[:2]
-        y = self.dct @ b[self.order].reshape(nb, m)
-        w = np.matmul(self.inv, y[:, :, None])[:, :, 0]
+        """x with A x = b: transform, scale in the eigenbasis, inverse transform."""
+        nb, m = self.inv_D.shape
+        y = (self.dct @ b[self.order].reshape(nb, m)) @ self.S
+        y *= self.inv_D
         x = np.empty_like(b)
-        x[self.order] = (self.dct.T @ w).reshape(-1)
+        x[self.order] = (self.dct.T @ (y @ self.S.T)).reshape(-1)
         return x
 
 
@@ -306,12 +318,12 @@ class OpeningCapacitance:
         Z = T^{-1} + P A_sep^{-1} P^T + Q A_ch^{-1} Q^T,
 
     and Z is symmetric positive definite.  Its bulk part is read off the
-    cosine modes at (opening column, opening row), its channel part is
-    gathered from the channel inverses, and Z^{-1} is kept dense.  A solve is
-    a batched channel solve, the forward transform with one per-mode
-    product, the gather s = x_B[P] - x_C[Q], one R x R product, the
-    correction in mode space and the inverse transform, and a second batched
-    channel solve.  A matrix of any other form raises SolverError.
+    cosine modes' eigenbasis at (opening column, opening row), its channel
+    part is gathered from the channel inverses, and Z^{-1} is kept dense.  A
+    solve is a batched channel solve, the forward transform into the modes'
+    eigenbasis, the gather s = x_B[P] - x_C[Q], one R x R product, the
+    correction in the eigenbasis and the inverse transform, and a second
+    batched channel solve.  A matrix of any other form raises SolverError.
     """
 
     def __init__(self, csr, blocks=None):
@@ -329,7 +341,7 @@ class OpeningCapacitance:
         A_sep, (br, bc, bv), (cr, cc, cv) = _split(csr, bulk, self.chan)
         self.modes = CosineModes(A_sep, blocks[bulk])
         del A_sep  # freed before the dense R x R work below
-        nb, m = self.modes.inv.shape[:2]
+        nb, m = self.modes.inv_D.shape
         if nb % n_chan:
             raise SolverError(f"{nb} bulk columns do not split into {n_chan} channels")
         self.bulk = bulk[self.modes.order]  # node-major: column, then row
@@ -362,14 +374,15 @@ class OpeningCapacitance:
         self.rows, row = np.unique(p % m, return_inverse=True)
         self.slot = col * len(self.rows) + row  # p in the (opening column, opening row) grid
         self.qc = self.modes.dct[:, cols]
-        self.inv_rows = np.ascontiguousarray(self.modes.inv[:, :, self.rows])
+        self.S_rows = self.modes.S[self.rows]
 
         # Z = T^-1 + P A_sep^-1 P^T + Q A_ch^-1 Q^T, the bulk part by pairs of opening rows
         R, nr = len(p), int(per_chan[0])
         Z = np.empty((R, R))
         for s, r in enumerate(self.rows):
             for s2, r2 in enumerate(self.rows):
-                pair = self.qc.T @ (self.modes.inv[:, r, r2, None] * self.qc)
+                inv_rr2 = self.modes.inv_D @ (self.S_rows[s] * self.S_rows[s2])  # per mode
+                pair = self.qc.T @ (inv_rr2[:, None] * self.qc)
                 Z[np.ix_(row == s, row == s2)] = pair[np.ix_(col[row == s], col[row == s2])]
         Z[np.diag_indices(R)] += 1.0 / t
         j, local = np.arange(n_chan), (self.face_c % mc).reshape(n_chan, nr)
@@ -380,18 +393,19 @@ class OpeningCapacitance:
     def solve(self, b) -> np.ndarray:
         """x with A x = b: channels and bulk modes, the face correction, channels."""
         modes = self.modes
-        nb, m = modes.inv.shape[:2]
+        nb, m = modes.inv_D.shape
         n_chan, mc = self.chan_inv.shape[:2]
         b_c = b[self.chan]
         x_c = np.matmul(self.chan_inv, b_c.reshape(n_chan, mc, 1)).reshape(-1)
-        y = np.matmul(modes.inv, (modes.dct @ b[self.bulk].reshape(nb, m))[:, :, None])[:, :, 0]
-        s = (self.qc.T @ y[:, self.rows]).reshape(-1)[self.slot] - x_c[self.face_c]
+        y = (modes.dct @ b[self.bulk].reshape(nb, m)) @ modes.S  # by mode and eigenvector
+        y *= modes.inv_D
+        s = (self.qc.T @ (y @ self.S_rows.T)).reshape(-1)[self.slot] - x_c[self.face_c]
         q = self.W @ s
         z = np.zeros((self.qc.shape[1], len(self.rows)))
         z.flat[self.slot] = q
-        y -= np.matmul(self.inv_rows, (self.qc @ z)[:, :, None])[:, :, 0]
+        y -= ((self.qc @ z) @ self.S_rows) * modes.inv_D
         x = np.empty_like(b)
-        x[self.bulk] = (modes.dct.T @ y).reshape(-1)
+        x[self.bulk] = (modes.dct.T @ (y @ modes.S.T)).reshape(-1)
         b_c += np.bincount(self.face_c, q, n_chan * mc)
         x[self.chan] = np.matmul(self.chan_inv, b_c.reshape(n_chan, mc, 1)).reshape(-1)
         return x
@@ -406,9 +420,9 @@ def solve_spd(A: SparseMatrix, b, tol=1e-10, x0=None) -> np.ndarray:
 
     From x0 this is one step of iterative refinement, and it keeps the deep
     micro rungs under the simulators' tol of 1e-12: over the first 12 steps
-    at dt 1/512 the worst relative residual is 3.8e-13 on an hourglass
-    channel at 1/eps 128 and 3.7e-13 on b1 at 1/eps 256, against 6.5e-13
-    and 4.0e-13 for a one-shot `factor.solve(b)`.
+    at dt 1/512 the worst relative residual is 3.5e-13 on an hourglass
+    channel at 1/eps 128 and 3.7e-13 on b1 at 1/eps 256, against 6.6e-13
+    and 6.2e-13 for a one-shot `factor.solve(b)`.
     """
     M = A.csr
     b = np.asarray(b, dtype=float)

@@ -22,6 +22,7 @@ from .grid import (
     gradient_quadrature,
     l2_overlap_diff_sq,
     norm_heps,
+    overlap_map,
     wall_faces,
 )
 
@@ -172,6 +173,7 @@ def ts_error(micro_states, macro_states, unfolder: Unfolder, macro_sim):
     e_chan_sq = e_wall_sq = e_bp_sq = e_bm_sq = 0.0
     gp, gm = macro_sim.grid_p, macro_sim.grid_m
     micro_grid = unfolder.grid
+    over_p, over_m = overlap_map(micro_grid, gp), overlap_map(micro_grid, gm)
 
     for w, ms, Ms in zip(tw, micro_states, macro_states):
         cells = Ms.cells[:, chan_ids]
@@ -184,9 +186,9 @@ def ts_error(micro_states, macro_states, unfolder: Unfolder, macro_sim):
         e_wall_sq += w * dsig * float(np.einsum("jf,jf,f->", dtr, dtr, wall_len))
 
         mp = np.where(micro_grid.cell_tag == BULK_P, ms.values, 0.0)
-        e_bp_sq += w * l2_overlap_diff_sq(micro_grid, mp, gp, Ms.bulk_plus)
+        e_bp_sq += w * l2_overlap_diff_sq(micro_grid, mp, gp, Ms.bulk_plus, over_p)
         mm = np.where(micro_grid.cell_tag == BULK_M, ms.values, 0.0)
-        e_bm_sq += w * l2_overlap_diff_sq(micro_grid, mm, gm, Ms.bulk_minus)
+        e_bm_sq += w * l2_overlap_diff_sq(micro_grid, mm, gm, Ms.bulk_minus, over_m)
 
     return {
         "E_chan": float(np.sqrt(e_chan_sq)),

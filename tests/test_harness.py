@@ -1,6 +1,10 @@
 import hashlib
+import importlib
 import io
 import json
+import os
+import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -79,6 +83,60 @@ def test_non_integer_step_count_rejected():
         harness.parse_config(raw)
 
 
+# one misspelled key in every kind of config object: (where it goes, the key)
+MISSPELT = [
+    ((), "snapshot_strid"),
+    (("geometry",), "h"),
+    (("geometry", "profile"), "segment"),
+    (("geometry", "profile", "segments", 0), "widht"),
+    (("diffusivity",), "bulk_pluss"),
+    (("kinetics",), "f_plu"),
+    (("kinetics", "f_plus"), "cap"),
+    (("kinetics", "h", "modulation"), "amp"),
+    (("initial",), "chanel"),
+    (("initial", "bulk_plus"), "val"),
+    (("initial", "channel"), "slop"),
+    (("time",), "t"),
+    (("time", "dt"), "valu"),
+    (("refinement",), "nsigma"),
+    (("diagnostics",), "shift_hh"),
+]
+
+
+@pytest.mark.parametrize("where, key", MISSPELT, ids=[".".join(map(str, w + (k,)))
+                                                      for w, k in MISSPELT])
+def test_unknown_config_key_is_named(where, key):
+    raw = mini_config()
+    raw["kinetics"]["h"]["modulation"] = {"kind": "cos_ybar", "amplitude": 0.5}
+    harness.parse_config(raw)  # every known key parses
+    obj = raw
+    for step in where:
+        obj = obj[step]
+    obj[key] = 1
+    path = "".join(f"[{s}]" if isinstance(s, int) else f".{s}" for s in where + (key,))
+    with pytest.raises(ConfigError, match=f"^{re.escape(path.lstrip('.'))}: unknown key$"):
+        harness.parse_config(raw)
+
+
+def test_unknown_config_key_exits_one(tmp_path, capsys):
+    raw = mini_config()
+    raw["refinement"]["nsigma"] = 128
+    p = write_config(tmp_path, raw)
+    assert cli.main(["run", str(p), "--out", str(tmp_path / "x")]) == 1
+    assert "refinement.nsigma: unknown key" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_benchmark_configs_parse(monkeypatch):
+    monkeypatch.syspath_prepend(str(REPO / "perfbench"))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave the benchmark's tree as it is
+    workloads = importlib.import_module("workloads")
+    for name in workloads.SIZES:
+        for shrink in (False, True):
+            cfg = harness.parse_config(workloads.make_config(REPO, name, 3, shrink))
+            assert harness.parse_config(cfg.echo).echo == cfg.echo
+
+
 def run_mini(tmp_path, name="run1", threads=1):
     cfg = harness.parse_config(mini_config())
     out = tmp_path / name
@@ -109,6 +167,24 @@ def test_rerun_is_bit_identical(tmp_path):
     man1 = json.loads((out1 / "manifest.json").read_text())
     man2 = json.loads((out2 / "manifest.json").read_text())
     assert man1["files"] == man2["files"]
+
+
+def test_manifest_records_blas_threading_that_report_does_not_read(tmp_path, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setenv("OMP_NUM_THREADS", "2")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    _, out, _, manifest = run_mini(tmp_path)
+    versions = manifest["versions"]
+    assert versions["blas_threads"] == {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2",
+                                        "MKL_NUM_THREADS": None}
+    assert versions["cpu_count"] == os.cpu_count()
+    original = (out / "report.csv").read_bytes()
+    on_disk = json.loads((out / "manifest.json").read_text())
+    assert on_disk["versions"] == versions
+    on_disk["versions"] = {"blas_threads": "anything", "cpu_count": -1}
+    (out / "manifest.json").write_text(json.dumps(on_disk))
+    harness.rederive_report(out)
+    assert (out / "report.csv").read_bytes() == original
 
 
 def test_threaded_run_matches_serial(tmp_path):

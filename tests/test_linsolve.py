@@ -267,6 +267,14 @@ def test_cosine_modes_reject_an_indefinite_mode():
         CosineModes(from_scipy(dense), np.array([0, 1]))
 
 
+def test_cosine_modes_reject_an_indefinite_node_block():
+    # A0 = [[1, 2], [2, 1]] has eigenvalue -1, so mode 0 has no Cholesky factor
+    A0 = np.array([[1.0, 2.0], [2.0, 1.0]])
+    dense = separable(A0, np.ones(2), 3)
+    with pytest.raises(SolverError, match="mode 0 is not positive definite"):
+        CosineModes(from_scipy(dense), np.repeat(np.arange(3), 2))
+
+
 # -- what a run imports ----------------------------------------------------------
 
 def test_runs_leave_heavy_scipy_modules_unloaded(tmp_path):

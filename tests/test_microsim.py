@@ -327,6 +327,54 @@ def test_opening_factor_keeps_one_transform_column_per_opening_column():
     assert kept_bytes(factor) < 18.0e6
 
 
+def test_opening_factor_keeps_no_inverse_per_mode():
+    # 1/eps 128: 512 bulk columns of 52 rows; one eigenbasis and 1 / D in place of the
+    # 512 inverses of 52 x 52 (11.1 MB) that a per-mode factor keeps
+    _, _, sim = setup(eps=F(1, 128))
+    factor = linsolve.OpeningCapacitance(sim.stiffness.csr.plus_diagonal(sim.weights, 1 / 512),
+                                         sim.blocks)
+    nb, m = factor.modes.inv_D.shape
+    assert kept_bytes(factor) < 7.0e6
+
+    def arrays(obj):
+        for v in vars(obj).values():
+            if isinstance(v, np.ndarray):
+                yield v
+            elif hasattr(v, "__dict__"):
+                yield from arrays(v)
+
+    assert max(a.size for a in arrays(factor)) < nb * m * m
+
+
+def test_refined_micro_solves_keep_their_margin(monkeypatch):
+    """The x0 step keeps the deep rungs well under SOLVER_TOL (1e-12).
+
+    Hourglass channel at 1/eps 128, k = m = 8, first 12 steps at dt 1/512:
+    the worst final relative residual is 3.5e-13.
+    """
+    kin = KineticsBundle(
+        f_plus=B1_KIN.f_plus, f_minus=B1_KIN.f_minus, g=B1_KIN.g,
+        h=KineticsSpec("exchange", {"kappa": 0.5, "u_ext": 0.0}, ("cos_ybar", 0.5)),
+    )
+    diff = DiffusionSpec(1.0, 2.0, ((0.7, 1.3), (0.3, 0.6), (0.7, 1.3)))
+    geom = build_micro_geometry(F(1, 128), 1, build_reference_cell(hourglass()))
+    sim = MicroSimulation(geom, build_micro_grid(geom, 8), diff, kin)
+    residuals = []
+    solve = linsolve.solve_spd
+
+    def measured(A, b, *args, **kwargs):
+        x = solve(A, b, *args, **kwargs)
+        residuals.append(np.linalg.norm(b - A.csr @ x) / np.linalg.norm(b))
+        return x
+
+    monkeypatch.setattr(linsolve, "solve_spd", measured)
+    state = sim.initial_state(B1_INIT)
+    for _ in range(12):
+        state = sim.step(state, 1 / 512)
+    assert len(residuals) == 12
+    assert max(residuals) <= 5e-13
+
+
 def _couple(csr, i, j, t):
     """csr plus the two-point term t (u_i - u_j)^2: symmetric, zero row sum."""
     n = csr.shape[0]
