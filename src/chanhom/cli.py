@@ -32,19 +32,11 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("config", help="config file path")
     run.add_argument("--out", default=None, help="output directory (default from config)")
     run.add_argument("--threads", type=int, default=1, help="parallel micro runs")
-    run.add_argument("--seed", type=int, default=None, help="override config seed")
 
     ver = sub.add_parser("verify-operators", help="unfolding identity suite on random fields")
     ver.add_argument("config", help="config file path")
-    ver.add_argument("--seed", type=int, default=None)
-
-    mic = sub.add_parser("micro", help="channel-resolved runs only, write fields")
-    mic.add_argument("config", help="config file path")
-    mic.add_argument("--out", default=None)
-
-    mac = sub.add_parser("macro", help="limit-model run only, write fields")
-    mac.add_argument("config", help="config file path")
-    mac.add_argument("--out", default=None)
+    ver.add_argument("--seed", type=int, default=None,
+                     help="seed of the random fields (default from config)")
 
     rep = sub.add_parser("report", help="re-derive report.csv from a stored study")
     rep.add_argument("study_dir")
@@ -63,7 +55,6 @@ def _load(args):
         raise ConfigError("--threads: must be >= 1")
     cfg = harness.load_config(args.config)
     if seed is not None:
-        cfg.echo["seed"] = seed
         cfg.seed = seed
     return cfg
 
@@ -104,25 +95,6 @@ def _dispatch(args) -> int:
                 print(f"eps={eps} {name}: {val:.3e}")
         print(f"max identity residual {flat_max:.3e}")
         return 0 if ok else 2
-
-    if args.command == "micro":
-        cfg = _load(args)
-        out = Path(args.out if args.out is not None else cfg.output_dir)
-        writer = harness.StudyWriter(out)
-        for eps in cfg.epsilons:
-            _, grid, _, snaps = harness.run_micro_study(cfg, eps)
-            harness.write_micro_fields(writer, eps, snaps)
-            print(f"eps={eps}: {len(snaps)} snapshots, {grid.n_cells} cells")
-        return 0
-
-    if args.command == "macro":
-        cfg = _load(args)
-        out = Path(args.out if args.out is not None else cfg.output_dir)
-        writer = harness.StudyWriter(out)
-        sim, snaps = harness.run_macro_study(cfg)
-        harness.write_macro_fields(writer, sim, snaps)
-        print(f"macro run: {len(snaps)} snapshots, {sim.n} unknowns")
-        return 0
 
     if args.command == "report":
         rep = harness.rederive_report(args.study_dir)

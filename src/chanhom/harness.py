@@ -288,9 +288,6 @@ def parse_config(raw: dict) -> StudyConfig:
         raise ConfigError(f"time.dt.rule: unknown rule {rule!r}")
     if dt <= 0 or T < 0:
         raise ConfigError("time: need dt > 0 and T >= 0")
-    n_steps = round(T / dt)
-    if abs(n_steps * dt - T) > 1e-9 * max(T, 1.0):
-        raise ConfigError(f"time: T={T} is not an integer multiple of dt={dt}")
 
     ref = _known(_container(raw.get("refinement", {}), "refinement", dict), "refinement",
                  ("k", "m", "n_sigma"))
@@ -315,6 +312,10 @@ def parse_config(raw: dict) -> StudyConfig:
     stride = _number(raw.get("snapshot_stride", 4), "snapshot_stride", integer=True)
     if stride < 1:
         raise ConfigError("snapshot_stride: must be >= 1")
+    try:
+        snapshot_steps(T, dt, stride)
+    except (ValueError, OverflowError) as exc:  # OverflowError: T / dt is infinite
+        raise ConfigError(f"time: T={T} is not an integer multiple of dt={dt}") from exc
 
     diag = _known(_container(raw.get("diagnostics", {}), "diagnostics", dict), "diagnostics",
                   ("shift_l", "shift_h", "theta"))
@@ -405,31 +406,48 @@ def _echo_kinetics(spec: KineticsSpec) -> dict:
     return out
 
 
-def load_config(path) -> StudyConfig:
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"config file not found: {p}")
+def _read_json(path, what):
+    """The JSON value in file `path`; ConfigError naming the file if it cannot be read."""
     try:
-        raw = json.loads(p.read_text())
+        return json.loads(path.read_text(encoding="utf-8"))
+    except FileNotFoundError as exc:
+        raise ConfigError(f"{path}: {what} not found") from exc
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    return parse_config(raw)
+        raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc})") from exc
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read the {what} ({exc.strerror})") from exc
+
+
+def load_config(path) -> StudyConfig:
+    return parse_config(_read_json(Path(path), "config file"))
 
 
 # ---------------------------------------------------------------------------
 # study execution
 
-def run_micro_study(cfg: StudyConfig, eps: Fraction):
+def _rung_grid(cfg: StudyConfig, eps: Fraction):
+    """The channel-resolved geometry and grid of the rung `eps`."""
     geom = build_micro_geometry(eps, cfg.H, cfg.cell)
-    grid = build_micro_grid(geom, cfg.k)
+    return geom, build_micro_grid(geom, cfg.k)
+
+
+def _limit_model(cfg: StudyConfig) -> MacroSimulation:
+    """The interface limit model of the study, with its cell problems."""
+    layout = InterfaceLayout(n_sigma=cfg.n_sigma, m=cfg.m)
+    return MacroSimulation(cfg.cell, float(cfg.H), layout, cfg.diffusion, cfg.kinetics)
+
+
+def run_micro_study(cfg: StudyConfig, eps: Fraction):
+    geom, grid = _rung_grid(cfg, eps)
     sim = MicroSimulation(geom, grid, cfg.diffusion, cfg.kinetics)
     snaps = sim.run(cfg.initial, cfg.T, cfg.dt, cfg.snapshot_stride)
     return geom, grid, sim, snaps
 
 
 def run_macro_study(cfg: StudyConfig):
-    layout = InterfaceLayout(n_sigma=cfg.n_sigma, m=cfg.m)
-    sim = MacroSimulation(cfg.cell, float(cfg.H), layout, cfg.diffusion, cfg.kinetics)
+    sim = _limit_model(cfg)
     snaps = sim.run(cfg.initial, cfg.T, cfg.dt, cfg.snapshot_stride)
     return sim, snaps
 
@@ -594,7 +612,11 @@ def _config_sha256(echo) -> str:
 class StudyWriter:
     def __init__(self, out_dir):
         self.out = Path(out_dir)
-        (self.out / "fields").mkdir(parents=True, exist_ok=True)
+        try:
+            (self.out / "fields").mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"{self.out}: cannot create the output directory "
+                              f"({exc.strerror})") from exc
         self.files = {}
 
     def write(self, relpath, data):
@@ -708,14 +730,10 @@ def load_study(study_dir) -> StoredStudy:
     matches the manifest's config_sha256.
     """
     out = Path(study_dir)
-    try:
-        manifest = json.loads((out / "manifest.json").read_text())
-    except FileNotFoundError as exc:
-        raise ConfigError(f"{out / 'manifest.json'}: study manifest not found") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{out / 'manifest.json'}: not valid JSON ({exc})") from exc
-    _container(manifest, "manifest.json", dict)
-    raw_cfg = _need(manifest, "config", "manifest.json")
+    manifest = _container(_read_json(out / "manifest.json", "study manifest"),
+                          "manifest.json", dict)
+    raw_cfg = _container(_need(manifest, "config", "manifest.json"), "manifest.json.config",
+                         dict)
     if manifest.get("schema") != STUDY_SCHEMA:
         raise ConfigError(f"manifest.json.schema: study schema {manifest.get('schema')!r} "
                           f"(this version reads schema {STUDY_SCHEMA}, float64 .npy fields)")
@@ -732,6 +750,8 @@ def load_study(study_dir) -> StoredStudy:
             data = (out / relpath).read_bytes()
         except FileNotFoundError as exc:
             raise ConfigError(f"{relpath}: field file is missing") from exc
+        except OSError as exc:
+            raise ConfigError(f"{relpath}: cannot read the field file ({exc.strerror})") from exc
         if files.get(relpath) != _sha256(data):
             raise ConfigError(f"{relpath}: content does not match its manifest SHA-256")
         read.add(relpath)
@@ -740,8 +760,7 @@ def load_study(study_dir) -> StoredStudy:
     def field_values(relpath, n):
         return _read_npy(relpath, field_bytes(relpath), n)
 
-    layout = InterfaceLayout(n_sigma=cfg.n_sigma, m=cfg.m)
-    macro_sim = MacroSimulation(cfg.cell, float(cfg.H), layout, cfg.diffusion, cfg.kinetics)
+    macro_sim = _limit_model(cfg)
     macro_snaps, traces = [], []
     for idx, t in enumerate(times):
         state = MacroState(t=t, u=field_values(field_path(idx), macro_sim.n), sim=macro_sim)
@@ -754,8 +773,7 @@ def load_study(study_dir) -> StoredStudy:
 
     micro_runs = []
     for eps in cfg.epsilons:
-        geom = build_micro_geometry(eps, cfg.H, cfg.cell)
-        grid = build_micro_grid(geom, cfg.k)
+        geom, grid = _rung_grid(cfg, eps)
         snaps = [MicroState(t=t, u=Field(grid, field_values(field_path(idx, eps=eps),
                                                             grid.n_cells)))
                  for idx, t in enumerate(times)]
@@ -831,8 +849,7 @@ def verify_operators(cfg: StudyConfig, n_fields=100, tol=1e-12):
     cell_grid = build_cell_grid(cfg.cell, cfg.m)
     worst = {}
     for eps in cfg.epsilons:
-        geom = build_micro_geometry(eps, cfg.H, cfg.cell)
-        grid = build_micro_grid(geom, cfg.k)
+        geom, grid = _rung_grid(cfg, eps)
         uf = Unfolder(geom, grid, cell_grid)
         chan = grid.cell_tag == CHAN
         fa, fb, fcol, fia, fib, dmic, dref = _chan_face_map(uf)

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import importlib
 import io
@@ -255,17 +256,39 @@ def test_cli_verify_operators_refuses_a_negative_seed(tmp_path, capsys):
     assert "error: --seed:" in capsys.readouterr().err
 
 
-def test_cli_micro_macro_commands(tmp_path, capsys):
+def test_cli_verify_operators_takes_a_seed(tmp_path, capsys):
     p = write_config(tmp_path, mini_config())
-    assert cli.main(["micro", str(p), "--out", str(tmp_path / "m1")]) == 0
-    assert cli.main(["macro", str(p), "--out", str(tmp_path / "m2")]) == 0
-    assert (tmp_path / "m1" / "fields").exists()
-    assert (tmp_path / "m2" / "fields").exists()
+    assert cli.main(["verify-operators", str(p), "--seed", "3"]) == 0
+    assert "max identity residual" in capsys.readouterr().out
 
 
-def test_cli_unknown_subcommand_exits_one(capsys):
-    assert cli.main(["frobnicate"]) == 1
-    assert "usage" in capsys.readouterr().err
+def test_cli_run_has_no_seed_option(tmp_path, capsys):
+    # the config's seed draws only the random fields of verify-operators; run echoes it
+    p = write_config(tmp_path, mini_config())
+    assert cli.main(["run", str(p), "--out", str(tmp_path / "x"), "--seed", "3"]) == 1
+    err = capsys.readouterr().err
+    assert "usage" in err and "unrecognized arguments: --seed 3" in err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("command", ["frobnicate", "micro", "macro"])
+def test_cli_unknown_subcommand_exits_one(tmp_path, capsys, command):
+    p = write_config(tmp_path, mini_config())
+    assert cli.main([command, str(p), "--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert "usage" in err and f"invalid choice: '{command}'" in err
+    assert not (tmp_path / "x").exists()
+
+
+def test_readme_command_lines_are_the_subcommands():
+    """README's `## Command line` block shows one `chanhom <command>` line per sub-command."""
+    text = (REPO / "README.md").read_text()
+    section = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    documented = [line.split()[1] for line in block.splitlines() if line.startswith("chanhom ")]
+    sub = next(action for action in cli._build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    assert sorted(documented) == sorted(sub.choices)
 
 
 def test_cli_validation_failure_exits_one(tmp_path, capsys):
@@ -299,6 +322,73 @@ def test_cli_without_a_config_is_a_usage_error(tmp_path, monkeypatch, capsys, co
 def test_cli_missing_config_file(tmp_path, capsys):
     assert cli.main(["run", str(tmp_path / "nope.json")]) == 1
     assert "not found" in capsys.readouterr().err
+
+
+NOT_UTF8 = b'{"output_dir": "\xff"}'
+
+
+def a_file(path, data=b"not a directory\n"):
+    path.write_bytes(data)
+    return path
+
+
+def bare_study(tmp_path, manifest):
+    """A study directory holding only `manifest` (bytes) as its manifest.json."""
+    (tmp_path / "study").mkdir()
+    a_file(tmp_path / "study" / "manifest.json", manifest)
+    return tmp_path / "study"
+
+
+def field_is_a_directory(tmp_path):
+    out = run_mini(tmp_path, "study")[1]
+    field = out / "fields" / "macro_s0000.npy"
+    field.unlink()
+    field.mkdir()
+    return ["report", out], "fields/macro_s0000.npy"
+
+
+# each case makes its input under tmp_path and returns the command line and what the
+# error must name
+UNREADABLE = {
+    "run_config_not_utf8": lambda tmp: (
+        ["run", a_file(tmp / "cfg.json", NOT_UTF8), "--out", tmp / "x"], tmp / "cfg.json"),
+    "verify_config_not_utf8": lambda tmp: (
+        ["verify-operators", a_file(tmp / "cfg.json", NOT_UTF8)], tmp / "cfg.json"),
+    "run_config_is_a_directory": lambda tmp: (["run", tmp, "--out", tmp / "x"], tmp),
+    "report_manifest_not_utf8": lambda tmp: (
+        ["report", bare_study(tmp, NOT_UTF8)], tmp / "study" / "manifest.json"),
+    "export_manifest_not_utf8": lambda tmp: (
+        ["export", bare_study(tmp, NOT_UTF8), "--out", tmp / "x"],
+        tmp / "study" / "manifest.json"),
+    "report_config_not_an_object": lambda tmp: (
+        ["report", bare_study(tmp, b'{"schema": 2, "config": 5}')], "manifest.json.config:"),
+    "report_field_is_a_directory": field_is_a_directory,
+    "run_out_is_a_file": lambda tmp: (
+        ["run", write_config(tmp, mini_config()), "--out", a_file(tmp / "taken")],
+        tmp / "taken"),
+    "export_out_is_a_file": lambda tmp: (
+        ["export", run_mini(tmp, "study")[1], "--out", a_file(tmp / "taken")], tmp / "taken"),
+    "run_step_count_overflows": lambda tmp: (
+        ["run", write_config(tmp, mini_config(time={"T": 1e300, "dt": {
+            "rule": "fixed", "value": 1e-10}})), "--out", tmp / "x"], "time:"),
+}
+
+
+def tree(root):
+    return {p.relative_to(root): p.read_bytes() if p.is_file() else None
+            for p in root.rglob("*")}
+
+
+@pytest.mark.parametrize("case", UNREADABLE.values(), ids=list(UNREADABLE))
+def test_cli_unreadable_input_exits_one_naming_it(tmp_path, capsys, case):
+    argv, named = case(tmp_path)
+    before = tree(tmp_path)
+    capsys.readouterr()
+    assert cli.main([str(arg) for arg in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(named) in err
+    assert "Traceback" not in err
+    assert tree(tmp_path) == before  # refused before anything is written
 
 
 @pytest.mark.parametrize(

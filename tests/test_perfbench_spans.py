@@ -7,16 +7,12 @@ a span without failing any benchmark check; these tests catch that.
 """
 
 import importlib
-import json
 import sys
 from pathlib import Path
 
 import pytest
 
 from chanhom import cli, harness
-from chanhom.geometry import build_micro_geometry
-from chanhom.grid import build_micro_grid
-from chanhom.macrosim import InterfaceLayout, MacroSimulation
 
 from test_harness import mini_config
 
@@ -56,17 +52,18 @@ def test_every_traced_entry_resolves(spans):
 
 
 def test_traced_study_and_cli_fire_every_writer_span(spans, tmp_path, capsys):
-    raw = mini_config()
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(raw))
+    cfg = harness.parse_config(mini_config())
     before = _bindings(spans)
     tracer = spans.Tracer()
     tracer.install()
     try:
         assert harness.micro_field_csv is not before[("chanhom.harness", "micro_field_csv")]
-        harness.run_study(harness.parse_config(raw), out_dir=tmp_path / "study", threads=1)
-        assert cli.main(["micro", str(cfg_path), "--out", str(tmp_path / "micro")]) == 0
-        assert cli.main(["macro", str(cfg_path), "--out", str(tmp_path / "macro")]) == 0
+        harness.run_study(cfg, out_dir=tmp_path / "study", threads=1)
+        (eps,) = cfg.epsilons
+        snaps = harness.run_micro_study(cfg, eps)[3]
+        harness.write_micro_fields(harness.StudyWriter(tmp_path / "micro"), eps, snaps)
+        harness.write_macro_fields(harness.StudyWriter(tmp_path / "macro"),
+                                   *harness.run_macro_study(cfg))
         assert cli.main(["export", str(tmp_path / "study"), "--out", str(tmp_path / "csv")]) == 0
     finally:
         tracer.uninstall()
@@ -75,8 +72,9 @@ def test_traced_study_and_cli_fire_every_writer_span(spans, tmp_path, capsys):
     fired = [rec[3] for rec in tracer.spans]
     written = [p for d in ("study", "micro", "macro", "csv") for p in (tmp_path / d).rglob("*")
                if p.is_file() and p.name != "manifest.json"]
-    # 5 snapshots: the study's report and three files each, one micro .npy, a limit-model
-    # .npy and its traces CSV; the export's four CSVs each
+    # 5 snapshots: the study's report and three files each (a micro .npy, a limit-model
+    # .npy and its traces CSV); the micro writer's .npy each; the macro writer's .npy and
+    # traces CSV each; the export's four CSVs each
     assert len(written) == 1 + 3 * 5 + 5 + 2 * 5 + 4 * 5
     assert fired.count("harness.StudyWriter.write") == len(written)
     csvs = [p for p in written if p.suffix == ".csv" and p.name != "report.csv"]
@@ -90,26 +88,20 @@ def test_traced_study_and_cli_fire_every_writer_span(spans, tmp_path, capsys):
     assert [key for key, val in before.items() if after[key] is not val] == []
 
 
-def test_macro_solves_run_under_macro_steps(spans, tmp_path, capsys):
+def test_macro_solves_run_under_macro_steps(spans):
     """Every limit-model solve is one full system solve inside a step.
 
     The benchmark files `linsolve.solve_spd` spans under `macrosim.step` as
     its `.macro` solve layer; a solve made elsewhere, or on part of the
     system, would blur what that layer measures.
     """
-    raw = mini_config()
-    cfg = harness.parse_config(raw)
-    sim = MacroSimulation(cfg.cell, float(cfg.H), InterfaceLayout(cfg.n_sigma, cfg.m),
-                          cfg.diffusion, cfg.kinetics)
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(raw))
+    cfg = harness.parse_config(mini_config())
     tracer = spans.Tracer()
     tracer.install()
     try:
-        assert cli.main(["macro", str(cfg_path), "--out", str(tmp_path / "macro")]) == 0
+        sim, _ = harness.run_macro_study(cfg)
     finally:
         tracer.uninstall()
-    capsys.readouterr()
 
     by_id = {rec[1]: rec for rec in tracer.spans}
     solves = [rec for rec in tracer.spans if rec[3] == "linsolve.solve_spd"]
@@ -119,27 +111,21 @@ def test_macro_solves_run_under_macro_steps(spans, tmp_path, capsys):
         assert rec[6] == sim.n
 
 
-def test_micro_solves_run_under_micro_steps(spans, tmp_path, capsys):
+def test_micro_solves_run_under_micro_steps(spans):
     """Every channel-resolved solve is one full system solve inside a step.
 
     The benchmark files `linsolve.solve_spd` spans under `microsim.step` as
     its `.micro` solve layer: one solve per step and rung, on all cells of
     that rung's grid.
     """
-    raw = mini_config(epsilon=["1/4", "1/8"])
-    cfg = harness.parse_config(raw)
+    cfg = harness.parse_config(mini_config(epsilon=["1/4", "1/8"]))
     n_steps = round(cfg.T / cfg.dt)
-    cells = [build_micro_grid(build_micro_geometry(eps, cfg.H, cfg.cell), cfg.k).n_cells
-             for eps in cfg.epsilons]
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(raw))
     tracer = spans.Tracer()
     tracer.install()
     try:
-        assert cli.main(["micro", str(cfg_path), "--out", str(tmp_path / "micro")]) == 0
+        cells = [harness.run_micro_study(cfg, eps)[1].n_cells for eps in cfg.epsilons]
     finally:
         tracer.uninstall()
-    capsys.readouterr()
 
     by_id = {rec[1]: rec for rec in tracer.spans}
     solves = [rec for rec in tracer.spans if rec[3] == "linsolve.solve_spd"]
