@@ -31,7 +31,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="full study: micro sweep, limit model, error report")
     run.add_argument("config", help="config file path")
     run.add_argument("--out", default=None, help="output directory (default from config)")
-    run.add_argument("--threads", type=int, default=1, help="parallel micro runs")
 
     ver = sub.add_parser("verify-operators", help="unfolding identity suite on random fields")
     ver.add_argument("config", help="config file path")
@@ -51,8 +50,6 @@ def _load(args):
     seed = getattr(args, "seed", None)
     if seed is not None and seed < 0:
         raise ConfigError("--seed: must be >= 0")
-    if getattr(args, "threads", 1) < 1:
-        raise ConfigError("--threads: must be >= 1")
     cfg = harness.load_config(args.config)
     if seed is not None:
         cfg.seed = seed
@@ -81,7 +78,7 @@ def main(argv=None) -> int:
 def _dispatch(args) -> int:
     if args.command == "run":
         cfg = _load(args)
-        rep, manifest = harness.run_study(cfg, out_dir=args.out, threads=args.threads)
+        rep, manifest = harness.run_study(cfg, out_dir=args.out)
         out = Path(args.out if args.out is not None else cfg.output_dir)
         print(harness.report_csv_text(rep), end="")
         print(f"study written to {out} ({len(manifest['files'])} files + manifest.json)")

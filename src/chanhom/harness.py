@@ -19,7 +19,6 @@ import math
 import os
 import time as _time
 import weakref
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -67,6 +66,8 @@ def _need(mapping, key, path):
 
 def _number(raw, path, integer=False):
     """A finite float (or integral int) from a config value; ConfigError naming the path."""
+    if isinstance(raw, bool):  # float(True) is 1.0, but a JSON boolean is not a number
+        raise ConfigError(f"{path}: not a finite number ({raw!r})")
     try:
         val = float(raw)
     except (TypeError, ValueError) as exc:
@@ -452,26 +453,23 @@ def run_macro_study(cfg: StudyConfig):
     return sim, snaps
 
 
-def compute_report(cfg: StudyConfig, micro_runs, macro_sim, macro_snaps) -> TwoScaleReport:
-    """Error norms and diagnostics from trajectories (used by run and report)."""
-    trace_const = calibrate_trace_constant(macro_sim.cell_grid)
-    rep = TwoScaleReport([], [], [], [], [], [], [])
-    for eps, (geom, grid, snaps) in zip(cfg.epsilons, micro_runs):
-        uf = Unfolder(geom, grid, macro_sim.cell_grid)
-        errs = ts_error(snaps, macro_snaps, uf, macro_sim)
-        ratio, _, _ = shift_diagnostic(snaps, geom, grid, cfg.shift_l, cfg.shift_h)
-        lhs, rhs = trace_inequality_diagnostic(
-            snaps[-1].u, cfg.theta, uf, constant=trace_const
-        )
-        rep.eps.append(float(eps))
-        rep.e_chan.append(errs["E_chan"])
-        rep.e_bulk_plus.append(errs["E_bulk_plus"])
-        rep.e_bulk_minus.append(errs["E_bulk_minus"])
-        rep.e_wall.append(errs["E_N"])
-        rep.apriori.append(apriori_norm(snaps))
-        rep.shift_ratio.append(ratio)
-        rep.trace_ratio.append(lhs / rhs if rhs > 0 else 0.0)
-    return rep
+def compute_report(rep: TwoScaleReport, cfg: StudyConfig, eps, rung, limit, trace_const):
+    """Add rung eps's row to rep: its micro run `rung` = (geom, grid, snaps) against the
+    limit run `limit` = (sim, snaps), with the study's `calibrate_trace_constant`."""
+    geom, grid, snaps = rung
+    macro_sim, macro_snaps = limit
+    uf = Unfolder(geom, grid, macro_sim.cell_grid)
+    errs = ts_error(snaps, macro_snaps, uf, macro_sim)
+    ratio, _, _ = shift_diagnostic(snaps, geom, grid, cfg.shift_l, cfg.shift_h)
+    lhs, rhs = trace_inequality_diagnostic(snaps[-1].u, cfg.theta, uf, constant=trace_const)
+    rep.eps.append(float(eps))
+    rep.e_chan.append(errs["E_chan"])
+    rep.e_bulk_plus.append(errs["E_bulk_plus"])
+    rep.e_bulk_minus.append(errs["E_bulk_minus"])
+    rep.e_wall.append(errs["E_N"])
+    rep.apriori.append(apriori_norm(snaps))
+    rep.shift_ratio.append(ratio)
+    rep.trace_ratio.append(lhs / rhs if rhs > 0 else 0.0)
 
 
 REPORT_HEADER = "eps,E_chan,E_bulk_plus,E_bulk_minus,E_N,apriori_norm,shift_ratio"
@@ -628,34 +626,28 @@ class StudyWriter:
 
 
 def run_study(cfg: StudyConfig, out_dir=None, threads=1):
-    """Full sweep: micro per eps, macro once, error report, files + manifest."""
+    """Full study: the limit model once, then one rung after another (micro run,
+    its fields, its report row); then report.csv and the manifest."""
+    # `threads` is kept only because the benchmark's workloads pass threads=1; it
+    # goes when they stop passing it (ROADMAP item 1's benchmark-only change)
+    if threads != 1:
+        raise ValueError(f"threads={threads!r}: a study runs its rungs one after another")
     out = Path(out_dir if out_dir is not None else cfg.output_dir)
     writer = StudyWriter(out)
-    timings = {}
-
     t0 = _time.perf_counter()
-    macro_sim, macro_snaps = run_macro_study(cfg)
-    timings["macro"] = _time.perf_counter() - t0
+    limit = run_macro_study(cfg)
+    timings = {"macro": _time.perf_counter() - t0}
+    write_macro_fields(writer, *limit)
+    trace_const = calibrate_trace_constant(limit[0].cell_grid)
 
-    def one_eps(eps):
+    rep = TwoScaleReport([], [], [], [], [], [], [])
+    for eps in cfg.epsilons:
         t = _time.perf_counter()
         geom, grid, sim, snaps = run_micro_study(cfg, eps)
-        return eps, geom, grid, snaps, _time.perf_counter() - t
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            results = list(ex.map(one_eps, cfg.epsilons))
-    else:
-        results = [one_eps(e) for e in cfg.epsilons]
-
-    micro_runs = []
-    for eps, geom, grid, snaps, secs in results:
-        timings[f"micro eps={eps}"] = secs
-        micro_runs.append((geom, grid, snaps))
+        timings[f"micro eps={eps}"] = _time.perf_counter() - t
         write_micro_fields(writer, eps, snaps)
-    write_macro_fields(writer, macro_sim, macro_snaps)
-
-    rep = compute_report(cfg, micro_runs, macro_sim, macro_snaps)
+        compute_report(rep, cfg, eps, (geom, grid, snaps), limit, trace_const)
+        del sim, snaps  # the next rung runs without this one's operator and snapshots
     writer.write("report.csv", report_csv_text(rep))
 
     manifest = {
@@ -663,7 +655,7 @@ def run_study(cfg: StudyConfig, out_dir=None, threads=1):
         "config": cfg.echo,
         "config_sha256": _config_sha256(cfg.echo),
         "versions": _versions(),
-        "snapshot_times": [s.t for s in macro_snaps],
+        "snapshot_times": [s.t for s in limit[1]],
         "timings": timings,
         "files": writer.files,
     }
@@ -713,21 +705,44 @@ def _check_schedule(cfg: StudyConfig, times):
 
 @dataclass
 class StoredStudy:
+    """A checked study: its config and limit-model run; micro rungs are read by `rung`."""
+
+    out: Path
+    files: dict          # manifest.json.files: relative path -> SHA-256
     cfg: StudyConfig
-    micro_runs: list     # (geom, grid, snaps) per eps
     macro_sim: MacroSimulation
     macro_snaps: list
     traces: list         # the verified traces CSV text of each limit-model snapshot
 
+    def field_bytes(self, relpath) -> bytes:
+        """A field file's bytes, if they match its manifest SHA-256; ConfigError otherwise."""
+        try:
+            data = (self.out / relpath).read_bytes()
+        except FileNotFoundError as exc:
+            raise ConfigError(f"{relpath}: field file is missing") from exc
+        except OSError as exc:
+            raise ConfigError(f"{relpath}: cannot read the field file ({exc.strerror})") from exc
+        if self.files.get(relpath) != _sha256(data):
+            raise ConfigError(f"{relpath}: content does not match its manifest SHA-256")
+        return data
+
+    def field_values(self, relpath, n) -> np.ndarray:
+        return _read_npy(relpath, self.field_bytes(relpath), n)
+
+    def rung(self, eps):
+        """The stored micro run of `eps` as (geom, grid, snaps), each file checked now."""
+        geom, grid = _rung_grid(self.cfg, eps)
+        snaps = [MicroState(t=state.t, u=Field(grid, self.field_values(field_path(idx, eps=eps),
+                                                                      grid.n_cells)))
+                 for idx, state in enumerate(self.macro_snaps)]
+        return geom, grid, snaps
+
 
 def load_study(study_dir) -> StoredStudy:
-    """Rebuild grids from the manifest's config echo and reload every snapshot.
+    """Check a stored study's manifest, then reload its limit-model snapshots.
 
-    Every field file is checked against its manifest SHA-256 before it is
-    read; a missing, unlisted, altered or malformed file raises ConfigError,
-    and so do a manifest of another study schema, a traces CSV that is not
-    the one its limit-model snapshot gives, and a config echo that no longer
-    matches the manifest's config_sha256.
+    Every field file is checked against its manifest SHA-256 and its content
+    when it is read (a micro rung's by `rung`); ConfigError names what fails.
     """
     out = Path(study_dir)
     manifest = _container(_read_json(out / "manifest.json", "study manifest"),
@@ -737,61 +752,47 @@ def load_study(study_dir) -> StoredStudy:
     if manifest.get("schema") != STUDY_SCHEMA:
         raise ConfigError(f"manifest.json.schema: study schema {manifest.get('schema')!r} "
                           f"(this version reads schema {STUDY_SCHEMA}, float64 .npy fields)")
-    cfg = parse_config(raw_cfg)
+    try:
+        cfg = parse_config(raw_cfg)
+    except ConfigError as exc:
+        raise ConfigError(f"manifest.json.config.{exc}") from exc
     times = _container(_need(manifest, "snapshot_times", "manifest.json"),
                        "manifest.json.snapshot_times", list)
     times = [_number(t, f"manifest.json.snapshot_times[{i}]") for i, t in enumerate(times)]
     _check_schedule(cfg, times)
     files = _container(_need(manifest, "files", "manifest.json"), "manifest.json.files", dict)
-    read = set()
-
-    def field_bytes(relpath):
-        try:
-            data = (out / relpath).read_bytes()
-        except FileNotFoundError as exc:
-            raise ConfigError(f"{relpath}: field file is missing") from exc
-        except OSError as exc:
-            raise ConfigError(f"{relpath}: cannot read the field file ({exc.strerror})") from exc
-        if files.get(relpath) != _sha256(data):
-            raise ConfigError(f"{relpath}: content does not match its manifest SHA-256")
-        read.add(relpath)
-        return data
-
-    def field_values(relpath, n):
-        return _read_npy(relpath, field_bytes(relpath), n)
-
-    macro_sim = _limit_model(cfg)
-    macro_snaps, traces = [], []
-    for idx, t in enumerate(times):
-        state = MacroState(t=t, u=field_values(field_path(idx), macro_sim.n), sim=macro_sim)
-        relpath = csv_path(idx, part="traces")
-        text = macro_traces_csv(macro_sim, state)
-        if field_bytes(relpath) != text.encode():
-            raise ConfigError(f"{relpath}: is not the traces CSV of {field_path(idx)}")
-        macro_snaps.append(state)
-        traces.append(text)
-
-    micro_runs = []
-    for eps in cfg.epsilons:
-        geom, grid = _rung_grid(cfg, eps)
-        snaps = [MicroState(t=t, u=Field(grid, field_values(field_path(idx, eps=eps),
-                                                            grid.n_cells)))
-                 for idx, t in enumerate(times)]
-        micro_runs.append((geom, grid, snaps))
-    unread = sorted(rel for rel in files if rel.startswith("fields/") and rel not in read)
-    if unread:
-        raise ConfigError(f"{unread[0]}: listed in manifest.json.files but not part of the "
+    study_files = {path for idx in range(len(times))
+                   for path in (field_path(idx), csv_path(idx, part="traces"),
+                                *(field_path(idx, eps=eps) for eps in cfg.epsilons))}
+    extra = sorted(rel for rel in files if rel.startswith("fields/") and rel not in study_files)
+    if extra:
+        raise ConfigError(f"{extra[0]}: listed in manifest.json.files but not part of the "
                           f"study its config and snapshot_times describe")
     if manifest.get("config_sha256") != _config_sha256(cfg.echo):
         raise ConfigError("manifest.json.config_sha256: does not match manifest.json.config "
                           "(missing, or the config was edited after the run)")
-    return StoredStudy(cfg, micro_runs, macro_sim, macro_snaps, traces)
+
+    study = StoredStudy(out, files, cfg, _limit_model(cfg), [], [])
+    sim = study.macro_sim
+    for idx, t in enumerate(times):
+        state = MacroState(t=t, u=study.field_values(field_path(idx), sim.n), sim=sim)
+        relpath = csv_path(idx, part="traces")
+        text = macro_traces_csv(sim, state)
+        if study.field_bytes(relpath) != text.encode():
+            raise ConfigError(f"{relpath}: is not the traces CSV of {field_path(idx)}")
+        study.macro_snaps.append(state)
+        study.traces.append(text)
+    return study
 
 
 def rederive_report(study_dir):
-    """Recompute report.csv of a stored study (checked by `load_study`) and rewrite it."""
+    """Recompute report.csv of a stored study rung by rung; rewrite it after the last row."""
     study = load_study(study_dir)
-    rep = compute_report(study.cfg, study.micro_runs, study.macro_sim, study.macro_snaps)
+    limit = (study.macro_sim, study.macro_snaps)
+    trace_const = calibrate_trace_constant(study.macro_sim.cell_grid)
+    rep = TwoScaleReport([], [], [], [], [], [], [])
+    for eps in study.cfg.epsilons:
+        compute_report(rep, study.cfg, eps, study.rung(eps), limit, trace_const)
     (Path(study_dir) / "report.csv").write_text(report_csv_text(rep))
     return rep
 
@@ -804,8 +805,9 @@ def export_study(study_dir, out_dir) -> dict:
     `macro_traces`. Returns the SHA-256 of each written file.
     """
     study = load_study(study_dir)
+    rungs = [study.rung(eps) for eps in study.cfg.epsilons]  # all checked before any write
     writer = StudyWriter(out_dir)
-    for eps, (_, grid, snaps) in zip(study.cfg.epsilons, study.micro_runs):
+    for eps, (_, grid, snaps) in zip(study.cfg.epsilons, rungs):
         for idx, state in enumerate(snaps):
             writer.write(csv_path(idx, eps=eps), micro_field_csv(grid, state))
     sim = study.macro_sim

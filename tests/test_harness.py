@@ -1,4 +1,5 @@
 import argparse
+import gc
 import hashlib
 import importlib
 import io
@@ -6,6 +7,7 @@ import json
 import os
 import re
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -138,10 +140,10 @@ def test_benchmark_configs_parse(monkeypatch):
             assert harness.parse_config(cfg.echo).echo == cfg.echo
 
 
-def run_mini(tmp_path, name="run1", threads=1):
+def run_mini(tmp_path, name="run1"):
     cfg = harness.parse_config(mini_config())
     out = tmp_path / name
-    rep, manifest = harness.run_study(cfg, out_dir=out, threads=threads)
+    rep, manifest = harness.run_study(cfg, out_dir=out)
     return cfg, out, rep, manifest
 
 
@@ -188,11 +190,64 @@ def test_manifest_records_blas_threading_that_report_does_not_read(tmp_path, mon
     assert (out / "report.csv").read_bytes() == original
 
 
-def test_threaded_run_matches_serial(tmp_path):
+class RungWatch:
+    """A weak reference to the last micro snapshot each rung made or read."""
+
+    def __init__(self):
+        self.last = {}
+
+    def keep(self, rung, values):
+        self.last[rung] = weakref.ref(values)
+
+    def start(self, rung):
+        """At the start of `rung`: no earlier rung's last snapshot is still alive."""
+        gc.collect()
+        held = [r for r, ref in self.last.items() if ref() is not None]
+        assert not held, f"rung {rung} starts while rung {held} still holds its snapshots"
+
+
+def test_run_holds_one_rung_of_snapshots_at_a_time(tmp_path, monkeypatch):
     cfg = harness.parse_config(mini_config(epsilon=["1/4", "1/8"]))
-    rep1, man1 = harness.run_study(cfg, out_dir=tmp_path / "serial", threads=1)
-    rep2, man2 = harness.run_study(cfg, out_dir=tmp_path / "par", threads=2)
-    assert man1["files"] == man2["files"]
+    watch, run_micro_study = RungWatch(), harness.run_micro_study
+
+    def watched(cfg, eps):
+        watch.start(eps)
+        geom, grid, sim, snaps = run_micro_study(cfg, eps)
+        watch.keep(eps, snaps[-1].u)
+        return geom, grid, sim, snaps
+
+    monkeypatch.setattr(harness, "run_micro_study", watched)
+    harness.run_study(cfg, out_dir=tmp_path / "study")
+    assert list(watch.last) == cfg.epsilons
+
+
+def test_report_holds_one_rung_of_snapshots_at_a_time(tmp_path, monkeypatch):
+    cfg = harness.parse_config(mini_config(epsilon=["1/4", "1/8"]))
+    out = tmp_path / "study"
+    harness.run_study(cfg, out_dir=out)
+    original = (out / "report.csv").read_bytes()
+    watch, read_npy = RungWatch(), harness._read_npy
+
+    def watched(relpath, data, n):  # a rung's snapshots are read in order, from s0000
+        rung = relpath.split("_")[1] if relpath.startswith("fields/micro_") else None
+        if relpath.endswith("_s0000.npy") and rung is not None:
+            watch.start(rung)
+        values = read_npy(relpath, data, n)
+        if rung is not None:
+            watch.keep(rung, values)
+        return values
+
+    monkeypatch.setattr(harness, "_read_npy", watched)
+    harness.rederive_report(out)
+    assert list(watch.last) == ["eps4", "eps8"]
+    assert (out / "report.csv").read_bytes() == original
+
+
+def test_run_study_takes_only_one_thread(tmp_path):
+    cfg = harness.parse_config(mini_config())
+    with pytest.raises(ValueError, match="threads=2"):
+        harness.run_study(cfg, out_dir=tmp_path / "x", threads=2)
+    assert not (tmp_path / "x").exists()
 
 
 def test_report_rederivation_is_bit_exact(tmp_path):
@@ -262,12 +317,14 @@ def test_cli_verify_operators_takes_a_seed(tmp_path, capsys):
     assert "max identity residual" in capsys.readouterr().out
 
 
-def test_cli_run_has_no_seed_option(tmp_path, capsys):
-    # the config's seed draws only the random fields of verify-operators; run echoes it
+# the config's seed draws only the random fields of verify-operators, and run echoes it;
+# a study runs its rungs one after another
+@pytest.mark.parametrize("option", [["--seed", "3"], ["--threads", "2"]], ids=["seed", "threads"])
+def test_cli_run_has_no_seed_option(tmp_path, capsys, option):
     p = write_config(tmp_path, mini_config())
-    assert cli.main(["run", str(p), "--out", str(tmp_path / "x"), "--seed", "3"]) == 1
+    assert cli.main(["run", str(p), "--out", str(tmp_path / "x"), *option]) == 1
     err = capsys.readouterr().err
-    assert "usage" in err and "unrecognized arguments: --seed 3" in err
+    assert "usage" in err and f"unrecognized arguments: {' '.join(option)}" in err
     assert not (tmp_path / "x").exists()
 
 
@@ -281,7 +338,8 @@ def test_cli_unknown_subcommand_exits_one(tmp_path, capsys, command):
 
 
 def test_readme_command_lines_are_the_subcommands():
-    """README's `## Command line` block shows one `chanhom <command>` line per sub-command."""
+    """README's `## Command line` block shows one `chanhom <command>` line per sub-command,
+    and every `--option` the section names is an option of some sub-command."""
     text = (REPO / "README.md").read_text()
     section = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
     block = section.split("```sh\n", 1)[1].split("```", 1)[0]
@@ -289,6 +347,10 @@ def test_readme_command_lines_are_the_subcommands():
     sub = next(action for action in cli._build_parser()._actions
                if isinstance(action, argparse._SubParsersAction))
     assert sorted(documented) == sorted(sub.choices)
+    options = {opt for parser in sub.choices.values() for action in parser._actions
+               for opt in action.option_strings}
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
+    assert named <= options, f"README names options no sub-command has: {named - options}"
 
 
 def test_cli_validation_failure_exits_one(tmp_path, capsys):
@@ -432,8 +494,11 @@ def test_cli_unreadable_input_exits_one_naming_it(tmp_path, capsys, case):
         (lambda raw: raw["refinement"].update(k=0, m=0), "refinement.k"),
         (lambda raw: raw["refinement"].update(k=-4, m=-4), "refinement.k"),
         (lambda raw: raw.update(seed=-1), "seed"),
-        (lambda raw: ["--threads", "0"], "--threads"),
-        (lambda raw: ["--threads", "-2"], "--threads"),
+        (lambda raw: raw["time"].update(T=False), "time.T"),
+        (lambda raw: raw.update(snapshot_stride=True), "snapshot_stride"),
+        (lambda raw: raw.update(seed=True), "seed"),
+        (lambda raw: raw["diffusivity"].update(bulk_plus=True), "diffusivity.bulk_plus"),
+        (lambda raw: raw["diagnostics"].update(theta=True), "diagnostics.theta"),
     ],
     ids=["nan_diffusivity", "decreasing_knots", "zero_u_cap", "string_diffusivity",
          "null_channel_diffusivity", "string_initial_value", "string_amplitude",
@@ -442,14 +507,14 @@ def test_cli_unreadable_input_exits_one_naming_it(tmp_path, capsys, case):
          "number_dt", "number_channel_diffusivity", "number_segments", "short_interval",
          "zero_theta", "negative_shift_h", "empty_shift_margin", "nan_tabulated_knot",
          "infinite_tabulated_rate", "array_kinetics_kind", "number_output_dir",
-         "zero_refinement", "negative_refinement", "negative_seed", "zero_threads",
-         "negative_threads"],
+         "zero_refinement", "negative_refinement", "negative_seed", "boolean_horizon",
+         "boolean_stride", "boolean_seed", "boolean_diffusivity", "boolean_theta"],
 )
 def test_cli_bad_value_exits_one_with_path(tmp_path, capsys, edit, path):
     raw = mini_config()
-    options = edit(raw) or []  # an edit returns the command-line options it adds, if any
+    edit(raw)
     p = write_config(tmp_path, raw)
-    assert cli.main(["run", str(p), "--out", str(tmp_path / "x"), *options]) == 1
+    assert cli.main(["run", str(p), "--out", str(tmp_path / "x")]) == 1
     assert f"error: {path}:" in capsys.readouterr().err
     assert not (tmp_path / "x").exists()  # rejected before any solve
 
@@ -511,6 +576,8 @@ def with_config(manifest, section, **edit):
      "fields/micro_eps8_s0000.csv"),
     (lambda manifest: with_config(manifest, "diffusivity", bulk_plus=5.0),
      "manifest.json.config_sha256"),
+    (lambda manifest: with_config(manifest, "diffusivity", bulk_plus="abc"),
+     "manifest.json.config.diffusivity.bulk_plus: not a finite number"),
     (lambda manifest: with_config(manifest, "diagnostics", shift_h=0.0625),
      "manifest.json.config_sha256"),
     (lambda manifest: {key: val for key, val in manifest.items() if key != "config_sha256"},
@@ -518,7 +585,8 @@ def with_config(manifest, section, **edit):
     (lambda manifest: dict(manifest, schema=1), "manifest.json.schema"),
 ], ids=["empty_object", "array", "number_snapshot_times", "array_files", "string_time",
         "null_time", "nan_time", "two_times", "horizon_off_schedule", "horizon_shorter",
-        "horizon_and_times_cut", "unread_field_file", "edited_diffusivity", "edited_shift_h",
+        "horizon_and_times_cut", "unread_field_file", "edited_diffusivity",
+        "string_diffusivity", "edited_shift_h",
         "no_config_hash", "schema_1"])
 def test_cli_report_refuses_a_malformed_manifest(tmp_path, capsys, edit, named):
     p = write_config(tmp_path, mini_config())

@@ -58,7 +58,7 @@ def test_traced_study_and_cli_fire_every_writer_span(spans, tmp_path, capsys):
     tracer.install()
     try:
         assert harness.micro_field_csv is not before[("chanhom.harness", "micro_field_csv")]
-        harness.run_study(cfg, out_dir=tmp_path / "study", threads=1)
+        harness.run_study(cfg, out_dir=tmp_path / "study")
         (eps,) = cfg.epsilons
         snaps = harness.run_micro_study(cfg, eps)[3]
         harness.write_micro_fields(harness.StudyWriter(tmp_path / "micro"), eps, snaps)
