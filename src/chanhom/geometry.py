@@ -113,26 +113,13 @@ class CellGeometry:
     area: Fraction
     n_length: Fraction
 
-    @property
-    def alignment(self) -> int:
-        return self.profile.alignment
-
-    def contains(self, ybar, y_n) -> bool:
-        """Open-set membership of (ybar, y_n) in the channel."""
-        for x0, x1, y0, y1 in self.rectangles:
-            if x0 < ybar < x1 and y0 < y_n < y1:
-                return True
-        return False
-
-    def wall_distance_to_cell_boundary(self) -> Fraction:
-        return min(((1 - w) * _HALF for (_, _), w in self.profile.segments))
-
-    def arc_coordinate(self, ybar, y_n, tol=1e-9) -> float:
+    def arc_coordinate(self, ybar, y_n) -> float:
         """Arc-length position in [0, |N|) of a point on the lateral wall.
 
         Segments are traversed in the fixed construction order; used to give
         wall kinetics a position argument.
         """
+        tol = 1e-9
         s = 0.0
         for (x0, y0), (x1, y1) in self.n_segments:
             seg_len = float(x1 - x0 + y1 - y0)
@@ -195,39 +182,6 @@ class MicroGeometry:
     @property
     def n_columns(self) -> int:
         return int(1 / self.eps)
-
-    @property
-    def channel_area(self) -> Fraction:
-        return self.eps * self.cell.area
-
-    @property
-    def wall_length(self) -> Fraction:
-        # 1/eps columns, each wall scales with eps: the total is eps-independent
-        return self.cell.n_length
-
-    def split(self, xbar):
-        """Column index and local cell coordinate (ybar, y_n) of a point."""
-        t = xbar / float(self.eps)
-        k = min(int(t), self.n_columns - 1)
-        return k, (t - k, 0.0)
-
-    def to_local(self, xbar, x_n):
-        k, (ybar, _) = self.split(xbar)
-        return k, ybar, x_n / float(self.eps)
-
-    def to_global(self, k, ybar, y_n):
-        eps = float(self.eps)
-        return eps * (k + ybar), eps * y_n
-
-    def region_of(self, xbar, x_n) -> int:
-        """Classify a point of Omega; layer points outside channels are VOID."""
-        eps = float(self.eps)
-        if x_n > eps:
-            return BULK_P
-        if x_n < -eps:
-            return BULK_M
-        _, ybar, y_n = self.to_local(xbar, x_n)
-        return CHAN if self.cell.contains(ybar, y_n) else VOID
 
 
 def build_micro_geometry(eps, H, cell: CellGeometry) -> MicroGeometry:

@@ -144,16 +144,16 @@ class Field:
         return Field(grid, np.full(grid.n_cells, float(value)))
 
 
-def graded_edges(start, stop, h0, ratio=GRADING_RATIO):
-    """Edges from start to stop, first spacing h0, growing by at most `ratio`."""
+def graded_edges(start, stop, h0):
+    """Edges from start to stop, first spacing h0, growing by at most GRADING_RATIO."""
     span = float(stop) - float(start)
     if span <= 0:
         raise ValueError("empty interval")
     rel = [0.0]
     h = float(h0)
-    while span - rel[-1] > ratio * h * (1 + 1e-12):
+    while span - rel[-1] > GRADING_RATIO * h * (1 + 1e-12):
         rel.append(rel[-1] + h)
-        h *= ratio
+        h *= GRADING_RATIO
     rel.append(span)
     return float(start) + np.asarray(rel)
 
@@ -199,7 +199,7 @@ def build_cell_grid(cell: CellGeometry, m: int) -> RectGrid:
     return RectGrid(x, y, tag, eps=None, layer_refinement=m)
 
 
-def build_micro_grid(geom: MicroGeometry, k: int, ratio=GRADING_RATIO) -> RectGrid:
+def build_micro_grid(geom: MicroGeometry, k: int) -> RectGrid:
     """Grid over Omega resolving the layer at spacing eps/k, graded in the bulk."""
     _check_alignment(geom.cell, k)
     eps = float(geom.eps)
@@ -209,8 +209,8 @@ def build_micro_grid(geom: MicroGeometry, k: int, ratio=GRADING_RATIO) -> RectGr
 
     x = np.arange(ncol * k + 1) * h
     y_layer = np.arange(2 * k + 1) * h - eps
-    y_up = graded_edges(eps, H, h, ratio)
-    y_dn = -graded_edges(eps, H, h, ratio)[::-1]
+    y_up = graded_edges(eps, H, h)
+    y_dn = -graded_edges(eps, H, h)[::-1]
     y = np.concatenate([y_dn[:-1], y_layer, y_up[1:]])
 
     n_dn = len(y_dn) - 1
@@ -223,16 +223,16 @@ def build_micro_grid(geom: MicroGeometry, k: int, ratio=GRADING_RATIO) -> RectGr
     return RectGrid(x, y, tag, eps=eps, layer_refinement=k)
 
 
-def build_bulk_grid(side: str, H, n_sigma: int, ratio=GRADING_RATIO) -> RectGrid:
+def build_bulk_grid(side: str, H, n_sigma: int) -> RectGrid:
     """Macro bulk grid on (0,1) x (0,H) or (0,1) x (-H,0), fine near the interface."""
     H = float(H)
     h = 1.0 / n_sigma
     x = np.arange(n_sigma + 1) * h
     if side == "+":
-        y = graded_edges(0.0, H, h, ratio)
+        y = graded_edges(0.0, H, h)
         tag = np.full((n_sigma, len(y) - 1), BULK_P, dtype=np.int8)
     elif side == "-":
-        y = -graded_edges(0.0, H, h, ratio)[::-1]
+        y = -graded_edges(0.0, H, h)[::-1]
         tag = np.full((n_sigma, len(y) - 1), BULK_M, dtype=np.int8)
     else:
         raise ValueError("side must be '+' or '-'")
@@ -429,33 +429,13 @@ def leps_diff(field_a: Field, field_b: Field) -> float:
     ga, gb = field_a.grid, field_b.grid
     if ga.eps != gb.eps:
         raise ValueError("fields come from different scale parameters")
+    overlap = overlap_map(ga, gb)
     total = 0.0
     for tag_val, w in ((BULK_P, 1.0), (BULK_M, 1.0), (CHAN, 1.0 / ga.eps)):
         va = np.where(ga.cell_tag == tag_val, field_a.values, 0.0)
         vb = np.where(gb.cell_tag == tag_val, field_b.values, 0.0)
-        total += w * l2_overlap_diff_sq(ga, va, gb, vb)
+        total += w * l2_overlap_diff_sq(ga, va, gb, vb, overlap)
     return float(np.sqrt(total))
-
-
-def _overlap_matrix(edges_coarse, edges_fine):
-    ia, ib, w = _axis_overlaps(edges_coarse, edges_fine)
-    W = np.zeros((len(edges_coarse) - 1, len(edges_fine) - 1))
-    W[ia, ib] = w
-    return W
-
-
-def project_dense(grid_c: RectGrid, grid_f: RectGrid, dense_f, dense_mask):
-    """Volume-averaged restriction of a fine dense field to coarse cells.
-
-    dense_mask selects the fine cells to average; coarse cells with no
-    overlap get 0.  Returns (values, covered volume fraction) dense arrays.
-    """
-    wx = _overlap_matrix(grid_c.x, grid_f.x)
-    wy = _overlap_matrix(grid_c.y, grid_f.y)
-    num = wx @ (dense_f * dense_mask) @ wy.T
-    den = wx @ dense_mask @ wy.T
-    out = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
-    return out, den
 
 
 def leps_project_diff(coarse: Field, fine: Field) -> float:
@@ -463,16 +443,20 @@ def leps_project_diff(coarse: Field, fine: Field) -> float:
 
     The restriction is the L2 projection onto the coarse piecewise constants,
     so the comparison measures the solution difference, not the difference of
-    the two piecewise-constant representations.
+    the two piecewise-constant representations.  Walls and the layer edges
+    are faces of both grids, so every overlap piece lies in one region (or
+    in void) on both sides: the restriction never mixes regions, and a live
+    coarse cell is covered by live fine cells only.  A coarse cell outside
+    the fine grid's extent restricts to 0.
     """
     gc, gf = coarse.grid, fine.grid
     if gc.eps != gf.eps:
         raise ValueError("fields come from different scale parameters")
-    total = 0.0
-    for tag_val, w in ((BULK_P, 1.0), (BULK_M, 1.0), (CHAN, 1.0 / gc.eps)):
-        mask_f = (gf.tag == tag_val).astype(float)
-        restricted, _ = project_dense(gc, gf, gf.cells_dense(fine.values), mask_f)
-        sel = gc.cell_tag == tag_val
-        dv = coarse.values[sel] - restricted[gc.cell_i[sel], gc.cell_j[sel]]
-        total += w * float(np.dot(gc.cell_vol[sel], dv**2))
-    return float(np.sqrt(total))
+    cells_c, cells_f, wx, wy = overlap_map(gc, gf)
+    area = np.outer(wx, wy)
+    piece = cells_c >= 0
+    c, a = cells_c[piece], area[piece]
+    num = np.bincount(c, fine.values[cells_f[piece]] * a, minlength=gc.n_cells)
+    den = np.bincount(c, a, minlength=gc.n_cells)
+    restricted = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
+    return float(np.sqrt(np.dot(gc.weight * gc.cell_vol, (coarse.values - restricted) ** 2)))

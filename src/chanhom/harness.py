@@ -66,7 +66,7 @@ def _need(mapping, key, path):
 
 def _number(raw, path, integer=False):
     """A finite float (or integral int) from a config value; ConfigError naming the path."""
-    if isinstance(raw, bool):  # float(True) is 1.0, but a JSON boolean is not a number
+    if isinstance(raw, (bool, str)):  # float(True) and float("2.5") parse, but neither is a number
         raise ConfigError(f"{path}: not a finite number ({raw!r})")
     try:
         val = float(raw)
@@ -111,7 +111,6 @@ def _frac_value(raw, path) -> Fraction:
 @dataclass
 class StudyConfig:
     echo: dict           # fully defaulted config, JSON-serializable
-    profile: ChannelProfile
     cell: object
     H: Fraction
     diffusion: DiffusionSpec
@@ -243,12 +242,17 @@ def parse_config(raw: dict) -> StudyConfig:
 
     kin_raw = _known(_container(_need(raw, "kinetics", ""), "kinetics", dict), "kinetics",
                      ("f_plus", "f_minus", "g", "h"))
-    kinetics = KineticsBundle(
-        f_plus=_kinetics_spec(_need(kin_raw, "f_plus", "kinetics"), "kinetics.f_plus"),
-        f_minus=_kinetics_spec(_need(kin_raw, "f_minus", "kinetics"), "kinetics.f_minus"),
-        g=_kinetics_spec(_need(kin_raw, "g", "kinetics"), "kinetics.g"),
-        h=_kinetics_spec(_need(kin_raw, "h", "kinetics"), "kinetics.h"),
-    )
+    specs = {name: _kinetics_spec(_need(kin_raw, name, "kinetics"), f"kinetics.{name}")
+             for name in ("f_plus", "f_minus", "g", "h")}
+    # the simulators apply no factor to the bulk rates and give the channel rate no arc position
+    for name in ("f_plus", "f_minus"):
+        if specs[name].modulation is not None:
+            raise ConfigError(f"kinetics.{name}.modulation: a bulk rate takes no position "
+                              "modulation")
+    if specs["g"].modulation is not None and specs["g"].modulation[0] == "arc_cos":
+        raise ConfigError("kinetics.g.modulation.kind: arc_cos needs a wall position; the "
+                          "channel rate sees (ybar, y_n) only")
+    kinetics = KineticsBundle(**specs)
 
     ini = _known(_container(_need(raw, "initial", ""), "initial", dict), "initial",
                  ("bulk_plus", "bulk_minus", "channel"))
@@ -378,7 +382,6 @@ def parse_config(raw: dict) -> StudyConfig:
     }
     return StudyConfig(
         echo=echo,
-        profile=profile,
         cell=cell,
         H=H,
         diffusion=diffusion,

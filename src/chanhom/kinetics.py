@@ -35,7 +35,6 @@ BASE_KINDS = {
     "exchange": ("kappa", "u_ext"),
     "tabulated": ("u", "rate"),
 }
-_BASE_KINDS = tuple(BASE_KINDS)
 _FACTOR_KINDS = ("cos_ybar", "ybar", "yn", "linear_yn", "arc_cos")
 
 
@@ -46,7 +45,7 @@ class KineticsSpec:
     modulation: tuple = None  # (factor kind, amplitude)
 
     def __post_init__(self):
-        if self.kind not in _BASE_KINDS:
+        if self.kind not in BASE_KINDS:
             raise ValueError(f"unknown kinetics kind {self.kind!r}")
         if self.modulation is not None and self.modulation[0] not in _FACTOR_KINDS:
             raise ValueError(f"unknown modulation kind {self.modulation[0]!r}")

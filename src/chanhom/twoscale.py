@@ -66,7 +66,6 @@ class Unfolder:
                 f"layer refinement {grid.k} != cell refinement {cell_grid.k}; "
                 "unfolding needs index-aligned grids"
             )
-        self.geom = geom
         self.grid = grid
         self.cell_grid = cell_grid
         self.eps = float(geom.eps)
@@ -277,14 +276,14 @@ def shift_diagnostic(micro_states, geom: MicroGeometry, grid: RectGrid, l: int, 
 # ---------------------------------------------------------------------------
 # trace inequality diagnostic
 
-def _low_frequency_basis(cell_grid: RectGrid, n_ybar=4, n_yn=5):
-    """Tensor cosine basis sampled on the channel cells of the reference grid."""
+def _low_frequency_basis(cell_grid: RectGrid):
+    """Tensor cosine basis, 4 modes in ybar by 5 in y_n, on the reference channel cells."""
     ids = chan_cell_indices(cell_grid)
     yb = cell_grid.cell_x[ids]
     yn = cell_grid.cell_y[ids]
     cols = []
-    for a in range(n_ybar):
-        for b in range(n_yn):
+    for a in range(4):
+        for b in range(5):
             cols.append(np.cos(a * np.pi * yb) * np.cos(b * np.pi * 0.5 * (yn + 1.0)))
     return np.stack(cols, axis=1), ids
 

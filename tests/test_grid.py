@@ -64,7 +64,7 @@ def test_channel_cells_tile_the_channel_exactly():
     for width, k in ((F(1, 2), 4), (F(3, 4), 8)):
         geom, g = make_micro(width=width, k=k)
         vol = g.cell_vol[g.cell_tag == CHAN].sum()
-        assert vol == pytest.approx(float(geom.channel_area), rel=1e-14)
+        assert vol == pytest.approx(float(geom.eps * geom.cell.area), rel=1e-14)
 
 
 def test_weighted_inner_product_constants():
@@ -228,6 +228,39 @@ def test_projected_diff_matches_plain_diff_on_same_grid():
     u = Field(g, rng.normal(size=g.n_cells))
     v = Field(g, rng.normal(size=g.n_cells))
     assert leps_project_diff(u, v) == pytest.approx(leps_diff(u, v), rel=1e-12)
+
+
+def dense_overlaps(edges_c, edges_f):
+    """(n_c, n_f) matrix of overlap lengths, from the walking reference."""
+    ic, jf, w = overlaps_by_walking(edges_c, edges_f)
+    out = np.zeros((len(edges_c) - 1, len(edges_f) - 1))
+    out[ic, jf] = w
+    return out
+
+
+@pytest.mark.parametrize("profile, kc, kf", [
+    (ChannelProfile.rectangle(F(1, 2)), 4, 16),
+    (hourglass(), 8, 16),  # its walls sit on 1/8, so 8 is its coarsest layer refinement
+])
+def test_projected_diff_matches_the_dense_restriction(profile, kc, kf):
+    geom = build_micro_geometry(F(1, 4), 1, build_reference_cell(profile))
+    gc, gf = build_micro_grid(geom, kc), build_micro_grid(geom, kf)
+    assert not np.isin(gc.y, gf.y).all()  # the graded bulk rows do not nest
+    rng = np.random.default_rng(12)
+    u = Field(gc, rng.normal(size=gc.n_cells))
+    v = Field(gf, rng.normal(size=gf.n_cells))
+
+    wx, wy = dense_overlaps(gc.x, gf.x), dense_overlaps(gc.y, gf.y)
+    total = 0.0
+    for tag, weight in ((BULK_P, 1.0), (BULK_M, 1.0), (CHAN, 4.0)):
+        mask = (gf.tag == tag).astype(float)
+        num = wx @ (gf.cells_dense(v.values) * mask) @ wy.T
+        den = wx @ mask @ wy.T
+        restricted = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
+        sel = gc.cell_tag == tag
+        dv = u.values[sel] - restricted[gc.cell_i[sel], gc.cell_j[sel]]
+        total += weight * np.dot(gc.cell_vol[sel], dv**2)
+    assert leps_project_diff(u, v) == pytest.approx(np.sqrt(total), rel=1e-12)
 
 
 def test_cell_grid_matches_column_block():

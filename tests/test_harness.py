@@ -499,6 +499,13 @@ def test_cli_unreadable_input_exits_one_naming_it(tmp_path, capsys, case):
         (lambda raw: raw.update(seed=True), "seed"),
         (lambda raw: raw["diffusivity"].update(bulk_plus=True), "diffusivity.bulk_plus"),
         (lambda raw: raw["diagnostics"].update(theta=True), "diagnostics.theta"),
+        (lambda raw: raw["diffusivity"].update(bulk_plus="2.5"), "diffusivity.bulk_plus"),
+        (lambda raw: raw.update(seed="7"), "seed"),
+        (lambda raw: raw.update(snapshot_stride="4"), "snapshot_stride"),
+        (lambda raw: raw["kinetics"]["f_plus"].update(
+            modulation={"kind": "cos_ybar", "amplitude": 0.5}), "kinetics.f_plus.modulation"),
+        (lambda raw: raw["kinetics"]["g"].update(
+            modulation={"kind": "arc_cos", "amplitude": 0.3}), "kinetics.g.modulation.kind"),
     ],
     ids=["nan_diffusivity", "decreasing_knots", "zero_u_cap", "string_diffusivity",
          "null_channel_diffusivity", "string_initial_value", "string_amplitude",
@@ -508,14 +515,17 @@ def test_cli_unreadable_input_exits_one_naming_it(tmp_path, capsys, case):
          "zero_theta", "negative_shift_h", "empty_shift_margin", "nan_tabulated_knot",
          "infinite_tabulated_rate", "array_kinetics_kind", "number_output_dir",
          "zero_refinement", "negative_refinement", "negative_seed", "boolean_horizon",
-         "boolean_stride", "boolean_seed", "boolean_diffusivity", "boolean_theta"],
+         "boolean_stride", "boolean_seed", "boolean_diffusivity", "boolean_theta",
+         "numeric_string_diffusivity", "numeric_string_seed", "numeric_string_stride",
+         "bulk_rate_modulation", "channel_rate_arc_modulation"],
 )
 def test_cli_bad_value_exits_one_with_path(tmp_path, capsys, edit, path):
     raw = mini_config()
     edit(raw)
     p = write_config(tmp_path, raw)
     assert cli.main(["run", str(p), "--out", str(tmp_path / "x")]) == 1
-    assert f"error: {path}:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"error: {path}:" in err and "Traceback" not in err
     assert not (tmp_path / "x").exists()  # rejected before any solve
 
 

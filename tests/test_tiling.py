@@ -33,7 +33,12 @@ def scan(grid, geom=None):
     local coordinates.  Without `geom` the grid is the reference cell.
     """
     def to_local(x, y):
-        return geom.to_local(x, y) if geom is not None else (0, x, y)
+        """Column and reference-cell coordinates (ybar, y_n) of a layer point."""
+        if geom is None:
+            return 0, x, y
+        eps = float(geom.eps)
+        col = min(int(x / eps), geom.n_columns - 1)
+        return col, x / eps - col, y / eps
 
     k = grid.k
     nx, ny = grid.shape
