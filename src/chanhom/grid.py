@@ -254,34 +254,81 @@ def norm_leps(u: Field) -> float:
     return float(np.sqrt(max(inner_product_leps(u, u), 0.0)))
 
 
+class GradientQuadrature:
+    """Face-reconstructed cell gradients on the cells of `valid`, face maps built once.
+
+    Per axis, a cell averages the differences of its faces whose two cells
+    are both valid; faces touching an invalid cell are skipped.  A cell is
+    the lower cell `a` of at most one face per axis and the upper cell `b` of
+    at most one, so per kept cell the maps hold the slot of each face in the
+    axis' vector of face differences, slot 0 holding a zero.  A call sums
+    0 + t_a + t_b per cell, in the order of accumulating face by face from
+    zero, and gives the same bits.  `cells` indexes the kept cells in cell
+    order; `valid=None` keeps every cell (`cells` is then a full slice) and
+    reads the grid's face arrays in place.
+    """
+
+    def __init__(self, grid: RectGrid, valid=None):
+        if valid is None:
+            self.cells = slice(None)
+            self.vol = grid.cell_vol
+            pos = None
+            n = grid.n_cells
+        else:
+            self.cells = np.flatnonzero(valid)
+            self.vol = grid.cell_vol[self.cells]
+            n = len(self.cells)
+            pos = np.full(grid.n_cells, -1)
+            pos[self.cells] = np.arange(n)
+        self.axes = []
+        for fs in grid.faces:
+            a, b, span = fs.a, fs.b, fs.dist_a + fs.dist_b
+            if valid is not None:
+                keep = valid[a] & valid[b]
+                a, b, span = a[keep], b[keep], span[keep]
+            slots = np.arange(1, len(a) + 1)
+            slot_a, slot_b = np.zeros(n, dtype=np.intp), np.zeros(n, dtype=np.intp)
+            slot_a[a if pos is None else pos[a]] = slots
+            slot_b[b if pos is None else pos[b]] = slots
+            scale = 1.0 / np.maximum((slot_a > 0).astype(float) + (slot_b > 0), 1.0)
+            self.axes.append((a, b, span, slot_a, slot_b, scale))
+
+    def components(self, values):
+        """(d/dx, d/dy) of the kept cells, in cell order."""
+        values = np.asarray(values, dtype=float)
+        out = []
+        for a, b, span, slot_a, slot_b, scale in self.axes:
+            t = np.empty(len(a) + 1)
+            t[0] = 0.0
+            np.subtract(values[b], values[a], out=t[1:])
+            t[1:] /= span
+            t += 0.0  # a -0.0 difference counts as 0 + (-0.0) = +0.0, as it does from zero
+            out.append((t[slot_a] + t[slot_b]) * scale)
+        return out
+
+    def __call__(self, values, region_weight) -> float:
+        """Sum of |grad u|^2 * vol * w(region) over the kept cells."""
+        gx, gy = self.components(values)
+        if np.ndim(region_weight):
+            region_weight = np.asarray(region_weight)[self.cells]
+        return float((self.vol * (gx ** 2 + gy ** 2) * region_weight).sum())
+
+
 def cell_gradients(grid: RectGrid, values, valid=None):
     """Per-cell gradient, averaging the face differences available in each axis.
 
-    `valid` masks cells; faces touching an invalid cell are skipped.
+    `valid` masks cells; faces touching an invalid cell are skipped, and an
+    invalid cell reads 0.
     """
-    values = np.asarray(values, dtype=float)
+    quad = GradientQuadrature(grid, valid)
     grad = np.zeros((grid.n_cells, 2))
-    for fs in grid.faces:
-        fg = (values[fs.b] - values[fs.a]) / (fs.dist_a + fs.dist_b)
-        if valid is not None:
-            keep = valid[fs.a] & valid[fs.b]
-            fa, fb, fg = fs.a[keep], fs.b[keep], fg[keep]
-        else:
-            fa, fb = fs.a, fs.b
-        ends = np.concatenate([fa, fb])  # each cell sums its fa terms, then its fb terms
-        s = np.bincount(ends, np.concatenate([fg, fg]), minlength=grid.n_cells)
-        c = np.bincount(ends, minlength=grid.n_cells)
-        grad[:, fs.axis] = s / np.maximum(c, 1.0)
+    grad[quad.cells] = np.stack(quad.components(values), axis=1)
     return grad
 
 
 def gradient_quadrature(grid: RectGrid, values, region_weight, valid=None) -> float:
     """Sum of |grad u|^2 * vol * w(region) over (masked) cells."""
-    grad = cell_gradients(grid, values, valid=valid)
-    q = grid.cell_vol * (grad[:, 0] ** 2 + grad[:, 1] ** 2) * region_weight
-    if valid is not None:
-        q = q[valid]
-    return float(q.sum())
+    return GradientQuadrature(grid, valid)(values, region_weight)
 
 
 def heps_region_weights(grid: RectGrid):

@@ -18,6 +18,7 @@ import json
 import math
 import os
 import time as _time
+import tokenize
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
@@ -244,15 +245,10 @@ def parse_config(raw: dict) -> StudyConfig:
                      ("f_plus", "f_minus", "g", "h"))
     specs = {name: _kinetics_spec(_need(kin_raw, name, "kinetics"), f"kinetics.{name}")
              for name in ("f_plus", "f_minus", "g", "h")}
-    # the simulators apply no factor to the bulk rates and give the channel rate no arc position
-    for name in ("f_plus", "f_minus"):
-        if specs[name].modulation is not None:
-            raise ConfigError(f"kinetics.{name}.modulation: a bulk rate takes no position "
-                              "modulation")
-    if specs["g"].modulation is not None and specs["g"].modulation[0] == "arc_cos":
-        raise ConfigError("kinetics.g.modulation.kind: arc_cos needs a wall position; the "
-                          "channel rate sees (ybar, y_n) only")
-    kinetics = KineticsBundle(**specs)
+    try:
+        kinetics = KineticsBundle(**specs)
+    except ValueError as exc:  # a modulation no simulator applies, named from the rate
+        raise ConfigError(f"kinetics.{exc}") from exc
 
     ini = _known(_container(_need(raw, "initial", ""), "initial", dict), "initial",
                  ("bulk_plus", "bulk_minus", "channel"))
@@ -428,6 +424,14 @@ def load_config(path) -> StudyConfig:
     return parse_config(_read_json(Path(path), "config file"))
 
 
+def _write_file(path, data: bytes):
+    """Write `data` to file `path`; ConfigError naming the file if it cannot be written."""
+    try:
+        path.write_bytes(data)
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot write the file ({exc.strerror})") from exc
+
+
 # ---------------------------------------------------------------------------
 # study execution
 
@@ -578,7 +582,10 @@ def _read_npy(relpath, data, n) -> np.ndarray:
     """The `n` finite float64 values of a `.npy` file; ConfigError naming it otherwise."""
     try:
         vals = np.lib.format.read_array(io.BytesIO(data), allow_pickle=False)
-    except ValueError as exc:  # bad magic or header, object dtype, short data
+    # bad magic, object dtype, short data; the header is a Python literal that numpy
+    # tokenizes and evaluates, and the shape it claims is allocated before the data is read
+    except (ValueError, SyntaxError, TypeError, OverflowError, MemoryError,
+            tokenize.TokenError) as exc:
         raise ConfigError(f"{relpath}: not a readable .npy file ({exc})") from exc
     if vals.dtype != np.dtype("<f8") or vals.shape != (n,):
         raise ConfigError(f"{relpath}: holds {vals.dtype.str} values of shape {vals.shape}, "
@@ -624,7 +631,7 @@ class StudyWriter:
         """Write `data` (bytes, or text stored as UTF-8) and record its SHA-256."""
         if isinstance(data, str):
             data = data.encode()
-        (self.out / relpath).write_bytes(data)
+        _write_file(self.out / relpath, data)
         self.files[str(relpath)] = _sha256(data)
 
 
@@ -662,7 +669,8 @@ def run_study(cfg: StudyConfig, out_dir=None, threads=1):
         "timings": timings,
         "files": writer.files,
     }
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    _write_file(out / "manifest.json", (json.dumps(manifest, indent=2, sort_keys=True)
+                                        + "\n").encode())
     return rep, manifest
 
 
@@ -796,7 +804,7 @@ def rederive_report(study_dir):
     rep = TwoScaleReport([], [], [], [], [], [], [])
     for eps in study.cfg.epsilons:
         compute_report(rep, study.cfg, eps, study.rung(eps), limit, trace_const)
-    (Path(study_dir) / "report.csv").write_text(report_csv_text(rep))
+    _write_file(Path(study_dir) / "report.csv", report_csv_text(rep).encode())
     return rep
 
 
@@ -856,7 +864,8 @@ def verify_operators(cfg: StudyConfig, n_fields=100, tol=1e-12):
     for eps in cfg.epsilons:
         geom, grid = _rung_grid(cfg, eps)
         uf = Unfolder(geom, grid, cell_grid)
-        chan = grid.cell_tag == CHAN
+        chan = np.flatnonzero(grid.cell_tag == CHAN)
+        vol = grid.cell_vol[chan]
         fa, fb, fcol, fia, fib, dmic, dref = _chan_face_map(uf)
         res = dict.fromkeys(
             ("inner_product", "boundary_norm", "gradient_commutation", "adjoint", "round_trip"),
@@ -867,13 +876,15 @@ def verify_operators(cfg: StudyConfig, n_fields=100, tol=1e-12):
             v = Field(grid, rng.normal(size=grid.n_cells))
             w = Field(grid, rng.normal(size=grid.n_cells))
             tv = uf.unfold(v)
+            vc = v.values[chan]
 
             # residuals are measured against the Cauchy-Schwarz scale of the
             # pairing; the raw value of a random inner product can cancel
             lhs = uf.ts_inner(tv, uf.unfold(w))
-            rhs = inv_eps * float(np.dot(grid.cell_vol[chan], v.values[chan] * w.values[chan]))
-            nv = np.sqrt(inv_eps * float(np.dot(grid.cell_vol[chan], v.values[chan] ** 2)))
-            nw = np.sqrt(inv_eps * float(np.dot(grid.cell_vol[chan], w.values[chan] ** 2)))
+            wc = w.values[chan]
+            rhs = inv_eps * float(np.dot(vol, vc * wc))
+            nv = np.sqrt(inv_eps * float(np.dot(vol, vc ** 2)))
+            nw = np.sqrt(inv_eps * float(np.dot(vol, wc ** 2)))
             res["inner_product"] = max(res["inner_product"], abs(lhs - rhs) / (nv * nw))
 
             tr = uf.wall_trace(v)
@@ -891,14 +902,12 @@ def verify_operators(cfg: StudyConfig, n_fields=100, tol=1e-12):
 
             phi = rng.normal(size=uf.columns.shape)
             lhs = uf.ts_inner(tv, phi)
-            rhs = inv_eps * float(
-                np.dot(grid.cell_vol[chan], v.values[chan] * uf.average(phi).values[chan])
-            )
+            rhs = inv_eps * float(np.dot(vol, vc * uf.average(phi).values[chan]))
             res["adjoint"] = max(res["adjoint"], abs(lhs - rhs) / (nv * uf.ts_norm(phi)))
 
             back = uf.average(tv)
-            num = float(np.max(np.abs(back.values[chan] - v.values[chan])))
-            den = float(np.max(np.abs(v.values[chan]))) or 1.0
+            num = float(np.max(np.abs(back.values[chan] - vc)))
+            den = float(np.max(np.abs(vc))) or 1.0
             res["round_trip"] = max(res["round_trip"], num / den)
         worst[str(eps)] = res
     flat_max = max(v for res in worst.values() for v in res.values())

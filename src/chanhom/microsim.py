@@ -54,10 +54,26 @@ class DiffusionSpec:
 
 @dataclass(frozen=True)
 class KineticsBundle:
+    """The four rates, refusing a modulation that no simulator applies.
+
+    The simulators sample the bulk rates without a position factor and give
+    the channel rate (ybar, y_n) but no arc position.  Such a modulation
+    would change no rate, yet its factor bound would still tighten
+    `max_stable_dt`.
+    """
+
     f_plus: KineticsSpec
     f_minus: KineticsSpec
     g: KineticsSpec
     h: KineticsSpec
+
+    def __post_init__(self):
+        for name in ("f_plus", "f_minus"):
+            if getattr(self, name).modulation is not None:
+                raise ValueError(f"{name}.modulation: a bulk rate takes no position modulation")
+        if self.g.modulation is not None and self.g.modulation[0] == "arc_cos":
+            raise ValueError("g.modulation.kind: arc_cos needs a wall position; the channel "
+                             "rate sees (ybar, y_n) only")
 
     @staticmethod
     def zero() -> "KineticsBundle":

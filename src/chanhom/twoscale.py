@@ -16,12 +16,14 @@ import numpy as np
 from .geometry import BULK_M, BULK_P, CHAN, MicroGeometry
 from .grid import (
     Field,
+    GradientQuadrature,
     RectGrid,
     chan_cell_indices,
     channel_index_matrix,
     gradient_quadrature,
+    heps_region_weights,
+    inner_product_leps,
     l2_overlap_diff_sq,
-    norm_heps,
     overlap_map,
     wall_faces,
 )
@@ -80,6 +82,7 @@ class Unfolder:
         # every column is a copy of the reference cell, walls included
         pos = np.searchsorted(self.chan_ids, self.ref_wall_cells)
         self.micro_wall_cells = self.columns[:, pos]
+        self.micro_wall_len = np.tile(self.eps * self.ref_wall_len, len(self.columns))
 
     # -- operators ----------------------------------------------------------
 
@@ -119,8 +122,7 @@ class Unfolder:
         return float(self.eps * np.einsum("kf,kf,f->", a, b, self.ref_wall_len))
 
     def wall_norm_sq_micro(self, trace: np.ndarray) -> float:
-        lens = np.tile(self.eps * self.ref_wall_len, self.micro_wall_cells.shape[0])
-        return float(np.dot(lens, np.asarray(trace) ** 2))
+        return float(np.dot(self.micro_wall_len, np.asarray(trace) ** 2))
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +175,7 @@ def ts_error(micro_states, macro_states, unfolder: Unfolder, macro_sim):
     gp, gm = macro_sim.grid_p, macro_sim.grid_m
     micro_grid = unfolder.grid
     over_p, over_m = overlap_map(micro_grid, gp), overlap_map(micro_grid, gm)
+    is_p, is_m = micro_grid.cell_tag == BULK_P, micro_grid.cell_tag == BULK_M
 
     for w, ms, Ms in zip(tw, micro_states, macro_states):
         cells = Ms.cells[:, chan_ids]
@@ -184,9 +187,9 @@ def ts_error(micro_states, macro_states, unfolder: Unfolder, macro_sim):
         dtr = tr_micro[col_of_node] - tr_macro
         e_wall_sq += w * dsig * float(np.einsum("jf,jf,f->", dtr, dtr, wall_len))
 
-        mp = np.where(micro_grid.cell_tag == BULK_P, ms.values, 0.0)
+        mp = np.where(is_p, ms.values, 0.0)
         e_bp_sq += w * l2_overlap_diff_sq(micro_grid, mp, gp, Ms.bulk_plus, over_p)
-        mm = np.where(micro_grid.cell_tag == BULK_M, ms.values, 0.0)
+        mm = np.where(is_m, ms.values, 0.0)
         e_bm_sq += w * l2_overlap_diff_sq(micro_grid, mm, gm, Ms.bulk_minus, over_m)
 
     return {
@@ -198,9 +201,19 @@ def ts_error(micro_states, macro_states, unfolder: Unfolder, macro_sim):
 
 
 def apriori_norm(micro_states) -> float:
-    """Discrete L2-in-time energy norm of a micro trajectory."""
+    """Discrete L2-in-time energy norm of a micro trajectory.
+
+    Each snapshot counts with `grid.norm_heps` squared, its gradient maps
+    built once for the trajectory's grid.
+    """
     times = _snapshot_times(micro_states)
     tw = _trapezoid_weights(times)
+    grid = micro_states[0].u.grid
+    energy, region = GradientQuadrature(grid), heps_region_weights(grid)
+
+    def norm_heps(u):
+        return float(np.sqrt(max(inner_product_leps(u, u) + energy(u.values, region), 0.0)))
+
     total = sum(w * norm_heps(s.u) ** 2 for w, s in zip(tw, micro_states))
     return float(np.sqrt(total))
 
@@ -251,10 +264,11 @@ def shift_diagnostic(micro_states, geom: MicroGeometry, grid: RectGrid, l: int, 
     dst = np.concatenate([columns[cols + l].reshape(-1),
                           grid.index[grid.cell_i[bulk] + l * grid.k, grid.cell_j[bulk]]])
 
-    # gradient_quadrature reads only faces between two chan_lhs cells, so d
-    # may stay zero outside src
+    # the gradient maps read only faces between two chan_lhs cells, so d may
+    # stay zero outside src
     valid = np.zeros(grid.n_cells, dtype=bool)
     valid[chan_lhs] = True
+    energy = GradientQuadrature(grid, valid)
     vol = grid.cell_vol
     d = np.zeros(grid.n_cells)
     tw = _trapezoid_weights(_snapshot_times(micro_states))
@@ -263,7 +277,7 @@ def shift_diagnostic(micro_states, geom: MicroGeometry, grid: RectGrid, l: int, 
     for n, (w, s) in enumerate(zip(tw, micro_states)):
         d[src] = s.values[dst] - s.values[src]
         sup_l2 = max(sup_l2, float(np.dot(vol[chan_lhs], d[chan_lhs] ** 2)))
-        grad_sq += w * gradient_quadrature(grid, d, 1.0, valid=valid)
+        grad_sq += w * energy(d, 1.0)
         b = float(np.dot(vol[bulk_p], d[bulk_p] ** 2)) + float(np.dot(vol[bulk_m], d[bulk_m] ** 2))
         bulk_sq += w * b
         if n == 0:

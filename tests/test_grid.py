@@ -16,6 +16,8 @@ from chanhom.geometry import (
 )
 from chanhom.grid import (
     Field,
+    GradientQuadrature,
+    RectGrid,
     _axis_overlaps,
     build_cell_grid,
     build_micro_grid,
@@ -133,15 +135,58 @@ def add_at_gradients(grid, values, valid=None):
     return grad
 
 
+def assert_gradient_maps_match_face_sums(g, values, valid, weight):
+    """`cell_gradients`, `GradientQuadrature` and `gradient_quadrature` against `np.add.at`,
+    bit for bit."""
+    want = add_at_gradients(g, values, valid)
+    assert cell_gradients(g, values, valid).tobytes() == want.tobytes()
+    kept = np.arange(g.n_cells) if valid is None else np.flatnonzero(valid)
+    quad = GradientQuadrature(g, valid)
+    for w in (weight, 1.0):
+        want_sum = float((g.cell_vol * (want[:, 0] ** 2 + want[:, 1] ** 2) * w)[kept].sum())
+        assert quad(values, w) == want_sum
+        assert gradient_quadrature(g, values, w, valid) == want_sum
+
+
+def hourglass_micro_grid():
+    return build_micro_grid(build_micro_geometry(F(1, 8), 1, build_reference_cell(hourglass())), 8)
+
+
+def hourglass_cell_grid():
+    return build_cell_grid(build_reference_cell(hourglass()), 8)
+
+
 @pytest.mark.parametrize("masked", [False, True])
 def test_cell_gradients_match_face_sums_bit_for_bit(masked):
-    geom = build_micro_geometry(F(1, 8), 1, build_reference_cell(hourglass()))
-    g = build_micro_grid(geom, 8)
+    g = hourglass_micro_grid()
     rng = np.random.default_rng(9)
     values = rng.normal(size=g.n_cells) * 10.0 ** rng.integers(-6, 6, size=g.n_cells)
     valid = (g.cell_tag == CHAN) | (rng.random(g.n_cells) < 0.5) if masked else None
-    got, want = cell_gradients(g, values, valid), add_at_gradients(g, values, valid)
-    assert got.tobytes() == want.tobytes()
+    assert_gradient_maps_match_face_sums(g, values, valid, rng.random(g.n_cells))
+
+
+@pytest.mark.parametrize("make_grid", [hourglass_micro_grid, hourglass_cell_grid],
+                         ids=["micro", "reference_cell"])
+@pytest.mark.parametrize("seed", [10, 11])
+def test_gradient_maps_match_face_sums_on_random_masks(make_grid, seed):
+    """Masks with bulk cells left out and channel cells cut off from their neighbours."""
+    g = make_grid()
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=g.n_cells) * 10.0 ** rng.integers(-6, 6, size=g.n_cells)
+    valid = rng.random(g.n_cells) < 0.7
+    assert_gradient_maps_match_face_sums(g, values, valid, rng.random(g.n_cells))
+    if g.eps is None:  # the reference cell also without a mask
+        assert_gradient_maps_match_face_sums(g, values, None, rng.random(g.n_cells))
+
+
+def test_gradient_maps_sum_each_cell_from_zero():
+    """Both faces of the middle cell differ by -5e-324 over a span of 4, which rounds
+    to -0.0; summed from zero, as face by face accumulation sums, the gradient is +0.0."""
+    g = RectGrid(np.arange(4) * 4.0, np.arange(2) * 4.0, np.full((3, 1), BULK_P))
+    values = np.array([0.0, -5e-324, -1e-323])
+    want = add_at_gradients(g, values)
+    assert want[1, 0] == 0.0 and not np.signbit(want[1, 0])
+    assert cell_gradients(g, values).tobytes() == want.tobytes()
 
 
 def test_energy_norm_homogeneity():

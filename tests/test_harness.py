@@ -272,6 +272,9 @@ def test_hourglass_profile_study_end_to_end(tmp_path):
     for row in rep.rows():
         assert all(np.isfinite(v) and v >= 0 for v in row)
     assert rep.e_chan[1] < rep.e_chan[0]  # wall ledges included in the remap
+    report = (tmp_path / "hg" / "report.csv").read_bytes()
+    assert harness.report_csv_text(harness.rederive_report(tmp_path / "hg")).encode() == report
+    assert (tmp_path / "hg" / "report.csv").read_bytes() == report
     worst, flat_max, ok = harness.verify_operators(cfg, n_fields=10)
     assert ok, worst
 
@@ -630,6 +633,14 @@ def with_nan(vals):
     return npy_of(vals)
 
 
+def with_header(data, old, new):
+    """The .npy file with `old` replaced by `new` in its header, padded to its length."""
+    end = data.index(b"\n") + 1
+    head = data[:end].replace(old, new)
+    assert head != data[:end]
+    return head[:-1].rstrip(b" ").ljust(end - 1) + b"\n" + data[end:]
+
+
 MICRO = "fields/micro_eps4_s0001.npy"
 
 
@@ -641,11 +652,19 @@ MICRO = "fields/micro_eps4_s0001.npy"
     (MICRO, lambda data, vals: npy_of(vals.astype(object), allow_pickle=True),
      "not a readable .npy file"),
     (MICRO, lambda data, vals: data[:20], "not a readable .npy file"),
+    (MICRO, lambda data, vals: data[:10] + b"{[[[[[[[[" + data[19:], "not a readable .npy file"),
+    (MICRO, lambda data, vals: with_header(data, b" 'shape'", b"b'shape'"),
+     "not a readable .npy file"),
+    (MICRO, lambda data, vals: with_header(data, b"(288,)", b"(%d,)" % 2**70),
+     "not a readable .npy file"),
+    (MICRO, lambda data, vals: with_header(data, b"(288,)", b"(%d,)" % 10**11),
+     "not a readable .npy file"),
     (MICRO, lambda data, vals: with_nan(vals), "holds non-finite values"),
     ("fields/macro_s0002.npy", lambda data, vals: npy_of(vals[1:]), "holds <f8 values"),
     ("fields/macro_traces_s0002.csv", forged_traces,
      "is not the traces CSV of fields/macro_s0002.npy"),
 ], ids=["float32", "two_dimensional", "wrong_length", "object_array", "truncated_header",
+        "garbled_header", "bytes_key_header", "overflowing_shape", "huge_shape",
         "nan_values", "wrong_macro_length", "edited_traces"])
 def test_cli_report_refuses_a_forged_field_file(tmp_path, capsys, rel, forge, named):
     """A field file replaced and rehashed in the manifest is still refused by its content."""
@@ -667,6 +686,28 @@ def test_cli_report_refuses_a_forged_field_file(tmp_path, capsys, rel, forge, na
     assert err.startswith(f"error: {rel}: ") and named in err
     assert "Traceback" not in err
     assert (out / "report.csv").read_bytes() == report
+
+
+def test_cli_report_that_cannot_write_report_csv_exits_one(tmp_path, capsys):
+    out = run_mini(tmp_path, "study")[1]
+    (out / "report.csv").unlink()
+    (out / "report.csv").mkdir()
+    capsys.readouterr()
+    assert cli.main(["report", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {out / 'report.csv'}: cannot write the file")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("taken", ["manifest.json", "fields/macro_s0000.npy", "report.csv"])
+def test_cli_run_that_cannot_write_a_study_file_exits_one(tmp_path, capsys, taken):
+    out = tmp_path / "study"
+    (out / taken).mkdir(parents=True)
+    capsys.readouterr()
+    assert cli.main(["run", str(write_config(tmp_path, mini_config())), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {out / taken}: cannot write the file")
+    assert "Traceback" not in err
 
 
 def test_cli_export_refuses_a_study_report_refuses(tmp_path, capsys):

@@ -182,6 +182,24 @@ def test_run_drops_the_factored_matrices():
     assert len(snaps) == 5 and not sim._implicit
 
 
+@pytest.mark.parametrize("rate, modulation, named", [
+    ("f_plus", ("cos_ybar", 3.0), "f_plus.modulation"),
+    ("f_minus", ("yn", 0.5), "f_minus.modulation"),
+    ("g", ("arc_cos", 0.3), "g.modulation.kind: arc_cos"),
+])
+def test_kinetics_bundle_refuses_a_modulation_no_simulator_applies(rate, modulation, named):
+    """A bulk rate is sampled without a position factor and the channel rate without an
+    arc position, yet a factor bound would still tighten `max_stable_dt`."""
+    rates = dict(f_plus=KineticsSpec("linear_decay", {"lam": 1.0}),
+                 f_minus=KineticsSpec("linear_decay", {"lam": 1.0}),
+                 g=KineticsSpec("linear_decay", {"lam": 1.0}), h=KineticsSpec("zero"))
+    rates[rate] = KineticsSpec("linear_decay", {"lam": 1.0}, modulation)
+    with pytest.raises(ValueError, match=named):
+        KineticsBundle(**rates)
+    rates[rate] = KineticsSpec("linear_decay", {"lam": 1.0})
+    assert setup(kin=KineticsBundle(**rates))[2].max_stable_dt() == 0.5
+
+
 def test_wall_exchange_reduces_mass():
     kin = KineticsBundle(
         f_plus=KineticsSpec("zero"),

@@ -131,3 +131,47 @@ def test_micro_solves_run_under_micro_steps(spans):
     solves = [rec for rec in tracer.spans if rec[3] == "linsolve.solve_spd"]
     assert all(by_id[rec[2]][3] == "microsim.step" for rec in solves)
     assert [rec[6] for rec in solves] == [n for n in cells for _ in range(n_steps)]
+
+
+REPORT_LAYERS = ("twoscale.Unfolder.init", "twoscale.ts_error", "twoscale.shift_diagnostic",
+                 "twoscale.trace_inequality_diagnostic")
+
+
+@pytest.mark.parametrize("entry", ["run_study", "rederive_report"])
+def test_report_layers_fire_once_per_rung_inside_compute_report(spans, tmp_path, entry):
+    """The certify layers are the spans of `harness.compute_report`, one each per rung.
+
+    A diagnostic moved out of `compute_report`, or called once per snapshot,
+    would shift time between `harness.compute_report.s` and its layers, or
+    change what a layer's time counts, without failing any benchmark check.
+    """
+    cfg = harness.parse_config(mini_config(epsilon=["1/4", "1/8"]))
+    out = tmp_path / "study"
+    if entry == "rederive_report":
+        harness.run_study(cfg, out_dir=out)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        if entry == "run_study":
+            harness.run_study(cfg, out_dir=out)
+        else:
+            harness.rederive_report(out)
+    finally:
+        tracer.uninstall()
+
+    reports = [rec for rec in tracer.spans if rec[3] == "harness.compute_report"]
+    assert len(reports) == len(cfg.epsilons)
+    for rec in reports:
+        assert sorted(r[3] for r in tracer.spans if r[2] == rec[1]) == sorted(REPORT_LAYERS)
+    assert sum(rec[3] in REPORT_LAYERS for rec in tracer.spans) == 4 * len(cfg.epsilons)
+
+
+def test_verify_operators_fires_its_span(spans):
+    cfg = harness.parse_config(mini_config(epsilon=["1/4", "1/8"]))
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert harness.verify_operators(cfg, n_fields=2)[2]
+    finally:
+        tracer.uninstall()
+    assert [rec[3] for rec in tracer.spans].count("harness.verify_operators") == 1
