@@ -7,9 +7,8 @@ grid faces; construction rejects refinements that would put a wall inside a
 cell.
 
 The weighted inner product matches the scaling of the transport problem:
-bulk cells count with weight 1, channel cells with weight 1/eps.  The
-energy norm adds face-reconstructed gradients, weighted 1 in the bulk and
-eps in the channel.
+bulk cells count with weight 1, channel cells with weight 1/eps.  Cell
+gradients are reconstructed from face differences (`GradientQuadrature`).
 """
 
 from dataclasses import dataclass
@@ -264,32 +263,23 @@ class GradientQuadrature:
     axis' vector of face differences, slot 0 holding a zero.  A call sums
     0 + t_a + t_b per cell, in the order of accumulating face by face from
     zero, and gives the same bits.  `cells` indexes the kept cells in cell
-    order; `valid=None` keeps every cell (`cells` is then a full slice) and
-    reads the grid's face arrays in place.
+    order.
     """
 
-    def __init__(self, grid: RectGrid, valid=None):
-        if valid is None:
-            self.cells = slice(None)
-            self.vol = grid.cell_vol
-            pos = None
-            n = grid.n_cells
-        else:
-            self.cells = np.flatnonzero(valid)
-            self.vol = grid.cell_vol[self.cells]
-            n = len(self.cells)
-            pos = np.full(grid.n_cells, -1)
-            pos[self.cells] = np.arange(n)
+    def __init__(self, grid: RectGrid, valid):
+        self.cells = np.flatnonzero(valid)
+        self.vol = grid.cell_vol[self.cells]
+        n = len(self.cells)
+        pos = np.full(grid.n_cells, -1)
+        pos[self.cells] = np.arange(n)
         self.axes = []
         for fs in grid.faces:
-            a, b, span = fs.a, fs.b, fs.dist_a + fs.dist_b
-            if valid is not None:
-                keep = valid[a] & valid[b]
-                a, b, span = a[keep], b[keep], span[keep]
+            keep = valid[fs.a] & valid[fs.b]
+            a, b, span = fs.a[keep], fs.b[keep], (fs.dist_a + fs.dist_b)[keep]
             slots = np.arange(1, len(a) + 1)
             slot_a, slot_b = np.zeros(n, dtype=np.intp), np.zeros(n, dtype=np.intp)
-            slot_a[a if pos is None else pos[a]] = slots
-            slot_b[b if pos is None else pos[b]] = slots
+            slot_a[pos[a]] = slots
+            slot_b[pos[b]] = slots
             scale = 1.0 / np.maximum((slot_a > 0).astype(float) + (slot_b > 0), 1.0)
             self.axes.append((a, b, span, slot_a, slot_b, scale))
 
@@ -306,43 +296,11 @@ class GradientQuadrature:
             out.append((t[slot_a] + t[slot_b]) * scale)
         return out
 
-    def __call__(self, values, region_weight) -> float:
-        """Sum of |grad u|^2 * vol * w(region) over the kept cells."""
+    def __call__(self, values, weight) -> float:
+        """Sum of |grad u|^2 * vol * weight over the kept cells; weight is a scalar
+        or one value per kept cell."""
         gx, gy = self.components(values)
-        if np.ndim(region_weight):
-            region_weight = np.asarray(region_weight)[self.cells]
-        return float((self.vol * (gx ** 2 + gy ** 2) * region_weight).sum())
-
-
-def cell_gradients(grid: RectGrid, values, valid=None):
-    """Per-cell gradient, averaging the face differences available in each axis.
-
-    `valid` masks cells; faces touching an invalid cell are skipped, and an
-    invalid cell reads 0.
-    """
-    quad = GradientQuadrature(grid, valid)
-    grad = np.zeros((grid.n_cells, 2))
-    grad[quad.cells] = np.stack(quad.components(values), axis=1)
-    return grad
-
-
-def gradient_quadrature(grid: RectGrid, values, region_weight, valid=None) -> float:
-    """Sum of |grad u|^2 * vol * w(region) over (masked) cells."""
-    return GradientQuadrature(grid, valid)(values, region_weight)
-
-
-def heps_region_weights(grid: RectGrid):
-    """Gradient weights of the energy norm: 1 in the bulk, eps in the channel."""
-    if grid.eps is None:
-        raise ValueError("energy norm needs a micro grid (eps set)")
-    return np.where(grid.cell_tag == CHAN, grid.eps, 1.0)
-
-
-def norm_heps(u: Field) -> float:
-    """sqrt of |u|_{weighted L2}^2 + bulk gradient energy + eps * channel gradient energy."""
-    g = u.grid
-    sq = inner_product_leps(u, u) + gradient_quadrature(g, u.values, heps_region_weights(g))
-    return float(np.sqrt(max(sq, 0.0)))
+        return float((self.vol * (gx ** 2 + gy ** 2) * weight).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -456,32 +414,34 @@ def overlap_map(grid_a: RectGrid, grid_b: RectGrid):
     return grid_a.index[np.ix_(xa, ya)], grid_b.index[np.ix_(xb, yb)], wx, wy
 
 
-def l2_overlap_diff_sq(grid_a: RectGrid, values_a, grid_b: RectGrid, values_b,
-                       overlap=None) -> float:
-    """Integral of (a - b)^2 over the intersection of the two grids' extents.
+def region_overlap(grid_a: RectGrid, grid_b: RectGrid, tag):
+    """`overlap_map` with every cell outside region `tag` read as void (-1) on both sides."""
+    cells_a, cells_b, wx, wy = overlap_map(grid_a, grid_b)
+    # a void piece (-1) stays -1 whatever the tag of the cell it wraps to
+    return (np.where(grid_a.cell_tag[cells_a] == tag, cells_a, -1),
+            np.where(grid_b.cell_tag[cells_b] == tag, cells_b, -1), wx, wy)
 
-    Inputs are per-cell vectors; void cells read as 0 (extension by zero).
-    `overlap` is the grids' `overlap_map`, computed here when not given.
+
+def l2_overlap_diff_sq(values_a, values_b, overlap) -> float:
+    """Integral of (a - b)^2 over the pieces of `overlap` (an `overlap_map`).
+
+    Inputs are per-cell vectors; a void piece (-1) reads as 0 (extension by zero).
     """
-    cells_a, cells_b, wx, wy = overlap if overlap is not None else overlap_map(grid_a, grid_b)
-    if cells_a.size == 0:
-        return 0.0
+    cells_a, cells_b, wx, wy = overlap
     # index -1 (void) picks the appended 0
     diff = np.append(values_a, 0.0)[cells_a] - np.append(values_b, 0.0)[cells_b]
     return float(np.einsum("i,j,ij->", wx, wy, diff**2))
 
 
 def leps_diff(field_a: Field, field_b: Field) -> float:
-    """Weighted-L2 distance of two micro fields on nested/aligned grids."""
+    """Weighted-L2 distance of two micro fields on nested/aligned grids, region by region."""
     ga, gb = field_a.grid, field_b.grid
     if ga.eps != gb.eps:
         raise ValueError("fields come from different scale parameters")
-    overlap = overlap_map(ga, gb)
     total = 0.0
     for tag_val, w in ((BULK_P, 1.0), (BULK_M, 1.0), (CHAN, 1.0 / ga.eps)):
-        va = np.where(ga.cell_tag == tag_val, field_a.values, 0.0)
-        vb = np.where(gb.cell_tag == tag_val, field_b.values, 0.0)
-        total += w * l2_overlap_diff_sq(ga, va, gb, vb, overlap)
+        overlap = region_overlap(ga, gb, tag_val)
+        total += w * l2_overlap_diff_sq(field_a.values, field_b.values, overlap)
     return float(np.sqrt(total))
 
 

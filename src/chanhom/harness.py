@@ -169,6 +169,12 @@ def _initial_fn(raw, path, channel=False):
     def only(*keys):
         _known(raw, path, ("kind", *keys))
 
+    def bounded(bound, fn):
+        """fn, once the bound of its values' magnitude (|yn|, |cos| <= 1) is finite."""
+        if not math.isfinite(bound):
+            raise ConfigError(f"{path}: initial values overflow (magnitude bound {bound})")
+        return fn
+
     if kind == "constant":
         only("value")
         v = num("value")
@@ -178,17 +184,17 @@ def _initial_fn(raw, path, channel=False):
     if kind == "cosine_xbar" and not channel:
         only("base", "amplitude", "frequency")
         base, amp, k = num("base"), num("amplitude"), freq()
-        return lambda x, y: base + amp * np.cos(k * np.pi * x)
+        return bounded(abs(base) + abs(amp), lambda x, y: base + amp * np.cos(k * np.pi * x))
     if kind == "affine_yn" and channel:
         only("base", "slope")
         base, slope = num("base"), num("slope")
-        return lambda xb, yb, yn: base + slope * yn
+        return bounded(abs(base) + abs(slope), lambda xb, yb, yn: base + slope * yn)
     if kind == "affine_yn_cosine_xbar" and channel:
         only("base", "slope", "amplitude", "frequency")
         base, slope, amp, k = num("base"), num("slope"), num("amplitude"), freq()
-        return lambda xb, yb, yn: (base + slope * yn) * (
-            1.0 + amp * np.cos(k * np.pi * xb)
-        )
+        return bounded((abs(base) + abs(slope)) * (1.0 + abs(amp)),
+                       lambda xb, yb, yn: (base + slope * yn) * (
+                           1.0 + amp * np.cos(k * np.pi * xb)))
     raise ConfigError(f"{path}.kind: unknown initial-data kind {kind!r}")
 
 

@@ -35,6 +35,8 @@ import numpy as np
 from .errors import SolverError
 
 SYMMETRY_RTOL = 1e-13
+# relative residual of every solve
+SOLVER_TOL = 1e-12
 
 
 def _sum_by_key(keys, vals):
@@ -411,32 +413,36 @@ class OpeningCapacitance:
         return x
 
 
-def solve_spd(A: SparseMatrix, b, tol=1e-10, x0=None) -> np.ndarray:
-    """Direct solve down to ||Ax - b|| <= tol * ||b||, warm-started at x0.
+def solve_spd(A: SparseMatrix, b, x0=None) -> np.ndarray:
+    """Direct solve down to ||Ax - b|| <= SOLVER_TOL * ||b||, warm-started at x0.
 
-    Returns x0 itself when it already meets tol, otherwise x0 plus the
-    factored correction.  Raises SolverError with the true relative
-    residual when the corrected x still misses tol.
+    Returns x0 itself when it already meets the tolerance, otherwise x0 plus
+    the factored correction.  Raises SolverError when ||b|| is not finite, and
+    with the true relative residual when the corrected x misses the tolerance
+    or is not finite.
 
     From x0 this is one step of iterative refinement, and it keeps the deep
-    micro rungs under the simulators' tol of 1e-12: over the first 12 steps
-    at dt 1/512 the worst relative residual is 3.5e-13 on an hourglass
-    channel at 1/eps 128 and 3.7e-13 on b1 at 1/eps 256, against 6.6e-13
-    and 6.2e-13 for a one-shot `factor.solve(b)`.
+    micro rungs under the tolerance of 1e-12: over the first 12 steps at dt
+    1/512 the worst relative residual is 3.5e-13 on an hourglass channel at
+    1/eps 128 and 3.7e-13 on b1 at 1/eps 256, against 6.6e-13 and 6.2e-13
+    for a one-shot `factor.solve(b)`.
     """
     M = A.csr
     b = np.asarray(b, dtype=float)
     nb = float(np.linalg.norm(b))
+    if not np.isfinite(nb):
+        raise SolverError(f"right-hand side is not finite (norm {nb})")
     if nb == 0.0:
         return np.zeros_like(b)
     x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=float)
     r = b - M @ x
-    if float(np.linalg.norm(r)) <= tol * nb:
+    if float(np.linalg.norm(r)) <= SOLVER_TOL * nb:
         return x
     x += A.factor.solve(r)
     final = float(np.linalg.norm(b - M @ x)) / nb
-    if final > tol:
+    if not final <= SOLVER_TOL:  # a NaN residual fails too
         raise SolverError(
-            f"direct solve missed tol={tol:g} (relative residual {final:.3e})", residual=final
+            f"direct solve missed tol={SOLVER_TOL:g} (relative residual {final:.3e})",
+            residual=final,
         )
     return x

@@ -28,7 +28,6 @@ from .geometry import CellGeometry
 from .grid import build_bulk_grid, build_cell_grid, boundary_row_faces, wall_faces
 from .kinetics import InitialData
 from .microsim import (
-    SOLVER_TOL,
     DiffusionSpec,
     ImexSimulation,
     KineticsBundle,
@@ -252,6 +251,6 @@ class MacroSimulation(ImexSimulation):
             csr=self.stiffness.csr.plus_diagonal(dirichlet), blocks=self.blocks,
             factorization=self.factorization,
         )
-        x = linsolve.solve_spd(A, rhs, tol=SOLVER_TOL)
+        x = linsolve.solve_spd(A, rhs)
         return MacroState(t=np.inf, u=x, sim=self)
 

@@ -26,9 +26,6 @@ from .geometry import BULK_M, BULK_P, CHAN, MicroGeometry
 from .grid import Field, RectGrid, wall_faces
 from .kinetics import InitialData, KineticsSpec
 
-# relative residual of every implicit solve
-SOLVER_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class DiffusionSpec:
@@ -193,7 +190,7 @@ class ImexSimulation:
                 factorization=self.factorization,
             )
         rhs = self.weights * u + dt * self.explicit_rate(t, u)
-        return linsolve.solve_spd(self._implicit[key], rhs, tol=SOLVER_TOL, x0=u)
+        return linsolve.solve_spd(self._implicit[key], rhs, x0=u)
 
     def weighted_mass(self, values) -> float:
         return float(np.dot(self.weights, values))

@@ -20,11 +20,9 @@ from .grid import (
     RectGrid,
     chan_cell_indices,
     channel_index_matrix,
-    gradient_quadrature,
-    heps_region_weights,
     inner_product_leps,
     l2_overlap_diff_sq,
-    overlap_map,
+    region_overlap,
     wall_faces,
 )
 
@@ -173,24 +171,21 @@ def ts_error(micro_states, macro_states, unfolder: Unfolder, macro_sim):
 
     e_chan_sq = e_wall_sq = e_bp_sq = e_bm_sq = 0.0
     gp, gm = macro_sim.grid_p, macro_sim.grid_m
-    micro_grid = unfolder.grid
-    over_p, over_m = overlap_map(micro_grid, gp), overlap_map(micro_grid, gm)
-    is_p, is_m = micro_grid.cell_tag == BULK_P, micro_grid.cell_tag == BULK_M
+    over_p = region_overlap(unfolder.grid, gp, BULK_P)
+    over_m = region_overlap(unfolder.grid, gm, BULK_M)
 
     for w, ms, Ms in zip(tw, micro_states, macro_states):
         cells = Ms.cells[:, chan_ids]
         diff = unfolder.unfold(ms.u)[col_of_node] - cells
         e_chan_sq += w * dsig * float(np.einsum("jc,jc,c->", diff, diff, vol))
 
-        tr_micro = unfolder.unfold_boundary(unfolder.wall_trace(ms.u))
+        tr_micro = ms.values[unfolder.micro_wall_cells]
         tr_macro = Ms.cells[:, wall_cells_ref]
         dtr = tr_micro[col_of_node] - tr_macro
         e_wall_sq += w * dsig * float(np.einsum("jf,jf,f->", dtr, dtr, wall_len))
 
-        mp = np.where(is_p, ms.values, 0.0)
-        e_bp_sq += w * l2_overlap_diff_sq(micro_grid, mp, gp, Ms.bulk_plus, over_p)
-        mm = np.where(is_m, ms.values, 0.0)
-        e_bm_sq += w * l2_overlap_diff_sq(micro_grid, mm, gm, Ms.bulk_minus, over_m)
+        e_bp_sq += w * l2_overlap_diff_sq(ms.values, Ms.bulk_plus, over_p)
+        e_bm_sq += w * l2_overlap_diff_sq(ms.values, Ms.bulk_minus, over_m)
 
     return {
         "E_chan": float(np.sqrt(e_chan_sq)),
@@ -203,13 +198,15 @@ def ts_error(micro_states, macro_states, unfolder: Unfolder, macro_sim):
 def apriori_norm(micro_states) -> float:
     """Discrete L2-in-time energy norm of a micro trajectory.
 
-    Each snapshot counts with `grid.norm_heps` squared, its gradient maps
-    built once for the trajectory's grid.
+    Each snapshot counts with its energy norm squared: the weighted L2 norm
+    plus the gradient energy, weighted 1 in the bulk and eps in the channel,
+    its gradient maps built once for the trajectory's grid.
     """
     times = _snapshot_times(micro_states)
     tw = _trapezoid_weights(times)
     grid = micro_states[0].u.grid
-    energy, region = GradientQuadrature(grid), heps_region_weights(grid)
+    energy = GradientQuadrature(grid, np.ones(grid.n_cells, dtype=bool))
+    region = np.where(grid.cell_tag == CHAN, grid.eps, 1.0)
 
     def norm_heps(u):
         return float(np.sqrt(max(inner_product_leps(u, u) + energy(u.values, region), 0.0)))
@@ -328,17 +325,16 @@ def calibrate_trace_constant(cell_grid: RectGrid) -> float:
     return float(np.sqrt(max(lam.max(), 0.0)))
 
 
-def trace_inequality_diagnostic(v: Field, theta: float, unfolder: Unfolder, constant=None):
-    """Both sides of the scaled wall-trace inequality for a channel field."""
+def trace_inequality_diagnostic(v: Field, theta: float, unfolder: Unfolder, constant):
+    """Both sides of the scaled wall-trace inequality for a channel field, with the
+    trace constant of `calibrate_trace_constant`."""
     if theta <= 0:
         raise ValueError("theta must be positive")
-    if constant is None:
-        constant = calibrate_trace_constant(unfolder.cell_grid)
     grid = v.grid
     eps = unfolder.eps
     lhs = float(np.sqrt(unfolder.wall_norm_sq_micro(unfolder.wall_trace(v))))
     chan = grid.cell_tag == CHAN
     l2 = float(np.sqrt(np.dot(grid.cell_vol[chan], v.values[chan] ** 2)))
-    grad = np.sqrt(gradient_quadrature(grid, v.values, np.ones(grid.n_cells), valid=chan))
+    grad = np.sqrt(GradientQuadrature(grid, chan)(v.values, 1.0))
     rhs = constant / np.sqrt(eps) * l2 + theta * np.sqrt(eps) * grad
     return lhs, float(rhs)

@@ -25,7 +25,7 @@ from chanhom.geometry import (
 )
 from chanhom.grid import build_micro_grid
 from chanhom.macrosim import InterfaceLayout, MacroSimulation
-from chanhom.microsim import SOLVER_TOL, DiffusionSpec, KineticsBundle, assemble_micro_operator
+from chanhom.microsim import DiffusionSpec, KineticsBundle, assemble_micro_operator
 
 from linsolve_oracles import from_scipy, to_scipy
 from test_geometry import hourglass
@@ -160,7 +160,7 @@ def ref_steady_conduction(sim, top_value, bottom_value):
         csr=from_scipy(to_scipy(ref_macro_csr(sim)) + dir_part), blocks=sim.blocks,
         factorization=sim.factorization,
     )
-    return linsolve.solve_spd(A, rhs, tol=SOLVER_TOL)
+    return linsolve.solve_spd(A, rhs)
 
 
 # -- comparisons -------------------------------------------------------------

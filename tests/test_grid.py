@@ -21,16 +21,17 @@ from chanhom.grid import (
     _axis_overlaps,
     build_cell_grid,
     build_micro_grid,
-    cell_gradients,
-    gradient_quadrature,
     graded_edges,
     inner_product_leps,
     l2_overlap_diff_sq,
     leps_diff,
     leps_project_diff,
-    norm_heps,
     norm_leps,
+    overlap_map,
+    region_overlap,
 )
+from chanhom.microsim import MicroState
+from chanhom.twoscale import apriori_norm
 from test_geometry import hourglass
 
 
@@ -105,28 +106,38 @@ def test_channel_restricted_pairing_scales_by_inverse_eps():
     assert inner_product_leps(u, u) == pytest.approx(plain / float(geom.eps), rel=1e-14)
 
 
+def energy_norm(u):
+    """The energy norm of one field: `apriori_norm` of a single snapshot."""
+    return apriori_norm([MicroState(t=0.0, u=u)])
+
+
 def test_energy_norm_of_constant_equals_weighted_norm():
     _, g = make_micro()
     u = Field.constant(g, 3.0)
-    assert norm_heps(u) == pytest.approx(norm_leps(u), rel=1e-14)
+    assert energy_norm(u) == pytest.approx(norm_leps(u), rel=1e-14)
+
+
+def everywhere(grid):
+    return np.ones(grid.n_cells, dtype=bool)
 
 
 def test_energy_norm_unit_gradient_bulk_contribution():
     geom, g = make_micro()  # H=1, eps=1/4
     u = Field(g, g.cell_y)
+    quad = GradientQuadrature(g, everywhere(g))
     wp = np.where(g.cell_tag == BULK_P, 1.0, 0.0)
-    contrib = gradient_quadrature(g, u.values, wp)
+    contrib = quad(u.values, wp)
     assert contrib == pytest.approx(0.75, abs=1e-12)  # area of the upper bulk
     wm = np.where(g.cell_tag == BULK_M, 1.0, 0.0)
-    assert gradient_quadrature(g, u.values, wm) == pytest.approx(0.75, abs=1e-12)
+    assert quad(u.values, wm) == pytest.approx(0.75, abs=1e-12)
 
 
-def add_at_gradients(grid, values, valid=None):
-    """`cell_gradients` as face sums with `np.add.at`: every fa term, then every fb term."""
+def add_at_gradients(grid, values, valid):
+    """Cell gradients as face sums with `np.add.at`: every fa term, then every fb term."""
     grad = np.zeros((grid.n_cells, 2))
     for fs in grid.faces:
         fg = (values[fs.b] - values[fs.a]) / (fs.dist_a + fs.dist_b)
-        keep = np.ones(len(fg), dtype=bool) if valid is None else valid[fs.a] & valid[fs.b]
+        keep = valid[fs.a] & valid[fs.b]
         s, c = np.zeros(grid.n_cells), np.zeros(grid.n_cells)
         for ends in (fs.a[keep], fs.b[keep]):
             np.add.at(s, ends, fg[keep])
@@ -136,16 +147,15 @@ def add_at_gradients(grid, values, valid=None):
 
 
 def assert_gradient_maps_match_face_sums(g, values, valid, weight):
-    """`cell_gradients`, `GradientQuadrature` and `gradient_quadrature` against `np.add.at`,
-    bit for bit."""
+    """`GradientQuadrature`'s components and sums against `np.add.at`, bit for bit."""
     want = add_at_gradients(g, values, valid)
-    assert cell_gradients(g, values, valid).tobytes() == want.tobytes()
-    kept = np.arange(g.n_cells) if valid is None else np.flatnonzero(valid)
+    kept = np.flatnonzero(valid)
     quad = GradientQuadrature(g, valid)
+    assert np.array_equal(quad.cells, kept)
+    assert np.stack(quad.components(values), axis=1).tobytes() == want[kept].tobytes()
     for w in (weight, 1.0):
         want_sum = float((g.cell_vol * (want[:, 0] ** 2 + want[:, 1] ** 2) * w)[kept].sum())
-        assert quad(values, w) == want_sum
-        assert gradient_quadrature(g, values, w, valid) == want_sum
+        assert quad(values, w[kept] if np.ndim(w) else w) == want_sum
 
 
 def hourglass_micro_grid():
@@ -161,7 +171,7 @@ def test_cell_gradients_match_face_sums_bit_for_bit(masked):
     g = hourglass_micro_grid()
     rng = np.random.default_rng(9)
     values = rng.normal(size=g.n_cells) * 10.0 ** rng.integers(-6, 6, size=g.n_cells)
-    valid = (g.cell_tag == CHAN) | (rng.random(g.n_cells) < 0.5) if masked else None
+    valid = (g.cell_tag == CHAN) | (rng.random(g.n_cells) < 0.5) if masked else everywhere(g)
     assert_gradient_maps_match_face_sums(g, values, valid, rng.random(g.n_cells))
 
 
@@ -176,7 +186,7 @@ def test_gradient_maps_match_face_sums_on_random_masks(make_grid, seed):
     valid = rng.random(g.n_cells) < 0.7
     assert_gradient_maps_match_face_sums(g, values, valid, rng.random(g.n_cells))
     if g.eps is None:  # the reference cell also without a mask
-        assert_gradient_maps_match_face_sums(g, values, None, rng.random(g.n_cells))
+        assert_gradient_maps_match_face_sums(g, values, everywhere(g), rng.random(g.n_cells))
 
 
 def test_gradient_maps_sum_each_cell_from_zero():
@@ -184,9 +194,10 @@ def test_gradient_maps_sum_each_cell_from_zero():
     to -0.0; summed from zero, as face by face accumulation sums, the gradient is +0.0."""
     g = RectGrid(np.arange(4) * 4.0, np.arange(2) * 4.0, np.full((3, 1), BULK_P))
     values = np.array([0.0, -5e-324, -1e-323])
-    want = add_at_gradients(g, values)
+    want = add_at_gradients(g, values, everywhere(g))
     assert want[1, 0] == 0.0 and not np.signbit(want[1, 0])
-    assert cell_gradients(g, values).tobytes() == want.tobytes()
+    got = np.stack(GradientQuadrature(g, everywhere(g)).components(values), axis=1)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_energy_norm_homogeneity():
@@ -194,7 +205,8 @@ def test_energy_norm_homogeneity():
     rng = np.random.default_rng(6)
     u = rng.normal(size=g.n_cells)
     for c in (2.0, -0.3, 17.5):
-        assert norm_heps(Field(g, c * u)) == pytest.approx(abs(c) * norm_heps(Field(g, u)), rel=1e-12)
+        assert energy_norm(Field(g, c * u)) == pytest.approx(abs(c) * energy_norm(Field(g, u)),
+                                                             rel=1e-12)
 
 
 def test_grid_construction_is_deterministic():
@@ -229,7 +241,46 @@ def test_overlap_diff_of_identical_fields_is_zero():
     rng = np.random.default_rng(8)
     u = Field(g, rng.normal(size=g.n_cells))
     assert leps_diff(u, u) == 0.0
-    assert l2_overlap_diff_sq(g, u.values, g, u.values) == 0.0
+    assert l2_overlap_diff_sq(u.values, u.values, overlap_map(g, g)) == 0.0
+
+
+def where_leps_diff(field_a, field_b):
+    """`leps_diff` zero-extending each region by full-grid `np.where` copies: the oracle."""
+    ga, gb = field_a.grid, field_b.grid
+    cells_a, cells_b, wx, wy = overlap_map(ga, gb)
+    total = 0.0
+    for tag, w in ((BULK_P, 1.0), (BULK_M, 1.0), (CHAN, 1.0 / ga.eps)):
+        va = np.append(np.where(ga.cell_tag == tag, field_a.values, 0.0), 0.0)
+        vb = np.append(np.where(gb.cell_tag == tag, field_b.values, 0.0), 0.0)
+        diff = va[cells_a] - vb[cells_b]
+        total += w * float(np.einsum("i,j,ij->", wx, wy, diff**2))
+    return float(np.sqrt(total))
+
+
+@pytest.mark.parametrize("profile, ka, kb", [
+    (ChannelProfile.rectangle(F(1, 2)), 4, 8),
+    (hourglass(), 8, 16),
+    (hourglass(), 16, 8),
+], ids=["rectangle", "hourglass", "hourglass_fine_first"])
+def test_region_overlap_matches_the_where_extension_bit_for_bit(profile, ka, kb):
+    geom = build_micro_geometry(F(1, 4), 1, build_reference_cell(profile))
+    ga, gb = build_micro_grid(geom, ka), build_micro_grid(geom, kb)
+    rng = np.random.default_rng(ka * 100 + kb)
+    fields = []
+    for g in (ga, gb):
+        values = rng.normal(size=g.n_cells)  # nonzero on every region, channel included
+        values[[np.flatnonzero(g.cell_tag == tag)[i]
+                for tag in (BULK_P, CHAN, BULK_M) for i in (0, -1)]] = -0.0
+        fields.append(Field(g, values))
+    assert leps_diff(*fields) == where_leps_diff(*fields)
+
+    cells_a, cells_b, wx, wy = overlap_map(ga, gb)
+    for tag in (BULK_P, BULK_M, CHAN):
+        in_a, in_b, rx, ry = region_overlap(ga, gb, tag)
+        assert np.array_equal(rx, wx) and np.array_equal(ry, wy)
+        for cells, inside, g in ((cells_a, in_a, ga), (cells_b, in_b, gb)):
+            keep = (cells >= 0) & (g.cell_tag[cells] == tag)
+            assert np.array_equal(inside, np.where(keep, cells, -1))
 
 
 def overlaps_by_walking(edges_a, edges_b):

@@ -456,6 +456,10 @@ def test_cli_unreadable_input_exits_one_naming_it(tmp_path, capsys, case):
     assert tree(tmp_path) == before  # refused before anything is written
 
 
+# |base| + |amplitude| overflows, though both values are finite
+OVERFLOWING_COSINE = {"kind": "cosine_xbar", "base": 1e308, "amplitude": 1e308}
+
+
 @pytest.mark.parametrize(
     "edit, path",
     [
@@ -509,6 +513,14 @@ def test_cli_unreadable_input_exits_one_naming_it(tmp_path, capsys, case):
             modulation={"kind": "cos_ybar", "amplitude": 0.5}), "kinetics.f_plus.modulation"),
         (lambda raw: raw["kinetics"]["g"].update(
             modulation={"kind": "arc_cos", "amplitude": 0.3}), "kinetics.g.modulation.kind"),
+        (lambda raw: raw["initial"].update(bulk_plus=OVERFLOWING_COSINE), "initial.bulk_plus"),
+        (lambda raw: (raw["initial"].update(bulk_plus=OVERFLOWING_COSINE),
+                      raw["time"].update(T=0)), "initial.bulk_plus"),
+        (lambda raw: raw["initial"].update(
+            channel={"kind": "affine_yn", "base": -1e308, "slope": 1e308}), "initial.channel"),
+        (lambda raw: raw["initial"].update(
+            channel={"kind": "affine_yn_cosine_xbar", "base": 1e300, "slope": 0.0,
+                     "amplitude": 1e10}), "initial.channel"),
     ],
     ids=["nan_diffusivity", "decreasing_knots", "zero_u_cap", "string_diffusivity",
          "null_channel_diffusivity", "string_initial_value", "string_amplitude",
@@ -520,7 +532,9 @@ def test_cli_unreadable_input_exits_one_naming_it(tmp_path, capsys, case):
          "zero_refinement", "negative_refinement", "negative_seed", "boolean_horizon",
          "boolean_stride", "boolean_seed", "boolean_diffusivity", "boolean_theta",
          "numeric_string_diffusivity", "numeric_string_seed", "numeric_string_stride",
-         "bulk_rate_modulation", "channel_rate_arc_modulation"],
+         "bulk_rate_modulation", "channel_rate_arc_modulation", "overflowing_cosine",
+         "overflowing_cosine_at_t0", "overflowing_affine_channel",
+         "overflowing_modulated_channel"],
 )
 def test_cli_bad_value_exits_one_with_path(tmp_path, capsys, edit, path):
     raw = mini_config()
@@ -530,6 +544,20 @@ def test_cli_bad_value_exits_one_with_path(tmp_path, capsys, edit, path):
     err = capsys.readouterr().err
     assert f"error: {path}:" in err and "Traceback" not in err
     assert not (tmp_path / "x").exists()  # rejected before any solve
+
+
+# the limit model's right-hand sides overflow to inf; numpy warns on the way
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_cli_run_on_data_that_overflows_a_solve_exits_two(tmp_path, capsys):
+    raw = mini_config(epsilon=["1/4"], time={"T": 1 / 16, "dt": {"rule": "fixed", "value": 1 / 64}})
+    raw["initial"]["bulk_plus"] = {"kind": "constant", "value": 1e308}
+    p = write_config(tmp_path, raw)
+    out = tmp_path / "x"
+    assert cli.main(["run", str(p), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "numerical failure: right-hand side is not finite" in captured.err
+    assert "Traceback" not in captured.err
+    assert not (out / "report.csv").exists() and "inf" not in captured.out
 
 
 def test_cli_report_without_manifest_exits_one(tmp_path, capsys):

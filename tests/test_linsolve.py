@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chanhom.errors import SolverError
-from chanhom.linsolve import CosineModes, SparseMatrix, assemble, solve_spd
+from chanhom.linsolve import SOLVER_TOL, CosineModes, SparseMatrix, assemble, solve_spd
 from linsolve_oracles import BlockLDL, from_scipy, to_scipy
 
 
@@ -57,7 +57,7 @@ def test_1d_poisson_linear_profile_against_dense_oracle():
     A = SparseMatrix(csr=poisson_1d(n, h), factorization=BlockLDL)
     b = np.zeros(n)
     b[-1] = (2.0 / h) * 1.0  # u(1) = 1, u(0) = 0, no source
-    x = solve_spd(A, b, tol=1e-12)
+    x = solve_spd(A, b)
     dense = np.linalg.solve(to_scipy(A.csr).toarray(), b)
     assert np.max(np.abs(x - dense)) <= 1e-10
     centers = (np.arange(n) + 0.5) * h
@@ -77,9 +77,9 @@ def test_residual_contract_on_random_spd_systems():
         n = int(rng.integers(5, 80))
         A = random_spd(rng, n)
         b = rng.normal(size=n)
-        x = solve_spd(A, b, tol=1e-10)
+        x = solve_spd(A, b)
         res = np.linalg.norm(b - A.csr @ x) / np.linalg.norm(b)
-        assert res <= 1e-10
+        assert res <= SOLVER_TOL
 
 
 def test_solve_is_bit_reproducible():
@@ -96,14 +96,48 @@ def test_zero_rhs_returns_zero():
     assert np.array_equal(solve_spd(A, np.zeros(7)), np.zeros(7))
 
 
+class ScaledLDL(BlockLDL):
+    """A wrong factor: every solve comes back scaled by `factor`."""
+
+    factor = 1.001
+
+    def solve(self, b):
+        return self.factor * super().solve(b)
+
+
+class NaNLDL(ScaledLDL):
+    factor = np.nan
+
+
 def test_nonconvergence_raises_with_residual():
     rng = np.random.default_rng(2)
     A = random_spd(rng, 50)
+    A = SparseMatrix(csr=A.csr, factorization=ScaledLDL)
     b = rng.normal(size=50)
-    with pytest.raises(SolverError) as err:
-        solve_spd(A, b, tol=0.0)  # round-off keeps the true residual above zero
-    assert err.value.residual is not None
-    assert err.value.residual > 0
+    with pytest.raises(SolverError, match="missed tol=1e-12") as err:
+        solve_spd(A, b)
+    assert err.value.residual == pytest.approx(1e-3, rel=1e-6)  # ||(1.001 - 1) b|| / ||b||
+
+
+def test_non_finite_factor_solve_is_refused():
+    """NaN compares false with everything, so the residual check must not read `final > tol`."""
+    rng = np.random.default_rng(5)
+    A = SparseMatrix(csr=random_spd(rng, 20).csr, factorization=NaNLDL)
+    with pytest.raises(SolverError, match="relative residual nan") as err:
+        solve_spd(A, rng.normal(size=20))
+    assert np.isnan(err.value.residual)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_non_finite_right_hand_side_is_refused(bad):
+    """An infinite or NaN entry is refused before any solve: with ||b|| = inf,
+    `||r|| <= tol * ||b||` reads inf <= inf and would return x0 unchanged."""
+    A = identity_matrix(5)
+    b = np.ones(5)
+    b[2] = bad
+    for x0 in (None, np.zeros(5)):
+        with pytest.raises(SolverError, match="right-hand side is not finite"):
+            solve_spd(A, b, x0=x0)
 
 
 def block_tridiagonal_spd(rng, n_blocks, max_size):
@@ -131,7 +165,7 @@ def test_block_solve_matches_dense_solve_with_shuffled_labels(seed, n_blocks, ma
     dense, labels = block_tridiagonal_spd(rng, n_blocks, max_size)
     A = SparseMatrix(csr=from_scipy(dense), blocks=labels, factorization=BlockLDL)
     b = rng.normal(size=len(labels))
-    x = solve_spd(A, b, tol=1e-12)
+    x = solve_spd(A, b)
     oracle = np.linalg.solve(dense, b)
     assert np.max(np.abs(x - oracle)) <= 1e-10 * np.max(np.abs(oracle))
 
@@ -157,8 +191,8 @@ def test_warm_start_meeting_tol_is_returned_bit_exactly():
     A = SparseMatrix(csr=from_scipy(dense), blocks=labels, factorization=BlockLDL)
     x0 = rng.normal(size=len(labels))
     b = A.csr @ x0
-    assert np.linalg.norm(b - A.csr @ x0) <= 1e-12 * np.linalg.norm(b)
-    assert np.array_equal(solve_spd(A, b, tol=1e-12, x0=x0), x0)
+    assert np.linalg.norm(b - A.csr @ x0) <= SOLVER_TOL * np.linalg.norm(b)
+    assert np.array_equal(solve_spd(A, b, x0=x0), x0)
 
 
 def test_warm_started_solve_meets_tol():
@@ -167,8 +201,8 @@ def test_warm_started_solve_meets_tol():
     A = SparseMatrix(csr=from_scipy(dense), blocks=labels, factorization=BlockLDL)
     b = rng.normal(size=len(labels))
     x0 = rng.normal(size=len(labels))
-    x = solve_spd(A, b, tol=1e-12, x0=x0)
-    assert np.linalg.norm(b - A.csr @ x) <= 1e-12 * np.linalg.norm(b)
+    x = solve_spd(A, b, x0=x0)
+    assert np.linalg.norm(b - A.csr @ x) <= SOLVER_TOL * np.linalg.norm(b)
 
 
 def test_asymmetric_assembly_rejected():
@@ -217,7 +251,7 @@ def test_cosine_modes_match_dense_solve_on_separable_systems(seed, n_nodes, size
     oracle = np.linalg.solve(dense, b)
     scale = np.max(np.abs(oracle))
     assert np.max(np.abs(A.factor.solve(b) - oracle)) <= 1e-10 * scale
-    assert np.max(np.abs(solve_spd(A, b, tol=1e-12) - oracle)) <= 1e-10 * scale
+    assert np.max(np.abs(solve_spd(A, b) - oracle)) <= 1e-10 * scale
 
 
 def _couple(dense, i, j, value):

@@ -365,7 +365,7 @@ def test_opening_factor_keeps_no_inverse_per_mode():
 
 
 def test_refined_micro_solves_keep_their_margin(monkeypatch):
-    """The x0 step keeps the deep rungs well under SOLVER_TOL (1e-12).
+    """The x0 step keeps the deep rungs well under `linsolve.SOLVER_TOL` (1e-12).
 
     Hourglass channel at 1/eps 128, k = m = 8, first 12 steps at dt 1/512:
     the worst final relative residual is 3.5e-13.

@@ -19,7 +19,7 @@ from chanhom.geometry import (
     build_micro_geometry,
     build_reference_cell,
 )
-from chanhom.grid import Field, build_micro_grid, channel_index_matrix, gradient_quadrature
+from chanhom.grid import Field, GradientQuadrature, build_micro_grid, channel_index_matrix
 from chanhom.microsim import MicroState
 from chanhom.twoscale import margin_columns, shift_diagnostic
 from test_geometry import hourglass
@@ -84,7 +84,7 @@ def reference_shift_diagnostic(micro_states, geom, grid, l, h):
         mask = np.zeros(grid.n_cells, dtype=bool)
         mask[chan_lhs] = True
         mask &= fin
-        grad_sq += w * gradient_quadrature(grid, d, np.ones(grid.n_cells), valid=mask)
+        grad_sq += w * GradientQuadrature(grid, mask)(d, 1.0)
     lhs = np.sqrt(sup_l2 / eps) + np.sqrt(eps * grad_sq)
 
     d0, _ = delta_values(micro_states[0].values)

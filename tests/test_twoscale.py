@@ -222,8 +222,18 @@ def test_bulk_errors_match_the_dense_scatter_bit_for_bit(profile, inv_eps, n_sig
                           KineticsBundle.zero())
     rng = np.random.default_rng(inv_eps * 100 + n_sigma)
     times = (0.0, 0.125, 0.5)
-    micro = [MicroState(t=t, u=Field(grid, rng.normal(size=grid.n_cells))) for t in times]
-    macro = [MacroState(t=t, u=rng.normal(size=sim.n), sim=sim) for t in times]
+    # nonzero channel values must read as 0 on the bulk side, and a -0.0 as the zero
+    # extension reads it, in the micro fields and in the limit ones
+    signed_zeros = [np.flatnonzero(grid.cell_tag == tag)[i]
+                    for tag in (BULK_P, CHAN, BULK_M) for i in (0, -1)]
+    micro, macro = [], []
+    for t in times:
+        values = rng.normal(size=grid.n_cells)
+        values[signed_zeros] = -0.0
+        micro.append(MicroState(t=t, u=Field(grid, values)))
+        limit = rng.normal(size=sim.n)
+        limit[[0, sim.nbp - 1, sim.nbp, -1]] = -0.0
+        macro.append(MacroState(t=t, u=limit, sim=sim))
     errs = ts_error(micro, macro, uf, sim)
     assert (errs["E_bulk_plus"], errs["E_bulk_minus"]) == dense_bulk_errors(micro, macro, sim)
 
@@ -259,11 +269,12 @@ def test_empty_margin_rejected():
 
 def test_apriori_norm_of_constant_in_time():
     _, grid, _, _ = setup()
-    from chanhom.grid import norm_heps
-
     u = Field.constant(grid, 2.0)
     states = [MicroState(t=t, u=u) for t in (0.0, 0.5)]
-    assert apriori_norm(states) == pytest.approx(np.sqrt(0.5) * norm_heps(u), rel=1e-12)
+    assert apriori_norm(states) == pytest.approx(np.sqrt(0.5) * apriori_norm(states[:1]),
+                                                 rel=1e-12)
+    # a constant has no gradient: its energy norm is the weighted L2 norm, 2 sqrt(2.5)
+    assert apriori_norm(states[:1]) == pytest.approx(2.0 * np.sqrt(2.5), rel=1e-13)
 
 
 def test_trace_constant_certifies_the_constant_field():
@@ -277,8 +288,9 @@ def test_trace_constant_certifies_the_constant_field():
 
 
 def test_trace_inequality_zero_field():
-    _, grid, _, uf = setup()
-    lhs, rhs = trace_inequality_diagnostic(Field.constant(grid, 0.0), 1.0, uf)
+    _, grid, cg, uf = setup()
+    C = calibrate_trace_constant(cg)
+    lhs, rhs = trace_inequality_diagnostic(Field.constant(grid, 0.0), 1.0, uf, constant=C)
     assert lhs == 0.0 and rhs == 0.0
 
 
