@@ -417,9 +417,11 @@ def solve_spd(A: SparseMatrix, b, x0=None) -> np.ndarray:
     """Direct solve down to ||Ax - b|| <= SOLVER_TOL * ||b||, warm-started at x0.
 
     Returns x0 itself when it already meets the tolerance, otherwise x0 plus
-    the factored correction.  Raises SolverError when ||b|| is not finite, and
-    with the true relative residual when the corrected x misses the tolerance
-    or is not finite.
+    the factored correction.  Raises SolverError when an entry of b is not
+    finite, and with the true relative residual when the corrected x misses
+    the tolerance or is not finite.  A finite b whose norm overflows, or
+    underflows to 0, is solved as b / 2**e, with 2**e the power of two just
+    above max |b|, and the solution is scaled back; both scalings are exact.
 
     From x0 this is one step of iterative refinement, and it keeps the deep
     micro rungs under the tolerance of 1e-12: over the first 12 steps at dt
@@ -429,9 +431,19 @@ def solve_spd(A: SparseMatrix, b, x0=None) -> np.ndarray:
     """
     M = A.csr
     b = np.asarray(b, dtype=float)
-    nb = float(np.linalg.norm(b))
-    if not np.isfinite(nb):
+    with np.errstate(over="ignore"):
+        nb = float(np.linalg.norm(b))
+    if not np.isfinite(nb) and not np.isfinite(b).all():
         raise SolverError(f"right-hand side is not finite (norm {nb})")
+    if not np.isfinite(nb) or (nb == 0.0 and b.any()):  # the sum of squares over/underflows
+        e = int(np.frexp(np.max(np.abs(b)))[1])
+        y0 = None if x0 is None else np.ldexp(np.asarray(x0, dtype=float), -e)
+        y = solve_spd(A, np.ldexp(b, -e), y0)
+        with np.errstate(over="ignore"):
+            x = np.ldexp(y, e)
+        if not np.isfinite(x).all():
+            raise SolverError(f"solution overflows float64 (solved for b / 2**{e})")
+        return x
     if nb == 0.0:
         return np.zeros_like(b)
     x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=float)

@@ -287,6 +287,76 @@ def test_verify_operators_residuals_are_tiny():
     assert flat_max <= 1e-12
 
 
+class _BulkColumn(harness.Unfolder):
+    def __init__(self, *args):
+        """The first channel cell of the first column replaced by a bulk cell."""
+        super().__init__(*args)
+        self.columns = self.columns.copy()
+        self.columns[0, 0] = np.flatnonzero(self.grid.cell_tag != harness.CHAN)[0]
+
+
+class _RolledUnfold(harness.Unfolder):
+    def unfold(self, u):
+        """Each column's reference field read from its neighbour column."""
+        return np.roll(super().unfold(u), 1, axis=0)
+
+
+class _LongMicroWalls(harness.Unfolder):
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.micro_wall_len = 1.01 * self.micro_wall_len
+
+
+class _ScaledPairing(harness.Unfolder):
+    def ts_inner(self, phi, psi):
+        return 1.000001 * super().ts_inner(phi, psi)
+
+
+class _ScaledAverage(harness.Unfolder):
+    def average(self, phi):
+        field = super().average(phi)
+        return harness.Field(field.grid, 1.01 * field.values)
+
+
+# each broken Unfolder and the identities it must trip; together they trip all five
+@pytest.mark.parametrize("mutant, tripped", [
+    (_BulkColumn, ["inner_product", "round_trip"]),
+    (_RolledUnfold, ["gradient_commutation", "adjoint", "round_trip"]),
+    (_LongMicroWalls, ["boundary_norm"]),
+    (_ScaledPairing, ["inner_product", "adjoint"]),
+    (_ScaledAverage, ["adjoint", "round_trip"]),
+], ids=["bulk_column", "rolled_unfold", "long_micro_walls", "scaled_pairing",
+        "scaled_average"])
+def test_verify_operators_catches_a_broken_unfolder(monkeypatch, mutant, tripped):
+    cfg = harness.parse_config(mini_config(epsilon=["1/4", "1/8"]))
+    monkeypatch.setattr(harness, "Unfolder", mutant)
+    worst, flat_max, ok = harness.verify_operators(cfg, n_fields=3)
+    assert not ok and flat_max > 1e-9
+    for res in worst.values():
+        assert all(res[name] > 1e-9 for name in tripped), res
+
+
+def test_verify_operators_draws_only_channel_values(monkeypatch):
+    """v, w and phi: three normal values per channel cell, per field and rung."""
+    cfg = harness.parse_config(mini_config(epsilon=["1/4", "1/8"]))
+    default_rng, rngs = np.random.default_rng, []
+
+    class CountingRng:  # any draw but `normal` is an AttributeError
+        def __init__(self, seed):
+            self.rng, self.drawn = default_rng(seed), 0
+            rngs.append(self)
+
+        def normal(self, size):
+            self.drawn += int(np.prod(size))
+            return self.rng.normal(size=size)
+
+    monkeypatch.setattr(harness.np.random, "default_rng", CountingRng)
+    assert harness.verify_operators(cfg, n_fields=3)[2]
+    chan = sum(int(np.sum(harness._rung_grid(cfg, eps)[1].cell_tag == harness.CHAN))
+               for eps in cfg.epsilons)
+    assert [rng.drawn for rng in rngs] == [3 * 3 * chan]
+
+
 def write_config(tmp_path, raw):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(raw))
@@ -688,12 +758,13 @@ MICRO = "fields/micro_eps4_s0001.npy"
     (MICRO, lambda data, vals: with_header(data, b"(288,)", b"(%d,)" % 10**11),
      "not a readable .npy file"),
     (MICRO, lambda data, vals: with_nan(vals), "holds non-finite values"),
+    (MICRO, lambda data, vals: data + b"garbage!", "holds 8 bytes after its 288 values"),
     ("fields/macro_s0002.npy", lambda data, vals: npy_of(vals[1:]), "holds <f8 values"),
     ("fields/macro_traces_s0002.csv", forged_traces,
      "is not the traces CSV of fields/macro_s0002.npy"),
 ], ids=["float32", "two_dimensional", "wrong_length", "object_array", "truncated_header",
         "garbled_header", "bytes_key_header", "overflowing_shape", "huge_shape",
-        "nan_values", "wrong_macro_length", "edited_traces"])
+        "nan_values", "trailing_bytes", "wrong_macro_length", "edited_traces"])
 def test_cli_report_refuses_a_forged_field_file(tmp_path, capsys, rel, forge, named):
     """A field file replaced and rehashed in the manifest is still refused by its content."""
     p = write_config(tmp_path, mini_config())
@@ -714,6 +785,40 @@ def test_cli_report_refuses_a_forged_field_file(tmp_path, capsys, rel, forge, na
     assert err.startswith(f"error: {rel}: ") and named in err
     assert "Traceback" not in err
     assert (out / "report.csv").read_bytes() == report
+
+
+def outcome(data, n):
+    """The values `_read_npy` reads, or its error text with object addresses blanked."""
+    try:
+        return harness._read_npy("f.npy", data, n)
+    except ConfigError as exc:
+        return re.sub(r"0x[0-9a-f]+", "0x", str(exc))
+
+
+@pytest.mark.parametrize("n", [0, 1, 9, 10, 99, 100, 12345, 100000])
+def test_read_npy_of_written_values_skips_the_header_parse(n):
+    """The header's padding shrinks as n gains digits; the values equal np.load's."""
+    vals = np.random.default_rng(n).normal(size=n)
+    data = harness._npy_bytes(vals)
+    got = harness._read_npy("f.npy", data, n)
+    assert np.array_equal(got, np.load(io.BytesIO(data))) and got.dtype == np.dtype("<f8")
+    assert not got.flags.writeable  # a view of data, not a parsed copy
+
+
+@pytest.mark.parametrize("n", [1, 288])
+def test_read_npy_of_a_header_changed_in_one_byte_parses_it(monkeypatch, n):
+    data = harness._npy_bytes(np.linspace(1.0, 2.0, n))
+    forged = [data[:i] + bytes([new]) + data[i + 1:]
+              for i in range(len(harness._npy_header(n)))
+              for new in sorted({ord(" "), ord("9"), data[i] ^ 1} - {data[i]})]
+    got = [outcome(f, n) for f in forged]
+    monkeypatch.setattr(harness, "_npy_header", lambda n: b"")  # numpy parses every file
+    for f, read in zip(forged, got):
+        want = outcome(f, n)
+        if isinstance(want, str):
+            assert read == want
+        else:
+            assert np.array_equal(read, want) and read.flags.writeable
 
 
 def test_cli_report_that_cannot_write_report_csv_exits_one(tmp_path, capsys):

@@ -140,6 +140,29 @@ def test_non_finite_right_hand_side_is_refused(bad):
             solve_spd(A, b, x0=x0)
 
 
+@pytest.mark.parametrize("size", [1e300, 1e-200])
+def test_right_hand_side_whose_norm_over_or_underflows_is_solved(size):
+    """Every entry 1e300 (||b|| = inf) or 1e-200 (||b|| = 0): b is finite and nonzero,
+    and so is the solution."""
+    rng = np.random.default_rng(6)
+    A = random_spd(rng, 30)
+    b = np.full(30, size)
+    unit = solve_spd(A, np.ones(30))
+    for x0 in (None, np.zeros(30), size * unit):
+        x = solve_spd(A, b, x0=x0)
+        assert np.isfinite(x).all()
+        assert np.max(np.abs(x / size - unit)) <= 1e-12 * np.max(np.abs(unit))
+    with pytest.raises(SolverError, match="right-hand side is not finite"):
+        solve_spd(A, np.where(np.arange(30) == 4, np.inf, b))
+
+
+def test_overflowing_solution_is_refused():
+    A = SparseMatrix(csr=assemble(range(4), range(4), np.full(4, 0.5), 4),
+                     factorization=BlockLDL)
+    with pytest.raises(SolverError, match="solution overflows"):
+        solve_spd(A, np.full(4, 1e308))  # x = 2e308
+
+
 def block_tridiagonal_spd(rng, n_blocks, max_size):
     """Random SPD matrix coupling only neighbouring blocks, unknowns shuffled.
 
