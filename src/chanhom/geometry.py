@@ -16,7 +16,6 @@ channel walls without drift.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .errors import GeometryError
 
@@ -82,17 +81,6 @@ class ChannelProfile:
             cursor = hi
         if cursor != 1:
             raise GeometryError("segments must partition [-1,1] exactly")
-
-    @property
-    def alignment(self) -> int:
-        """Smallest integer k such that every wall offset is a multiple of 1/k."""
-        dens = []
-        for (lo, hi), w in self.segments:
-            dens.append(((1 - w) * _HALF).denominator)
-            dens.append(((1 + w) * _HALF).denominator)
-            dens.append(lo.denominator)
-            dens.append(hi.denominator)
-        return lcm(*dens)
 
 
 @dataclass(frozen=True)

@@ -138,10 +138,6 @@ class Field:
         if not np.all(np.isfinite(self.values)):
             raise ValueError("field contains non-finite values")
 
-    @staticmethod
-    def constant(grid, value) -> "Field":
-        return Field(grid, np.full(grid.n_cells, float(value)))
-
 
 def graded_edges(start, stop, h0):
     """Edges from start to stop, first spacing h0, growing by at most GRADING_RATIO."""
@@ -157,7 +153,8 @@ def graded_edges(start, stop, h0):
     return float(start) + np.asarray(rel)
 
 
-def _check_alignment(cell: CellGeometry, k: int):
+def check_alignment(cell: CellGeometry, k: int):
+    """AlignmentError unless every channel wall and breakpoint lies on a multiple of 1/k."""
     if k <= 0:
         raise AlignmentError("refinement must be a positive integer")
     offenders = []
@@ -192,7 +189,7 @@ def _layer_tags(cell: CellGeometry, k: int, n_columns: int):
 
 def build_cell_grid(cell: CellGeometry, m: int) -> RectGrid:
     """Uniform grid of spacing 1/m on the reference cell Z = (0,1) x (-1,1)."""
-    _check_alignment(cell, m)
+    check_alignment(cell, m)
     x, y = _reference_edges(m)
     tag = _layer_tags(cell, m, 1)
     return RectGrid(x, y, tag, eps=None, layer_refinement=m)
@@ -200,7 +197,7 @@ def build_cell_grid(cell: CellGeometry, m: int) -> RectGrid:
 
 def build_micro_grid(geom: MicroGeometry, k: int) -> RectGrid:
     """Grid over Omega resolving the layer at spacing eps/k, graded in the bulk."""
-    _check_alignment(geom.cell, k)
+    check_alignment(geom.cell, k)
     eps = float(geom.eps)
     H = float(geom.H)
     ncol = geom.n_columns
@@ -249,21 +246,14 @@ def inner_product_leps(u: Field, v: Field) -> float:
     return float(np.dot(g.weight * g.cell_vol, u.values * v.values))
 
 
-def norm_leps(u: Field) -> float:
-    return float(np.sqrt(max(inner_product_leps(u, u), 0.0)))
-
-
 class GradientQuadrature:
     """Face-reconstructed cell gradients on the cells of `valid`, face maps built once.
 
     Per axis, a cell averages the differences of its faces whose two cells
     are both valid; faces touching an invalid cell are skipped.  A cell is
     the lower cell `a` of at most one face per axis and the upper cell `b` of
-    at most one, so per kept cell the maps hold the slot of each face in the
-    axis' vector of face differences, slot 0 holding a zero.  A call sums
-    0 + t_a + t_b per cell, in the order of accumulating face by face from
-    zero, and gives the same bits.  `cells` indexes the kept cells in cell
-    order.
+    at most one, so one `bincount` per side sums each face difference into
+    its cell from zero.  `cells` indexes the kept cells in cell order.
     """
 
     def __init__(self, grid: RectGrid, valid):
@@ -276,24 +266,18 @@ class GradientQuadrature:
         for fs in grid.faces:
             keep = valid[fs.a] & valid[fs.b]
             a, b, span = fs.a[keep], fs.b[keep], (fs.dist_a + fs.dist_b)[keep]
-            slots = np.arange(1, len(a) + 1)
-            slot_a, slot_b = np.zeros(n, dtype=np.intp), np.zeros(n, dtype=np.intp)
-            slot_a[pos[a]] = slots
-            slot_b[pos[b]] = slots
-            scale = 1.0 / np.maximum((slot_a > 0).astype(float) + (slot_b > 0), 1.0)
-            self.axes.append((a, b, span, slot_a, slot_b, scale))
+            pos_a, pos_b = pos[a], pos[b]
+            count = np.bincount(pos_a, minlength=n) + np.bincount(pos_b, minlength=n)
+            self.axes.append((a, b, span, pos_a, pos_b, 1.0 / np.maximum(count, 1)))
 
     def components(self, values):
         """(d/dx, d/dy) of the kept cells, in cell order."""
         values = np.asarray(values, dtype=float)
+        n = len(self.cells)
         out = []
-        for a, b, span, slot_a, slot_b, scale in self.axes:
-            t = np.empty(len(a) + 1)
-            t[0] = 0.0
-            np.subtract(values[b], values[a], out=t[1:])
-            t[1:] /= span
-            t += 0.0  # a -0.0 difference counts as 0 + (-0.0) = +0.0, as it does from zero
-            out.append((t[slot_a] + t[slot_b]) * scale)
+        for a, b, span, pos_a, pos_b, scale in self.axes:
+            t = (values[b] - values[a]) / span
+            out.append((np.bincount(pos_a, t, n) + np.bincount(pos_b, t, n)) * scale)
         return out
 
     def __call__(self, values, weight) -> float:

@@ -12,6 +12,7 @@ fields and the config echoed in the manifest, byte for byte, and `export`
 writes the stored snapshots as CSV for human readers.
 """
 
+import contextlib
 import functools
 import hashlib
 import io
@@ -27,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import AlignmentError, ConfigError
 from .geometry import (
     BULK_M,
     BULK_P,
@@ -36,7 +37,7 @@ from .geometry import (
     build_micro_geometry,
     build_reference_cell,
 )
-from .grid import Field, build_cell_grid, build_micro_grid
+from .grid import Field, build_cell_grid, build_micro_grid, check_alignment
 from .kinetics import BASE_KINDS, InitialData, KineticsSpec
 from .macrosim import InterfaceLayout, MacroSimulation, MacroState
 from .microsim import DiffusionSpec, KineticsBundle, MicroSimulation, MicroState, snapshot_steps
@@ -307,12 +308,12 @@ def parse_config(raw: dict) -> StudyConfig:
                       "refinement.n_sigma", integer=True)
     if k != m:
         raise ConfigError("refinement: unfolding needs k == m")
-    align = profile.alignment
-    if k % align:
+    try:
+        check_alignment(cell, k)
+    except AlignmentError as exc:
         raise ConfigError(
-            f"refinement.k: {k} not divisible by the profile alignment {align} "
-            "(a channel wall would fall inside a cell)"
-        )
+            f"refinement.k: {exc} (a channel wall would fall inside a cell)"
+        ) from exc
     if n_sigma * min(epsilons) < 1:
         raise ConfigError("refinement.n_sigma: interface nodes must be at least as fine "
                           "as the smallest epsilon columns")
@@ -475,7 +476,8 @@ def compute_report(rep: TwoScaleReport, cfg: StudyConfig, eps, rung, limit, trac
     uf = Unfolder(geom, grid, macro_sim.cell_grid)
     errs = ts_error(snaps, macro_snaps, uf, macro_sim)
     ratio, _, _ = shift_diagnostic(snaps, geom, grid, cfg.shift_l, cfg.shift_h)
-    lhs, rhs = trace_inequality_diagnostic(snaps[-1].u, cfg.theta, uf, constant=trace_const)
+    lhs, rhs = trace_inequality_diagnostic(snaps[-1].values, cfg.theta, uf,
+                                           constant=trace_const)
     rep.eps.append(float(eps))
     rep.e_chan.append(errs["E_chan"])
     rep.e_bulk_plus.append(errs["E_bulk_plus"])
@@ -663,13 +665,32 @@ class StudyWriter:
 
 def run_study(cfg: StudyConfig, out_dir=None, threads=1):
     """Full study: the limit model once, then one rung after another (micro run,
-    its fields, its report row); then report.csv and the manifest."""
+    its fields, its report row); then report.csv and the manifest.
+
+    A run that fails removes the files it wrote, and each directory it made
+    that is left empty, before the error propagates.
+    """
     # `threads` is kept only because the benchmark's workloads pass threads=1; it
     # goes when they stop passing it (ROADMAP item 1's benchmark-only change)
     if threads != 1:
         raise ValueError(f"threads={threads!r}: a study runs its rungs one after another")
     out = Path(out_dir if out_dir is not None else cfg.output_dir)
+    made = [d for d in (out / "fields", out) if not d.exists()]
     writer = StudyWriter(out)
+    try:
+        return _write_study(cfg, writer)
+    except BaseException:
+        for relpath in writer.files:
+            with contextlib.suppress(OSError):
+                (out / relpath).unlink()
+        for directory in made:
+            with contextlib.suppress(OSError):  # not empty: something else wrote there
+                directory.rmdir()
+        raise
+
+
+def _write_study(cfg: StudyConfig, writer: StudyWriter):
+    """`run_study`'s work, every file through `writer`: (report, manifest)."""
     t0 = _time.perf_counter()
     limit = run_macro_study(cfg)
     timings = {"macro": _time.perf_counter() - t0}
@@ -695,8 +716,8 @@ def run_study(cfg: StudyConfig, out_dir=None, threads=1):
         "timings": timings,
         "files": writer.files,
     }
-    _write_file(out / "manifest.json", (json.dumps(manifest, indent=2, sort_keys=True)
-                                        + "\n").encode())
+    text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    _write_file(writer.out / "manifest.json", text.encode())
     return rep, manifest
 
 
@@ -904,17 +925,17 @@ def verify_operators(cfg: StudyConfig, n_fields=100, tol=1e-12):
         )
         inv_eps = 1.0 / float(eps)
         for _ in range(n_fields):
-            v = Field(grid, np.zeros(grid.n_cells))
-            w = Field(grid, np.zeros(grid.n_cells))
-            v.values[chan] = rng.normal(size=len(chan))
-            w.values[chan] = rng.normal(size=len(chan))
+            v = np.zeros(grid.n_cells)
+            w = np.zeros(grid.n_cells)
+            v[chan] = rng.normal(size=len(chan))
+            w[chan] = rng.normal(size=len(chan))
             tv = uf.unfold(v)
-            vc = v.values[chan]
+            vc = v[chan]
 
             # residuals are measured against the Cauchy-Schwarz scale of the
             # pairing; the raw value of a random inner product can cancel
             lhs = uf.ts_inner(tv, uf.unfold(w))
-            wc = w.values[chan]
+            wc = w[chan]
             rhs = inv_eps * float(np.dot(vol, vc * wc))
             nv = np.sqrt(inv_eps * float(np.dot(vol, vc ** 2)))
             nw = np.sqrt(inv_eps * float(np.dot(vol, wc ** 2)))
@@ -927,7 +948,7 @@ def verify_operators(cfg: StudyConfig, n_fields=100, tol=1e-12):
             res["boundary_norm"] = max(res["boundary_norm"], abs(lhs - rhs) / abs(rhs))
 
             lhs_g = (tv[fcol, fib] - tv[fcol, fia]) / dref
-            rhs_g = float(eps) * (v.values[fb] - v.values[fa]) / dmic
+            rhs_g = float(eps) * (v[fb] - v[fa]) / dmic
             scale = np.maximum(np.maximum(np.abs(lhs_g), np.abs(rhs_g)), 1e-300)
             res["gradient_commutation"] = max(
                 res["gradient_commutation"], float(np.max(np.abs(lhs_g - rhs_g) / scale))
@@ -935,11 +956,11 @@ def verify_operators(cfg: StudyConfig, n_fields=100, tol=1e-12):
 
             phi = rng.normal(size=uf.columns.shape)
             lhs = uf.ts_inner(tv, phi)
-            rhs = inv_eps * float(np.dot(vol, vc * uf.average(phi).values[chan]))
+            rhs = inv_eps * float(np.dot(vol, vc * uf.average(phi)[chan]))
             res["adjoint"] = max(res["adjoint"], abs(lhs - rhs) / (nv * uf.ts_norm(phi)))
 
             back = uf.average(tv)
-            num = float(np.max(np.abs(back.values[chan] - vc)))
+            num = float(np.max(np.abs(back[chan] - vc)))
             den = float(np.max(np.abs(vc))) or 1.0
             res["round_trip"] = max(res["round_trip"], num / den)
         worst[str(eps)] = res

@@ -15,7 +15,6 @@ import numpy as np
 
 from .geometry import BULK_M, BULK_P, CHAN, MicroGeometry
 from .grid import (
-    Field,
     GradientQuadrature,
     RectGrid,
     chan_cell_indices,
@@ -84,9 +83,9 @@ class Unfolder:
 
     # -- operators ----------------------------------------------------------
 
-    def unfold(self, u: Field) -> np.ndarray:
-        """Exact remap of channel cells to an (n_columns, n_local) array."""
-        return u.values[self.columns]
+    def unfold(self, values: np.ndarray) -> np.ndarray:
+        """Exact remap of the channel cells' values to an (n_columns, n_local) array."""
+        return values[self.columns]
 
     def unfold_boundary(self, trace: np.ndarray) -> np.ndarray:
         """Remap wall-face trace values to (column, reference wall face)."""
@@ -96,15 +95,15 @@ class Unfolder:
             raise ValueError(f"expected {n_faces} wall trace values, got {trace.shape}")
         return trace.reshape(self.micro_wall_cells.shape)
 
-    def wall_trace(self, u: Field) -> np.ndarray:
-        """Piecewise-constant trace on the channel walls (adjacent cell value)."""
-        return u.values[self.micro_wall_cells.reshape(-1)]
+    def wall_trace(self, values: np.ndarray) -> np.ndarray:
+        """Piecewise-constant trace of per-cell values on the channel walls (adjacent cell)."""
+        return values[self.micro_wall_cells.reshape(-1)]
 
-    def average(self, phi: np.ndarray) -> Field:
-        """Adjoint of unfold w.r.t. the scaled pairings: the inverse remap."""
+    def average(self, phi: np.ndarray) -> np.ndarray:
+        """Adjoint of unfold w.r.t. the scaled pairings: the inverse remap, 0 off the channel."""
         vals = np.zeros(self.grid.n_cells)
         vals[self.columns] = phi
-        return Field(self.grid, vals)
+        return vals
 
     # -- quadratures ---------------------------------------------------------
 
@@ -176,7 +175,7 @@ def ts_error(micro_states, macro_states, unfolder: Unfolder, macro_sim):
 
     for w, ms, Ms in zip(tw, micro_states, macro_states):
         cells = Ms.cells[:, chan_ids]
-        diff = unfolder.unfold(ms.u)[col_of_node] - cells
+        diff = unfolder.unfold(ms.values)[col_of_node] - cells
         e_chan_sq += w * dsig * float(np.einsum("jc,jc,c->", diff, diff, vol))
 
         tr_micro = ms.values[unfolder.micro_wall_cells]
@@ -325,16 +324,16 @@ def calibrate_trace_constant(cell_grid: RectGrid) -> float:
     return float(np.sqrt(max(lam.max(), 0.0)))
 
 
-def trace_inequality_diagnostic(v: Field, theta: float, unfolder: Unfolder, constant):
-    """Both sides of the scaled wall-trace inequality for a channel field, with the
-    trace constant of `calibrate_trace_constant`."""
+def trace_inequality_diagnostic(values, theta: float, unfolder: Unfolder, constant):
+    """Both sides of the scaled wall-trace inequality for per-cell values on the
+    unfolder's grid, with the trace constant of `calibrate_trace_constant`."""
     if theta <= 0:
         raise ValueError("theta must be positive")
-    grid = v.grid
+    grid = unfolder.grid
     eps = unfolder.eps
-    lhs = float(np.sqrt(unfolder.wall_norm_sq_micro(unfolder.wall_trace(v))))
+    lhs = float(np.sqrt(unfolder.wall_norm_sq_micro(unfolder.wall_trace(values))))
     chan = grid.cell_tag == CHAN
-    l2 = float(np.sqrt(np.dot(grid.cell_vol[chan], v.values[chan] ** 2)))
-    grad = np.sqrt(GradientQuadrature(grid, chan)(v.values, 1.0))
+    l2 = float(np.sqrt(np.dot(grid.cell_vol[chan], values[chan] ** 2)))
+    grad = np.sqrt(GradientQuadrature(grid, chan)(values, 1.0))
     rhs = constant / np.sqrt(eps) * l2 + theta * np.sqrt(eps) * grad
     return lhs, float(rhs)

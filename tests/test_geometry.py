@@ -34,7 +34,6 @@ def test_hourglass_measures():
     assert cell.area == F(9, 16) + F(1, 8) + F(9, 16) == F(5, 4)
     # vertical walls 2*(3/4 + 1/2 + 3/4) = 4 plus four ledges of 1/4
     assert cell.n_length == 5
-    assert cell.profile.alignment == 8
 
 
 def test_non_partitioning_segments_rejected():

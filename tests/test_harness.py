@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from chanhom import cli, harness
-from chanhom.errors import ConfigError
+from chanhom.errors import ConfigError, SolverError
 
 REPO = Path(__file__).resolve().parents[1]
 B1 = REPO / "configs" / "b1.json"
@@ -314,8 +314,7 @@ class _ScaledPairing(harness.Unfolder):
 
 class _ScaledAverage(harness.Unfolder):
     def average(self, phi):
-        field = super().average(phi)
-        return harness.Field(field.grid, 1.01 * field.values)
+        return 1.01 * super().average(phi)
 
 
 # each broken Unfolder and the identities it must trip; together they trip all five
@@ -355,6 +354,23 @@ def test_verify_operators_draws_only_channel_values(monkeypatch):
     chan = sum(int(np.sum(harness._rung_grid(cfg, eps)[1].cell_tag == harness.CHAN))
                for eps in cfg.epsilons)
     assert [rng.drawn for rng in rngs] == [3 * 3 * chan]
+
+
+def test_verify_operators_builds_no_field(monkeypatch):
+    """The identity suite passes plain value vectors: no Field is built, none validated."""
+    cfg = harness.parse_config(mini_config())
+    built, post_init = [], harness.Field.__post_init__
+
+    def counted(field):
+        built.append(field)
+        post_init(field)
+
+    monkeypatch.setattr(harness.Field, "__post_init__", counted)
+    assert harness.verify_operators(cfg)[2]
+    assert built == []
+    grid = harness._rung_grid(cfg, cfg.epsilons[0])[1]
+    harness.Field(grid, np.zeros(grid.n_cells))
+    assert len(built) == 1  # the guard sees a Field when one is built
 
 
 def write_config(tmp_path, raw):
@@ -443,7 +459,7 @@ def test_cli_misaligned_refinement_exits_one(tmp_path, capsys):
     p = write_config(tmp_path, raw)
     assert cli.main(["run", str(p), "--out", str(tmp_path / "x")]) == 1
     err = capsys.readouterr().err
-    assert "refinement.k" in err or "alignment" in err
+    assert "refinement.k" in err and "a channel wall would fall inside a cell" in err
 
 
 @pytest.mark.parametrize("command", ["run", "verify-operators"])
@@ -616,18 +632,57 @@ def test_cli_bad_value_exits_one_with_path(tmp_path, capsys, edit, path):
     assert not (tmp_path / "x").exists()  # rejected before any solve
 
 
+def overflowing_config(tmp_path):
+    """A one-rung study whose limit-model solve fails on its first step."""
+    raw = mini_config(epsilon=["1/4"], time={"T": 1 / 16, "dt": {"rule": "fixed", "value": 1 / 64}})
+    raw["initial"]["bulk_plus"] = {"kind": "constant", "value": 1e308}
+    return write_config(tmp_path, raw)
+
+
 # the limit model's right-hand sides overflow to inf; numpy warns on the way
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_cli_run_on_data_that_overflows_a_solve_exits_two(tmp_path, capsys):
-    raw = mini_config(epsilon=["1/4"], time={"T": 1 / 16, "dt": {"rule": "fixed", "value": 1 / 64}})
-    raw["initial"]["bulk_plus"] = {"kind": "constant", "value": 1e308}
-    p = write_config(tmp_path, raw)
     out = tmp_path / "x"
-    assert cli.main(["run", str(p), "--out", str(out)]) == 2
+    assert cli.main(["run", str(overflowing_config(tmp_path)), "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert "numerical failure: right-hand side is not finite" in captured.err
     assert "Traceback" not in captured.err
     assert not (out / "report.csv").exists() and "inf" not in captured.out
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_failed_run_leaves_no_output_directory(tmp_path, capsys):
+    out = tmp_path / "x"
+    assert cli.main(["run", str(overflowing_config(tmp_path)), "--out", str(out)]) == 2
+    assert "numerical failure: right-hand side is not finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_failing_on_a_later_rung_removes_every_written_file(tmp_path, capsys, monkeypatch):
+    run_micro_study = harness.run_micro_study
+
+    def failing(cfg, eps):
+        if eps == cfg.epsilons[1]:
+            raise SolverError("injected failure")
+        return run_micro_study(cfg, eps)
+
+    monkeypatch.setattr(harness, "run_micro_study", failing)
+    p = write_config(tmp_path, mini_config(epsilon=["1/4", "1/8"]))
+    out = tmp_path / "study"
+    assert cli.main(["run", str(p), "--out", str(out)]) == 2
+    assert "numerical failure: injected failure" in capsys.readouterr().err
+    assert list(tmp_path.rglob("*.npy")) == [] and not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_failed_run_keeps_what_was_in_the_output_directory(tmp_path, capsys):
+    out = tmp_path / "x"
+    out.mkdir()
+    (out / "notes.txt").write_text("kept")
+    assert cli.main(["run", str(overflowing_config(tmp_path)), "--out", str(out)]) == 2
+    capsys.readouterr()
+    assert list(out.iterdir()) == [out / "notes.txt"]
+    assert (out / "notes.txt").read_text() == "kept"
 
 
 def test_cli_report_without_manifest_exits_one(tmp_path, capsys):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from chanhom import linsolve
 from chanhom.errors import SolverError, StabilityError
 from chanhom.geometry import BULK_P, CHAN, ChannelProfile, build_micro_geometry, build_reference_cell
-from chanhom.grid import build_micro_grid, leps_diff, norm_leps
+from chanhom.grid import build_micro_grid, inner_product_leps, leps_diff
 from chanhom.kinetics import InitialData, KineticsSpec
 from chanhom.macrosim import InterfaceLayout, MacroSimulation
 from chanhom.microsim import DiffusionSpec, KineticsBundle, MicroSimulation
@@ -106,12 +106,12 @@ def test_zero_kinetics_is_dissipative_and_monotone():
     state = sim.initial_state(InitialData.constants(0.0, 0.0, 0.0))
     state.u.values[:] = rng.uniform(-1.0, 2.0, grid.n_cells)
     lo, hi = state.values.min(), state.values.max()
-    n0 = norm_leps(state.u)
+    n0 = np.sqrt(inner_product_leps(state.u, state.u))
     for _ in range(10):
         state = sim.step(state, 5e-3)
         assert state.values.min() >= lo - 1e-10
         assert state.values.max() <= hi + 1e-10
-    assert norm_leps(state.u) <= n0
+    assert np.sqrt(inner_product_leps(state.u, state.u)) <= n0
 
 
 def test_zero_horizon_returns_initial_state_only():

@@ -22,12 +22,10 @@ NOT_RUN = {
     "cli._Parser.error": "test_harness.py::test_cli_run_has_no_seed_option (usage errors)",
     "errors.SolverError.__init__": "test_linsolve.py::test_nonconvergence_raises_with_residual",
     "geometry.ChannelProfile.rectangle": "test_microsim.py, test_grid.py (rectangle channels)",
-    "grid.Field.constant": "test_twoscale.py::test_trace_inequality_zero_field",
     "grid.RectGrid.cells_dense": "test_shift_oracle.py (dense shift oracle)",
     "grid.leps_diff": "test_acceptance.py::test_criterion_3_discretization_self_convergence",
     "grid.leps_project_diff":
         "test_acceptance.py::test_criterion_3_discretization_self_convergence",
-    "grid.norm_leps": "test_microsim.py::test_zero_kinetics_is_dissipative_and_monotone",
     "kinetics.InitialData.constants": "test_acceptance.py::test_criterion_2_conservation",
     "linsolve.CSR.getrow": "test_acceptance.py::test_criterion_5_interface_closure",
     "macrosim.MacroSimulation.flux_balance_residuals":

@@ -38,8 +38,27 @@ def setup(eps=F(1, 4), k=4):
 
 def test_constant_unfolds_to_constant():
     _, grid, _, uf = setup()
-    tsf = uf.unfold(Field.constant(grid, 2.5))
+    tsf = uf.unfold(np.full(grid.n_cells, 2.5))
     assert (tsf == 2.5).all()
+
+
+def test_unfolder_operators_round_trip_plain_vectors():
+    _, grid, _, uf = setup()
+    rng = np.random.default_rng(8)
+    v = rng.normal(size=grid.n_cells)
+    chan = grid.cell_tag == CHAN
+    tv = uf.unfold(v)
+    assert type(tv) is np.ndarray and tv.shape == uf.columns.shape
+    back = uf.average(tv)
+    assert type(back) is np.ndarray and back.shape == (grid.n_cells,)
+    assert np.array_equal(back[chan], v[chan]) and not back[~chan].any()
+    assert np.array_equal(uf.unfold(back), tv)
+    phi = rng.normal(size=uf.columns.shape)
+    assert np.array_equal(uf.unfold(uf.average(phi)), phi)
+    tr = uf.wall_trace(v)
+    assert type(tr) is np.ndarray
+    assert np.array_equal(tr, v[uf.micro_wall_cells.reshape(-1)])
+    assert np.array_equal(uf.wall_trace(back), tr)  # the walls touch channel cells only
 
 
 def test_refinement_mismatch_rejected():
@@ -55,16 +74,16 @@ def test_scaled_isometry_is_exact():
     rng = np.random.default_rng(0)
     chan = grid.cell_tag == CHAN
     for _ in range(20):
-        v = Field(grid, rng.normal(size=grid.n_cells))
+        v = rng.normal(size=grid.n_cells)
         lhs = uf.ts_inner(uf.unfold(v), uf.unfold(v))
-        rhs = float(np.dot(grid.cell_vol[chan], v.values[chan] ** 2)) / float(geom.eps)
+        rhs = float(np.dot(grid.cell_vol[chan], v[chan] ** 2)) / float(geom.eps)
         assert lhs == pytest.approx(rhs, rel=1e-13)
 
 
 def test_boundary_norm_equality_and_trace_commutation():
     _, grid, _, uf = setup()
     rng = np.random.default_rng(1)
-    v = Field(grid, rng.normal(size=grid.n_cells))
+    v = rng.normal(size=grid.n_cells)
     tr = uf.wall_trace(v)
     tb = uf.unfold_boundary(tr)
     assert uf.wall_inner(tb, tb) == pytest.approx(uf.wall_norm_sq_micro(tr), rel=1e-13)
@@ -78,7 +97,7 @@ def test_boundary_norm_equality_and_trace_commutation():
 def test_gradient_commutation_identity():
     geom, grid, cg, uf = setup()
     rng = np.random.default_rng(2)
-    v = Field(grid, rng.normal(size=grid.n_cells))
+    v = rng.normal(size=grid.n_cells)
     tsf = uf.unfold(v)
     eps = float(geom.eps)
     pos = {int(c): i for i, c in enumerate(uf.chan_ids)}
@@ -95,7 +114,7 @@ def test_gradient_commutation_identity():
                 continue
             dist_ref = float(da + db) / eps
             lhs = (tsf[col, ib] - tsf[col, ia]) / dist_ref
-            rhs = eps * (v.values[b] - v.values[a]) / float(da + db)
+            rhs = eps * (v[b] - v[a]) / float(da + db)
             assert lhs == pytest.approx(rhs, rel=1e-12)
             checked += 1
     assert checked > 50
@@ -107,12 +126,10 @@ def test_averaging_is_the_exact_adjoint():
     chan = grid.cell_tag == CHAN
     inv_eps = 1.0 / float(geom.eps)
     for _ in range(20):
-        v = Field(grid, rng.normal(size=grid.n_cells))
+        v = rng.normal(size=grid.n_cells)
         phi = rng.normal(size=uf.columns.shape)
         lhs = uf.ts_inner(uf.unfold(v), phi)
-        rhs = inv_eps * float(
-            np.dot(grid.cell_vol[chan], v.values[chan] * uf.average(phi).values[chan])
-        )
+        rhs = inv_eps * float(np.dot(grid.cell_vol[chan], v[chan] * uf.average(phi)[chan]))
         assert lhs == pytest.approx(rhs, rel=1e-13)
 
 
@@ -122,7 +139,7 @@ def test_averaging_norm_bound_is_sharp_for_aligned_grids():
     phi = rng.normal(size=uf.columns.shape)
     back = uf.average(phi)
     chan = grid.cell_tag == CHAN
-    norm_micro = np.sqrt(float(np.dot(grid.cell_vol[chan], back.values[chan] ** 2)))
+    norm_micro = np.sqrt(float(np.dot(grid.cell_vol[chan], back[chan] ** 2)))
     bound = np.sqrt(float(geom.eps)) * uf.ts_norm(phi)
     assert norm_micro <= bound * (1 + 1e-12)
     assert norm_micro >= bound * (1 - 1e-12)  # equality with one column per cell
@@ -131,10 +148,10 @@ def test_averaging_norm_bound_is_sharp_for_aligned_grids():
 def test_round_trip_is_the_identity_on_channel_cells():
     _, grid, _, uf = setup()
     rng = np.random.default_rng(5)
-    v = Field(grid, rng.normal(size=grid.n_cells))
+    v = rng.normal(size=grid.n_cells)
     back = uf.average(uf.unfold(v))
     chan = grid.cell_tag == CHAN
-    assert np.array_equal(back.values[chan], v.values[chan])
+    assert np.array_equal(back[chan], v[chan])
 
 
 def _macro_sim(n_sigma=4, m=4):
@@ -156,7 +173,7 @@ def test_error_vanishes_when_micro_is_the_unfolded_macro():
         u[sim.oc:] = cells.reshape(-1)
         macro_states.append(MacroState(t=t, u=u, sim=sim))
         phi = cells[:, chan_cell_indices(cg)]
-        micro_states.append(MicroState(t=t, u=uf.average(phi)))
+        micro_states.append(MicroState(t=t, u=Field(grid, uf.average(phi))))
     errs = ts_error(micro_states, macro_states, uf, sim)
     assert errs["E_chan"] == 0.0
     assert errs["E_N"] == 0.0
@@ -181,7 +198,7 @@ def test_error_against_zero_macro_is_the_scaled_norm():
 def test_mismatched_snapshot_times_rejected():
     geom, grid, cg, uf = setup()
     sim = _macro_sim(n_sigma=4)
-    micro = [MicroState(t=0.0, u=Field.constant(grid, 0.0))]
+    micro = [MicroState(t=0.0, u=Field(grid, np.zeros(grid.n_cells)))]
     macro = [MacroState(t=0.5, u=np.zeros(sim.n), sim=sim)]
     with pytest.raises(ValueError, match="different times"):
         ts_error(micro, macro, uf, sim)
@@ -240,7 +257,7 @@ def test_bulk_errors_match_the_dense_scatter_bit_for_bit(profile, inv_eps, n_sig
 
 def test_shift_of_constant_field_is_zero():
     geom, grid, _, _ = setup(eps=F(1, 8))
-    states = [MicroState(t=t, u=Field.constant(grid, 3.0)) for t in (0.0, 0.5)]
+    states = [MicroState(t=t, u=Field(grid, np.full(grid.n_cells, 3.0))) for t in (0.0, 0.5)]
     ratio, lhs, rhs = shift_diagnostic(states, geom, grid, l=1, h=1 / 8)
     assert lhs == 0.0
     assert ratio == 0.0
@@ -262,14 +279,14 @@ def test_shift_ratio_is_small_for_horizontally_uniform_runs():
 
 def test_empty_margin_rejected():
     geom, grid, _, _ = setup(eps=F(1, 4))
-    states = [MicroState(t=0.0, u=Field.constant(grid, 0.0))]
+    states = [MicroState(t=0.0, u=Field(grid, np.zeros(grid.n_cells)))]
     with pytest.raises(ValueError, match="margin"):
         shift_diagnostic(states, geom, grid, l=1, h=0.5)
 
 
 def test_apriori_norm_of_constant_in_time():
     _, grid, _, _ = setup()
-    u = Field.constant(grid, 2.0)
+    u = Field(grid, np.full(grid.n_cells, 2.0))
     states = [MicroState(t=t, u=u) for t in (0.0, 0.5)]
     assert apriori_norm(states) == pytest.approx(np.sqrt(0.5) * apriori_norm(states[:1]),
                                                  rel=1e-12)
@@ -281,8 +298,7 @@ def test_trace_constant_certifies_the_constant_field():
     geom, grid, cg, uf = setup()
     C = calibrate_trace_constant(cg)
     assert C >= 2.0 - 1e-12  # sqrt(|N| / |Z*|) for the half-width channel
-    one = Field.constant(grid, 1.0)
-    lhs, rhs = trace_inequality_diagnostic(one, 1.0, uf, constant=C)
+    lhs, rhs = trace_inequality_diagnostic(np.ones(grid.n_cells), 1.0, uf, constant=C)
     assert lhs == pytest.approx(2.0, rel=1e-12)  # sqrt of the total wall length
     assert lhs <= rhs
 
@@ -290,7 +306,7 @@ def test_trace_constant_certifies_the_constant_field():
 def test_trace_inequality_zero_field():
     _, grid, cg, uf = setup()
     C = calibrate_trace_constant(cg)
-    lhs, rhs = trace_inequality_diagnostic(Field.constant(grid, 0.0), 1.0, uf, constant=C)
+    lhs, rhs = trace_inequality_diagnostic(np.zeros(grid.n_cells), 1.0, uf, constant=C)
     assert lhs == 0.0 and rhs == 0.0
 
 
@@ -305,6 +321,5 @@ def test_trace_inequality_holds_for_certified_random_fields():
             vals = np.zeros(grid.n_cells)
             per_col = coeffs @ basis.T  # (ncol, n_chan_cells)
             vals[uf.columns] = per_col
-            v = Field(grid, vals)
-            lhs, rhs = trace_inequality_diagnostic(v, 1.0, uf, constant=C)
+            lhs, rhs = trace_inequality_diagnostic(vals, 1.0, uf, constant=C)
             assert lhs <= rhs * (1 + 1e-10)
