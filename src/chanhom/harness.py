@@ -4,16 +4,15 @@ A study is described by one JSON file: geometry, diffusivities, kinetics,
 initial data, time horizon, the list of scale parameters, refinements, and
 output options.  Running a study solves the channel-resolved problem for
 every scale parameter, solves the limit model once, computes the
-unfolding-based error norms per scale, and writes a report CSV, all field
-snapshots (float64 `.npy` values, plus each limit-model snapshot's interface
-traces as CSV), and a manifest with content hashes.  Everything is
+unfolding-based error norms per scale, and writes a report CSV, the field
+snapshots (one float64 `.npy` array per run, plus each limit-model snapshot's
+interface traces as CSV), and a manifest with content hashes.  Everything is
 rebuildable: the `report` entry point re-derives the report from the stored
 fields and the config echoed in the manifest, byte for byte, and `export`
 writes the stored snapshots as CSV for human readers.
 """
 
 import contextlib
-import functools
 import hashlib
 import io
 import json
@@ -53,7 +52,7 @@ from .twoscale import (
 )
 
 SCHEMA_VERSION = 1   # config format: the "schema" of a config and of its echo
-STUDY_SCHEMA = 2     # study format: the "schema" of manifest.json (2: float64 .npy fields)
+STUDY_SCHEMA = 3     # study format: the "schema" of manifest.json (3: one float64 .npy per run)
 _TAG_NAMES = {BULK_P: "bulk+", BULK_M: "bulk-", CHAN: "channel"}
 
 
@@ -432,12 +431,17 @@ def load_config(path) -> StudyConfig:
     return parse_config(_read_json(Path(path), "config file"))
 
 
-def _write_file(path, data: bytes):
-    """Write `data` to file `path`; ConfigError naming the file if it cannot be written."""
+def _write_file(path, chunks) -> str:
+    """Write byte chunks to file `path`, return their SHA-256; ConfigError if it cannot."""
+    digest = hashlib.sha256()
     try:
-        path.write_bytes(data)
+        with open(path, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+                digest.update(chunk)
     except OSError as exc:
         raise ConfigError(f"{path}: cannot write the file ({exc.strerror})") from exc
+    return digest.hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -563,15 +567,15 @@ def macro_traces_csv(sim: MacroSimulation, state: MacroState) -> str:
 # -- the study's field files -------------------------------------------------
 #
 # Coordinates and regions are a function of the config echo, so a study
-# stores only each snapshot's values, as a little-endian float64 `.npy` file
-# (an exact round trip): `state.values` of a micro snapshot, `state.u` of a
-# limit-model one.  Each limit-model snapshot also keeps its interface
+# stores only values: a run's snapshots as the rows of one little-endian
+# float64 `.npy` array (an exact round trip), `state.values` of a micro run,
+# `state.u` of the limit-model run, whose snapshots also keep their interface
 # traces and cell fluxes as CSV, the jump observable in readable form.
 
-def field_path(idx, eps=None) -> str:
-    """Stored values of snapshot idx: the micro field of `eps`, or the limit-model state."""
+def field_path(eps=None) -> str:
+    """Stored values of a run's snapshots: the micro run of `eps`, or the limit-model run."""
     name = f"micro_eps{int(1 / eps)}" if eps is not None else "macro"
-    return f"fields/{name}_s{idx:04d}.npy"
+    return f"fields/{name}.npy"
 
 
 def csv_path(idx, eps=None, part=None) -> str:
@@ -580,58 +584,52 @@ def csv_path(idx, eps=None, part=None) -> str:
     return f"fields/{name}_s{idx:04d}.csv"
 
 
-def _npy_bytes(values) -> bytes:
-    """The `.npy` file of a vector of values, as little-endian float64."""
-    buf = io.BytesIO()
-    np.save(buf, np.asarray(values, dtype="<f8"), allow_pickle=False)
-    return buf.getvalue()
+def _npy_chunks(rows) -> list:
+    """The `.npy` file of equal-length rows as float64, in chunks: its header, then each row."""
+    head = io.BytesIO()
+    shape = (len(rows), len(rows[0]) if rows else 0)
+    np.lib.format.write_array_header_1_0(
+        head, {"descr": "<f8", "fortran_order": False, "shape": shape})
+    return [head.getvalue(), *(np.ascontiguousarray(row, dtype="<f8") for row in rows)]
 
 
-@functools.lru_cache(maxsize=16)
-def _npy_header(n) -> bytes:
-    """The header bytes `_npy_bytes` writes before n values."""
-    data = _npy_bytes(np.zeros(n))
-    return data[:len(data) - 8 * n]
-
-
-def _read_npy(relpath, data, n) -> np.ndarray:
-    """The `n` finite float64 values of a `.npy` file; ConfigError naming it otherwise.
-
-    A file laid out as `_npy_bytes` writes n values is read without parsing its
-    header, as a read-only view of `data`; any other file is parsed by numpy.
-    """
-    head = _npy_header(n)
-    if len(data) == len(head) + 8 * n and data.startswith(head):
-        vals = np.frombuffer(data, dtype="<f8", offset=len(head))
-    else:
-        buf = io.BytesIO(data)
-        try:
-            vals = np.lib.format.read_array(buf, allow_pickle=False)
-        # bad magic, object dtype, short data; the header is a Python literal that numpy
-        # tokenizes and evaluates, and the shape it claims is allocated before the data is read
-        except (ValueError, SyntaxError, TypeError, OverflowError, MemoryError,
-                tokenize.TokenError) as exc:
-            raise ConfigError(f"{relpath}: not a readable .npy file ({exc})") from exc
-        if vals.dtype != np.dtype("<f8") or vals.shape != (n,):
-            raise ConfigError(f"{relpath}: holds {vals.dtype.str} values of shape "
-                              f"{vals.shape}, expected <f8 of shape ({n},)")
-        if buf.tell() != len(data):
-            raise ConfigError(f"{relpath}: holds {len(data) - buf.tell()} bytes after its "
-                              f"{n} values")
+def _read_npy(relpath, data, shape) -> np.ndarray:
+    """The finite float64 values of a `.npy` file of `shape`, a read-only view of `data`
+    once its header is checked; ConfigError naming the file otherwise."""
+    buf = io.BytesIO(data)
+    fmt = np.lib.format
+    try:
+        version = fmt.read_magic(buf)
+        if version not in ((1, 0), (2, 0)):
+            raise ValueError(f"format version {version}")
+        read_header = fmt.read_array_header_1_0 if version == (1, 0) else fmt.read_array_header_2_0
+        got, fortran_order, dtype = read_header(buf)
+    # bad magic or version, short or malformed header: numpy evaluates the header as a
+    # Python literal, and tokenizes it when that fails
+    except (ValueError, SyntaxError, TypeError, OverflowError, MemoryError,
+            tokenize.TokenError) as exc:
+        raise ConfigError(f"{relpath}: not a readable .npy file ({exc})") from exc
+    if dtype != np.dtype("<f8") or got != shape or fortran_order:
+        order = "Fortran" if fortran_order else "C"
+        raise ConfigError(f"{relpath}: holds {dtype.str} values of shape {got} in {order} "
+                          f"order, expected <f8 of shape {shape} in C order")
+    size, want = len(data) - buf.tell(), 8 * math.prod(shape)
+    if size != want:
+        raise ConfigError(f"{relpath}: holds {size} bytes of values, expected {want}")
+    vals = np.frombuffer(data, dtype="<f8", offset=buf.tell()).reshape(shape)
     if not np.isfinite(vals).all():
         raise ConfigError(f"{relpath}: holds non-finite values")
     return vals
 
 
 def write_micro_fields(writer, eps, snaps):
-    for idx, state in enumerate(snaps):
-        writer.write(field_path(idx, eps=eps), _npy_bytes(state.values))
+    writer.write(field_path(eps), [state.values for state in snaps])
 
 
 def write_macro_fields(writer, sim, snaps):
+    writer.write(field_path(), [state.u for state in snaps])
     # macro_traces_csv is looked up by name at call time, so a rebound writer is used
     for idx, state in enumerate(snaps):
-        writer.write(field_path(idx), _npy_bytes(state.u))
         writer.write(csv_path(idx, part="traces"), macro_traces_csv(sim, state))
 
 
@@ -656,11 +654,10 @@ class StudyWriter:
         self.files = {}
 
     def write(self, relpath, data):
-        """Write `data` (bytes, or text stored as UTF-8) and record its SHA-256."""
-        if isinstance(data, str):
-            data = data.encode()
-        _write_file(self.out / relpath, data)
-        self.files[str(relpath)] = _sha256(data)
+        """Write `data` and record its SHA-256: text, stored as UTF-8, or a list of
+        equal-length rows, stored as one float64 `.npy` array written row by row."""
+        chunks = [data.encode()] if isinstance(data, str) else _npy_chunks(data)
+        self.files[str(relpath)] = _write_file(self.out / relpath, chunks)
 
 
 def run_study(cfg: StudyConfig, out_dir=None, threads=1):
@@ -717,7 +714,7 @@ def _write_study(cfg: StudyConfig, writer: StudyWriter):
         "files": writer.files,
     }
     text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-    _write_file(writer.out / "manifest.json", text.encode())
+    _write_file(writer.out / "manifest.json", [text.encode()])
     return rep, manifest
 
 
@@ -784,15 +781,15 @@ class StoredStudy:
             raise ConfigError(f"{relpath}: content does not match its manifest SHA-256")
         return data
 
-    def field_values(self, relpath, n) -> np.ndarray:
-        return _read_npy(relpath, self.field_bytes(relpath), n)
+    def field_values(self, relpath, shape) -> np.ndarray:
+        return _read_npy(relpath, self.field_bytes(relpath), shape)
 
     def rung(self, eps):
-        """The stored micro run of `eps` as (geom, grid, snaps), each file checked now."""
+        """The stored micro run of `eps` as (geom, grid, snaps of row views), checked now."""
         geom, grid = _rung_grid(self.cfg, eps)
-        snaps = [MicroState(t=state.t, u=Field(grid, self.field_values(field_path(idx, eps=eps),
-                                                                      grid.n_cells)))
-                 for idx, state in enumerate(self.macro_snaps)]
+        rows = self.field_values(field_path(eps), (len(self.macro_snaps), grid.n_cells))
+        snaps = [MicroState(t=state.t, u=Field(grid, row))
+                 for state, row in zip(self.macro_snaps, rows)]
         return geom, grid, snaps
 
 
@@ -809,7 +806,7 @@ def load_study(study_dir) -> StoredStudy:
                          dict)
     if manifest.get("schema") != STUDY_SCHEMA:
         raise ConfigError(f"manifest.json.schema: study schema {manifest.get('schema')!r} "
-                          f"(this version reads schema {STUDY_SCHEMA}, float64 .npy fields)")
+                          f"(this version reads schema {STUDY_SCHEMA}, one .npy file per run)")
     try:
         cfg = parse_config(raw_cfg)
     except ConfigError as exc:
@@ -819,9 +816,8 @@ def load_study(study_dir) -> StoredStudy:
     times = [_number(t, f"manifest.json.snapshot_times[{i}]") for i, t in enumerate(times)]
     _check_schedule(cfg, times)
     files = _container(_need(manifest, "files", "manifest.json"), "manifest.json.files", dict)
-    study_files = {path for idx in range(len(times))
-                   for path in (field_path(idx), csv_path(idx, part="traces"),
-                                *(field_path(idx, eps=eps) for eps in cfg.epsilons))}
+    study_files = {field_path(), *(field_path(eps) for eps in cfg.epsilons),
+                   *(csv_path(idx, part="traces") for idx in range(len(times)))}
     extra = sorted(rel for rel in files if rel.startswith("fields/") and rel not in study_files)
     if extra:
         raise ConfigError(f"{extra[0]}: listed in manifest.json.files but not part of the "
@@ -832,12 +828,13 @@ def load_study(study_dir) -> StoredStudy:
 
     study = StoredStudy(out, files, cfg, _limit_model(cfg), [], [])
     sim = study.macro_sim
-    for idx, t in enumerate(times):
-        state = MacroState(t=t, u=study.field_values(field_path(idx), sim.n), sim=sim)
+    rows = study.field_values(field_path(), (len(times), sim.n))
+    for idx, (t, u) in enumerate(zip(times, rows)):
+        state = MacroState(t=t, u=u, sim=sim)
         relpath = csv_path(idx, part="traces")
         text = macro_traces_csv(sim, state)
         if study.field_bytes(relpath) != text.encode():
-            raise ConfigError(f"{relpath}: is not the traces CSV of {field_path(idx)}")
+            raise ConfigError(f"{relpath}: is not the traces CSV of row {idx} of {field_path()}")
         study.macro_snaps.append(state)
         study.traces.append(text)
     return study
@@ -851,7 +848,7 @@ def rederive_report(study_dir):
     rep = TwoScaleReport([], [], [], [], [], [], [])
     for eps in study.cfg.epsilons:
         compute_report(rep, study.cfg, eps, study.rung(eps), limit, trace_const)
-    _write_file(Path(study_dir) / "report.csv", report_csv_text(rep).encode())
+    _write_file(Path(study_dir) / "report.csv", [report_csv_text(rep).encode()])
     return rep
 
 

@@ -97,9 +97,10 @@ class KineticsSpec:
             return -p["lam"] * u
         if self.kind == "logistic_clamped":
             r, cap, m = p["r"], p["u_cap"], p["clamp"]
-            uc = np.clip(u, -m, m)
-            val = r * uc * (1.0 - uc / cap)
-            return val + r * (1.0 - 2.0 * uc / cap) * (u - uc)
+            with np.errstate(over="ignore"):  # an overflow to inf is refused by the solve
+                uc = np.clip(u, -m, m)
+                val = r * uc * (1.0 - uc / cap)
+                return val + r * (1.0 - 2.0 * uc / cap) * (u - uc)
         if self.kind == "exchange":
             return p["kappa"] * (u - p["u_ext"])
         return np.interp(u, np.asarray(p["u"], float), np.asarray(p["rate"], float))

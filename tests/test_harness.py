@@ -163,6 +163,21 @@ def test_study_writes_report_fields_and_complete_manifest(tmp_path):
     assert listed == on_disk
 
 
+def test_stored_rows_are_the_snapshots_of_the_run(tmp_path):
+    """Each run is one file whose rows are its snapshots bit for bit, hashed as stored."""
+    cfg, out, _, manifest = run_mini(tmp_path)
+    (eps,) = cfg.epsilons
+    runs = {harness.field_path(): [s.u for s in harness.run_macro_study(cfg)[1]],
+            harness.field_path(eps): [s.values for s in harness.run_micro_study(cfg, eps)[3]]}
+    assert sorted(rel for rel in manifest["files"] if rel.endswith(".npy")) == sorted(runs)
+    for rel, snaps in runs.items():
+        data = (out / rel).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == manifest["files"][rel]
+        stored = np.load(io.BytesIO(data))
+        assert stored.shape == (len(snaps), len(snaps[0])) == (5, len(snaps[0]))
+        assert [row.tobytes() for row in stored] == [v.tobytes() for v in snaps]
+
+
 def test_rerun_is_bit_identical(tmp_path):
     _, out1, _, _ = run_mini(tmp_path, "a")
     _, out2, _, _ = run_mini(tmp_path, "b")
@@ -228,18 +243,18 @@ def test_report_holds_one_rung_of_snapshots_at_a_time(tmp_path, monkeypatch):
     original = (out / "report.csv").read_bytes()
     watch, read_npy = RungWatch(), harness._read_npy
 
-    def watched(relpath, data, n):  # a rung's snapshots are read in order, from s0000
-        rung = relpath.split("_")[1] if relpath.startswith("fields/micro_") else None
-        if relpath.endswith("_s0000.npy") and rung is not None:
+    def watched(relpath, data, shape):  # a rung's snapshots are one file, read at once
+        rung = Path(relpath).stem if relpath.startswith("fields/micro_") else None
+        if rung is not None:
             watch.start(rung)
-        values = read_npy(relpath, data, n)
+        values = read_npy(relpath, data, shape)
         if rung is not None:
             watch.keep(rung, values)
         return values
 
     monkeypatch.setattr(harness, "_read_npy", watched)
     harness.rederive_report(out)
-    assert list(watch.last) == ["eps4", "eps8"]
+    assert list(watch.last) == ["micro_eps4", "micro_eps8"]
     assert (out / "report.csv").read_bytes() == original
 
 
@@ -492,10 +507,10 @@ def bare_study(tmp_path, manifest):
 
 def field_is_a_directory(tmp_path):
     out = run_mini(tmp_path, "study")[1]
-    field = out / "fields" / "macro_s0000.npy"
+    field = out / "fields" / "macro.npy"
     field.unlink()
     field.mkdir()
-    return ["report", out], "fields/macro_s0000.npy"
+    return ["report", out], "fields/macro.npy"
 
 
 # each case makes its input under tmp_path and returns the command line and what the
@@ -512,7 +527,7 @@ UNREADABLE = {
         ["export", bare_study(tmp, NOT_UTF8), "--out", tmp / "x"],
         tmp / "study" / "manifest.json"),
     "report_config_not_an_object": lambda tmp: (
-        ["report", bare_study(tmp, b'{"schema": 2, "config": 5}')], "manifest.json.config:"),
+        ["report", bare_study(tmp, b'{"schema": 3, "config": 5}')], "manifest.json.config:"),
     "report_field_is_a_directory": field_is_a_directory,
     "run_out_is_a_file": lambda tmp: (
         ["run", write_config(tmp, mini_config()), "--out", a_file(tmp / "taken")],
@@ -639,8 +654,7 @@ def overflowing_config(tmp_path):
     return write_config(tmp_path, raw)
 
 
-# the limit model's right-hand sides overflow to inf; numpy warns on the way
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+# the limit model's right-hand sides overflow to inf
 def test_cli_run_on_data_that_overflows_a_solve_exits_two(tmp_path, capsys):
     out = tmp_path / "x"
     assert cli.main(["run", str(overflowing_config(tmp_path)), "--out", str(out)]) == 2
@@ -650,7 +664,6 @@ def test_cli_run_on_data_that_overflows_a_solve_exits_two(tmp_path, capsys):
     assert not (out / "report.csv").exists() and "inf" not in captured.out
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_failed_run_leaves_no_output_directory(tmp_path, capsys):
     out = tmp_path / "x"
     assert cli.main(["run", str(overflowing_config(tmp_path)), "--out", str(out)]) == 2
@@ -674,7 +687,6 @@ def test_run_failing_on_a_later_rung_removes_every_written_file(tmp_path, capsys
     assert list(tmp_path.rglob("*.npy")) == [] and not out.exists()
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_failed_run_keeps_what_was_in_the_output_directory(tmp_path, capsys):
     out = tmp_path / "x"
     out.mkdir()
@@ -695,13 +707,13 @@ def test_cli_report_refuses_an_edited_field_file(tmp_path, capsys):
     out = tmp_path / "study"
     assert cli.main(["run", str(p), "--out", str(out)]) == 0
     report = (out / "report.csv").read_bytes()
-    field = out / "fields" / "micro_eps4_s0001.npy"
+    field = out / "fields" / "micro_eps4.npy"
     data = bytearray(field.read_bytes())
     data[-2] = ord("8") if data[-2] == ord("9") else ord("9")  # last digit of one value
     field.write_bytes(bytes(data))
     capsys.readouterr()
     assert cli.main(["report", str(out)]) == 1
-    assert "fields/micro_eps4_s0001.npy" in capsys.readouterr().err
+    assert "fields/micro_eps4.npy" in capsys.readouterr().err
     assert (out / "report.csv").read_bytes() == report
 
 
@@ -736,7 +748,7 @@ def with_config(manifest, section, **edit):
      "manifest.json.snapshot_times: 2 entries"),
     (lambda manifest: with_horizon(manifest, 15 / 128, 5), "manifest.json.snapshot_times[4]"),
     (lambda manifest: with_horizon(manifest, 8 / 128, 5), "manifest.json.snapshot_times: 5"),
-    (lambda manifest: with_horizon(manifest, 8 / 128, 3), "fields/macro_s0003.npy"),
+    (lambda manifest: with_horizon(manifest, 8 / 128, 3), "fields/macro_traces_s0003.csv"),
     (lambda manifest: dict(manifest, files=dict(
         manifest["files"], **{"fields/micro_eps8_s0000.csv": "0" * 64})),
      "fields/micro_eps8_s0000.csv"),
@@ -749,11 +761,12 @@ def with_config(manifest, section, **edit):
     (lambda manifest: {key: val for key, val in manifest.items() if key != "config_sha256"},
      "manifest.json.config_sha256"),
     (lambda manifest: dict(manifest, schema=1), "manifest.json.schema"),
+    (lambda manifest: dict(manifest, schema=2), "manifest.json.schema: study schema 2"),
 ], ids=["empty_object", "array", "number_snapshot_times", "array_files", "string_time",
         "null_time", "nan_time", "two_times", "horizon_off_schedule", "horizon_shorter",
         "horizon_and_times_cut", "unread_field_file", "edited_diffusivity",
         "string_diffusivity", "edited_shift_h",
-        "no_config_hash", "schema_1"])
+        "no_config_hash", "schema_1", "schema_2"])
 def test_cli_report_refuses_a_malformed_manifest(tmp_path, capsys, edit, named):
     p = write_config(tmp_path, mini_config())
     out = tmp_path / "study"
@@ -794,32 +807,38 @@ def with_header(data, old, new):
     return head[:-1].rstrip(b" ").ljust(end - 1) + b"\n" + data[end:]
 
 
-MICRO = "fields/micro_eps4_s0001.npy"
+MICRO = "fields/micro_eps4.npy"
 
 
-# each forge maps the file's bytes and, for a .npy file, its values to new bytes
+# each forge maps the file's bytes and, for a .npy file, its values to new bytes; the
+# mini study stores 5 snapshots of 288 micro cells
 @pytest.mark.parametrize("rel, forge, named", [
     (MICRO, lambda data, vals: npy_of(vals.astype(np.float32)), "holds <f4 values"),
-    (MICRO, lambda data, vals: npy_of(vals[:, None]), "holds <f8 values of shape (288, 1)"),
-    (MICRO, lambda data, vals: npy_of(vals[:-1]), "holds <f8 values of shape (287,)"),
+    (MICRO, lambda data, vals: npy_of(vals[:, :, None]),
+     "holds <f8 values of shape (5, 288, 1)"),
+    (MICRO, lambda data, vals: npy_of(vals[:, :-1]), "holds <f8 values of shape (5, 287)"),
+    (MICRO, lambda data, vals: npy_of(np.asfortranarray(vals)),
+     "holds <f8 values of shape (5, 288) in Fortran order"),
     (MICRO, lambda data, vals: npy_of(vals.astype(object), allow_pickle=True),
-     "not a readable .npy file"),
+     "holds |O values"),
     (MICRO, lambda data, vals: data[:20], "not a readable .npy file"),
     (MICRO, lambda data, vals: data[:10] + b"{[[[[[[[[" + data[19:], "not a readable .npy file"),
     (MICRO, lambda data, vals: with_header(data, b" 'shape'", b"b'shape'"),
      "not a readable .npy file"),
-    (MICRO, lambda data, vals: with_header(data, b"(288,)", b"(%d,)" % 2**70),
-     "not a readable .npy file"),
-    (MICRO, lambda data, vals: with_header(data, b"(288,)", b"(%d,)" % 10**11),
-     "not a readable .npy file"),
+    (MICRO, lambda data, vals: with_header(data, b"(5, 288)", b"(5, %d)" % 2**70),
+     "holds <f8 values of shape (5, %d)" % 2**70),
+    (MICRO, lambda data, vals: with_header(data, b"(5, 288)", b"(5, %d)" % 10**11),
+     "holds <f8 values of shape (5, %d)" % 10**11),
     (MICRO, lambda data, vals: with_nan(vals), "holds non-finite values"),
-    (MICRO, lambda data, vals: data + b"garbage!", "holds 8 bytes after its 288 values"),
-    ("fields/macro_s0002.npy", lambda data, vals: npy_of(vals[1:]), "holds <f8 values"),
+    (MICRO, lambda data, vals: data + b"garbage!", "holds 11528 bytes of values, expected 11520"),
+    (MICRO, lambda data, vals: data[:-8], "holds 11512 bytes of values, expected 11520"),
+    ("fields/macro.npy", lambda data, vals: npy_of(vals[1:]), "holds <f8 values"),
     ("fields/macro_traces_s0002.csv", forged_traces,
-     "is not the traces CSV of fields/macro_s0002.npy"),
-], ids=["float32", "two_dimensional", "wrong_length", "object_array", "truncated_header",
-        "garbled_header", "bytes_key_header", "overflowing_shape", "huge_shape",
-        "nan_values", "trailing_bytes", "wrong_macro_length", "edited_traces"])
+     "is not the traces CSV of row 2 of fields/macro.npy"),
+], ids=["float32", "three_dimensional", "wrong_length", "fortran_order", "object_array",
+        "truncated_header", "garbled_header", "bytes_key_header", "overflowing_shape",
+        "huge_shape", "nan_values", "trailing_bytes", "short_data", "wrong_macro_length",
+        "edited_traces"])
 def test_cli_report_refuses_a_forged_field_file(tmp_path, capsys, rel, forge, named):
     """A field file replaced and rehashed in the manifest is still refused by its content."""
     p = write_config(tmp_path, mini_config())
@@ -842,38 +861,15 @@ def test_cli_report_refuses_a_forged_field_file(tmp_path, capsys, rel, forge, na
     assert (out / "report.csv").read_bytes() == report
 
 
-def outcome(data, n):
-    """The values `_read_npy` reads, or its error text with object addresses blanked."""
-    try:
-        return harness._read_npy("f.npy", data, n)
-    except ConfigError as exc:
-        return re.sub(r"0x[0-9a-f]+", "0x", str(exc))
-
-
-@pytest.mark.parametrize("n", [0, 1, 9, 10, 99, 100, 12345, 100000])
-def test_read_npy_of_written_values_skips_the_header_parse(n):
-    """The header's padding shrinks as n gains digits; the values equal np.load's."""
-    vals = np.random.default_rng(n).normal(size=n)
-    data = harness._npy_bytes(vals)
-    got = harness._read_npy("f.npy", data, n)
+@pytest.mark.parametrize("shape", [(0, 0), (1, 5), (17, 288), (3, 100000), (65, 12288)])
+def test_read_npy_is_a_view_of_what_np_load_reads(shape):
+    """The written chunks are np.save's bytes, and the values read are np.load's."""
+    rows = np.random.default_rng(shape[1]).normal(size=shape)
+    data = b"".join(bytes(chunk) for chunk in harness._npy_chunks(list(rows)))
+    assert data == npy_of(rows)
+    got = harness._read_npy("f.npy", data, shape)
     assert np.array_equal(got, np.load(io.BytesIO(data))) and got.dtype == np.dtype("<f8")
     assert not got.flags.writeable  # a view of data, not a parsed copy
-
-
-@pytest.mark.parametrize("n", [1, 288])
-def test_read_npy_of_a_header_changed_in_one_byte_parses_it(monkeypatch, n):
-    data = harness._npy_bytes(np.linspace(1.0, 2.0, n))
-    forged = [data[:i] + bytes([new]) + data[i + 1:]
-              for i in range(len(harness._npy_header(n)))
-              for new in sorted({ord(" "), ord("9"), data[i] ^ 1} - {data[i]})]
-    got = [outcome(f, n) for f in forged]
-    monkeypatch.setattr(harness, "_npy_header", lambda n: b"")  # numpy parses every file
-    for f, read in zip(forged, got):
-        want = outcome(f, n)
-        if isinstance(want, str):
-            assert read == want
-        else:
-            assert np.array_equal(read, want) and read.flags.writeable
 
 
 def test_cli_report_that_cannot_write_report_csv_exits_one(tmp_path, capsys):
@@ -887,7 +883,7 @@ def test_cli_report_that_cannot_write_report_csv_exits_one(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("taken", ["manifest.json", "fields/macro_s0000.npy", "report.csv"])
+@pytest.mark.parametrize("taken", ["manifest.json", "fields/macro.npy", "report.csv"])
 def test_cli_run_that_cannot_write_a_study_file_exits_one(tmp_path, capsys, taken):
     out = tmp_path / "study"
     (out / taken).mkdir(parents=True)
@@ -902,9 +898,9 @@ def test_cli_export_refuses_a_study_report_refuses(tmp_path, capsys):
     p = write_config(tmp_path, mini_config())
     out = tmp_path / "study"
     assert cli.main(["run", str(p), "--out", str(out)]) == 0
-    (out / "fields" / "macro_s0001.npy").write_bytes(npy_of(np.zeros(3)))
+    (out / "fields" / "macro.npy").write_bytes(npy_of(np.zeros(3)))
     capsys.readouterr()
     assert cli.main(["export", str(out), "--out", str(tmp_path / "csv")]) == 1
-    assert "error: fields/macro_s0001.npy: content does not match" in capsys.readouterr().err
+    assert "error: fields/macro.npy: content does not match" in capsys.readouterr().err
     assert not (tmp_path / "csv").exists()
     assert cli.main(["export", str(out)]) == 1  # --out is required

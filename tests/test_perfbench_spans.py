@@ -72,10 +72,10 @@ def test_traced_study_and_cli_fire_every_writer_span(spans, tmp_path, capsys):
     fired = [rec[3] for rec in tracer.spans]
     written = [p for d in ("study", "micro", "macro", "csv") for p in (tmp_path / d).rglob("*")
                if p.is_file() and p.name != "manifest.json"]
-    # 5 snapshots: the study's report and three files each (a micro .npy, a limit-model
-    # .npy and its traces CSV); the micro writer's .npy each; the macro writer's .npy and
-    # traces CSV each; the export's four CSVs each
-    assert len(written) == 1 + 3 * 5 + 5 + 2 * 5 + 4 * 5
+    # 5 snapshots: the study's report, its micro and limit-model .npy and a traces CSV
+    # each; the micro writer's .npy; the macro writer's .npy and a traces CSV each; the
+    # export's four CSVs each
+    assert len(written) == 1 + 2 + 5 + 1 + (1 + 5) + 4 * 5
     assert fired.count("harness.StudyWriter.write") == len(written)
     csvs = [p for p in written if p.suffix == ".csv" and p.name != "report.csv"]
     assert len(csvs) == 2 * 5 + 4 * 5  # the traces CSVs of study and macro, the exported CSVs
