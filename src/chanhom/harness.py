@@ -20,6 +20,7 @@ import math
 import os
 import time as _time
 import tokenize
+import warnings
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
@@ -599,15 +600,16 @@ def _read_npy(relpath, data, shape) -> np.ndarray:
     buf = io.BytesIO(data)
     fmt = np.lib.format
     try:
-        version = fmt.read_magic(buf)
-        if version not in ((1, 0), (2, 0)):
-            raise ValueError(f"format version {version}")
-        read_header = fmt.read_array_header_1_0 if version == (1, 0) else fmt.read_array_header_2_0
-        got, fortran_order, dtype = read_header(buf)
-    # bad magic or version, short or malformed header: numpy evaluates the header as a
-    # Python literal, and tokenizes it when that fails
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            version = fmt.read_magic(buf)
+            if version not in ((1, 0), (2, 0)):
+                raise ValueError(f"format version {version}")
+            got, fortran_order, dtype = getattr(fmt, f"read_array_header_{version[0]}_0")(buf)
+    # bad magic or version, short or malformed header (numpy evaluates it as a Python
+    # literal, and tokenizes it when that fails), or one numpy reads only with a warning
     except (ValueError, SyntaxError, TypeError, OverflowError, MemoryError,
-            tokenize.TokenError) as exc:
+            tokenize.TokenError, Warning) as exc:
         raise ConfigError(f"{relpath}: not a readable .npy file ({exc})") from exc
     if dtype != np.dtype("<f8") or got != shape or fortran_order:
         order = "Fortran" if fortran_order else "C"

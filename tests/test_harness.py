@@ -825,6 +825,10 @@ MICRO = "fields/micro_eps4.npy"
     (MICRO, lambda data, vals: data[:10] + b"{[[[[[[[[" + data[19:], "not a readable .npy file"),
     (MICRO, lambda data, vals: with_header(data, b" 'shape'", b"b'shape'"),
      "not a readable .npy file"),
+    (MICRO, lambda data, vals: with_header(data, b"(5, 288)", b"(5L, 288L)"),
+     "not a readable .npy file"),
+    (MICRO, lambda data, vals: with_header(data, b"'<f8'", b"'<a8'"),
+     "not a readable .npy file"),
     (MICRO, lambda data, vals: with_header(data, b"(5, 288)", b"(5, %d)" % 2**70),
      "holds <f8 values of shape (5, %d)" % 2**70),
     (MICRO, lambda data, vals: with_header(data, b"(5, 288)", b"(5, %d)" % 10**11),
@@ -836,7 +840,8 @@ MICRO = "fields/micro_eps4.npy"
     ("fields/macro_traces_s0002.csv", forged_traces,
      "is not the traces CSV of row 2 of fields/macro.npy"),
 ], ids=["float32", "three_dimensional", "wrong_length", "fortran_order", "object_array",
-        "truncated_header", "garbled_header", "bytes_key_header", "overflowing_shape",
+        "truncated_header", "garbled_header", "bytes_key_header", "python2_long_shape",
+        "deprecated_dtype_alias", "overflowing_shape",
         "huge_shape", "nan_values", "trailing_bytes", "short_data", "wrong_macro_length",
         "edited_traces"])
 def test_cli_report_refuses_a_forged_field_file(tmp_path, capsys, rel, forge, named):

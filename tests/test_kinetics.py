@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction as F
 
 import numpy as np
@@ -5,12 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chanhom.geometry import CHAN, ChannelProfile, build_micro_geometry, build_reference_cell
-from chanhom.grid import build_micro_grid
+from chanhom.geometry import (
+    BULK_M,
+    BULK_P,
+    CHAN,
+    ChannelProfile,
+    build_micro_geometry,
+    build_reference_cell,
+)
+from chanhom.grid import build_micro_grid, wall_faces
 from chanhom.kinetics import InitialData, KineticsDomainError, KineticsSpec
 from chanhom.macrosim import InterfaceLayout, MacroSimulation
 from chanhom.microsim import DiffusionSpec, KineticsBundle, MicroSimulation
-from test_tiling import aligned_profiles
+from test_tiling import aligned_profiles, scan
 
 ALL_BUILTINS = [
     KineticsSpec("zero"),
@@ -198,8 +206,8 @@ SMOOTH_INITIAL = InitialData(
        f_minus=RATES, g=CHANNEL_RATES, h_rate=st.tuples(coef, coef, st.floats(-1.0, 1.0)))
 def test_random_kinetics_keep_mass_flux_balance_and_determinism(
         modulation, profile_k, inv_eps, f_plus, f_minus, g, h_rate):
-    """Per example: the micro mass identity per step, the macro per-side flux
-    balance at every snapshot after the initial one, and bit-identical reruns."""
+    """Per example: the mass identity per step of both models, the macro per-side
+    flux balance at every snapshot after the initial one, and bit-identical reruns."""
     profile, k = profile_k
     kappa, u_ext, amp = h_rate
     h = KineticsSpec("exchange", {"kappa": kappa, "u_ext": u_ext}, (modulation, amp))
@@ -224,10 +232,80 @@ def test_random_kinetics_keep_mass_flux_balance_and_determinism(
         state = new
 
     macro_runs = [macro().run(SMOOTH_INITIAL, 4 * dt, dt) for _ in range(2)]
-    for snap in macro_runs[0][1:]:
+    for before, snap in zip(macro_runs[0], macro_runs[0][1:]):
         rp, rm = snap.sim.flux_balance_residuals(snap)
         assert max(rp.max(), rm.max()) <= 1e-9
+        mass = abs(snap.sim.weighted_mass(before.values))
+        assert snap.sim.mass_report(before, snap, dt) <= 1e-12 * mass
     micro_runs = [micro().run(SMOOTH_INITIAL, 4 * dt, dt) for _ in range(2)]
     for a, b in (micro_runs, macro_runs):
         assert len(a) == len(b) == 5
         assert all(np.array_equal(x.values, y.values) for x, y in zip(a, b))
+
+
+# -- the rate map against a plain recomputation --------------------------------
+
+NONZERO = RATES.filter(lambda spec: spec.lipschitz > 0)
+
+
+def modulated(kinds):
+    return st.builds(lambda spec, kind, amp: dataclasses.replace(spec, modulation=(kind, amp)),
+                     NONZERO, st.sampled_from(kinds), st.floats(0.25, 1.0))
+
+
+def wall_factor(h, cell, ybar, y_n):
+    return h.position_factor(ybar, y_n, arc=cell.arc_coordinate(ybar, y_n),
+                             arc_total=float(cell.n_length))
+
+
+def assert_close(got, want):
+    assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(profile_k=aligned_profiles(), inv_eps=st.integers(2, 4), f_plus=NONZERO,
+       f_minus=NONZERO, g=modulated(("cos_ybar", "ybar", "yn")), h=modulated(("arc_cos",)),
+       seed=st.integers(0, 2**32 - 1))
+def test_explicit_rate_is_the_rate_of_every_cell_and_node(profile_k, inv_eps, f_plus, f_minus,
+                                                          g, h, seed):
+    """`explicit_rate` of both models against a recomputation from the rates alone:
+    cell by cell on the micro grid (its wall faces from a cell-by-cell scan), node
+    by node in the limit model (each node's cell problem with the reference walls)."""
+    profile, k = profile_k
+    kin = KineticsBundle(f_plus, f_minus, g, h)
+    cell = build_reference_cell(profile)
+    diff = DiffusionSpec.isotropic(1.0, 2.0, 0.5, len(profile.segments))
+    geom = build_micro_geometry(F(1, inv_eps), 1, cell)
+    grid = build_micro_grid(geom, k)
+    rng = np.random.default_rng(seed)
+    t, eps = 0.25, float(geom.eps)
+
+    u = rng.uniform(-3.0, 3.0, grid.n_cells)
+    want = np.empty(grid.n_cells)
+    for c, tag in enumerate(grid.cell_tag):
+        if tag == CHAN:
+            xbar, y_n = grid.cell_x[c] / eps, grid.cell_y[c] / eps
+            rate = g.base_rate(t, u[c]) * g.position_factor(xbar - np.floor(xbar), y_n) / eps
+        else:
+            rate = {BULK_P: f_plus, BULK_M: f_minus}[tag].base_rate(t, u[c])
+        want[c] = rate * grid.cell_vol[c]
+    walls = scan(grid, geom)
+    for c, length, (ybar, y_n) in zip(walls["cells"].flat, walls["length"].flat,
+                                      walls["local"].reshape(-1, 2)):
+        want[c] -= h.base_rate(t, u[c]) * wall_factor(h, cell, ybar, y_n) * length
+    assert_close(MicroSimulation(geom, grid, diff, kin).explicit_rate(t, u), want)
+
+    sim = MacroSimulation(cell, 1.0, InterfaceLayout(n_sigma=inv_eps, m=k), diff, kin)
+    u = rng.uniform(-3.0, 3.0, sim.n)
+    cg, ref, dsig = sim.cell_grid, wall_faces(sim.cell_grid), 1.0 / inv_eps
+    want = np.zeros(sim.n)  # the trace unknowns carry no rate
+    want[: sim.nbp] = f_plus.base_rate(t, u[: sim.nbp]) * sim.grid_p.cell_vol
+    want[sim.nbp : sim.ovp] = f_minus.base_rate(t, u[sim.nbp : sim.ovp]) * sim.grid_m.cell_vol
+    for node in range(inv_eps):
+        at = slice(sim.oc + node * sim.ncc, sim.oc + (node + 1) * sim.ncc)
+        v = u[at]
+        rate = g.base_rate(t, v) * g.position_factor(cg.cell_x, cg.cell_y) * dsig * cg.cell_vol
+        for c, length, (ybar, y_n) in zip(ref.cells[0], ref.length[0], ref.local):
+            rate[c] -= h.base_rate(t, v[c]) * wall_factor(h, cell, ybar, y_n) * dsig * length
+        want[at] = rate
+    assert_close(sim.explicit_rate(t, u), want)
