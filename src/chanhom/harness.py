@@ -40,7 +40,7 @@ from .geometry import (
 from .grid import Field, build_cell_grid, build_micro_grid, check_alignment
 from .kinetics import BASE_KINDS, InitialData, KineticsSpec
 from .macrosim import InterfaceLayout, MacroSimulation, MacroState
-from .microsim import DiffusionSpec, KineticsBundle, MicroSimulation, MicroState, snapshot_steps
+from .microsim import DiffusionSpec, KineticsBundle, MicroSimulation, MicroState, step_count
 from .twoscale import (
     TwoScaleReport,
     Unfolder,
@@ -61,19 +61,13 @@ def _fmt(x) -> str:
     return f"{float(x):.17g}"
 
 
-def _need(mapping, key, path):
-    if key not in mapping:
-        raise ConfigError(f"{path}.{key} required" if path else f"{key} required")
-    return mapping[key]
-
-
 def _number(raw, path, integer=False):
-    """A finite float (or integral int) from a config value; ConfigError naming the path."""
+    """A float (or integral int) whose float is finite; ConfigError naming the path."""
     if isinstance(raw, (bool, str)):  # float(True) and float("2.5") parse, but neither is a number
         raise ConfigError(f"{path}: not a finite number ({raw!r})")
     try:
         val = float(raw)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: an int beyond floats
         raise ConfigError(f"{path}: not a finite number ({raw!r})") from exc
     if not math.isfinite(val):
         raise ConfigError(f"{path}: not a finite number ({raw!r})")
@@ -84,31 +78,110 @@ def _number(raw, path, integer=False):
     return raw if isinstance(raw, int) else int(val)  # ints stay exact beyond 2**53
 
 
-def _known(mapping, path, keys):
-    """mapping, unless it holds a key outside `keys`: ConfigError naming that key's path."""
-    for key in mapping:
-        if key not in keys:
-            raise ConfigError(f"{path}.{key}: unknown key" if path else f"{key}: unknown key")
-    return mapping
-
-
-def _container(raw, path, kind, size=None):
-    """raw if it is a JSON object (kind dict) or array (kind list, of `size` entries if given)."""
-    if kind is dict:
-        ok, want = isinstance(raw, dict), "an object"
-    else:
-        ok = isinstance(raw, (list, tuple)) and size in (None, len(raw))
-        want = f"an array of {size} entries" if size else "an array"
-    if not ok:
-        raise ConfigError(f"{path}: expected {want}")
-    return raw
-
-
-def _frac_value(raw, path) -> Fraction:
+def _rational(raw, path) -> Fraction:
+    """An exact rational whose float is finite: a JSON number, or a string such as "1/4"."""
+    text = str(raw)
     try:
-        return Fraction(str(raw))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"{path}: not a rational number ({raw!r})") from exc
+        exponent = text.lower().partition("e")[2]
+        if exponent and abs(int(exponent)) > 400:  # Fraction would compute 10**exponent
+            raise ValueError(f"exponent {exponent}")
+        val = Fraction(text)
+        float(val)  # OverflowError beyond the float range
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise ConfigError(f"{path}: not a rational number with a finite float ({raw!r})") from exc
+    return val
+
+
+def _at_least(low):
+    """The read check `value >= low`."""
+    return lambda val: None if val >= low else f"must be >= {low}"
+
+
+def _positive(val):
+    return None if val > 0 else "must be > 0"
+
+
+_REQUIRED = object()
+
+
+class _Reader:
+    """A JSON object (or array) at `path` whose reads record what they return.
+
+    A read takes a key's value (its default if the key is absent), converts and
+    checks it, and records the result, so `echo()` is the value as the parser
+    read it: defaults filled in, exact rationals as `str`.  A check returns an
+    error message or None; every error names the path of its key.
+    `check_known()` then refuses a key that no read asked for.
+    """
+
+    def __init__(self, raw, path, size=None, array=False):
+        if array:
+            ok = isinstance(raw, (list, tuple)) and size in (None, len(raw))
+            want = f"an array of {size} entries" if size else "an array"
+        else:
+            ok, want = isinstance(raw, dict), "an object"
+        if not ok:
+            raise ConfigError(f"{path}: expected {want}")
+        self.raw, self.path, self.got = raw, path, {}
+        self.echo_as = None  # an echo written by hand, in place of the recorded reads
+
+    def at(self, key) -> str:
+        if isinstance(key, int):
+            return f"{self.path}[{key}]"
+        return f"{self.path}.{key}" if self.path else key
+
+    def value(self, key, default=_REQUIRED, check=None, convert=None):
+        """The value at `key` (or `default`) as convert(value, path) returns it, refused if
+        check(value) returns a message, and recorded."""
+        if isinstance(self.raw, dict) and key not in self.raw:
+            if default is _REQUIRED:
+                raise ConfigError(f"{self.at(key)} required")
+            val = default
+        else:
+            val = self.raw[key]
+        if convert is not None:
+            val = convert(val, self.at(key))
+        message = check(val) if check is not None else None
+        if message:
+            raise ConfigError(f"{self.at(key)}: {message}")
+        self.got[key] = val
+        return val
+
+    def number(self, key, default=_REQUIRED, integer=False, check=None):
+        return self.value(key, default, check, lambda raw, path: _number(raw, path, integer))
+
+    def rational(self, key, default=_REQUIRED, check=None) -> Fraction:
+        return self.value(key, default, check, _rational)
+
+    def obj(self, key, default=_REQUIRED):
+        """The object at `key` as a reader; with default None, None if it is absent or null."""
+        return self.value(key, default, convert=lambda raw, path: (
+            None if raw is None and default is None else _Reader(raw, path)))
+
+    def array(self, key, size=None):
+        return self.value(key, convert=lambda raw, path: _Reader(raw, path, size, array=True))
+
+    def each(self, read) -> list:
+        """read(self, i) for every entry i of an array."""
+        return [read(self, i) for i in range(len(self.raw))]
+
+    def echo(self):
+        """What the reads returned (None left out), or `echo_as` if it is set."""
+        if self.echo_as is not None:
+            return self.echo_as
+        out = {key: val.echo() if isinstance(val, _Reader) else
+               str(val) if isinstance(val, Fraction) else val
+               for key, val in self.got.items() if val is not None}
+        return out if isinstance(self.raw, dict) else [out[i] for i in range(len(self.raw))]
+
+    def check_known(self):
+        """ConfigError naming a key, of this object or one read below it, that no read asked for."""
+        for key in self.raw if isinstance(self.raw, dict) else ():
+            if key not in self.got:
+                raise ConfigError(f"{self.at(key)}: unknown key")
+        for val in self.got.values():
+            if isinstance(val, _Reader):
+                val.check_known()
 
 
 @dataclass
@@ -133,259 +206,168 @@ class StudyConfig:
     seed: int
 
 
-def _kinetics_spec(raw, path) -> KineticsSpec:
-    kind = _need(_container(raw, path, dict), "kind", path)
-    params = {key: val for key, val in raw.items() if key not in ("kind", "modulation")}
-    if not isinstance(kind, str) or kind not in BASE_KINDS:
-        raise ConfigError(f"{path}.kind: unknown kinetics kind {kind!r}")
-    _known(raw, path, ("kind", "modulation", *BASE_KINDS[kind]))
-    for name in BASE_KINDS[kind]:
-        if kind == "tabulated":
-            knots = _container(_need(params, name, path), f"{path}.{name}", list)
-            params[name] = [_number(v, f"{path}.{name}[{i}]") for i, v in enumerate(knots)]
-        else:
-            params[name] = _number(_need(params, name, path), f"{path}.{name}")
-    modulation = None
-    if raw.get("modulation") is not None:
-        mod = _known(_container(raw["modulation"], f"{path}.modulation", dict),
-                     f"{path}.modulation", ("kind", "amplitude"))
-        modulation = (_need(mod, "kind", f"{path}.modulation"),
-                      _number(_need(mod, "amplitude", f"{path}.modulation"),
-                              f"{path}.modulation.amplitude"))
+def _kinetics_spec(spec: _Reader) -> KineticsSpec:
+    kind = spec.value("kind", check=lambda kind: (
+        None if isinstance(kind, str) and kind in BASE_KINDS else f"unknown kinetics kind {kind!r}"))
+    params = {name: spec.array(name).each(_Reader.number) if kind == "tabulated"
+              else spec.number(name) for name in BASE_KINDS[kind]}
+    mod = spec.obj("modulation", None)
+    modulation = None if mod is None else (mod.value("kind"), mod.number("amplitude"))
     try:
         return KineticsSpec(kind, params, modulation)
     except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+        raise ConfigError(f"{spec.path}: {exc}") from exc
 
 
-def _initial_fn(raw, path, channel=False):
-    """Initial values as a function of coordinate arrays (scalars broadcast)."""
-    kind = _need(_container(raw, path, dict), "kind", path)
+def _initial_fn(ini: _Reader, channel=False):
+    """Initial values as a function of coordinate arrays (scalars broadcast).
 
-    def num(key):
-        return _number(_need(raw, key, path), f"{path}.{key}")
+    Initial data is echoed as given, without the default `frequency`.
+    """
+    ini.echo_as = dict(ini.raw)
+    kind = ini.value("kind")
+    num = ini.number
 
     def freq():
-        return _number(raw.get("frequency", 1), f"{path}.frequency", integer=True)
-
-    def only(*keys):
-        _known(raw, path, ("kind", *keys))
+        return num("frequency", 1, integer=True)
 
     def bounded(bound, fn):
         """fn, once the bound of its values' magnitude (|yn|, |cos| <= 1) is finite."""
         if not math.isfinite(bound):
-            raise ConfigError(f"{path}: initial values overflow (magnitude bound {bound})")
+            raise ConfigError(f"{ini.path}: initial values overflow (magnitude bound {bound})")
         return fn
 
     if kind == "constant":
-        only("value")
         v = num("value")
         if channel:
             return lambda xb, yb, yn: v
         return lambda x, y: v
     if kind == "cosine_xbar" and not channel:
-        only("base", "amplitude", "frequency")
         base, amp, k = num("base"), num("amplitude"), freq()
         return bounded(abs(base) + abs(amp), lambda x, y: base + amp * np.cos(k * np.pi * x))
     if kind == "affine_yn" and channel:
-        only("base", "slope")
         base, slope = num("base"), num("slope")
         return bounded(abs(base) + abs(slope), lambda xb, yb, yn: base + slope * yn)
     if kind == "affine_yn_cosine_xbar" and channel:
-        only("base", "slope", "amplitude", "frequency")
         base, slope, amp, k = num("base"), num("slope"), num("amplitude"), freq()
         return bounded((abs(base) + abs(slope)) * (1.0 + abs(amp)),
                        lambda xb, yb, yn: (base + slope * yn) * (
                            1.0 + amp * np.cos(k * np.pi * xb)))
-    raise ConfigError(f"{path}.kind: unknown initial-data kind {kind!r}")
+    raise ConfigError(f"{ini.at('kind')}: unknown initial-data kind {kind!r}")
 
 
 def parse_config(raw: dict) -> StudyConfig:
     if not isinstance(raw, dict):
         raise ConfigError("top level: expected a JSON object")
-    if _number(raw.get("schema", SCHEMA_VERSION), "schema", integer=True) != SCHEMA_VERSION:
-        raise ConfigError(f"schema: unsupported version {raw.get('schema')}")
-    _known(raw, "", ("schema", "geometry", "diffusivity", "kinetics", "initial", "epsilon",
-                     "time", "refinement", "snapshot_stride", "diagnostics", "output_dir",
-                     "seed"))
+    root = _Reader(raw, "")
+    root.number("schema", SCHEMA_VERSION, integer=True, check=lambda version: (
+        None if version == SCHEMA_VERSION else f"unsupported version {version}"))
 
-    geo = _known(_container(_need(raw, "geometry", ""), "geometry", dict), "geometry",
-                 ("H", "profile"))
-    H = _frac_value(_need(geo, "H", "geometry"), "geometry.H")
-    prof_raw = _known(_container(_need(geo, "profile", "geometry"), "geometry.profile", dict),
-                      "geometry.profile", ("segments",))
-    segs = _container(_need(prof_raw, "segments", "geometry.profile"),
-                      "geometry.profile.segments", list)
-    segments = []
-    for i, s in enumerate(segs):
-        at = f"geometry.profile.segments[{i}]"
-        _known(_container(s, at, dict), at, ("interval", "width"))
-        lo, hi = _container(_need(s, "interval", at), f"{at}.interval", list, 2)
-        interval = (_frac_value(lo, f"{at}.interval[0]"), _frac_value(hi, f"{at}.interval[1]"))
-        segments.append((interval, _frac_value(_need(s, "width", at), f"{at}.width")))
+    geo = root.obj("geometry")
+    H = geo.rational("H")
+    prof = geo.obj("profile")
+    segments = [(tuple(seg.array("interval", 2).each(_Reader.rational)), seg.rational("width"))
+                for seg in prof.array("segments").each(_Reader.obj)]
     try:
         profile = ChannelProfile.from_pairs(segments)
     except ValueError as exc:
-        raise ConfigError(f"geometry.profile: {exc}") from exc
+        raise ConfigError(f"{prof.path}: {exc}") from exc
     cell = build_reference_cell(profile)
 
-    dif = _known(_container(_need(raw, "diffusivity", ""), "diffusivity", dict), "diffusivity",
-                 ("bulk_plus", "bulk_minus", "channel"))
-    d_plus = _number(_need(dif, "bulk_plus", "diffusivity"), "diffusivity.bulk_plus")
-    d_minus = _number(_need(dif, "bulk_minus", "diffusivity"), "diffusivity.bulk_minus")
-    chan = _container(_need(dif, "channel", "diffusivity"), "diffusivity.channel", list)
-    if len(chan) != len(profile.segments):
+    dif = root.obj("diffusivity")
+    d_plus, d_minus = dif.number("bulk_plus"), dif.number("bulk_minus")
+    chan = dif.array("channel")
+    if len(chan.raw) != len(profile.segments):
         raise ConfigError(
-            f"diffusivity.channel: need one (d_ybar, d_yn) pair per profile segment "
-            f"({len(profile.segments)}), got {len(chan)}"
+            f"{chan.path}: need one (d_ybar, d_yn) pair per profile segment "
+            f"({len(profile.segments)}), got {len(chan.raw)}"
         )
-    pairs = []
-    for i, pair in enumerate(chan):
-        pair = _container(pair, f"diffusivity.channel[{i}]", list, 2)
-        pairs.append(tuple(_number(d, f"diffusivity.channel[{i}][{a}]")
-                           for a, d in enumerate(pair)))
+    pairs = chan.each(lambda chan, i: tuple(chan.array(i, 2).each(_Reader.number)))
     try:
         diffusion = DiffusionSpec(d_plus, d_minus, tuple(pairs))
     except ValueError as exc:
-        raise ConfigError(f"diffusivity: {exc}") from exc
+        raise ConfigError(f"{dif.path}: {exc}") from exc
 
-    kin_raw = _known(_container(_need(raw, "kinetics", ""), "kinetics", dict), "kinetics",
-                     ("f_plus", "f_minus", "g", "h"))
-    specs = {name: _kinetics_spec(_need(kin_raw, name, "kinetics"), f"kinetics.{name}")
-             for name in ("f_plus", "f_minus", "g", "h")}
+    kin = root.obj("kinetics")
+    specs = {name: _kinetics_spec(kin.obj(name)) for name in ("f_plus", "f_minus", "g", "h")}
     try:
         kinetics = KineticsBundle(**specs)
     except ValueError as exc:  # a modulation no simulator applies, named from the rate
-        raise ConfigError(f"kinetics.{exc}") from exc
+        raise ConfigError(f"{kin.path}.{exc}") from exc
 
-    ini = _known(_container(_need(raw, "initial", ""), "initial", dict), "initial",
-                 ("bulk_plus", "bulk_minus", "channel"))
-    initial = InitialData(
-        u_plus=_initial_fn(_need(ini, "bulk_plus", "initial"), "initial.bulk_plus"),
-        u_minus=_initial_fn(_need(ini, "bulk_minus", "initial"), "initial.bulk_minus"),
-        u_channel=_initial_fn(_need(ini, "channel", "initial"), "initial.channel", channel=True),
-    )
+    ini = root.obj("initial")
+    initial = InitialData(u_plus=_initial_fn(ini.obj("bulk_plus")),
+                          u_minus=_initial_fn(ini.obj("bulk_minus")),
+                          u_channel=_initial_fn(ini.obj("channel"), channel=True))
 
-    eps_raw = _container(_need(raw, "epsilon", ""), "epsilon", list)
-    if not eps_raw:
-        raise ConfigError("epsilon: need at least one value")
-    epsilons = []
-    for i, e in enumerate(eps_raw):
-        f = _frac_value(e, f"epsilon[{i}]")
-        if f <= 0 or (1 / f).denominator != 1:
-            raise ConfigError(f"epsilon[{i}]: 1/eps must be a positive integer, got {e!r}")
-        if f >= H:
-            raise ConfigError(f"epsilon[{i}]: eps must be smaller than geometry.H")
-        epsilons.append(f)
+    def valid_rung(eps):
+        if eps <= 0 or (1 / eps).denominator != 1:
+            return f"1/eps must be a positive integer, got {eps}"
+        return None if eps < H else "eps must be smaller than geometry.H"
+
+    ladder = root.array("epsilon")
+    epsilons = ladder.each(lambda ladder, i: ladder.rational(i, check=valid_rung))
+    if not epsilons:
+        raise ConfigError(f"{ladder.path}: need at least one value")
     if any(b >= a for a, b in zip(epsilons, epsilons[1:])):
-        raise ConfigError("epsilon: values must be strictly decreasing")
+        raise ConfigError(f"{ladder.path}: values must be strictly decreasing")
 
-    tim = _known(_container(_need(raw, "time", ""), "time", dict), "time", ("T", "dt"))
-    T = _number(_need(tim, "T", "time"), "time.T")
-    dt_raw = _container(tim.get("dt", {"rule": "eps_min_over", "factor": 8}), "time.dt", dict)
-    rule = dt_raw.get("rule", "eps_min_over")
+    tim = root.obj("time")
+    T = tim.number("T")
+    step = tim.obj("dt", {})
+    rule = step.value("rule", "eps_min_over")
     if rule == "eps_min_over":
-        _known(dt_raw, "time.dt", ("rule", "factor"))
-        factor = _number(dt_raw.get("factor", 8), "time.dt.factor")
-        if factor <= 0:
-            raise ConfigError("time.dt.factor: must be > 0")
-        dt = float(min(epsilons)) / factor
+        dt = float(min(epsilons)) / step.number("factor", 8, check=_positive)
     elif rule == "fixed":
-        _known(dt_raw, "time.dt", ("rule", "value"))
-        dt = _number(_need(dt_raw, "value", "time.dt"), "time.dt.value")
+        dt = step.number("value")
     else:
-        raise ConfigError(f"time.dt.rule: unknown rule {rule!r}")
+        raise ConfigError(f"{step.at('rule')}: unknown rule {rule!r}")
+    step.echo_as = {"rule": "fixed", "value": dt}  # the step the study runs with
     if dt <= 0 or T < 0:
-        raise ConfigError("time: need dt > 0 and T >= 0")
+        raise ConfigError(f"{tim.path}: need dt > 0 and T >= 0")
 
-    ref = _known(_container(raw.get("refinement", {}), "refinement", dict), "refinement",
-                 ("k", "m", "n_sigma"))
-    k = _number(ref.get("k", 4), "refinement.k", integer=True)
-    if k < 1:
-        raise ConfigError("refinement.k: must be >= 1")
-    m = _number(ref.get("m", k), "refinement.m", integer=True)
-    n_sigma = _number(ref.get("n_sigma", max(32, int(1 / min(epsilons)))),
-                      "refinement.n_sigma", integer=True)
+    def on_cell_edges(k):
+        if k < 1:
+            return "must be >= 1"
+        try:
+            check_alignment(cell, k)
+        except AlignmentError as exc:
+            return f"geometry.profile {exc} (a channel wall would fall inside a cell)"
+        return None
+
+    ref = root.obj("refinement", {})
+    k = ref.number("k", 4, integer=True, check=on_cell_edges)
+    m = ref.number("m", k, integer=True)
+    n_sigma = ref.number("n_sigma", max(32, int(1 / min(epsilons))), integer=True,
+                         check=lambda n: None if n * min(epsilons) >= 1 else (
+                             "interface nodes must be at least as fine as the smallest "
+                             "epsilon columns"))
     if k != m:
-        raise ConfigError("refinement: unfolding needs k == m")
-    try:
-        check_alignment(cell, k)
-    except AlignmentError as exc:
-        raise ConfigError(
-            f"refinement.k: {exc} (a channel wall would fall inside a cell)"
-        ) from exc
-    if n_sigma * min(epsilons) < 1:
-        raise ConfigError("refinement.n_sigma: interface nodes must be at least as fine "
-                          "as the smallest epsilon columns")
+        raise ConfigError(f"{ref.path}: unfolding needs k == m")
 
-    stride = _number(raw.get("snapshot_stride", 4), "snapshot_stride", integer=True)
-    if stride < 1:
-        raise ConfigError("snapshot_stride: must be >= 1")
+    stride = root.number("snapshot_stride", 4, integer=True, check=_at_least(1))
     try:
-        snapshot_steps(T, dt, stride)
+        step_count(T, dt)
     except (ValueError, OverflowError) as exc:  # OverflowError: T / dt is infinite
-        raise ConfigError(f"time: T={T} is not an integer multiple of dt={dt}") from exc
+        raise ConfigError(f"{tim.path}: T={T} is not an integer multiple of dt={dt}") from exc
 
-    diag = _known(_container(raw.get("diagnostics", {}), "diagnostics", dict), "diagnostics",
-                  ("shift_l", "shift_h", "theta"))
-    shift_l = _number(diag.get("shift_l", 1), "diagnostics.shift_l", integer=True)
-    shift_h = _number(diag.get("shift_h", 0.125), "diagnostics.shift_h")
-    theta = _number(diag.get("theta", 1.0), "diagnostics.theta")
-    if shift_h <= 0:
-        raise ConfigError("diagnostics.shift_h: must be > 0")
-    if theta <= 0:
-        raise ConfigError("diagnostics.theta: must be > 0")
+    diag = root.obj("diagnostics", {})
+    shift_l = diag.number("shift_l", 1, integer=True)
+    shift_h = diag.number("shift_h", 0.125, check=_positive)
+    theta = diag.number("theta", 1.0, check=_positive)
     for i, eps in enumerate(epsilons):
         if not len(margin_columns(build_micro_geometry(eps, H, cell), 2 * shift_h, shift_l)):
             raise ConfigError(
-                f"diagnostics: shift_h={shift_h} and shift_l={shift_l} leave no column of "
-                f"epsilon[{i}]={eps} inside the margin 2*shift_h with its shift in the domain"
+                f"{diag.path}: shift_h={shift_h} and shift_l={shift_l} leave no column of "
+                f"{ladder.at(i)}={eps} inside the margin 2*shift_h with its shift in the domain"
             )
 
-    seed = _number(raw.get("seed", 0), "seed", integer=True)
-    if seed < 0:
-        raise ConfigError("seed: must be >= 0")
-
-    output_dir = raw.get("output_dir", "out")
-    if not isinstance(output_dir, str):
-        raise ConfigError(f"output_dir: expected a string ({output_dir!r})")
-
-    echo = {
-        "schema": SCHEMA_VERSION,
-        "geometry": {
-            "H": str(H),
-            "profile": {
-                "segments": [
-                    {"interval": [str(lo), str(hi)], "width": str(w)}
-                    for (lo, hi), w in profile.segments
-                ]
-            },
-        },
-        "diffusivity": {
-            "bulk_plus": d_plus,
-            "bulk_minus": d_minus,
-            "channel": [[a, b] for a, b in diffusion.channel],
-        },
-        "kinetics": {
-            name: _echo_kinetics(spec)
-            for name, spec in (
-                ("f_plus", kinetics.f_plus),
-                ("f_minus", kinetics.f_minus),
-                ("g", kinetics.g),
-                ("h", kinetics.h),
-            )
-        },
-        "initial": {key: dict(ini[key]) for key in ("bulk_plus", "bulk_minus", "channel")},
-        "time": {"T": T, "dt": {"rule": "fixed", "value": dt}},
-        "epsilon": [str(e) for e in epsilons],
-        "refinement": {"k": k, "m": m, "n_sigma": n_sigma},
-        "snapshot_stride": stride,
-        "diagnostics": {"shift_l": shift_l, "shift_h": shift_h, "theta": theta},
-        "output_dir": output_dir,
-        "seed": seed,
-    }
+    seed = root.number("seed", 0, integer=True, check=_at_least(0))
+    output_dir = root.value("output_dir", "out", check=lambda out: (
+        None if isinstance(out, str) else f"expected a string ({out!r})"))
+    root.check_known()
     return StudyConfig(
-        echo=echo,
+        echo=root.echo(),
         cell=cell,
         H=H,
         diffusion=diffusion,
@@ -401,17 +383,9 @@ def parse_config(raw: dict) -> StudyConfig:
         shift_l=shift_l,
         shift_h=shift_h,
         theta=theta,
-        output_dir=echo["output_dir"],
-        seed=echo["seed"],
+        output_dir=output_dir,
+        seed=seed,
     )
-
-
-def _echo_kinetics(spec: KineticsSpec) -> dict:
-    out = {"kind": spec.kind}
-    out.update(spec.params)
-    if spec.modulation is not None:
-        out["modulation"] = {"kind": spec.modulation[0], "amplitude": spec.modulation[1]}
-    return out
 
 
 def _read_json(path, what):
@@ -420,10 +394,10 @@ def _read_json(path, what):
         return json.loads(path.read_text(encoding="utf-8"))
     except FileNotFoundError as exc:
         raise ConfigError(f"{path}: {what} not found") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text ({exc})") from exc
+    except ValueError as exc:  # JSONDecodeError, or an integer of more than 4300 digits
+        raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
     except OSError as exc:
         raise ConfigError(f"{path}: cannot read the {what} ({exc.strerror})") from exc
 
@@ -747,14 +721,17 @@ def _versions():
 
 def _check_schedule(cfg: StudyConfig, times):
     """ConfigError unless `times` are the snapshot times a run of cfg stores:
-    t = 0, every snapshot_stride steps, and the last step."""
-    steps = snapshot_steps(cfg.T, cfg.dt, cfg.snapshot_stride)
-    if len(times) != len(steps):
+    t = 0, every snapshot_stride steps, and the last step (`snapshot_steps`,
+    counted without listing every step)."""
+    n_steps, stride = step_count(cfg.T, cfg.dt), cfg.snapshot_stride
+    count = -(-n_steps // stride) + 1
+    if len(times) != count:
         raise ConfigError(
             f"manifest.json.snapshot_times: {len(times)} entries, but config.time and "
-            f"config.snapshot_stride give {len(steps)} snapshots"
+            f"config.snapshot_stride give {count} snapshots"
         )
-    for i, (t, n) in enumerate(zip(times, steps)):
+    for i, t in enumerate(times):
+        n = min(i * stride, n_steps)
         if abs(t - n * cfg.dt) > 1e-9 * max(cfg.T, 1.0):
             raise ConfigError(f"manifest.json.snapshot_times[{i}]: {t!r} is not the time of "
                               f"step {n} (dt={cfg.dt!r})")
@@ -802,31 +779,27 @@ def load_study(study_dir) -> StoredStudy:
     when it is read (a micro rung's by `rung`); ConfigError names what fails.
     """
     out = Path(study_dir)
-    manifest = _container(_read_json(out / "manifest.json", "study manifest"),
-                          "manifest.json", dict)
-    raw_cfg = _container(_need(manifest, "config", "manifest.json"), "manifest.json.config",
-                         dict)
-    if manifest.get("schema") != STUDY_SCHEMA:
-        raise ConfigError(f"manifest.json.schema: study schema {manifest.get('schema')!r} "
-                          f"(this version reads schema {STUDY_SCHEMA}, one .npy file per run)")
+    manifest = _Reader(_read_json(out / "manifest.json", "study manifest"), "manifest.json")
+    raw_cfg = manifest.obj("config").raw
+    manifest.value("schema", None, check=lambda schema: None if schema == STUDY_SCHEMA else (
+        f"study schema {schema!r} (this version reads schema {STUDY_SCHEMA}, one .npy file "
+        f"per run)"))
     try:
         cfg = parse_config(raw_cfg)
     except ConfigError as exc:
         raise ConfigError(f"manifest.json.config.{exc}") from exc
-    times = _container(_need(manifest, "snapshot_times", "manifest.json"),
-                       "manifest.json.snapshot_times", list)
-    times = [_number(t, f"manifest.json.snapshot_times[{i}]") for i, t in enumerate(times)]
+    times = manifest.array("snapshot_times").each(_Reader.number)
     _check_schedule(cfg, times)
-    files = _container(_need(manifest, "files", "manifest.json"), "manifest.json.files", dict)
+    files = manifest.obj("files").raw
     study_files = {field_path(), *(field_path(eps) for eps in cfg.epsilons),
                    *(csv_path(idx, part="traces") for idx in range(len(times)))}
     extra = sorted(rel for rel in files if rel.startswith("fields/") and rel not in study_files)
     if extra:
         raise ConfigError(f"{extra[0]}: listed in manifest.json.files but not part of the "
                           f"study its config and snapshot_times describe")
-    if manifest.get("config_sha256") != _config_sha256(cfg.echo):
-        raise ConfigError("manifest.json.config_sha256: does not match manifest.json.config "
-                          "(missing, or the config was edited after the run)")
+    manifest.value("config_sha256", None, check=lambda sha: (
+        None if sha == _config_sha256(cfg.echo) else "does not match manifest.json.config "
+        "(missing, or the config was edited after the run)"))
 
     study = StoredStudy(out, files, cfg, _limit_model(cfg), [], [])
     sim = study.macro_sim

@@ -130,14 +130,21 @@ def assemble_micro_operator(geom: MicroGeometry, grid: RectGrid, diff: Diffusion
     return A, grid.weight * grid.cell_vol
 
 
-def snapshot_steps(T, dt, stride) -> list:
-    """Step numbers whose states a run to T stores: 0, every `stride` steps, the last."""
+def step_count(T, dt) -> int:
+    """The number of steps of dt to T; ValueError unless it is an integer (OverflowError
+    if T / dt is infinite)."""
     if T <= 0:
-        return [0]
-    n_steps = int(round(T / dt))
+        return 0
+    n_steps = round(T / dt)
     if abs(n_steps * dt - T) > 1e-9 * max(T, 1.0):
         raise ValueError(f"T={T} is not an integer number of steps of dt={dt}")
-    return [n for n in range(n_steps + 1) if n % stride == 0 or n == n_steps]
+    return n_steps
+
+
+def snapshot_steps(T, dt, stride) -> list:
+    """Step numbers whose states a run to T stores: 0, every `stride` steps, the last."""
+    n_steps = step_count(T, dt)
+    return [*range(0, n_steps, stride), n_steps]
 
 
 class ImexSimulation:

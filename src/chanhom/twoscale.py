@@ -220,9 +220,9 @@ def apriori_norm(micro_states) -> float:
 def margin_columns(geom: MicroGeometry, margin: float, shift: int):
     """Columns whose cell lies inside the interior margin, shift staying in-domain."""
     eps = float(geom.eps)
-    c = np.arange(geom.n_columns)
-    return c[(c * eps >= margin - 1e-12) & ((c + 1) * eps <= 1.0 - margin + 1e-12)
-             & (c + shift >= 0) & (c + shift < geom.n_columns)]
+    n = geom.n_columns
+    c = np.arange(n)[max(0, -shift):max(0, n - shift)]  # 0 <= c + shift < n, any int shift
+    return c[(c * eps >= margin - 1e-12) & ((c + 1) * eps <= 1.0 - margin + 1e-12)]
 
 
 def shift_diagnostic(micro_states, geom: MicroGeometry, grid: RectGrid, l: int, h: float):

@@ -7,6 +7,7 @@ import json
 import os
 import re
 import sys
+import time
 import weakref
 from pathlib import Path
 
@@ -15,6 +16,7 @@ import pytest
 
 from chanhom import cli, harness
 from chanhom.errors import ConfigError, SolverError
+from chanhom.microsim import snapshot_steps
 
 REPO = Path(__file__).resolve().parents[1]
 B1 = REPO / "configs" / "b1.json"
@@ -84,6 +86,59 @@ def test_non_integer_step_count_rejected():
     raw = mini_config(time={"T": 0.1, "dt": {"rule": "fixed", "value": 1 / 128}})
     with pytest.raises(ConfigError, match="integer multiple"):
         harness.parse_config(raw)
+
+
+@pytest.mark.parametrize("T, dt", [(1e300, 1 / 128), (2.0 ** 63, 1 / 128), (0.125, 1e-300)])
+def test_long_schedule_parses_without_listing_its_steps(T, dt):
+    start = time.perf_counter()
+    cfg = harness.parse_config(mini_config(time={"T": T, "dt": {"rule": "fixed", "value": dt}}))
+    assert time.perf_counter() - start < 1.0
+    assert cfg.T == T and cfg.dt == dt
+
+
+def test_snapshot_steps_are_zero_every_stride_and_the_last():
+    for n_steps in range(40):
+        for stride in range(1, 7):
+            want = [n for n in range(n_steps + 1) if n % stride == 0 or n == n_steps]
+            assert snapshot_steps(n_steps / 128, 1 / 128, stride) == want
+    assert snapshot_steps(0.0, 1 / 128, 4) == [0]
+
+
+def leaves(obj, path=()):
+    """The path of every non-container value in a JSON value."""
+    for key, val in (obj.items() if isinstance(obj, dict) else enumerate(obj)):
+        if isinstance(val, (dict, list)):
+            yield from leaves(val, path + (key,))
+        else:
+            yield path + (key,)
+
+
+def dotted(path):
+    return "".join(f"[{s}]" if isinstance(s, int) else f".{s}" for s in path).lstrip(".")
+
+
+# one value put in place of every leaf of the mini config in turn (42 leaves)
+HOSTILE = [10**400, -10**400, 2**63, -2**63, 1e300, 1e-300, True, "x", None, [], {}]
+
+
+@pytest.mark.parametrize("value", HOSTILE, ids=["ten_to_400", "minus_ten_to_400", "two_to_63",
+                                             "minus_two_to_63", "1e300", "1e-300", "true",
+                                             "string", "null", "array", "object"])
+def test_hostile_leaf_parses_or_is_named(value):
+    """parse_config returns, or names the leaf or one of its ancestors; nothing is run
+    (refinement.k = 2**63 parses, and a run would allocate that grid)."""
+    for path in leaves(mini_config()):
+        raw = mini_config()
+        obj = raw
+        for step in path[:-1]:
+            obj = obj[step]
+        obj[path[-1]] = value
+        try:
+            harness.parse_config(raw)
+        except ConfigError as exc:
+            names = [dotted(path[:i]) for i in range(1, len(path) + 1)]
+            assert any(re.search(rf"(?<![\w.[]){re.escape(name)}(?!\w)", str(exc))
+                       for name in names), (dotted(path), str(exc)[:200])
 
 
 # one misspelled key in every kind of config object: (where it goes, the key)
@@ -534,6 +589,9 @@ UNREADABLE = {
         tmp / "taken"),
     "export_out_is_a_file": lambda tmp: (
         ["export", run_mini(tmp, "study")[1], "--out", a_file(tmp / "taken")], tmp / "taken"),
+    "run_config_integer_too_long": lambda tmp: (
+        ["run", a_file(tmp / "cfg.json", b'{"seed": ' + b"7" * 5000 + b"}"), "--out", tmp / "x"],
+        tmp / "cfg.json"),
     "run_step_count_overflows": lambda tmp: (
         ["run", write_config(tmp, mini_config(time={"T": 1e300, "dt": {
             "rule": "fixed", "value": 1e-10}})), "--out", tmp / "x"], "time:"),
@@ -622,6 +680,20 @@ OVERFLOWING_COSINE = {"kind": "cosine_xbar", "base": 1e308, "amplitude": 1e308}
         (lambda raw: raw["initial"].update(
             channel={"kind": "affine_yn_cosine_xbar", "base": 1e300, "slope": 0.0,
                      "amplitude": 1e10}), "initial.channel"),
+        (lambda raw: raw.update(seed=10**400), "seed"),
+        (lambda raw: raw["refinement"].update(k=10**400), "refinement.k"),
+        (lambda raw: raw["time"].update(T=-10**400), "time.T"),
+        (lambda raw: raw["initial"].update(
+            bulk_plus={"kind": "cosine_xbar", "base": 0, "amplitude": 1, "frequency": 10**400}),
+         "initial.bulk_plus.frequency"),
+        (lambda raw: raw["kinetics"]["f_plus"].update(r=10**400), "kinetics.f_plus.r"),
+        (lambda raw: raw["geometry"].update(H="1e400"), "geometry.H"),
+        (lambda raw: raw["geometry"].update(H="1e-99999999"), "geometry.H"),
+        (lambda raw: raw["geometry"]["profile"]["segments"][0].update(interval=["-1", 10**400]),
+         "geometry.profile.segments[0].interval[1]"),
+        (lambda raw: raw["diagnostics"].update(shift_l=10**30), "diagnostics"),
+        (lambda raw: raw["diagnostics"].update(shift_l=-10**30), "diagnostics"),
+        (lambda raw: raw["diagnostics"].update(shift_l=2**63), "diagnostics"),
     ],
     ids=["nan_diffusivity", "decreasing_knots", "zero_u_cap", "string_diffusivity",
          "null_channel_diffusivity", "string_initial_value", "string_amplitude",
@@ -635,7 +707,11 @@ OVERFLOWING_COSINE = {"kind": "cosine_xbar", "base": 1e308, "amplitude": 1e308}
          "numeric_string_diffusivity", "numeric_string_seed", "numeric_string_stride",
          "bulk_rate_modulation", "channel_rate_arc_modulation", "overflowing_cosine",
          "overflowing_cosine_at_t0", "overflowing_affine_channel",
-         "overflowing_modulated_channel"],
+         "overflowing_modulated_channel", "int_seed_beyond_floats", "int_k_beyond_floats",
+         "int_horizon_beyond_floats", "int_frequency_beyond_floats", "int_rate_beyond_floats",
+         "rational_H_beyond_floats", "rational_H_exponent_too_long",
+         "int_interval_end_beyond_floats", "shift_l_1e30", "shift_l_minus_1e30",
+         "shift_l_2_to_63"],
 )
 def test_cli_bad_value_exits_one_with_path(tmp_path, capsys, edit, path):
     raw = mini_config()
@@ -762,11 +838,16 @@ def with_config(manifest, section, **edit):
      "manifest.json.config_sha256"),
     (lambda manifest: dict(manifest, schema=1), "manifest.json.schema"),
     (lambda manifest: dict(manifest, schema=2), "manifest.json.schema: study schema 2"),
+    (lambda manifest: with_time(manifest, 1, 10**400), "manifest.json.snapshot_times[1]"),
+    (lambda manifest: dict(manifest, config=dict(manifest["config"], seed=10**400)),
+     "manifest.json.config.seed: not a finite number"),
+    (lambda manifest: with_horizon(manifest, 1e300, 5), "manifest.json.snapshot_times: 5"),
 ], ids=["empty_object", "array", "number_snapshot_times", "array_files", "string_time",
         "null_time", "nan_time", "two_times", "horizon_off_schedule", "horizon_shorter",
         "horizon_and_times_cut", "unread_field_file", "edited_diffusivity",
         "string_diffusivity", "edited_shift_h",
-        "no_config_hash", "schema_1", "schema_2"])
+        "no_config_hash", "schema_1", "schema_2", "int_time_beyond_floats",
+        "int_seed_beyond_floats", "horizon_1e300"])
 def test_cli_report_refuses_a_malformed_manifest(tmp_path, capsys, edit, named):
     p = write_config(tmp_path, mini_config())
     out = tmp_path / "study"
