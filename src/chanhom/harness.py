@@ -356,7 +356,7 @@ def parse_config(raw: dict) -> StudyConfig:
     shift_h = diag.number("shift_h", 0.125, check=_positive)
     theta = diag.number("theta", 1.0, check=_positive)
     for i, eps in enumerate(epsilons):
-        if not len(margin_columns(build_micro_geometry(eps, H, cell), 2 * shift_h, shift_l)):
+        if not margin_columns(build_micro_geometry(eps, H, cell), 2 * shift_h, shift_l):
             raise ConfigError(
                 f"{diag.path}: shift_h={shift_h} and shift_l={shift_l} leave no column of "
                 f"{ladder.at(i)}={eps} inside the margin 2*shift_h with its shift in the domain"
@@ -572,14 +572,13 @@ def _read_npy(relpath, data, shape) -> np.ndarray:
     """The finite float64 values of a `.npy` file of `shape`, a read-only view of `data`
     once its header is checked; ConfigError naming the file otherwise."""
     buf = io.BytesIO(data)
-    fmt = np.lib.format
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            version = fmt.read_magic(buf)
-            if version not in ((1, 0), (2, 0)):
+            version = np.lib.format.read_magic(buf)
+            if version != (1, 0):  # the one version `_npy_chunks` writes
                 raise ValueError(f"format version {version}")
-            got, fortran_order, dtype = getattr(fmt, f"read_array_header_{version[0]}_0")(buf)
+            got, fortran_order, dtype = np.lib.format.read_array_header_1_0(buf)
     # bad magic or version, short or malformed header (numpy evaluates it as a Python
     # literal, and tokenizes it when that fails), or one numpy reads only with a warning
     except (ValueError, SyntaxError, TypeError, OverflowError, MemoryError,

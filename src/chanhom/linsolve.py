@@ -3,7 +3,8 @@
 `assemble` sums COO triplets into a canonical `CSR` and certifies its
 symmetry.  A `SparseMatrix` is a CSR, a block label per unknown and the
 factorization that reads them; it is factored once, and every solve reuses
-the factor:
+the factor.  `plus_diagonal` keeps both, so a simulator names its factorization
+once, in its stiffness K, and gets every system it solves from K:
 
 * `CosineModes` (the limit model, one interface node per block): the
   operator is the same block at every node plus a uniform coupling along
@@ -162,6 +163,10 @@ class SparseMatrix:
     @cached_property
     def factor(self):
         return self.factorization(self.csr, self.blocks)
+
+    def plus_diagonal(self, d, scale=1.0) -> "SparseMatrix":
+        """scale * A + diag(d), solved by the same factorization over the same blocks."""
+        return SparseMatrix(self.csr.plus_diagonal(d, scale), self.factorization, self.blocks)
 
 
 def assemble(rows, cols, vals, n) -> CSR:

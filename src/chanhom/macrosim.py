@@ -86,8 +86,6 @@ class MacroState:
 
 
 class MacroSimulation(ImexSimulation):
-    factorization = linsolve.CosineModes
-
     def __init__(self, cell: CellGeometry, H, layout: InterfaceLayout,
                  diff: DiffusionSpec, kin: KineticsBundle):
         super().__init__(cell, layout.m, kin)
@@ -110,10 +108,10 @@ class MacroSimulation(ImexSimulation):
         self._build_coupling_data()
         # one block per interface node: its bulk columns, traces and cell problem
         nodes = np.arange(self.n_sigma)
-        self.blocks = np.concatenate([self.grid_p.cell_i, self.grid_m.cell_i, nodes, nodes,
-                                      np.repeat(nodes, self.ncc)])
-        self.stiffness = linsolve.SparseMatrix(self._assemble_stiffness(), self.factorization,
-                                               self.blocks)
+        self.stiffness = linsolve.SparseMatrix(
+            self._assemble_stiffness(), linsolve.CosineModes,
+            np.concatenate([self.grid_p.cell_i, self.grid_m.cell_i, nodes, nodes,
+                            np.repeat(nodes, self.ncc)]))
         self.weights = self._assemble_weights()
         cg, walls = self.cell_grid, wall_faces(self.cell_grid)
         self._map_rates(slice(0, self.nbp), slice(self.nbp, self.ovp), slice(self.oc, self.n),
@@ -236,10 +234,6 @@ class MacroSimulation(ImexSimulation):
         rhs[rows] += t * np.repeat([top_value, bottom_value], self.n_sigma)
         dirichlet = np.zeros(self.n)
         dirichlet[rows] = t
-        A = linsolve.SparseMatrix(
-            csr=self.stiffness.csr.plus_diagonal(dirichlet), blocks=self.blocks,
-            factorization=self.factorization,
-        )
-        x = linsolve.solve_spd(A, rhs)
+        x = linsolve.solve_spd(self.stiffness.plus_diagonal(dirichlet), rhs)
         return MacroState(t=np.inf, u=x, sim=self)
 

@@ -150,13 +150,13 @@ def snapshot_steps(T, dt, stride) -> list:
 class ImexSimulation:
     """Backward-Euler diffusion with explicit kinetics on an assembled system.
 
-    Subclasses assemble `stiffness` and `weights`, name the `linsolve`
-    `factorization` that factors M + dt K, label every unknown with the
-    `blocks` entry that factorization reads, supply `initial_state` and say in
-    `_map_rates` where each rate acts, which `explicit_rate` r reads; one step
-    solves (M + dt K) u_new = M u + dt r(t, u).  `refinement` is the
-    reference-cell refinement that sets the wall term's face/volume factor in
-    the stability bound, which is checked once per dt, when M + dt K is built.
+    Subclasses assemble `stiffness` K, a `linsolve.SparseMatrix` that names its
+    factorization and block labels, and `weights` M, supply `initial_state` and
+    say in `_map_rates` where each rate acts, which `explicit_rate` r reads; one
+    step solves (M + dt K) u_new = M u + dt r(t, u) with `K.plus_diagonal(M, dt)`.
+    `refinement` is the reference-cell refinement that sets the wall term's
+    face/volume factor in the stability bound, which is checked once per dt,
+    when M + dt K is built and factored.
     """
 
     def __init__(self, cell, refinement, kin: KineticsBundle):
@@ -208,10 +208,7 @@ class ImexSimulation:
             bound = self.max_stable_dt()
             if dt > bound * (1 + 1e-12):
                 raise StabilityError(f"dt={dt:g} exceeds the explicit stability bound {bound:g}")
-            self._implicit[key] = linsolve.SparseMatrix(
-                csr=self.stiffness.csr.plus_diagonal(self.weights, key), blocks=self.blocks,
-                factorization=self.factorization,
-            )
+            self._implicit[key] = self.stiffness.plus_diagonal(self.weights, key)
         rhs = self.weights * u + dt * self.explicit_rate(t, u)
         return linsolve.solve_spd(self._implicit[key], rhs, x0=u)
 
@@ -247,8 +244,6 @@ class ImexSimulation:
 class MicroSimulation(ImexSimulation):
     """Holds the assembled operator plus precomputed kinetics positions."""
 
-    factorization = linsolve.OpeningCapacitance
-
     def __init__(self, geom, grid, diff, kin: KineticsBundle):
         super().__init__(geom.cell, grid.k, kin)
         self.geom = geom
@@ -262,8 +257,8 @@ class MicroSimulation(ImexSimulation):
         self.mask_m = grid.cell_tag == BULK_M
         self.mask_c = grid.cell_tag == CHAN
         # bulk cells by grid column, channel cells by channel (-1 - column // k)
-        self.blocks = np.where(self.mask_c, -1 - grid.cell_i // grid.k, grid.cell_i)
-        self.stiffness = linsolve.SparseMatrix(stiffness, self.factorization, self.blocks)
+        self.stiffness = linsolve.SparseMatrix(stiffness, linsolve.OpeningCapacitance, np.where(
+            self.mask_c, -1 - grid.cell_i // grid.k, grid.cell_i))
         chan, walls = self.mask_c, wall_faces(grid)
         self._map_rates(self.mask_p, self.mask_m, chan,
                         (np.mod(grid.cell_x[chan] / eps, 1.0), grid.cell_y[chan] / eps),

@@ -44,16 +44,8 @@ class TwoScaleReport:
     trace_ratio: list = field(default_factory=list)
 
     def rows(self):
-        for i in range(len(self.eps)):
-            yield (
-                self.eps[i],
-                self.e_chan[i],
-                self.e_bulk_plus[i],
-                self.e_bulk_minus[i],
-                self.e_wall[i],
-                self.apriori[i],
-                self.shift_ratio[i],
-            )
+        return zip(self.eps, self.e_chan, self.e_bulk_plus, self.e_bulk_minus, self.e_wall,
+                   self.apriori, self.shift_ratio, strict=True)
 
 
 class Unfolder:
@@ -217,12 +209,25 @@ def apriori_norm(micro_states) -> float:
 # ---------------------------------------------------------------------------
 # shift diagnostic
 
-def margin_columns(geom: MicroGeometry, margin: float, shift: int):
-    """Columns whose cell lies inside the interior margin, shift staying in-domain."""
-    eps = float(geom.eps)
-    n = geom.n_columns
-    c = np.arange(n)[max(0, -shift):max(0, n - shift)]  # 0 <= c + shift < n, any int shift
-    return c[(c * eps >= margin - 1e-12) & ((c + 1) * eps <= 1.0 - margin + 1e-12)]
+def _first(test, estimate, lo, hi) -> int:
+    """Least c in [lo, hi) with test(c), else hi, for a test False below some c, True above."""
+    c = int(min(max(estimate, lo), hi))
+    while c > lo and test(c - 1):
+        c -= 1
+    while c < hi and not test(c):
+        c += 1
+    return c
+
+
+def margin_columns(geom: MicroGeometry, margin: float, shift: int) -> range:
+    """Columns whose cell lies inside the interior margin, shift staying in-domain: both end
+    tests are monotone in the column, so the columns are one range, found in O(1)."""
+    eps, n = float(geom.eps), geom.n_columns
+    lo, hi = max(0, -shift), max(0, -shift, min(n, n - shift))  # 0 <= c + shift < n
+    start = _first(lambda c: c * eps >= margin - 1e-12, (margin - 1e-12) / eps, lo, hi)
+    stop = _first(lambda c: not (c + 1) * eps <= 1.0 - margin + 1e-12,
+                  (1.0 - margin + 1e-12) / eps - 1, start, hi)
+    return range(start, stop)
 
 
 def shift_diagnostic(micro_states, geom: MicroGeometry, grid: RectGrid, l: int, h: float):
@@ -241,7 +246,7 @@ def shift_diagnostic(micro_states, geom: MicroGeometry, grid: RectGrid, l: int, 
     """
     eps = float(geom.eps)
     cols_lhs = margin_columns(geom, 2 * h, l)
-    if len(cols_lhs) == 0:
+    if not cols_lhs:
         raise ValueError("interior margin 2h leaves no complete column")
     cols_rhs = margin_columns(geom, h, l)
     cols = np.union1d(cols_lhs, cols_rhs)

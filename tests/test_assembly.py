@@ -156,10 +156,9 @@ def ref_steady_conduction(sim, top_value, bottom_value):
         vals.append(t_m)
         rhs[idx_m] += t_m * bottom_value
     dir_part = sp.coo_matrix((vals, (rows, cols)), shape=(sim.n, sim.n)).tocsr()
-    A = linsolve.SparseMatrix(
-        csr=from_scipy(to_scipy(ref_macro_csr(sim)) + dir_part), blocks=sim.blocks,
-        factorization=sim.factorization,
-    )
+    A = linsolve.SparseMatrix(csr=from_scipy(to_scipy(ref_macro_csr(sim)) + dir_part),
+                              factorization=sim.stiffness.factorization,
+                              blocks=sim.stiffness.blocks)
     return linsolve.solve_spd(A, rhs)
 
 

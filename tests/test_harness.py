@@ -88,12 +88,21 @@ def test_non_integer_step_count_rejected():
         harness.parse_config(raw)
 
 
-@pytest.mark.parametrize("T, dt", [(1e300, 1 / 128), (2.0 ** 63, 1 / 128), (0.125, 1e-300)])
-def test_long_schedule_parses_without_listing_its_steps(T, dt):
+@pytest.mark.parametrize("section, value", [
+    pytest.param("time", {"T": T, "dt": {"rule": "fixed", "value": dt}}, id=f"{T}-{dt}")
+    for T, dt in [(1e300, 1 / 128), (2.0 ** 63, 1 / 128), (0.125, 1e-300)]
+] + [
+    # 1e20 columns and, by default, as many interface nodes
+    pytest.param("epsilon", ["1/100000000000000000000"], id="eps_1e-20_default_n_sigma"),
+])
+def test_long_schedule_parses_without_listing_its_steps(section, value):
+    """A schedule of up to 2**63 steps, or a rung of 1e20 columns, parses in O(1)."""
+    raw = mini_config(**{section: value})
+    raw["refinement"] = {"k": 4, "m": 4}
     start = time.perf_counter()
-    cfg = harness.parse_config(mini_config(time={"T": T, "dt": {"rule": "fixed", "value": dt}}))
+    cfg = harness.parse_config(raw)
     assert time.perf_counter() - start < 1.0
-    assert cfg.T == T and cfg.dt == dt
+    assert cfg.echo[section] == value
 
 
 def test_snapshot_steps_are_zero_every_stride_and_the_last():
@@ -867,6 +876,13 @@ def npy_of(array, allow_pickle=False):
     return buf.getvalue()
 
 
+def npy_2_0(vals):
+    """The values as a format 2.0 `.npy` file, which chanhom never writes."""
+    buf = io.BytesIO()
+    np.lib.format.write_array(buf, vals, version=(2, 0))
+    return buf.getvalue()
+
+
 def forged_traces(data, vals):
     """The traces CSV with the last digit of its last value changed."""
     data = bytearray(data)
@@ -918,13 +934,15 @@ MICRO = "fields/micro_eps4.npy"
     (MICRO, lambda data, vals: data + b"garbage!", "holds 11528 bytes of values, expected 11520"),
     (MICRO, lambda data, vals: data[:-8], "holds 11512 bytes of values, expected 11520"),
     ("fields/macro.npy", lambda data, vals: npy_of(vals[1:]), "holds <f8 values"),
+    ("fields/macro.npy", lambda data, vals: npy_2_0(vals),
+     "not a readable .npy file (format version (2, 0))"),
     ("fields/macro_traces_s0002.csv", forged_traces,
      "is not the traces CSV of row 2 of fields/macro.npy"),
 ], ids=["float32", "three_dimensional", "wrong_length", "fortran_order", "object_array",
         "truncated_header", "garbled_header", "bytes_key_header", "python2_long_shape",
         "deprecated_dtype_alias", "overflowing_shape",
         "huge_shape", "nan_values", "trailing_bytes", "short_data", "wrong_macro_length",
-        "edited_traces"])
+        "format_2_0", "edited_traces"])
 def test_cli_report_refuses_a_forged_field_file(tmp_path, capsys, rel, forge, named):
     """A field file replaced and rehashed in the manifest is still refused by its content."""
     p = write_config(tmp_path, mini_config())

@@ -223,8 +223,8 @@ def test_cosine_mode_solves_match_the_block_sweep(n_sigma, hour):
         return MacroSimulation(cell, 1.0, InterfaceLayout(n_sigma=n_sigma, m=8), diff, B1_KIN)
 
     sim, ref = make(), make()
-    assert sim.factorization is linsolve.CosineModes
-    ref.factorization = BlockLDL  # the oracle: same CSR, block sweep
+    assert sim.stiffness.factorization is linsolve.CosineModes
+    ref.stiffness.factorization = BlockLDL  # the oracle: same CSR, block sweep
 
     def assert_close(got, want):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))

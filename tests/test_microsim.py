@@ -176,6 +176,26 @@ def test_step_solves_once_through_the_linsolve_module(make, monkeypatch):
     assert calls == [len(state.values)]
 
 
+@pytest.mark.parametrize("make", [lambda kin: setup(kin=kin)[2], limit_sim],
+                         ids=["micro", "macro"])
+def test_step_systems_are_the_stiffness_plus_a_diagonal(make):
+    """Every cached M + dt K is `stiffness.plus_diagonal(weights, dt)`, and K stays as built."""
+    sim = make(B1_KIN)
+    K = sim.stiffness
+    data = K.csr.data.copy()
+    state = sim.initial_state(B1_INIT)
+    for dt in (1 / 128, 1 / 256):
+        state = sim.step(state, dt)
+    assert sorted(sim._implicit) == [1 / 256, 1 / 128]
+    assert K.csr.data.tobytes() == data.tobytes()
+    for dt, system in sim._implicit.items():
+        want = K.plus_diagonal(sim.weights, dt)
+        for name in ("data", "indices", "indptr"):
+            assert getattr(system.csr, name).tobytes() == getattr(want.csr, name).tobytes()
+        assert system.factorization is K.factorization
+        assert system.blocks is K.blocks
+
+
 def test_run_drops_the_factored_matrices():
     _, _, sim = setup(kin=B1_KIN)
     snaps = sim.run(B1_INIT, 0.04, 1e-2)
@@ -282,7 +302,7 @@ def micro_matrix(profile, k, inv_eps, diff, dt):
 def assert_matches_block_sweep(sim, csr, b):
     """The opening factor against BlockLDL on the same CSR, labelled by grid column."""
     want = BlockLDL(csr, sim.grid.cell_i).solve(b)
-    got = linsolve.OpeningCapacitance(csr, sim.blocks).solve(b)
+    got = linsolve.OpeningCapacitance(csr, sim.stiffness.blocks).solve(b)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
@@ -303,7 +323,7 @@ def test_opening_factor_matches_the_block_sweep(profile, k, diff, inv_eps):
     rng = np.random.default_rng(inv_eps)
     for dt in (1 / 512, 1.0):
         sim, csr = micro_matrix(profile, k, inv_eps, diff, dt)
-        assert sim.factorization is linsolve.OpeningCapacitance
+        assert sim.stiffness.factorization is linsolve.OpeningCapacitance
         assert_matches_block_sweep(sim, csr, rng.normal(size=csr.shape[0]))
 
 
@@ -323,10 +343,10 @@ def test_opening_factor_matches_the_block_sweep_on_random_profiles(profile_k, in
 def test_opening_factor_solves_are_bit_identical():
     sim, csr = micro_matrix(hourglass(), 8, 3, HOURGLASS_DIFF, 1 / 128)
     b = np.random.default_rng(7).normal(size=csr.shape[0])
-    first = linsolve.OpeningCapacitance(csr, sim.blocks)
+    first = linsolve.OpeningCapacitance(csr, sim.stiffness.blocks)
     x = first.solve(b)
     assert np.array_equal(first.solve(b), x)
-    assert np.array_equal(linsolve.OpeningCapacitance(csr, sim.blocks).solve(b), x)
+    assert np.array_equal(linsolve.OpeningCapacitance(csr, sim.stiffness.blocks).solve(b), x)
 
 
 def kept_bytes(obj):
@@ -339,8 +359,7 @@ def test_opening_factor_keeps_one_transform_column_per_opening_column():
     # 1/eps 128: 512 grid columns, 256 of them hold a top and a bottom opening (R = 512).
     # The factor keeps 17.5 MB; one transform column per opening cell would add 1 MB.
     _, _, sim = setup(eps=F(1, 128))
-    factor = linsolve.OpeningCapacitance(sim.stiffness.csr.plus_diagonal(sim.weights, 1 / 512),
-                                         sim.blocks)
+    factor = sim.stiffness.plus_diagonal(sim.weights, 1 / 512).factor
     assert factor.qc.shape == (512, 256) and factor.W.shape == (512, 512)
     assert kept_bytes(factor) < 18.0e6
 
@@ -349,8 +368,7 @@ def test_opening_factor_keeps_no_inverse_per_mode():
     # 1/eps 128: 512 bulk columns of 52 rows; one eigenbasis and 1 / D in place of the
     # 512 inverses of 52 x 52 (11.1 MB) that a per-mode factor keeps
     _, _, sim = setup(eps=F(1, 128))
-    factor = linsolve.OpeningCapacitance(sim.stiffness.csr.plus_diagonal(sim.weights, 1 / 512),
-                                         sim.blocks)
+    factor = sim.stiffness.plus_diagonal(sim.weights, 1 / 512).factor
     nb, m = factor.modes.inv_D.shape
     assert kept_bytes(factor) < 7.0e6
 
@@ -402,7 +420,7 @@ def _couple(csr, i, j, t):
 
 def test_opening_factor_rejects_other_forms():
     sim, csr = micro_matrix(ChannelProfile.rectangle(F(1, 2)), 4, 3, B1_DIFF, 1 / 128)
-    grid, blocks = sim.grid, sim.blocks
+    grid, blocks = sim.grid, sim.stiffness.blocks
     linsolve.OpeningCapacitance(csr, blocks)  # the unperturbed matrix factors
     chan = np.flatnonzero(blocks < 0)
     chan0, chan1 = chan[blocks[chan] == -1], chan[blocks[chan] == -2]
