@@ -24,11 +24,19 @@ once, in its stiffness K, and gets every system it solves from K:
   `CosineModes` plus one R x R product and two batched channel solves, with
   no loop over columns.
 
+A CSR keeps no row index; factor builds and structure checks derive it.
+Its product runs in the form chosen by size: `DiagonalOffsets` (values
+only, one vector per stored diagonal offset: every micro system) or
+`PaddedSlices` (column and value slices: the limit model, whose rows reach
+hundreds of offsets).  `solve_spd` returns its x read-only and leaves the
+product of its final residual check on the system, where the next solve
+from that x starts, so a run makes one sparse product per step.
+
 All run in a fixed order, so repeated solves of identical systems are
 bit-identical.  The tests keep a block LDL^T sweep as the oracle of both.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -80,9 +88,9 @@ class CSR:
         np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
         return cls(indptr, (keys % n).astype(index), data, (n, n))
 
-    @cached_property
+    @property
     def rows(self) -> np.ndarray:
-        """Row of every stored entry."""
+        """Row of every stored entry, derived on each call: only builds and checks read it."""
         return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
 
     def getrow(self, i) -> "CSR":
@@ -126,25 +134,79 @@ class CSR:
         data[self._diagonal] += d
         return CSR(self.indptr, self.indices, data, self.shape)
 
-    @cached_property
-    def _slices(self):
-        """(longest row, n) column and value slices, entry r of every row in slice r.
+    def _slots(self):
+        """(r, rows, at) for every r below the longest row: the rows that store an r-th
+        entry and its position in `data`, so no array as long as `data` is made."""
+        starts, lengths = self.indptr[:-1], np.diff(self.indptr)
+        for r in range(lengths.max(initial=0)):
+            rows = np.flatnonzero(lengths > r)
+            yield r, rows, starts[rows] + r
 
-        Rows shorter than the longest are padded at the end with value 0 at column 0.
-        """
-        n = self.shape[0]
-        place = (np.arange(len(self.indices)) - self.indptr[self.rows], self.rows)
-        cols = np.zeros((np.diff(self.indptr).max(initial=0), n), dtype=np.intp)
-        vals = np.zeros(cols.shape)
-        cols[place] = self.indices
-        vals[place] = self.data
-        return cols, vals
+    def _offsets(self) -> np.ndarray:
+        """The stored diagonal offsets (column - row), ascending."""
+        seen = np.zeros(sum(self.shape) - 1, dtype=bool)
+        for _, rows, at in self._slots():
+            seen[self.indices[at] - rows + self.shape[0] - 1] = True
+        return np.flatnonzero(seen) - (self.shape[0] - 1)
+
+    @cached_property
+    def product_form(self):
+        """The form `A @ x` runs in, chosen by size: `DiagonalOffsets` when its values
+        (8 B per offset per row) take fewer bytes than `PaddedSlices`' values and
+        column table (16 B per slot, as many slots per row as the longest row)."""
+        longest = int(np.diff(self.indptr).max(initial=0))
+        return (DiagonalOffsets if 8 * len(self._offsets()) < 16 * longest else PaddedSlices)(self)
 
     def __matmul__(self, x) -> np.ndarray:
-        cols, vals = self._slices
-        terms = np.take(np.asarray(x, dtype=float), cols)
-        terms *= vals
+        return self.product_form(np.asarray(x, dtype=float))
+
+
+class PaddedSlices:
+    """A @ x from (longest row, n) column and value slices, entry r of every row in slice r.
+
+    Rows shorter than the longest are padded at the end with value 0 at column 0.
+    A product sums the slices left to right from zero, the order of a CSR row loop.
+    """
+
+    def __init__(self, csr):
+        self.cols = np.zeros((np.diff(csr.indptr).max(initial=0), csr.shape[0]), dtype=np.intp)
+        self.vals = np.zeros(self.cols.shape)
+        for r, rows, at in csr._slots():
+            self.cols[r, rows] = csr.indices[at]
+            self.vals[r, rows] = csr.data[at]
+
+    def __call__(self, x) -> np.ndarray:
+        terms = np.take(x, self.cols)
+        terms *= self.vals
         return np.add.reduce(terms, axis=0, initial=0.0)
+
+
+class DiagonalOffsets:
+    """A @ x from the stored diagonals: values only, A[i, i + d] at [d's slot, i].
+
+    Row i holds 0 at an offset where it stores nothing.  A product adds each
+    offset's terms into zeros in ascending offset order, which is every row's
+    stored column order; the term of an entry the row does not store is a signed
+    zero, which leaves a sum begun at +0.0 as it is.  So for a finite x every row
+    has the bits of a CSR row loop.
+    """
+
+    def __init__(self, csr):
+        offsets = csr._offsets()
+        self.offsets = tuple(int(d) for d in offsets)
+        self.vals = np.zeros((len(offsets), csr.shape[0]))
+        for _, rows, at in csr._slots():
+            self.vals[np.searchsorted(offsets, csr.indices[at] - rows), rows] = csr.data[at]
+
+    def __call__(self, x) -> np.ndarray:
+        n = self.vals.shape[1]
+        y = np.zeros(n)
+        term = np.empty(n)
+        for d, vals in zip(self.offsets, self.vals):
+            lo, hi = max(0, -d), min(n, len(x) - d)  # the rows whose column i + d exists
+            np.multiply(vals[lo:hi], x[lo + d:hi + d], out=term[lo:hi])
+            y[lo:hi] += term[lo:hi]
+        return y
 
 
 @dataclass
@@ -153,12 +215,14 @@ class SparseMatrix:
 
     `factorization` is the factor class built from (csr, blocks) on first
     use; `blocks` labels every unknown with its block, in the encoding that
-    factorization reads (None is one block).
+    factorization reads (None is one block).  `carried` is (x, csr @ x) of the
+    last `solve_spd` that returned x, or None.
     """
 
     csr: CSR
     factorization: type
     blocks: np.ndarray = None
+    carried: tuple = field(default=None, repr=False)
 
     @cached_property
     def factor(self):
@@ -295,8 +359,9 @@ def _split(csr, bulk, chan):
     local[chan] = np.arange(len(chan))
     is_b = np.zeros(csr.shape[0], dtype=bool)
     is_b[bulk] = True
-    rb, cb = is_b[csr.rows], is_b[csr.indices]
-    r, c, vals = local[csr.rows], local[csr.indices], csr.data
+    rows = csr.rows
+    rb, cb = is_b[rows], is_b[csr.indices]
+    r, c, vals = local[rows], local[csr.indices], csr.data
     A_BB, BC, CC = [(r[sel], c[sel], vals[sel]) for sel in (rb & cb, rb & ~cb, ~rb & ~cb)]
     n_b = len(bulk)
     A_sep = CSR.from_triplets(*A_BB, n_b).plus_diagonal(np.bincount(BC[0], BC[2], n_b))
@@ -421,12 +486,18 @@ class OpeningCapacitance:
 def solve_spd(A: SparseMatrix, b, x0=None) -> np.ndarray:
     """Direct solve down to ||Ax - b|| <= SOLVER_TOL * ||b||, warm-started at x0.
 
-    Returns x0 itself when it already meets the tolerance, otherwise x0 plus
+    Returns a copy of x0 when x0 already meets the tolerance, otherwise x0 plus
     the factored correction.  Raises SolverError when an entry of b is not
     finite, and with the true relative residual when the corrected x misses
     the tolerance or is not finite.  A finite b whose norm overflows, or
     underflows to 0, is solved as b / 2**e, with 2**e the power of two just
     above max |b|, and the solution is scaled back; both scalings are exact.
+
+    The returned x is read-only, and A carries the product A x of its final
+    residual check (`A.carried`).  A later solve whose x0 is that very array
+    starts from the carried product, so a run stepping from each returned x
+    makes one sparse product per step; any other x0, an equal copy included,
+    is multiplied afresh.
 
     From x0 this is one step of iterative refinement, and it keeps the deep
     micro rungs under the tolerance of 1e-12: over the first 12 steps at dt
@@ -448,18 +519,25 @@ def solve_spd(A: SparseMatrix, b, x0=None) -> np.ndarray:
             x = np.ldexp(y, e)
         if not np.isfinite(x).all():
             raise SolverError(f"solution overflows float64 (solved for b / 2**{e})")
-        return x
+        return _read_only(x)
     if nb == 0.0:
-        return np.zeros_like(b)
+        return _read_only(np.zeros_like(b))
     x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=float)
-    r = b - M @ x
-    if float(np.linalg.norm(r)) <= SOLVER_TOL * nb:
-        return x
-    x += A.factor.solve(r)
-    final = float(np.linalg.norm(b - M @ x)) / nb
-    if not final <= SOLVER_TOL:  # a NaN residual fails too
-        raise SolverError(
-            f"direct solve missed tol={SOLVER_TOL:g} (relative residual {final:.3e})",
-            residual=final,
-        )
+    Mx = A.carried[1] if A.carried is not None and x0 is A.carried[0] else M @ x
+    r = b - Mx
+    if float(np.linalg.norm(r)) > SOLVER_TOL * nb:
+        x += A.factor.solve(r)
+        Mx = M @ x
+        final = float(np.linalg.norm(b - Mx)) / nb
+        if not final <= SOLVER_TOL:  # a NaN residual fails too
+            raise SolverError(
+                f"direct solve missed tol={SOLVER_TOL:g} (relative residual {final:.3e})",
+                residual=final,
+            )
+    A.carried = (_read_only(x), Mx)
+    return x
+
+
+def _read_only(x) -> np.ndarray:
+    x.flags.writeable = False
     return x

@@ -166,7 +166,7 @@ class ImexSimulation:
         self._implicit = {}
 
     def _map_rates(self, f_plus, f_minus, g, g_local, walls, wall_cells, wall_len):
-        """Where each rate acts: the unknowns (masks or slices) of f_plus, f_minus and g, g's
+        """Where each rate acts: the unknowns (indices or slices) of f_plus, f_minus and g, g's
         reference-cell (ybar, y_n), and the unknowns and lengths of each copy of `walls`."""
         self.rate_at = (f_plus, f_minus, g)
         self.g_factor = self.kin.g.position_factor(*g_local)
@@ -253,14 +253,14 @@ class MicroSimulation(ImexSimulation):
         stiffness, self.weights = assemble_micro_operator(geom, grid, diff)
 
         eps = float(geom.eps)
-        self.mask_p = grid.cell_tag == BULK_P
-        self.mask_m = grid.cell_tag == BULK_M
-        self.mask_c = grid.cell_tag == CHAN
+        # each region's cells in ascending order, the order its mask selects them in
+        self.cells_p, self.cells_m, self.cells_c = (
+            np.flatnonzero(grid.cell_tag == tag) for tag in (BULK_P, BULK_M, CHAN))
         # bulk cells by grid column, channel cells by channel (-1 - column // k)
         self.stiffness = linsolve.SparseMatrix(stiffness, linsolve.OpeningCapacitance, np.where(
-            self.mask_c, -1 - grid.cell_i // grid.k, grid.cell_i))
-        chan, walls = self.mask_c, wall_faces(grid)
-        self._map_rates(self.mask_p, self.mask_m, chan,
+            grid.cell_tag == CHAN, -1 - grid.cell_i // grid.k, grid.cell_i))
+        chan, walls = self.cells_c, wall_faces(grid)
+        self._map_rates(self.cells_p, self.cells_m, chan,
                         (np.mod(grid.cell_x[chan] / eps, 1.0), grid.cell_y[chan] / eps),
                         walls, walls.cells, walls.length)
 
@@ -276,8 +276,8 @@ class MicroSimulation(ImexSimulation):
         g = self.grid
         eps = float(self.geom.eps)
         vals = np.empty(g.n_cells)
-        vals[self.mask_p] = init.u_plus(g.cell_x[self.mask_p], g.cell_y[self.mask_p])
-        vals[self.mask_m] = init.u_minus(g.cell_x[self.mask_m], g.cell_y[self.mask_m])
-        xc = g.cell_x[self.mask_c]
-        vals[self.mask_c] = init.u_channel(xc, np.mod(xc / eps, 1.0), g.cell_y[self.mask_c] / eps)
+        vals[self.cells_p] = init.u_plus(g.cell_x[self.cells_p], g.cell_y[self.cells_p])
+        vals[self.cells_m] = init.u_minus(g.cell_x[self.cells_m], g.cell_y[self.cells_m])
+        xc = g.cell_x[self.cells_c]
+        vals[self.cells_c] = init.u_channel(xc, np.mod(xc / eps, 1.0), g.cell_y[self.cells_c] / eps)
         return MicroState(t=0.0, u=Field(g, vals))

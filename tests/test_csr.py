@@ -13,7 +13,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chanhom import linsolve
+from chanhom import harness, linsolve
 from chanhom.errors import SolverError
 from chanhom.geometry import ChannelProfile, build_micro_geometry, build_reference_cell
 from chanhom.grid import build_micro_grid
@@ -21,6 +21,7 @@ from chanhom.macrosim import InterfaceLayout, MacroSimulation
 from chanhom.microsim import DiffusionSpec, KineticsBundle, MicroSimulation
 from linsolve_oracles import to_scipy
 from test_geometry import hourglass
+from test_harness import mini_config
 
 ROW_LIMIT = 16
 
@@ -81,6 +82,8 @@ def test_csr_matches_scipy_on_random_triplets(seed, n, max_copies):
     assert_same_arrays(got, want)
     x = random_vector(rng, n)
     assert (got @ x).tobytes() == (want @ x).tobytes()
+    for form in (linsolve.DiagonalOffsets, linsolve.PaddedSlices):
+        assert form(got)(x).tobytes() == (want @ x).tobytes()
     for i in range(n):
         assert got.getrow(i).indices.tolist() == want.getrow(i).indices.tolist()
 
@@ -212,3 +215,39 @@ def test_simulation_operators_match_scipy(monkeypatch, hour, inv_eps, n_sigma):
         shifted = sim.stiffness.csr.plus_diagonal(sim.weights, dt)
         assert_same_arrays(shifted, (sp.diags(sim.weights, format="csr") + dt * want).tocsr())
         assert (shifted @ x).tobytes() == (to_scipy(shifted) @ x).tobytes()
+
+
+def micro_systems():
+    """M + dt K of every b1 rung at the mini config's refinement, and of the hourglass grid."""
+    cfg = harness.parse_config(mini_config(epsilon=["1/4", "1/8", "1/16"],
+                                           refinement={"k": 4, "m": 4, "n_sigma": 16}))
+    rungs = [(build_micro_geometry(eps, cfg.H, cfg.cell), cfg.k, cfg.diffusion)
+             for eps in cfg.epsilons]
+    hour = build_micro_geometry(F(1, 8), 1, build_reference_cell(hourglass()))
+    rungs.append((hour, 8, DiffusionSpec.isotropic(1.0, 2.0, 0.5, 3)))
+    for geom, k, diff in rungs:
+        sim = MicroSimulation(geom, build_micro_grid(geom, k), diff, KineticsBundle.zero())
+        yield sim.stiffness.csr.plus_diagonal(sim.weights, cfg.dt)
+
+
+def test_product_forms_agree_bit_for_bit():
+    """Diagonal offsets, padded slices and scipy multiply every micro system to the bit.
+
+    The size rule picks the offsets for a micro system (7 or 9 offsets against 2
+    x 5 slots) and the slices for the limit model (hundreds of offsets).
+    """
+    rng = np.random.default_rng(34)
+    for system in micro_systems():
+        assert isinstance(system.product_form, linsolve.DiagonalOffsets)
+        assert len(system.product_form.offsets) in (7, 9)
+        slices, want = linsolve.PaddedSlices(system), to_scipy(system)
+        for _ in range(3):
+            x = random_vector(rng, system.shape[0])
+            x *= 10.0 ** rng.integers(-8, 8, size=len(x))
+            got = system.product_form(x).tobytes()
+            assert got == slices(x).tobytes() == (want @ x).tobytes()
+    macro = MacroSimulation(build_reference_cell(hourglass()), 1.0,
+                            InterfaceLayout(n_sigma=8, m=8),
+                            DiffusionSpec.isotropic(1.0, 2.0, 0.5, 3), KineticsBundle.zero())
+    system = macro.stiffness.csr.plus_diagonal(macro.weights, 1 / 128)
+    assert isinstance(system.product_form, linsolve.PaddedSlices)

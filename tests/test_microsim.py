@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction as F
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from chanhom import linsolve
 from chanhom.errors import SolverError, StabilityError
 from chanhom.geometry import BULK_P, CHAN, ChannelProfile, build_micro_geometry, build_reference_cell
-from chanhom.grid import build_micro_grid, inner_product_leps, leps_diff
+from chanhom.grid import Field, build_micro_grid, inner_product_leps, leps_diff
 from chanhom.kinetics import InitialData, KineticsSpec
 from chanhom.macrosim import InterfaceLayout, MacroSimulation
 from chanhom.microsim import DiffusionSpec, KineticsBundle, MicroSimulation
@@ -174,6 +175,75 @@ def test_step_solves_once_through_the_linsolve_module(make, monkeypatch):
     state = sim.initial_state(B1_INIT)
     sim.step(state, 1e-2)
     assert calls == [len(state.values)]
+
+
+def with_values(state, values):
+    """The state at the same time with `values` in place of its own."""
+    return replace(state, u=Field(state.u.grid, values) if isinstance(state.u, Field) else values)
+
+
+@pytest.mark.parametrize("make", [lambda kin: setup(kin=kin)[2], limit_sim],
+                         ids=["micro", "macro"])
+def test_steps_make_one_sparse_product_each(make, monkeypatch):
+    """A step from the array the last solve returned reuses its final check's product.
+
+    Over 5 steps the cached system multiplies twice on the first step (the warm
+    start's residual and the final check), then once per step, and every state is
+    bitwise that of a simulator whose carried product is dropped before each step.
+    A step from any other array, an equal copy or an edited initial state,
+    multiplies afresh.
+    """
+    dt = 1 / 128
+    sim, plain = make(B1_KIN), make(B1_KIN)
+    products = []
+    matmul = linsolve.CSR.__matmul__
+    monkeypatch.setattr(linsolve.CSR, "__matmul__",
+                        lambda A, x: products.append(A) or matmul(A, x))
+
+    def step(state):
+        """sim's step from state, checked against plain's, and its products on the system."""
+        before = len(products)
+        new = sim.step(state, dt)
+        for system in plain._implicit.values():
+            system.carried = None
+        assert new.values.tobytes() == plain.step(state, dt).values.tobytes()
+        return new, sum(A is sim._implicit[dt].csr for A in products[before:])
+
+    state, counts = sim.initial_state(B1_INIT), []
+    for _ in range(5):
+        state, n = step(state)
+        counts.append(n)
+    assert counts == [2, 1, 1, 1, 1]
+    with pytest.raises(ValueError, match="read-only"):
+        state.values[0] = 0.0
+    assert step(with_values(state, state.values.copy()))[1] == 2
+
+    first = sim.initial_state(B1_INIT)
+    step(first)
+    first.values[:] = np.random.default_rng(0).uniform(0.0, 1.0, len(first.values))
+    assert step(first)[1] == 2
+
+
+@pytest.mark.parametrize("make", [lambda kin: setup(eps=F(1, 16), kin=kin)[2], limit_sim],
+                         ids=["micro", "macro"])
+def test_systems_keep_no_row_index(make, monkeypatch):
+    """No CSR caches the row of every stored entry; a micro product keeps values only."""
+    sim, systems = make(B1_KIN), []
+    solve = linsolve.solve_spd
+
+    def recorded(A, b, *args, **kwargs):
+        systems.append(A)
+        return solve(A, b, *args, **kwargs)
+
+    monkeypatch.setattr(linsolve, "solve_spd", recorded)
+    sim.run(B1_INIT, 4 / 128, 1 / 128)
+    assert len(systems) == 4
+    for A in (sim.stiffness, *systems):
+        assert "rows" not in vars(A.csr)
+    if isinstance(sim, MicroSimulation):
+        form = systems[0].csr.product_form
+        assert isinstance(form, linsolve.DiagonalOffsets)
+        assert all(v.dtype.kind == "f" for v in vars(form).values() if isinstance(v, np.ndarray))
 
 
 @pytest.mark.parametrize("make", [lambda kin: setup(kin=kin)[2], limit_sim],
