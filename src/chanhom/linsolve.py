@@ -1,7 +1,9 @@
 """Sparse SPD solves for the implicit diffusion steps, in numpy alone.
 
-`assemble` sums COO triplets into a canonical `CSR` and certifies its
-symmetry.  A `SparseMatrix` is a CSR, a block label per unknown and the
+Every implicit system is a weighted graph Laplacian, a sum of two-point
+terms t (e_a - e_b)(e_a - e_b)^T: `laplacian` builds its canonical `CSR`
+from the (a, b, t) pairs, symmetric with zero row sums by construction.
+A `SparseMatrix` is a CSR, a block label per unknown and the
 factorization that reads them; it is factored once, and every solve reuses
 the factor.  `plus_diagonal` keeps both, so a simulator names its factorization
 once, in its stiffness K, and gets every system it solves from K:
@@ -43,50 +45,24 @@ import numpy as np
 
 from .errors import SolverError
 
-SYMMETRY_RTOL = 1e-13
+# relative deviation from the separable form that `CosineModes` accepts
+SEPARABLE_RTOL = 1e-13
 # relative residual of every solve
 SOLVER_TOL = 1e-12
-
-
-def _sum_by_key(keys, vals):
-    """Sorted unique keys and, per key, its values summed left to right in input order."""
-    order = np.argsort(keys, kind="stable")
-    keys, vals = keys[order], vals[order]
-    first = np.flatnonzero(np.diff(keys, prepend=-1))
-    sums = vals[first]
-    count = np.diff(first, append=len(keys))
-    for r in range(1, count.max(initial=0)):
-        more = np.flatnonzero(count > r)
-        sums[more] += vals[first[more] + r]
-    return keys[first], sums
 
 
 @dataclass(eq=False)
 class CSR:
     """Canonical compressed sparse rows: each row's columns sorted and unique.
 
-    `from_triplets` sums duplicates left to right in their input order, and
-    `A @ x` sums each row left to right from zero, so both are reproducible
-    to the bit.  Index arrays are int32 unless the size needs int64.
+    `A @ x` sums each row left to right from zero, so it is reproducible to
+    the bit.  Index arrays are int32 unless the size needs int64.
     """
 
     indptr: np.ndarray
     indices: np.ndarray
     data: np.ndarray
     shape: tuple
-
-    @classmethod
-    def from_triplets(cls, rows, cols, vals, n) -> "CSR":
-        rows = np.asarray(rows, dtype=np.int64).ravel()
-        cols = np.asarray(cols, dtype=np.int64).ravel()
-        vals = np.asarray(vals, dtype=float).ravel()
-        if len(rows) and (min(rows.min(), cols.min()) < 0 or max(rows.max(), cols.max()) >= n):
-            raise ValueError(f"triplet index outside the {n} x {n} matrix")
-        keys, data = _sum_by_key(rows * n + cols, vals)
-        index = np.int32 if max(len(rows), n) <= np.iinfo(np.int32).max else np.int64
-        indptr = np.zeros(n + 1, dtype=index)
-        np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
-        return cls(indptr, (keys % n).astype(index), data, (n, n))
 
     @property
     def rows(self) -> np.ndarray:
@@ -122,8 +98,10 @@ class CSR:
     @cached_property
     def _diagonal(self) -> np.ndarray:
         """Position in `data` of every row's diagonal entry."""
-        diagonal = np.arange(self.shape[0])
-        at = self.find(diagonal, diagonal)
+        at = np.full(self.shape[0], -1)
+        for _, rows, slot in self._slots():
+            on = self.indices[slot] == rows
+            at[rows[on]] = slot[on]
         if np.any(at < 0):
             raise SolverError("a row stores no diagonal entry")
         return at
@@ -233,23 +211,44 @@ class SparseMatrix:
         return SparseMatrix(self.csr.plus_diagonal(d, scale), self.factorization, self.blocks)
 
 
-def assemble(rows, cols, vals, n) -> CSR:
-    """Build from COO triplets (duplicates summed) and certify symmetry."""
-    m = CSR.from_triplets(rows, cols, vals, n)
-    scale = np.abs(m.data).max() if len(m.data) else 1.0
-    worst = m.deviation(m.indices, m.rows, m.data)  # against the transpose
-    if worst > SYMMETRY_RTOL * scale:
-        raise SolverError(
-            f"assembled matrix is not symmetric (max skew {worst:.3e}, scale {scale:.3e})"
-        )
-    return m
+def laplacian(parts, n) -> CSR:
+    """The n x n CSR of the sum of t (e_a - e_b)(e_a - e_b)^T over every pair of `parts`.
+
+    `parts` is a list of (a, b, t) arrays, each broadcast together.  The
+    matrix is symmetric with zero row sums by construction: -t at (a, b) and
+    (b, a), and every row's diagonal (stored even where no pair ends) summed
+    from zero over the parts in their order, a part's a-sides before its
+    b-sides.  A pair on the diagonal, an index outside the matrix or a pair
+    given twice, in either orientation, raises ValueError.
+    """
+    ends, other, weight = [], [], []
+    for part in parts:
+        a, b, t = (np.ravel(x) for x in np.broadcast_arrays(*part))
+        ends += [a, b]
+        other += [b, a]
+        weight += [t, t]
+    ends, other, weight = map(np.concatenate, (ends, other, weight))
+    if len(ends) and (ends.min() < 0 or ends.max() >= n):  # `other` holds the same indices
+        raise ValueError(f"pair index outside the {n} x {n} matrix")
+    if np.any(ends == other):
+        raise ValueError("pair on the diagonal")
+    keys = np.concatenate([ends * n + other, np.arange(n) * (n + 1)])
+    order = np.argsort(keys)
+    keys = keys[order]
+    if np.any(keys[1:] == keys[:-1]):
+        raise ValueError("pair given twice")
+    index = np.int32 if len(keys) <= np.iinfo(np.int32).max else np.int64
+    indptr = np.zeros(n + 1, dtype=index)
+    np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
+    data = np.concatenate([-weight, np.bincount(ends, weight, n)])[order]
+    return CSR(indptr, (keys % n).astype(index), data, (n, n))
 
 
 def _separable_form(csr, order, m):
     """A0 and c of a matrix I (x) A0 + K (x) diag(c), node-major in `order`.
 
     They are read from the first block and its coupling to the second; the
-    whole matrix must then match the form to SYMMETRY_RTOL times its largest
+    whole matrix must then match the form to SEPARABLE_RTOL times its largest
     entry, or SolverError is raised.
     """
     n = csr.shape[0]
@@ -281,7 +280,7 @@ def _separable_form(csr, order, m):
     ])
     worst = csr.deviation(order[form_r], order[form_c], form)
     scale = np.abs(vals).max() if len(vals) else 1.0
-    if worst > SYMMETRY_RTOL * scale:
+    if worst > SEPARABLE_RTOL * scale:
         raise SolverError(
             f"matrix is not I (x) A0 + K (x) diag(c) along its blocks "
             f"(max deviation {worst:.3e}, scale {scale:.3e})"
@@ -352,7 +351,8 @@ def _split(csr, bulk, chan):
     """A_sep = A_BB + diag(A_BC 1) as a CSR, and the triplets of A_BC and A_CC.
 
     All in local indices: bulk unknowns in ascending order, channel unknowns
-    in the order of `chan`.
+    in the order of `chan`.  A_BB's entries keep their stored order, which is
+    canonical, since the bulk rows and columns keep theirs.
     """
     local = np.empty(csr.shape[0], dtype=np.int64)
     local[bulk] = np.arange(len(bulk))
@@ -364,7 +364,10 @@ def _split(csr, bulk, chan):
     r, c, vals = local[rows], local[csr.indices], csr.data
     A_BB, BC, CC = [(r[sel], c[sel], vals[sel]) for sel in (rb & cb, rb & ~cb, ~rb & ~cb)]
     n_b = len(bulk)
-    A_sep = CSR.from_triplets(*A_BB, n_b).plus_diagonal(np.bincount(BC[0], BC[2], n_b))
+    indptr = np.zeros(n_b + 1, dtype=csr.indptr.dtype)
+    np.cumsum(np.bincount(A_BB[0], minlength=n_b), out=indptr[1:])
+    A_sep = CSR(indptr, A_BB[1].astype(csr.indices.dtype), A_BB[2], (n_b, n_b))
+    A_sep = A_sep.plus_diagonal(np.bincount(BC[0], BC[2], n_b))
     return A_sep, BC, CC
 
 

@@ -32,7 +32,6 @@ from .microsim import (
     ImexSimulation,
     KineticsBundle,
     channel_tensor,
-    pair_triplets,
     two_point_stiffness,
 )
 
@@ -139,15 +138,18 @@ class MacroSimulation(ImexSimulation):
     def _assemble_stiffness(self) -> linsolve.CSR:
         dsig = self.layout.spacing
         bulk_p = two_point_stiffness(self.grid_p, 1.0, self.diff.d_plus)
-        bulk_m = two_point_stiffness(self.grid_m, 1.0, self.diff.d_minus)
-        # one reference-cell stiffness block, replicated per node with dsig weight
-        cell_r, cell_c, cell_v = two_point_stiffness(self.cell_grid, self.cell_diff, dsig)
-
-        # (n_sigma, pairs) arrays: the trace <-> adjacent bulk cell pair of each
-        # side, then the trace <-> cell pairs (Dirichlet rows of the cell
-        # problem) along its top and its bottom boundary row
+        bulk_m = [(self.nbp + a, self.nbp + b, t)
+                  for a, b, t in two_point_stiffness(self.grid_m, 1.0, self.diff.d_minus)]
+        # one reference-cell stiffness, replicated per node with dsig weight:
+        # (n_sigma, faces) arrays, one row per node
         nodes = np.arange(self.n_sigma)[:, None]
         off = self.oc + nodes * self.ncc
+        cells = [(off + a, off + b, t)
+                 for a, b, t in two_point_stiffness(self.cell_grid, self.cell_diff, dsig)]
+
+        # (n_sigma, pairs) arrays: the adjacent bulk cell <-> trace pair of each
+        # side, then the cell <-> trace pairs (Dirichlet rows of the cell
+        # problem) along its top and its bottom boundary row
         n_top, n_bot = len(self.top_cells), len(self.bot_cells)
         near = np.hstack([self.adj_p[:, None], self.nbp + self.adj_m[:, None],
                           off + self.top_cells, off + self.bot_cells])
@@ -158,20 +160,11 @@ class MacroSimulation(ImexSimulation):
             np.broadcast_to(dsig * self.top_coef, (self.n_sigma, n_top)),
             np.broadcast_to(dsig * self.bot_coef, (self.n_sigma, n_bot)),
         ])
-        pair_r, pair_c, pair_v = (
-            x.reshape(self.n_sigma, -1) for x in pair_triplets(near, trace, coef, axis=-1)
-        )
 
-        # bulk faces, then per node its cell block followed by its trace pairs:
-        # the triplet order fixes the summation order of duplicates
-        rows = [bulk_p[0], self.nbp + bulk_m[0], np.hstack([cell_r + off, pair_r])]
-        cols = [bulk_p[1], self.nbp + bulk_m[1], np.hstack([cell_c + off, pair_c])]
-        vals = [bulk_p[2], bulk_m[2],
-                np.hstack([np.broadcast_to(cell_v, (self.n_sigma, len(cell_v))), pair_v])]
-        return linsolve.assemble(
-            np.concatenate(rows, axis=None), np.concatenate(cols, axis=None),
-            np.concatenate(vals, axis=None), self.n,
-        )
+        # the part order fixes each diagonal's summation order, which matters only
+        # among parts that share an unknown: a node's cell faces before its trace
+        # pairs, and every bulk face before the trace pairs
+        return linsolve.laplacian([*bulk_p, *bulk_m, *cells, (near, trace, coef)], self.n)
 
     def _assemble_weights(self) -> np.ndarray:
         w = np.zeros(self.n)

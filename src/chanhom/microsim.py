@@ -94,25 +94,17 @@ def channel_tensor(profile, y_n, diff: DiffusionSpec) -> np.ndarray:
     return np.asarray(diff.channel, dtype=float)[np.searchsorted(breaks, y_n, side="right")]
 
 
-def pair_triplets(i, j, t, axis=0):
-    """COO rows (i, j, i, j), cols (i, j, j, i), vals (t, t, -t, -t), stacked along `axis`."""
-    return (np.stack([i, j, i, j], axis), np.stack([i, j, j, i], axis),
-            np.stack([t, t, -t, -t], axis))
-
-
 def two_point_stiffness(grid: RectGrid, d, scale=1.0):
-    """COO triplets of the two-point flux stiffness of one grid, axis by axis.
+    """The two-point flux stiffness of one grid as `linsolve.laplacian` parts: per axis,
+    its faces' cells (a, b) and transmissibilities t.
 
     `d` is the directional diffusivity per cell (broadcast to (n_cells, 2)); a
     face has the harmonic transmissibility scale * length / (dist_a / d_a + dist_b / d_b).
     """
     d = np.broadcast_to(np.asarray(d, dtype=float), (grid.n_cells, 2))
-    parts = [
-        pair_triplets(fs.a, fs.b, scale * fs.length
-                      / (fs.dist_a / d[fs.a, fs.axis] + fs.dist_b / d[fs.b, fs.axis]))
-        for fs in grid.faces
-    ]
-    return tuple(np.concatenate(part, axis=None) for part in zip(*parts))
+    return [(fs.a, fs.b, scale * fs.length
+             / (fs.dist_a / d[fs.a, fs.axis] + fs.dist_b / d[fs.b, fs.axis]))
+            for fs in grid.faces]
 
 
 def assemble_micro_operator(geom: MicroGeometry, grid: RectGrid, diff: DiffusionSpec):
@@ -126,7 +118,7 @@ def assemble_micro_operator(geom: MicroGeometry, grid: RectGrid, diff: Diffusion
     d[grid.cell_tag == BULK_M] = diff.d_minus
     chan = grid.cell_tag == CHAN
     d[chan] = eps * channel_tensor(geom.cell.profile, grid.cell_y[chan] / eps, diff)
-    A = linsolve.assemble(*two_point_stiffness(grid, d), grid.n_cells)
+    A = linsolve.laplacian(two_point_stiffness(grid, d), grid.n_cells)
     return A, grid.weight * grid.cell_vol
 
 

@@ -2,8 +2,9 @@
 
 The reference below writes every triplet in the order the original loop
 assembly did: faces axis by axis, then per interface node its cell-problem
-block followed by its trace pairs.  Duplicates are summed in that order,
-so the CSR arrays must agree byte for byte, not merely to round-off.
+block followed by its trace pairs.  scipy sums the duplicates in that
+order (rows of at most 16 triplets are sorted stably), so the CSR arrays
+must agree byte for byte, not merely to round-off.
 """
 
 from fractions import Fraction as F
@@ -51,6 +52,11 @@ def ref_segment_tensor(profile, y_n, diff):
     return d
 
 
+def summed(rows, cols, vals, n):
+    """The CSR of COO triplets, duplicates summed by scipy in their input order."""
+    return from_scipy(sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr())
+
+
 def ref_micro_csr(geom, grid, diff):
     eps = float(geom.eps)
     d = np.empty((grid.n_cells, 2))
@@ -64,9 +70,7 @@ def ref_micro_csr(geom, grid, diff):
         rows.extend([fs.a, fs.b, fs.a, fs.b])
         cols.extend([fs.a, fs.b, fs.b, fs.a])
         vals.extend([trans, trans, -trans, -trans])
-    return linsolve.assemble(
-        np.concatenate(rows), np.concatenate(cols), np.concatenate(vals), grid.n_cells
-    )
+    return summed(np.concatenate(rows), np.concatenate(cols), np.concatenate(vals), grid.n_cells)
 
 
 def ref_bulk_entries(grid, d_scalar, offset, rows, cols, vals):
@@ -131,9 +135,7 @@ def ref_macro_csr(sim):
         rows.append(np.asarray(r4))
         cols.append(np.asarray(c4))
         vals.append(np.asarray(v4, dtype=float))
-    return linsolve.assemble(
-        np.concatenate(rows), np.concatenate(cols), np.concatenate(vals), sim.n
-    )
+    return summed(np.concatenate(rows), np.concatenate(cols), np.concatenate(vals), sim.n)
 
 
 def ref_steady_conduction(sim, top_value, bottom_value):

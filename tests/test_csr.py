@@ -1,8 +1,10 @@
 """The numpy CSR of `chanhom.linsolve` against scipy's sparse matrices.
 
 scipy sorts each row's triplets with an insertion sort up to 16 entries, so
-on such rows it sums duplicates in input order, as `CSR.from_triplets` does;
-the random triplets below keep every row within that length.
+on such rows it sums duplicates in input order.  A Laplacian's triplets,
+written with a zero first on every diagonal, are then summed from zero in
+the order `linsolve.laplacian` sums them; the random triplets and pairs
+below keep every row within that length.
 """
 
 from fractions import Fraction as F
@@ -19,7 +21,7 @@ from chanhom.geometry import ChannelProfile, build_micro_geometry, build_referen
 from chanhom.grid import build_micro_grid
 from chanhom.macrosim import InterfaceLayout, MacroSimulation
 from chanhom.microsim import DiffusionSpec, KineticsBundle, MicroSimulation
-from linsolve_oracles import to_scipy
+from linsolve_oracles import from_scipy, to_scipy
 from test_geometry import hourglass
 from test_harness import mini_config
 
@@ -65,6 +67,43 @@ def random_triplets(rng, n, max_copies):
     return np.array(rows, dtype=np.int64)[perm], np.array(cols, dtype=np.int64)[perm], vals[perm]
 
 
+def laplacian_triplets(parts, n):
+    """COO triplets of `linsolve.laplacian(parts, n)`: a zero on every diagonal, then per
+    part rows (a, b, a, b), cols (a, b, b, a) and vals (t, t, -t, -t), each a block."""
+    rows, cols, vals = [np.arange(n)], [np.arange(n)], [np.zeros(n)]
+    for part in parts:
+        a, b, t = (np.ravel(x) for x in np.broadcast_arrays(*part))
+        rows += [a, b, a, b]
+        cols += [a, b, b, a]
+        vals += [t, t, -t, -t]
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals).astype(float), n
+
+
+def random_parts(rng, n, max_degree):
+    """Distinct pairs of n unknowns, each unknown in at most `max_degree` of them, in random
+    orientation and order, split into parts of 1-D arrays, 2-D arrays or a scalar t.
+
+    Values span 16 decades, so the order in which a diagonal is summed shows in its bits.
+    """
+    degree = np.zeros(n, dtype=int)
+    pairs = []
+    for i, j in rng.permutation(np.array(np.triu_indices(n, 1)).T)[: rng.integers(0, 3 * n + 1)]:
+        if degree[i] < max_degree and degree[j] < max_degree:
+            degree[[i, j]] += 1
+            pairs.append((i, j) if rng.random() < 0.5 else (j, i))
+    pairs = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    parts = []
+    for chunk in np.array_split(pairs, rng.integers(1, 5)):
+        a, b = chunk.T
+        t = rng.normal(size=len(a)) * 10.0 ** rng.integers(-8, 8, size=len(a))
+        if len(a) and rng.random() < 0.2:
+            t = float(t[0])
+        elif len(a) % 2 == 0 and rng.random() < 0.3:
+            a, b, t = a.reshape(2, -1), b.reshape(2, -1), t.reshape(2, -1)
+        parts.append((a, b, t))
+    return parts
+
+
 def random_vector(rng, n):
     x = rng.normal(size=n)
     x[rng.random(n) < 0.2] = 0.0
@@ -74,12 +113,12 @@ def random_vector(rng, n):
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12), max_copies=st.integers(3, 5))
-def test_csr_matches_scipy_on_random_triplets(seed, n, max_copies):
+def test_products_match_scipy_on_random_matrices(seed, n, max_copies):
+    """Every product form multiplies to scipy's bits, on matrices scipy sums from random
+    triplets: empty rows, signed zeros and exactly cancelled entries included."""
     rng = np.random.default_rng(seed)
-    rows, cols, vals = random_triplets(rng, n, max_copies)
-    got = linsolve.CSR.from_triplets(rows, cols, vals, n)
-    want = scipy_csr(rows, cols, vals, n)
-    assert_same_arrays(got, want)
+    want = scipy_csr(*random_triplets(rng, n, max_copies), n)
+    got = from_scipy(want)
     x = random_vector(rng, n)
     assert (got @ x).tobytes() == (want @ x).tobytes()
     for form in (linsolve.DiagonalOffsets, linsolve.PaddedSlices):
@@ -87,43 +126,35 @@ def test_csr_matches_scipy_on_random_triplets(seed, n, max_copies):
     for i in range(n):
         assert got.getrow(i).indices.tolist() == want.getrow(i).indices.tolist()
 
-    skew = abs(want - want.T)
-    worst = skew.data.max() if skew.nnz else 0.0
-    scale = np.abs(want.data).max() if want.nnz else 1.0
-    if worst > linsolve.SYMMETRY_RTOL * scale:
-        message = f"assembled matrix is not symmetric (max skew {worst:.3e}, scale {scale:.3e})"
-        with pytest.raises(SolverError) as err:
-            linsolve.assemble(rows, cols, vals, n)
-        assert str(err.value) == message
-    else:
-        assert_same_arrays(linsolve.assemble(rows, cols, vals, n), want)
 
-
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12))
 def test_symmetric_assembly_and_diagonal_shift_match_scipy(seed, n):
+    """`laplacian` stores the bits scipy sums its triplets to, and so does M + dt K."""
     rng = np.random.default_rng(seed)
-    m = scipy_csr(*random_triplets(rng, n, 3), n)
-    m = (m + m.T + sp.identity(n)).tocsr()  # stores every diagonal entry
-    coo = m.tocoo()
-    A = linsolve.assemble(coo.row, coo.col, coo.data, n)
+    parts = random_parts(rng, n, (ROW_LIMIT - 1) // 2)
+    A = linsolve.laplacian(parts, n)
+    m = scipy_csr(*laplacian_triplets(parts, n))
     assert_same_arrays(A, m)
     w, dt = rng.uniform(0.1, 2.0, n), float(rng.uniform(1e-4, 1.0))
     assert_same_arrays(A.plus_diagonal(w, dt), (sp.diags(w, format="csr") + dt * m).tocsr())
 
 
-def test_signed_zeros_match_scipy():
-    """Copies of -0.0 sum to -0.0, and a row of -0.0 terms multiplies to +0.0."""
-    rows, cols = [0, 0, 0, 0, 1, 1], [0, 0, 1, 1, 0, 1]
-    vals = np.array([-0.0, -0.0, 1.0, -1.0, 2.0, 3.0])
-    got, want = linsolve.CSR.from_triplets(rows, cols, vals, 2), scipy_csr(rows, cols, vals, 2)
-    assert_same_arrays(got, want)
-    x = np.array([-0.0, -0.0])
-    assert (got @ x).tobytes() == (want @ x).tobytes()
+@pytest.mark.parametrize("parts, message", [
+    ([([0, 1], [2, 1], [1.0, 2.0])], "pair on the diagonal"),
+    ([([0], [3], 1.0)], "outside the 3 x 3 matrix"),
+    ([([-1], [1], 1.0)], "outside the 3 x 3 matrix"),
+    ([([0, 2], [1, 1], 1.0), ([0], [1], 2.0)], "pair given twice"),
+    ([([0, 1], [1, 2], 1.0), ([2], [1], 2.0)], "pair given twice"),
+    ([([0, 1], [1, 0], [1.0, 2.0])], "pair given twice"),
+], ids=["diagonal", "above-range", "negative", "twice", "reversed", "reversed-in-one-part"])
+def test_laplacian_refuses_what_is_no_set_of_distinct_pairs(parts, message):
+    with pytest.raises(ValueError, match=message):
+        linsolve.laplacian(parts, 3)
 
 
 def test_rows_without_a_diagonal_entry_are_refused():
-    A = linsolve.assemble([0, 1], [1, 0], [1.0, 1.0], 2)
+    A = from_scipy(np.array([[0.0, 1.0], [1.0, 0.0]]))
     with pytest.raises(SolverError, match="no diagonal entry"):
         A.plus_diagonal(np.ones(2))
 
@@ -138,7 +169,7 @@ def check_lookup_against_dense(rng, stored):
     dense = np.where(stored, rng.normal(size=(n, n)), 0.0)
     dense[stored & (rng.random((n, n)) < 0.1)] = 0.0
     rows, cols = np.nonzero(stored)
-    A = linsolve.CSR.from_triplets(rows, cols, dense[rows, cols], n)
+    A = from_scipy(sp.coo_matrix((dense[rows, cols], (rows, cols)), shape=(n, n)))
 
     qr, qc = np.divmod(rng.integers(0, n * n, size=3 * n * n), n)  # repeats, any order
     at = A.find(qr, qc)
@@ -182,15 +213,15 @@ def test_find_and_deviation_on_chosen_patterns(stored):
 
 
 def capture_assembly(monkeypatch):
-    """Record the triplets every `linsolve.assemble` call receives."""
+    """Record the parts every `linsolve.laplacian` call receives."""
     calls = []
-    assemble = linsolve.assemble
+    laplacian = linsolve.laplacian
 
-    def recorded(rows, cols, vals, n):
-        calls.append((rows, cols, vals, n))
-        return assemble(rows, cols, vals, n)
+    def recorded(parts, n):
+        calls.append((parts, n))
+        return laplacian(parts, n)
 
-    monkeypatch.setattr(linsolve, "assemble", recorded)
+    monkeypatch.setattr(linsolve, "laplacian", recorded)
     return calls
 
 
@@ -207,14 +238,38 @@ def test_simulation_operators_match_scipy(monkeypatch, hour, inv_eps, n_sigma):
     macro = MacroSimulation(cell, 1.0, InterfaceLayout(n_sigma=n_sigma, m=8), diff,
                             KineticsBundle.zero())
     rng, dt = np.random.default_rng(inv_eps), 1 / 512
-    for sim, triplets in zip((micro, macro), calls):
-        want = scipy_csr(*triplets)
+    for sim, parts in zip((micro, macro), calls):
+        want = scipy_csr(*laplacian_triplets(*parts))
         assert_same_arrays(sim.stiffness.csr, want)
         x = rng.normal(size=want.shape[0])
         assert (sim.stiffness.csr @ x).tobytes() == (want @ x).tobytes()
         shifted = sim.stiffness.csr.plus_diagonal(sim.weights, dt)
         assert_same_arrays(shifted, (sp.diags(sim.weights, format="csr") + dt * want).tocsr())
         assert (shifted @ x).tobytes() == (to_scipy(shifted) @ x).tobytes()
+
+
+def test_both_stiffnesses_are_symmetric_with_zero_row_sums():
+    """Each model's stiffness equals its transpose bit for bit and its rows sum to 0 up to
+    round-off: on the mini b1 config's rungs and limit model, and on the hourglass grid."""
+    cfg = harness.parse_config(mini_config(epsilon=["1/4", "1/8"],
+                                           refinement={"k": 4, "m": 4, "n_sigma": 16}))
+    hour = build_reference_cell(hourglass())
+    hour_diff = DiffusionSpec(1.0, 2.0, ((0.7, 1.3), (0.3, 0.6), (0.7, 1.3)))
+    zero = KineticsBundle.zero()
+    micro = [(build_micro_geometry(eps, cfg.H, cfg.cell), cfg.k, cfg.diffusion)
+             for eps in cfg.epsilons] + [(build_micro_geometry(F(1, 8), 1, hour), 8, hour_diff)]
+    sims = [MicroSimulation(geom, build_micro_grid(geom, k), diff, zero) for geom, k, diff in micro]
+    sims += [MacroSimulation(cfg.cell, float(cfg.H), InterfaceLayout(cfg.n_sigma, cfg.m),
+                             cfg.diffusion, zero),
+             MacroSimulation(hour, 1.0, InterfaceLayout(n_sigma=16, m=8), hour_diff, zero)]
+    for sim in sims:
+        K = sim.stiffness.csr
+        transpose = to_scipy(K).T.tocsr()
+        transpose.sort_indices()
+        assert_same_arrays(K, transpose)
+        row_sum = K @ np.ones(K.shape[0])
+        assert np.all(np.abs(row_sum) <= 8 * np.finfo(float).eps * (np.abs(to_scipy(K)) @
+                                                                    np.ones(K.shape[0])))
 
 
 def micro_systems():

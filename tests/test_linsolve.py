@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chanhom.errors import SolverError
-from chanhom.linsolve import SOLVER_TOL, CosineModes, SparseMatrix, assemble, solve_spd
+from chanhom.linsolve import SOLVER_TOL, CosineModes, SparseMatrix, laplacian, solve_spd
 from linsolve_oracles import BlockLDL, from_scipy, to_scipy
 
 
@@ -27,29 +27,17 @@ def test_identity_solve_returns_rhs():
 
 
 def test_two_by_two_row_sums():
-    A = SparseMatrix(csr=assemble([0, 0, 1, 1], [0, 1, 0, 1], [2.0, -1.0, -1.0, 2.0], 2),
+    A = SparseMatrix(csr=from_scipy(np.array([[2.0, -1.0], [-1.0, 2.0]])),
                      factorization=BlockLDL)
     x = solve_spd(A, np.array([1.0, 1.0]))
     assert x == pytest.approx([1.0, 1.0], abs=1e-12)
 
 
 def poisson_1d(n, h):
-    """TPFA row assembly for -u'' with Dirichlet values pinned at both ends."""
-    rows, cols, vals = [], [], []
-    for i in range(n):
-        diag = 0.0
-        for j in (i - 1, i + 1):
-            if 0 <= j < n:
-                rows.append(i)
-                cols.append(j)
-                vals.append(-1.0 / h)
-                diag += 1.0 / h
-            else:
-                diag += 2.0 / h  # half-cell to the boundary value
-        rows.append(i)
-        cols.append(i)
-        vals.append(diag)
-    return assemble(rows, cols, vals, n)
+    """TPFA for -u'' with Dirichlet values pinned at both ends: the path Laplacian plus
+    the half-cell transmissibility to the boundary value on both end rows."""
+    inner = laplacian([(np.arange(n - 1), np.arange(1, n), 1.0 / h)], n)
+    return inner.plus_diagonal(np.where(np.isin(np.arange(n), [0, n - 1]), 2.0 / h, 0.0))
 
 
 def test_1d_poisson_linear_profile_against_dense_oracle():
@@ -157,8 +145,7 @@ def test_right_hand_side_whose_norm_over_or_underflows_is_solved(size):
 
 
 def test_overflowing_solution_is_refused():
-    A = SparseMatrix(csr=assemble(range(4), range(4), np.full(4, 0.5), 4),
-                     factorization=BlockLDL)
+    A = SparseMatrix(csr=from_scipy(0.5 * sp.identity(4)), factorization=BlockLDL)
     with pytest.raises(SolverError, match="solution overflows"):
         solve_spd(A, np.full(4, 1e308))  # x = 2e308
 
@@ -202,7 +189,7 @@ def test_coupling_of_non_adjacent_blocks_is_rejected():
 
 
 def test_indefinite_matrix_is_rejected():
-    A = SparseMatrix(csr=assemble([0, 0, 1, 1], [0, 1, 0, 1], [1.0, 2.0, 2.0, 1.0], 2),
+    A = SparseMatrix(csr=from_scipy(np.array([[1.0, 2.0], [2.0, 1.0]])),
                      factorization=BlockLDL)
     with pytest.raises(SolverError, match="positive definite"):
         solve_spd(A, np.ones(2))
@@ -226,11 +213,6 @@ def test_warm_started_solve_meets_tol():
     x0 = rng.normal(size=len(labels))
     x = solve_spd(A, b, x0=x0)
     assert np.linalg.norm(b - A.csr @ x) <= SOLVER_TOL * np.linalg.norm(b)
-
-
-def test_asymmetric_assembly_rejected():
-    with pytest.raises(SolverError, match="not symmetric"):
-        assemble([0, 1], [1, 0], [1.0, 2.0], 2)
 
 
 # -- cosine-mode factor -------------------------------------------------------
