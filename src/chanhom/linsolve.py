@@ -11,33 +11,40 @@ once, in its stiffness K, and gets every system it solves from K:
 * `CosineModes` (the limit model, one interface node per block): the
   operator is the same block at every node plus a uniform coupling along
   the interface, so cosine modes along the interface decouple it exactly.
-  Construction certifies that structure and diagonalises every mode block
-  in one eigenbasis (fast diagonalisation); a solve is a dense orthonormal
-  DCT-II product, one product with the eigenbasis, a scaling, and both
-  products back.  The transform is O(n_blocks^2) per unknown of a block,
-  but one BLAS product: at 512 blocks it still takes half the time of a
-  block sweep.
+  Construction reads that block and the coupling from the first block's
+  rows and diagonalises every mode block in one eigenbasis (fast
+  diagonalisation); a solve is a dense orthonormal DCT-II product, one
+  product with the eigenbasis, a scaling, and both products back.  The
+  transform is O(n_blocks^2) per unknown of a block, but one BLAS product:
+  at 512 blocks it still takes half the time of a block sweep.
 * `OpeningCapacitance` (the micro grid: bulk cells by grid column, channel
   cells by channel): with its R opening faces taken off, the bulk is
-  separable along the columns and goes to `CosineModes`, and the channels
-  are isolated equal-size blocks, inverted in one batched call.  The faces
-  come back through one symmetric Woodbury update, a dense R x R
-  capacitance system on them.  A solve is the same two dense transforms as
-  `CosineModes` plus one R x R product and two batched channel solves, with
-  no loop over columns.
+  separable along the columns and is solved in the same cosine modes, and
+  the channels are isolated equal-size blocks, inverted in one batched
+  call.  The faces come back through one symmetric Woodbury update, a dense
+  R x R capacitance system on them.  Construction reads the bulk from the
+  rows of grid column 0, and the channels and the faces from the channel
+  rows.  A solve is the same two dense transforms as `CosineModes` plus one
+  R x R product and two batched channel solves, with no loop over columns.
 
-A CSR keeps no row index; factor builds and structure checks derive it.
-Its product runs in the form chosen by size: `DiagonalOffsets` (values
-only, one vector per stored diagonal offset: every micro system) or
-`PaddedSlices` (column and value slices: the limit model, whose rows reach
-hundreds of offsets).  `solve_spd` returns its x read-only and leaves the
-product of its final residual check on the system, where the next solve
-from that x starts, so a run makes one sparse product per step.
+Neither factor reads the whole matrix or compares it with its form.  Each
+construction ends with one probe solve (`_probe`, Freivalds' randomized
+check): for b = A z, z a fixed random vector, the factor's x must meet
+SOLVER_TOL, or the matrix is refused.
+
+A CSR keeps no row index.  Its product runs in the form chosen by size:
+`DiagonalOffsets` (values only, one vector per stored diagonal offset:
+every micro system) or `PaddedSlices` (column and value slices: the limit
+model, whose rows reach hundreds of offsets).  `solve_spd` returns its x
+read-only and leaves the product of its final residual check on the
+system, where the next solve from that x starts, so a run makes one sparse
+product per step.
 
 All run in a fixed order, so repeated solves of identical systems are
 bit-identical.  The tests keep a block LDL^T sweep as the oracle of both.
 """
 
+import random
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -45,8 +52,6 @@ import numpy as np
 
 from .errors import SolverError
 
-# relative deviation from the separable form that `CosineModes` accepts
-SEPARABLE_RTOL = 1e-13
 # relative residual of every solve
 SOLVER_TOL = 1e-12
 
@@ -64,36 +69,10 @@ class CSR:
     data: np.ndarray
     shape: tuple
 
-    @property
-    def rows(self) -> np.ndarray:
-        """Row of every stored entry, derived on each call: only builds and checks read it."""
-        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
-
     def getrow(self, i) -> "CSR":
         lo, hi = self.indptr[i], self.indptr[i + 1]
         return CSR(np.array([0, hi - lo]), self.indices[lo:hi], self.data[lo:hi],
                    (1, self.shape[1]))
-
-    def find(self, rows, cols) -> np.ndarray:
-        """Position in `data` of the entry at every (rows, cols) key, -1 where none is stored."""
-        n = self.shape[1]
-        keys = self.rows * n + self.indices  # ascending: rows in order, columns sorted
-        want = np.asarray(rows, dtype=np.int64) * n + np.asarray(cols, dtype=np.int64)
-        at = np.searchsorted(keys, want)
-        found = np.append(keys, -1)[at] == want  # a search past the last key finds nothing
-        return np.where(found, at, -1)
-
-    def deviation(self, rows, cols, vals) -> float:
-        """max |A - B| over all keys, B given as `vals` at distinct (rows, cols) keys.
-
-        A stored entry that B lacks is compared with 0, and so is an entry of
-        B that A does not store.
-        """
-        at = self.find(rows, cols)
-        stored = at >= 0
-        diff = self.data.copy()
-        diff[at[stored]] -= vals[stored]
-        return float(max(np.abs(diff).max(initial=0.0), np.abs(vals[~stored]).max(initial=0.0)))
 
     @cached_property
     def _diagonal(self) -> np.ndarray:
@@ -244,48 +223,83 @@ def laplacian(parts, n) -> CSR:
     return CSR(indptr, (keys % n).astype(index), data, (n, n))
 
 
-def _separable_form(csr, order, m):
-    """A0 and c of a matrix I (x) A0 + K (x) diag(c), node-major in `order`.
+def _entries(csr, rows):
+    """(i, column, value) of every entry stored in row rows[i], row by row in stored order."""
+    lo, hi = csr.indptr[rows], csr.indptr[rows + 1]
+    length = hi - lo
+    i = np.repeat(np.arange(len(rows)), length)
+    at = np.arange(len(i)) + np.repeat(lo - (np.cumsum(length) - length), length)
+    return i, csr.indices[at], csr.data[at]
 
-    They are read from the first block and its coupling to the second; the
-    whole matrix must then match the form to SEPARABLE_RTOL times its largest
-    entry, or SolverError is raised.
+
+def _cosine_modes(csr, unknowns, labels):
+    """The cosine-mode factor of the matrix on `unknowns`, blocks labelled by `labels`.
+
+    Returns `unknowns` node-major (by block, each block in ascending order),
+    the DCT-II matrix, S and 1 / D of `CosineModes`.  A0 and c are read from
+    the first block's rows alone: A0 from their entries in that block, c_i
+    from row i's coupling to row i of the second block.  Blocks of unequal
+    size, an A0 without a Cholesky factor or a mode with some D_k <= 0 raise
+    SolverError; whether the rest of the matrix has the form is left to the
+    factor's probe (`_probe`).
     """
-    n = csr.shape[0]
-    nb = n // m
-    where = np.empty(n, dtype=np.int64)
-    where[order] = np.arange(n)  # node-major position of every unknown
-    r, c, vals = where[csr.rows], where[csr.indices], csr.data
-    k = np.full(nb, 2.0)
-    k[0] -= 1.0
-    k[-1] -= 1.0
-    coef = np.zeros(m)
-    beside = (r < m) & (c - r == m)
-    coef[r[beside]] = -vals[beside]
+    label = np.unique(labels, return_inverse=True)[1]
+    sizes = np.bincount(label)
+    nb, m = len(sizes), int(sizes[0])
+    if np.any(sizes != m):
+        raise SolverError("blocks of unequal size; no cosine-mode factor")
+    order = unknowns[np.argsort(label, kind="stable")]
+    first, second = order[:m], order[m:2 * m]  # each ascending, as `unknowns` is
+    i, j, v = _entries(csr, first)
+    at = np.minimum(np.searchsorted(first, j), m - 1)
+    inside = first[at] == j
     A0 = np.zeros((m, m))
-    first = (r < m) & (c < m)
-    A0[r[first], c[first]] = vals[first]
-    A0[np.diag_indices(m)] -= k[0] * coef
+    A0[i[inside], at[inside]] = v[inside]
+    coef = np.zeros(m)
+    if nb > 1:  # block 0 is A0 + diag(c): K's first diagonal entry is 1
+        beside = j == second[i]
+        coef[i[beside]] = -v[beside]
+        A0[np.diag_indices(m)] -= coef
 
-    # the separable form node-major: block i at A0's pattern and the diagonal,
-    # then the couplings (i, i + 1) and (i + 1, i) on the diagonal
-    li, lj = np.nonzero((A0 != 0) | np.eye(m, dtype=bool))
-    node = np.arange(nb)[:, None]
-    up = (node[:-1] * m + np.arange(m)).ravel()
-    form_r = np.concatenate([(node * m + li).ravel(), up, up + m])
-    form_c = np.concatenate([(node * m + lj).ravel(), up + m, up])
-    form = np.concatenate([
-        (A0[li, lj] + np.where(li == lj, k[:, None] * coef[li], 0.0)).ravel(),
-        np.tile(-coef, 2 * (nb - 1)),
-    ])
-    worst = csr.deviation(order[form_r], order[form_c], form)
-    scale = np.abs(vals).max() if len(vals) else 1.0
-    if worst > SEPARABLE_RTOL * scale:
+    modes = np.arange(nb)
+    dct = np.sqrt(np.where(modes == 0, 1.0, 2.0) / nb)[:, None] * np.cos(
+        np.pi * np.outer(modes, 2 * modes + 1) / (2 * nb)
+    )
+    try:
+        L_inv = np.linalg.inv(np.linalg.cholesky(A0))
+    except np.linalg.LinAlgError as exc:
+        raise SolverError("mode 0 is not positive definite") from exc
+    mu, V = np.linalg.eigh((L_inv * coef) @ L_inv.T)
+    D = 1.0 + np.outer(2.0 - 2.0 * np.cos(np.pi * modes / nb), mu)
+    indefinite = np.flatnonzero(np.any(D <= 0.0, axis=1))
+    if len(indefinite):
+        raise SolverError(f"mode {indefinite[0]} is not positive definite")
+    return order, dct, L_inv.T @ V, 1.0 / D
+
+
+def _probe(factor, csr) -> float:
+    """Freivalds' check that `factor` inverts `csr`: one cold solve of b = csr z.
+
+    A factor reads a few rows of its matrix and assumes the form of the rest.
+    With z a fixed random vector, the solve's relative residual
+    ||b - csr x|| / ||b|| must meet SOLVER_TOL, or SolverError is raised;
+    returns that residual.  b is taken in the range of csr, not at random,
+    so that a correct factor stays at round-off however ill-conditioned csr
+    is: on the limit model's steady conduction system (no mass term) at
+    n_sigma 128 it reads 5.8e-14, where a random b reads 1.9e-11.
+    """
+    # z uniform on [-1/2, 1/2) from the stdlib generator, which a run imports anyway;
+    # numpy.random would add its extension modules to every run's memory
+    z = np.frombuffer(random.Random(1977).randbytes(8 * csr.shape[0]), dtype=np.uint64)
+    b = csr @ ((z >> 11) * 2.0**-53 - 0.5)
+    residual = float(np.linalg.norm(b - csr @ factor.solve(b))) / float(np.linalg.norm(b))
+    if not residual <= SOLVER_TOL:  # a NaN residual fails too
         raise SolverError(
-            f"matrix is not I (x) A0 + K (x) diag(c) along its blocks "
-            f"(max deviation {worst:.3e}, scale {scale:.3e})"
+            f"{type(factor).__name__} does not invert its matrix: the probe solve missed "
+            f"tol={SOLVER_TOL:g} (relative residual {residual:.3e})",
+            residual=residual,
         )
-    return A0, coef
+    return residual
 
 
 class CosineModes:
@@ -306,36 +320,16 @@ class CosineModes:
         (A0 + lam_k diag(c))^{-1} = S diag(1 / D_k) S^T,  D_k = 1 + lam_k mu,
 
     so the factor keeps S (m x m) and 1 / D (n x m).  Construction reads A0
-    and c and checks the form (`_separable_form`); every mode block must be
-    positive definite (A0 has a Cholesky factor and every D_k > 0), or
-    SolverError is raised.
+    and c from the first block's rows (`_cosine_modes`); every mode block
+    must be positive definite (A0 has a Cholesky factor and every D_k > 0),
+    and one probe solve must show that the factor inverts the whole matrix
+    (`_probe`), or SolverError is raised.
     """
 
     def __init__(self, csr, blocks):
-        label = np.unique(np.asarray(blocks), return_inverse=True)[1]
-        sizes = np.bincount(label)
-        nb, m = len(sizes), int(sizes[0])
-        if np.any(sizes != m):
-            raise SolverError("blocks of unequal size; no cosine-mode factor")
-        self.order = np.argsort(label, kind="stable")
-
-        A0, coef = _separable_form(csr, self.order, m)
-
-        modes = np.arange(nb)
-        self.dct = np.sqrt(np.where(modes == 0, 1.0, 2.0) / nb)[:, None] * np.cos(
-            np.pi * np.outer(modes, 2 * modes + 1) / (2 * nb)
-        )
-        try:
-            L_inv = np.linalg.inv(np.linalg.cholesky(A0))
-        except np.linalg.LinAlgError as exc:
-            raise SolverError("mode 0 is not positive definite") from exc
-        mu, V = np.linalg.eigh((L_inv * coef) @ L_inv.T)
-        self.S = L_inv.T @ V
-        D = 1.0 + np.outer(2.0 - 2.0 * np.cos(np.pi * modes / nb), mu)
-        indefinite = np.flatnonzero(np.any(D <= 0.0, axis=1))
-        if len(indefinite):
-            raise SolverError(f"mode {indefinite[0]} is not positive definite")
-        self.inv_D = 1.0 / D
+        self.order, self.dct, self.S, self.inv_D = _cosine_modes(
+            csr, np.arange(csr.shape[0]), blocks)
+        _probe(self, csr)
 
     def solve(self, b) -> np.ndarray:
         """x with A x = b: transform, scale in the eigenbasis, inverse transform."""
@@ -345,30 +339,6 @@ class CosineModes:
         x = np.empty_like(b)
         x[self.order] = (self.dct.T @ (y @ self.S.T)).reshape(-1)
         return x
-
-
-def _split(csr, bulk, chan):
-    """A_sep = A_BB + diag(A_BC 1) as a CSR, and the triplets of A_BC and A_CC.
-
-    All in local indices: bulk unknowns in ascending order, channel unknowns
-    in the order of `chan`.  A_BB's entries keep their stored order, which is
-    canonical, since the bulk rows and columns keep theirs.
-    """
-    local = np.empty(csr.shape[0], dtype=np.int64)
-    local[bulk] = np.arange(len(bulk))
-    local[chan] = np.arange(len(chan))
-    is_b = np.zeros(csr.shape[0], dtype=bool)
-    is_b[bulk] = True
-    rows = csr.rows
-    rb, cb = is_b[rows], is_b[csr.indices]
-    r, c, vals = local[rows], local[csr.indices], csr.data
-    A_BB, BC, CC = [(r[sel], c[sel], vals[sel]) for sel in (rb & cb, rb & ~cb, ~rb & ~cb)]
-    n_b = len(bulk)
-    indptr = np.zeros(n_b + 1, dtype=csr.indptr.dtype)
-    np.cumsum(np.bincount(A_BB[0], minlength=n_b), out=indptr[1:])
-    A_sep = CSR(indptr, A_BB[1].astype(csr.indices.dtype), A_BB[2], (n_b, n_b))
-    A_sep = A_sep.plus_diagonal(np.bincount(BC[0], BC[2], n_b))
-    return A_sep, BC, CC
 
 
 class OpeningCapacitance:
@@ -382,12 +352,17 @@ class OpeningCapacitance:
       every channel has as many such opening faces.  Each is a two-point term
       t (e_p - e_q)(e_p - e_q)^T with t = -A_BC[p, q].
     * Without its R opening faces the matrix is B = blockdiag(A_sep, A_ch):
-      A_sep, the bulk, is separable along the columns and is factored by
-      `CosineModes`; A_ch is block diagonal, one block of equal size per
-      channel, inverted in one batched call.
+      A_sep, the bulk, is separable along the columns and is factored in
+      cosine modes (`CosineModes`); A_ch is block diagonal, one block of
+      equal size per channel, inverted in one batched call.
 
-    With U = P^T - Q^T the faces' columns e_p - e_q and T = diag(t), Woodbury
-    gives
+    Construction reads the modes from the rows of bulk column 0: a channel is
+    centred and narrower than its cell, so column 0 holds no opening and its
+    rows are A_sep's own.  It reads the channel blocks and
+    the opening faces from the channel rows alone: an entry in the row's own
+    channel belongs to A_ch, an entry in a bulk column is a face, with the
+    bits of its mirror A_BC[p, q].  With U = P^T - Q^T the faces' columns
+    e_p - e_q and T = diag(t), Woodbury gives
 
         A^{-1} = B^{-1} - B^{-1} U Z^{-1} U^T B^{-1},
         Z = T^{-1} + P A_sep^{-1} P^T + Q A_ch^{-1} Q^T,
@@ -398,7 +373,9 @@ class OpeningCapacitance:
     solve is a batched channel solve, the forward transform into the modes'
     eigenbasis, the gather s = x_B[P] - x_C[Q], one R x R product, the
     correction in the eigenbasis and the inverse transform, and a second
-    batched channel solve.  A matrix of any other form raises SolverError.
+    batched channel solve.  Labels the build cannot shape its arrays from,
+    a block that is not positive definite, and a matrix of any other form,
+    which the probe solve (`_probe`) finds, raise SolverError.
     """
 
     def __init__(self, csr, blocks=None):
@@ -413,19 +390,24 @@ class OpeningCapacitance:
         n_chan, mc = len(sizes), int(sizes[0])
         self.chan = chan[np.argsort(which, kind="stable")]
 
-        A_sep, (br, bc, bv), (cr, cc, cv) = _split(csr, bulk, self.chan)
-        self.modes = CosineModes(A_sep, blocks[bulk])
-        del A_sep  # freed before the dense R x R work below
-        nb, m = self.modes.inv_D.shape
+        # node-major: column, then row
+        self.bulk, self.dct, self.S, self.inv_D = _cosine_modes(csr, bulk, blocks[bulk])
+        nb, m = self.inv_D.shape
         if nb % n_chan:
             raise SolverError(f"{nb} bulk columns do not split into {n_chan} channels")
-        self.bulk = bulk[self.modes.order]  # node-major: column, then row
 
-        if np.any(cr // mc != cc // mc):
-            raise SolverError("matrix couples two channels; no opening factor")
+        # position of every channel cell in `chan` and of every bulk cell in `bulk`
+        where = np.empty(len(blocks), dtype=np.int64)
+        where[self.chan] = np.arange(len(chan))
+        where[self.bulk] = np.arange(len(bulk))
+        # channel rows: an entry in the row's own channel is A_ch's, one in a bulk column a face
+        i, j, v = _entries(csr, self.chan)
+        face = blocks[j] >= 0
+        own = ~face & (where[j] // mc == i // mc)
         A_ch = np.zeros((n_chan, mc, mc))
-        A_ch[cr // mc, cr % mc, cc % mc] = cv
-        A_ch[:, np.arange(mc), np.arange(mc)] += np.bincount(bc, bv, n_chan * mc).reshape(-1, mc)
+        A_ch[i[own] // mc, i[own] % mc, where[j[own]] % mc] = v[own]
+        A_ch[:, np.arange(mc), np.arange(mc)] += np.bincount(
+            i[face], v[face], n_chan * mc).reshape(-1, mc)
         try:
             L_inv = np.linalg.inv(np.linalg.cholesky(A_ch))
         except np.linalg.LinAlgError as exc:
@@ -433,30 +415,24 @@ class OpeningCapacitance:
         self.chan_inv = np.matmul(L_inv.transpose(0, 2, 1), L_inv)
 
         # the opening faces by node-major position of their bulk cell, so channel by channel
-        where = np.empty(len(bulk), dtype=np.int64)
-        where[self.modes.order] = np.arange(len(bulk))
-        p = where[br]
-        if np.any(p // m // (nb // n_chan) != bc // mc):
-            raise SolverError("a bulk cell is coupled to a channel outside its column")
+        p = where[j[face]]
         by_p = np.argsort(p, kind="stable")
-        p, self.face_c, t = p[by_p], bc[by_p], -bv[by_p]  # face_c: the channel cell q
-        if np.any(np.diff(p) == 0):
-            raise SolverError("a bulk cell touches two channel cells; no opening factor")
+        p, self.face_c, t = p[by_p], i[face][by_p], -v[face][by_p]  # face_c: the channel cell q
         per_chan = np.bincount(self.face_c // mc, minlength=n_chan)
         if np.any(per_chan != per_chan[0]):
             raise SolverError("channels with unequal openings; no opening factor")
         cols, col = np.unique(p // m, return_inverse=True)
         self.rows, row = np.unique(p % m, return_inverse=True)
         self.slot = col * len(self.rows) + row  # p in the (opening column, opening row) grid
-        self.qc = self.modes.dct[:, cols]
-        self.S_rows = self.modes.S[self.rows]
+        self.qc = self.dct[:, cols]
+        self.S_rows = self.S[self.rows]
 
         # Z = T^-1 + P A_sep^-1 P^T + Q A_ch^-1 Q^T, the bulk part by pairs of opening rows
         R, nr = len(p), int(per_chan[0])
         Z = np.empty((R, R))
         for s, r in enumerate(self.rows):
             for s2, r2 in enumerate(self.rows):
-                inv_rr2 = self.modes.inv_D @ (self.S_rows[s] * self.S_rows[s2])  # per mode
+                inv_rr2 = self.inv_D @ (self.S_rows[s] * self.S_rows[s2])  # per mode
                 pair = self.qc.T @ (inv_rr2[:, None] * self.qc)
                 Z[np.ix_(row == s, row == s2)] = pair[np.ix_(col[row == s], col[row == s2])]
         Z[np.diag_indices(R)] += 1.0 / t
@@ -464,23 +440,24 @@ class OpeningCapacitance:
         Z.reshape(n_chan, nr, n_chan, nr)[j, :, j, :] += self.chan_inv[
             j[:, None, None], local[:, :, None], local[:, None, :]]
         self.W = np.linalg.inv(Z)
+        del Z  # freed before the probe solve
+        _probe(self, csr)
 
     def solve(self, b) -> np.ndarray:
         """x with A x = b: channels and bulk modes, the face correction, channels."""
-        modes = self.modes
-        nb, m = modes.inv_D.shape
+        nb, m = self.inv_D.shape
         n_chan, mc = self.chan_inv.shape[:2]
         b_c = b[self.chan]
         x_c = np.matmul(self.chan_inv, b_c.reshape(n_chan, mc, 1)).reshape(-1)
-        y = (modes.dct @ b[self.bulk].reshape(nb, m)) @ modes.S  # by mode and eigenvector
-        y *= modes.inv_D
+        y = (self.dct @ b[self.bulk].reshape(nb, m)) @ self.S  # by mode and eigenvector
+        y *= self.inv_D
         s = (self.qc.T @ (y @ self.S_rows.T)).reshape(-1)[self.slot] - x_c[self.face_c]
         q = self.W @ s
         z = np.zeros((self.qc.shape[1], len(self.rows)))
         z.flat[self.slot] = q
-        y -= ((self.qc @ z) @ self.S_rows) * modes.inv_D
+        y -= ((self.qc @ z) @ self.S_rows) * self.inv_D
         x = np.empty_like(b)
-        x[self.bulk] = (modes.dct.T @ (y @ modes.S.T)).reshape(-1)
+        x[self.bulk] = (self.dct.T @ (y @ self.S.T)).reshape(-1)
         b_c += np.bincount(self.face_c, q, n_chan * mc)
         x[self.chan] = np.matmul(self.chan_inv, b_c.reshape(n_chan, mc, 1)).reshape(-1)
         return x

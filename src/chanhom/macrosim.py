@@ -15,8 +15,9 @@ bulk grids' horizontal faces, which couple each node to its neighbours by
 -diag(c): the diffusivities do not depend on the position along the
 interface, its partition is uniform and the kinetics are explicit.  So the
 solve runs mode by mode in cosine modes along the interface
-(`linsolve.CosineModes`), whose construction checks that structure on the
-assembled matrix.
+(`linsolve.CosineModes`), whose construction reads the first node's rows of
+the assembled matrix and shows with one probe solve that it inverts the
+whole of it.
 """
 
 from dataclasses import dataclass

@@ -13,7 +13,8 @@ column, plus one isolated block per channel that touches the bulk only
 through the faces of its openings.  `linsolve.OpeningCapacitance` solves the
 bulk in cosine modes along the columns and the channels block by block,
 and joins them through a capacitance system on the opening faces; its
-construction checks that structure on the assembled matrix.
+construction reads a few rows of the assembled matrix and shows with one
+probe solve that it inverts the whole of it.
 """
 
 from dataclasses import dataclass

@@ -3,7 +3,8 @@
 `BlockLDL` factors any matrix that is block tridiagonal in its labels, with
 no assumption on the blocks themselves; the match tests compare the
 structured factors of the program against it.  `from_scipy` and `to_scipy`
-move a matrix between a scipy CSR and the program's own `CSR`.
+move a matrix between a scipy CSR and the program's own `CSR`, and `rows`
+gives the row of every entry that CSR stores.
 """
 
 import numpy as np
@@ -21,6 +22,11 @@ def from_scipy(m) -> CSR:
 
 def to_scipy(csr: CSR) -> sp.csr_matrix:
     return sp.csr_matrix((csr.data, csr.indices, csr.indptr), shape=csr.shape)
+
+
+def rows(csr: CSR) -> np.ndarray:
+    """Row of every stored entry, in storage order."""
+    return np.repeat(np.arange(csr.shape[0]), np.diff(csr.indptr))
 
 
 def _group(keys, sel, n_groups):
@@ -51,11 +57,11 @@ class BlockLDL:
         local = np.empty(n, dtype=np.int64)
         local[self.order] = np.arange(n) - bounds[label[self.order]]
 
-        rows, cols, data = csr.rows, csr.indices, csr.data
-        bi, bj = label[rows], label[cols]
+        row, cols, data = rows(csr), csr.indices, csr.data
+        bi, bj = label[row], label[cols]
         if np.any(np.abs(bi - bj) > 1):
             raise SolverError("matrix couples non-adjacent blocks; no block tridiagonal factor")
-        li, lj = local[rows], local[cols]
+        li, lj = local[row], local[cols]
         nb = len(sizes)
         diag = _group(bi, np.flatnonzero(bi == bj), nb)
         upper = _group(bi, np.flatnonzero(bj == bi + 1), nb)

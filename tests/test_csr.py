@@ -24,6 +24,8 @@ from chanhom.microsim import DiffusionSpec, KineticsBundle, MicroSimulation
 from linsolve_oracles import from_scipy, to_scipy
 from test_geometry import hourglass
 from test_harness import mini_config
+from test_linsolve import separable
+from test_microsim import B1_DIFF, FUNNEL, FUNNEL_DIFF, HOURGLASS_DIFF, micro_matrix
 
 ROW_LIMIT = 16
 
@@ -159,35 +161,15 @@ def test_rows_without_a_diagonal_entry_are_refused():
         A.plus_diagonal(np.ones(2))
 
 
-def check_lookup_against_dense(rng, stored):
-    """`find`, `deviation` and the diagonal lookup of a CSR with pattern `stored`, densely.
-
-    A tenth of the stored entries hold 0.0.  B sits on a random set of keys;
-    on some of A's keys it takes A's value, so their difference is 0.
-    """
+def check_diagonal_against_dense(rng, stored):
+    """`plus_diagonal` on a CSR with pattern `stored`, densely: A + I where every row stores
+    its diagonal entry, the refusal where one does not.  A tenth of the stored entries
+    hold 0.0, and a stored 0.0 on the diagonal counts as stored."""
     n = len(stored)
     dense = np.where(stored, rng.normal(size=(n, n)), 0.0)
     dense[stored & (rng.random((n, n)) < 0.1)] = 0.0
     rows, cols = np.nonzero(stored)
     A = from_scipy(sp.coo_matrix((dense[rows, cols], (rows, cols)), shape=(n, n)))
-
-    qr, qc = np.divmod(rng.integers(0, n * n, size=3 * n * n), n)  # repeats, any order
-    at = A.find(qr, qc)
-    hit = at >= 0
-    assert np.array_equal(hit, stored[qr, qc])
-    assert np.array_equal(A.rows[at[hit]], qr[hit])
-    assert np.array_equal(A.indices[at[hit]], qc[hit])
-
-    on_b = rng.random((n, n)) < rng.choice([0.0, 0.5, 1.0])
-    B = np.where(on_b, rng.normal(size=(n, n)), 0.0)
-    same = on_b & stored & (rng.random((n, n)) < 0.5)
-    B[same] = dense[same]
-    br, bc = np.nonzero(on_b)
-    perm = rng.permutation(len(br))
-    br, bc = br[perm], bc[perm]
-    assert A.deviation(br, bc, B[br, bc]) == np.abs(dense - B).max(initial=0.0)
-    assert A.deviation(A.indices, A.rows, A.data) == np.abs(dense - dense.T).max(initial=0.0)
-
     if np.diagonal(stored).all():
         assert np.array_equal(to_scipy(A.plus_diagonal(np.ones(n))).toarray(), dense + np.eye(n))
     else:
@@ -198,9 +180,9 @@ def check_lookup_against_dense(rng, stored):
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 10),
        density=st.sampled_from([0.0, 0.3, 1.0]))
-def test_find_and_deviation_match_a_dense_oracle(seed, n, density):
+def test_diagonal_shift_matches_a_dense_oracle(seed, n, density):
     rng = np.random.default_rng(seed)
-    check_lookup_against_dense(rng, rng.random((n, n)) < density)
+    check_diagonal_against_dense(rng, rng.random((n, n)) < density)
 
 
 @pytest.mark.parametrize("stored", [
@@ -208,8 +190,50 @@ def test_find_and_deviation_match_a_dense_oracle(seed, n, density):
     ~np.eye(3, dtype=bool) | np.diag([True, False, True]),  # row 1 has no diagonal entry
     np.eye(3, dtype=bool) | (np.arange(3)[:, None] == [2, 2, 0]),  # (0, 2) without (2, 0)
 ], ids=["empty", "row-without-diagonal", "one-sided-entry"])
-def test_find_and_deviation_on_chosen_patterns(stored):
-    check_lookup_against_dense(np.random.default_rng(1), stored)
+def test_diagonal_shift_on_chosen_patterns(stored):
+    check_diagonal_against_dense(np.random.default_rng(1), stored)
+
+
+def assert_separable(csr, blocks):
+    """csr is I (x) A0 + K (x) diag(c) node-major in `blocks`, to 1e-13 x its largest entry.
+
+    A0 and c are read from the first block and its coupling to the second, as the
+    cosine-mode factor reads them; then every entry is compared, densely.
+    """
+    order = np.argsort(blocks, kind="stable")
+    dense = to_scipy(csr).toarray()[np.ix_(order, order)]
+    nb = len(np.unique(blocks))
+    m = len(order) // nb
+    c = -np.diagonal(dense[:m, m:2 * m]) if nb > 1 else np.zeros(m)
+    A0 = dense[:m, :m] - np.diag(c)
+    form = separable(A0, c, nb)
+    assert np.abs(dense - form).max() <= 1e-13 * np.abs(dense).max()
+
+
+@pytest.mark.parametrize("profile, k, diff", [
+    (ChannelProfile.rectangle(F(1, 2)), 4, B1_DIFF), (hourglass(), 8, HOURGLASS_DIFF),
+    (FUNNEL, 8, FUNNEL_DIFF),
+], ids=["rectangle", "hourglass", "funnel"])
+@pytest.mark.parametrize("inv_eps", [1, 3])
+def test_micro_bulk_is_separable_along_its_columns(profile, k, diff, inv_eps):
+    """Without its opening faces, M + dt K's bulk is the same block in every grid column
+    plus a uniform coupling between neighbours: the form `OpeningCapacitance` factors in
+    cosine modes, which no longer checks it entry by entry."""
+    sim, csr = micro_matrix(profile, k, inv_eps, diff, 1 / 512)
+    blocks = sim.stiffness.blocks
+    dense = to_scipy(csr).toarray()
+    bulk, chan = blocks >= 0, blocks < 0
+    A_sep = dense[np.ix_(bulk, bulk)] + np.diag(dense[np.ix_(bulk, chan)].sum(axis=1))
+    assert_separable(from_scipy(A_sep), blocks[bulk])
+
+
+def test_limit_model_is_separable_along_the_interface():
+    """The whole limit model's M + dt K, grouped by interface node, has the form
+    `CosineModes` factors, which no longer checks it entry by entry."""
+    sim = MacroSimulation(build_reference_cell(ChannelProfile.rectangle(F(1, 2))), 1.0,
+                          InterfaceLayout(n_sigma=8, m=4), B1_DIFF, KineticsBundle.zero())
+    assert_separable(sim.stiffness.plus_diagonal(sim.weights, 1 / 512).csr,
+                     sim.stiffness.blocks)
 
 
 def capture_assembly(monkeypatch):

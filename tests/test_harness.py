@@ -14,9 +14,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chanhom import cli, harness
+from chanhom import cli, harness, microsim
 from chanhom.errors import ConfigError, SolverError
 from chanhom.microsim import snapshot_steps
+from test_microsim import _scaled_coupling
 
 REPO = Path(__file__).resolve().parents[1]
 B1 = REPO / "configs" / "b1.json"
@@ -770,6 +771,24 @@ def test_run_failing_on_a_later_rung_removes_every_written_file(tmp_path, capsys
     assert cli.main(["run", str(p), "--out", str(out)]) == 2
     assert "numerical failure: injected failure" in capsys.readouterr().err
     assert list(tmp_path.rglob("*.npy")) == [] and not out.exists()
+
+
+def test_run_whose_factor_the_probe_refuses_exits_two(tmp_path, capsys, monkeypatch):
+    """A micro stiffness with one bulk x-coupling scaled by 1 + 1e-6: its factor reads
+    grid column 0's rows, which are intact, and the build's probe solve refuses it."""
+    assemble = microsim.assemble_micro_operator
+
+    def off_by_one_coupling(geom, grid, diff):
+        A, weights = assemble(geom, grid, diff)
+        # bulk cells below the channels, in grid columns 5 and 6
+        return _scaled_coupling(A, grid.index[5, 0], grid.index[6, 0], 1e-6), weights
+
+    monkeypatch.setattr(microsim, "assemble_micro_operator", off_by_one_coupling)
+    out = tmp_path / "x"
+    assert cli.main(["run", str(write_config(tmp_path, mini_config())), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "numerical failure: OpeningCapacitance does not invert its matrix" in err
+    assert "Traceback" not in err and not out.exists()
 
 
 def test_failed_run_keeps_what_was_in_the_output_directory(tmp_path, capsys):

@@ -282,20 +282,20 @@ def test_cosine_modes_reject_what_is_not_separable():
         "missing neighbour coupling": _couple(fixed, n2, n2 + size, -fixed[n2, n2 + size]),
     }
     for name, dense in broken.items():
-        with pytest.raises(SolverError, match="not I"):
+        with pytest.raises(SolverError, match="does not invert its matrix"):
             CosineModes(from_scipy(dense[np.ix_(where, where)]), node)
     with pytest.raises(SolverError, match="unequal size"):
         CosineModes(from_scipy(sp.identity(3)), np.array([0, 0, 1]))
 
 
 def test_cosine_modes_reject_an_entry_missing_from_one_block():
-    """The check covers the form's entries that the matrix does not store."""
+    """The probe covers the form's entries that the matrix does not store."""
     rng = np.random.default_rng(6)
     n_nodes, size = 4, 3
     fixed = separable(random_spd_block(rng, size), np.ones(size), n_nodes)
     n2 = 2 * size
     broken = _couple(fixed, n2, n2 + 1, -fixed[n2, n2 + 1])  # a zero is not stored
-    with pytest.raises(SolverError, match="not I"):
+    with pytest.raises(SolverError, match="does not invert its matrix"):
         CosineModes(from_scipy(broken), np.repeat(np.arange(n_nodes), size))
 
 

@@ -187,9 +187,10 @@ def with_values(state, values):
 def test_steps_make_one_sparse_product_each(make, monkeypatch):
     """A step from the array the last solve returned reuses its final check's product.
 
-    Over 5 steps the cached system multiplies twice on the first step (the warm
-    start's residual and the final check), then once per step, and every state is
-    bitwise that of a simulator whose carried product is dropped before each step.
+    Over 5 steps the cached system multiplies four times on the first step (the warm
+    start's residual, the factor build's probe b = A z and its residual, and the final
+    check), then once per step, and every state is bitwise that of a simulator whose
+    carried product is dropped before each step.
     A step from any other array, an equal copy or an edited initial state,
     multiplies afresh.
     """
@@ -213,7 +214,7 @@ def test_steps_make_one_sparse_product_each(make, monkeypatch):
     for _ in range(5):
         state, n = step(state)
         counts.append(n)
-    assert counts == [2, 1, 1, 1, 1]
+    assert counts == [4, 1, 1, 1, 1]
     with pytest.raises(ValueError, match="read-only"):
         state.values[0] = 0.0
     assert step(with_values(state, state.values.copy()))[1] == 2
@@ -439,7 +440,7 @@ def test_opening_factor_keeps_no_inverse_per_mode():
     # 512 inverses of 52 x 52 (11.1 MB) that a per-mode factor keeps
     _, _, sim = setup(eps=F(1, 128))
     factor = sim.stiffness.plus_diagonal(sim.weights, 1 / 512).factor
-    nb, m = factor.modes.inv_D.shape
+    nb, m = factor.inv_D.shape
     assert kept_bytes(factor) < 7.0e6
 
     def arrays(obj):
@@ -456,7 +457,8 @@ def test_refined_micro_solves_keep_their_margin(monkeypatch):
     """The x0 step keeps the deep rungs well under `linsolve.SOLVER_TOL` (1e-12).
 
     Hourglass channel at 1/eps 128, k = m = 8, first 12 steps at dt 1/512:
-    the worst final relative residual is 3.5e-13.
+    the worst final relative residual is 3.5e-13, and the factor build's probe
+    solve reads 7.4e-14.
     """
     kin = KineticsBundle(
         f_plus=B1_KIN.f_plus, f_minus=B1_KIN.f_minus, g=B1_KIN.g,
@@ -474,11 +476,20 @@ def test_refined_micro_solves_keep_their_margin(monkeypatch):
         return x
 
     monkeypatch.setattr(linsolve, "solve_spd", measured)
+    probes = []
+    probe = linsolve._probe
+
+    def recorded(factor, csr):
+        probes.append(probe(factor, csr))
+        return probes[-1]
+
+    monkeypatch.setattr(linsolve, "_probe", recorded)
     state = sim.initial_state(B1_INIT)
     for _ in range(12):
         state = sim.step(state, 1 / 512)
     assert len(residuals) == 12
     assert max(residuals) <= 5e-13
+    assert len(probes) == 1 and probes[0] <= 5e-13
 
 
 def _couple(csr, i, j, t):
@@ -488,7 +499,15 @@ def _couple(csr, i, j, t):
     return from_scipy(to_scipy(csr) + term)
 
 
+def _scaled_coupling(csr, a, b, delta):
+    """csr with the two-point term between cells a and b scaled by 1 + delta."""
+    row = csr.getrow(a)
+    return _couple(csr, a, b, -delta * row.data[row.indices == b][0])
+
+
 def test_opening_factor_rejects_other_forms():
+    """A labelling the build cannot shape its arrays from is refused by name; a matrix of
+    another form is refused by the probe solve."""
     sim, csr = micro_matrix(ChannelProfile.rectangle(F(1, 2)), 4, 3, B1_DIFF, 1 / 128)
     grid, blocks = sim.grid, sim.stiffness.blocks
     linsolve.OpeningCapacitance(csr, blocks)  # the unperturbed matrix factors
@@ -499,15 +518,32 @@ def test_opening_factor_rejects_other_forms():
     opening = above[(above >= 0) & (blocks[np.maximum(above, 0)] >= 0)][0]
     bulk_row = np.flatnonzero((blocks >= 0) & (grid.cell_j == grid.cell_j[opening]))
 
-    with pytest.raises(SolverError, match="couples two channels"):
+    with pytest.raises(SolverError, match="does not invert its matrix"):  # couples two channels
         linsolve.OpeningCapacitance(_couple(csr, chan0[0], chan1[0], 0.5), blocks)
     moved = blocks.copy()
     moved[chan1[0]] = -1
     with pytest.raises(SolverError, match="unequal size"):
         linsolve.OpeningCapacitance(csr, moved)
-    with pytest.raises(SolverError, match="not I"):
+    with pytest.raises(SolverError, match="does not invert its matrix"):  # not I (x) A0 + ...
         linsolve.OpeningCapacitance(_couple(csr, bulk_row[0], bulk_row[1], 1e-6), blocks)
-    with pytest.raises(SolverError, match="outside its column"):
+    # a bulk cell coupled to a channel outside its column: channel 1 gains an opening
+    with pytest.raises(SolverError, match="unequal openings"):
         linsolve.OpeningCapacitance(_couple(csr, opening, chan1[0], 0.5), blocks)
+    # one bulk column that is not the same as the others: a vertical coupling in column 5
+    with pytest.raises(SolverError, match="does not invert its matrix"):
+        linsolve.OpeningCapacitance(
+            _scaled_coupling(csr, grid.index[5, 3], grid.index[5, 4], 1e-6), blocks)
     with pytest.raises(SolverError, match="no bulk and channel labels"):
         linsolve.OpeningCapacitance(csr, None)
+
+
+def test_probe_refuses_one_bulk_coupling_off_by_1e_10():
+    """b1's M + dt K at 1/eps 16 with the x-coupling of bulk cells (5, 3) and (6, 3) scaled
+    by 1 + 1e-10: the probe solve reads 3.1e-12 and refuses it; at 1 + 1e-11 it passes."""
+    _, grid, sim = setup(eps=F(1, 16))
+    csr = sim.stiffness.plus_diagonal(sim.weights, 1 / 512).csr
+    a, b = grid.index[5, 3], grid.index[6, 3]
+    with pytest.raises(SolverError, match="does not invert its matrix") as err:
+        linsolve.OpeningCapacitance(_scaled_coupling(csr, a, b, 1e-10), sim.stiffness.blocks)
+    assert err.value.residual > 2e-12
+    linsolve.OpeningCapacitance(_scaled_coupling(csr, a, b, 1e-11), sim.stiffness.blocks)
