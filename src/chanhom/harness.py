@@ -13,6 +13,7 @@ writes the stored snapshots as CSV for human readers.
 """
 
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -40,7 +41,14 @@ from .geometry import (
 from .grid import Field, build_cell_grid, build_micro_grid, check_alignment
 from .kinetics import BASE_KINDS, InitialData, KineticsSpec
 from .macrosim import InterfaceLayout, MacroSimulation, MacroState
-from .microsim import DiffusionSpec, KineticsBundle, MicroSimulation, MicroState, step_count
+from .microsim import (
+    DiffusionSpec,
+    KineticsBundle,
+    MicroSimulation,
+    MicroState,
+    snapshot_steps,
+    step_count,
+)
 from .twoscale import (
     TwoScaleReport,
     Unfolder,
@@ -435,10 +443,31 @@ def _limit_model(cfg: StudyConfig) -> MacroSimulation:
 
 
 def run_micro_study(cfg: StudyConfig, eps: Fraction):
+    """The micro run of rung `eps` with every snapshot held: (geom, grid, sim, snaps)."""
     geom, grid = _rung_grid(cfg, eps)
     sim = MicroSimulation(geom, grid, cfg.diffusion, cfg.kinetics)
     snaps = sim.run(cfg.initial, cfg.T, cfg.dt, cfg.snapshot_stride)
     return geom, grid, sim, snaps
+
+
+def _stream_micro_rung(cfg: StudyConfig, eps: Fraction, writer):
+    """Run rung `eps`, each snapshot's row written to its field file as it is made;
+    return (geom, grid, the snapshot times).
+
+    The simulation and its factored system go when this returns.
+    """
+    geom, grid = _rung_grid(cfg, eps)
+    sim = MicroSimulation(geom, grid, cfg.diffusion, cfg.kinetics)
+    times = []
+
+    def row(state):
+        times.append(state.t)
+        return state.values
+
+    shape = (len(snapshot_steps(cfg.T, cfg.dt, cfg.snapshot_stride)), grid.n_cells)
+    states = sim.snapshots(cfg.initial, cfg.T, cfg.dt, cfg.snapshot_stride)
+    writer.write_rows(field_path(eps), shape, map(row, states))
+    return geom, grid, times
 
 
 def run_macro_study(cfg: StudyConfig):
@@ -559,13 +588,42 @@ def csv_path(idx, eps=None, part=None) -> str:
     return f"fields/{name}_s{idx:04d}.csv"
 
 
-def _npy_chunks(rows) -> list:
-    """The `.npy` file of equal-length rows as float64, in chunks: its header, then each row."""
+def _npy_header(shape) -> bytes:
+    """The header of a `.npy` file of a C-order float64 array of `shape`."""
     head = io.BytesIO()
-    shape = (len(rows), len(rows[0]) if rows else 0)
     np.lib.format.write_array_header_1_0(
         head, {"descr": "<f8", "fortran_order": False, "shape": shape})
-    return [head.getvalue(), *(np.ascontiguousarray(row, dtype="<f8") for row in rows)]
+    return head.getvalue()
+
+
+def _npy_chunks(shape, rows):
+    """The `.npy` file of a float64 array of `shape`, in chunks: its header, then each of
+    `rows` as it comes; ValueError after them unless there were shape[0]."""
+    yield _npy_header(shape)
+    count = 0
+    for row in rows:
+        count += 1
+        yield np.ascontiguousarray(row, dtype="<f8")
+    if count != shape[0]:
+        raise ValueError(f"{count} rows for a .npy header of shape {shape}")
+
+
+@contextlib.contextmanager
+def _file_rows(path, shape):
+    """read(i): row i of the float64 `.npy` array of `shape` in file `path`, read alone
+    into a new read-only array, while the file is held open."""
+    offset, n = len(_npy_header(shape)), shape[1]
+    with open(path, "rb", buffering=0) as fh:
+
+        def read(i):
+            row = np.empty(n, dtype="<f8")
+            fh.seek(offset + 8 * n * i)
+            if fh.readinto(row) != 8 * n:
+                raise ValueError(f"{path}: no row {i} of {shape}")
+            row.flags.writeable = False
+            return row
+
+        yield read
 
 
 def _read_npy(relpath, data, shape) -> np.ndarray:
@@ -597,8 +655,42 @@ def _read_npy(relpath, data, shape) -> np.ndarray:
     return vals
 
 
-def write_micro_fields(writer, eps, snaps):
-    writer.write(field_path(eps), [state.values for state in snaps])
+class SnapshotRows:
+    """A micro run's snapshots, one stored row each, read-only and read a row at a time.
+
+    `read(i)` gives snapshot i's values.  Length, iteration, indexing and each
+    state's `t` read no values; a state reads its row when its values are first
+    used and holds it until it is dropped.
+    """
+
+    def __init__(self, grid, times, read):
+        self.grid, self.times, self.read = grid, times, read
+
+    def __len__(self):
+        return len(self.times)
+
+    def __getitem__(self, i):
+        i = range(len(self.times))[i]  # IndexError past either end
+        return _StoredState(self.times[i], self, i)
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+
+class _StoredState(MicroState):
+    """Snapshot `i` of a `SnapshotRows`: its time now, its row when first used, and a
+    `Field` of it only when asked for (the row was checked when it was stored)."""
+
+    def __init__(self, t, rows, i):
+        self.t, self._rows, self._i = t, rows, i
+
+    @functools.cached_property
+    def values(self) -> np.ndarray:
+        return self._rows.read(self._i)
+
+    @functools.cached_property
+    def u(self) -> Field:
+        return Field(self._rows.grid, self.values)
 
 
 def write_macro_fields(writer, sim, snaps):
@@ -631,7 +723,19 @@ class StudyWriter:
     def write(self, relpath, data):
         """Write `data` and record its SHA-256: text, stored as UTF-8, or a list of
         equal-length rows, stored as one float64 `.npy` array written row by row."""
-        chunks = [data.encode()] if isinstance(data, str) else _npy_chunks(data)
+        if isinstance(data, str):
+            self._record(relpath, [data.encode()])
+        else:
+            self.write_rows(relpath, (len(data), len(data[0]) if data else 0), data)
+
+    def write_rows(self, relpath, shape, rows):
+        """Write the float64 `.npy` array of `shape` whose rows `rows` yields, each as it
+        comes, and record its SHA-256."""
+        self._record(relpath, _npy_chunks(shape, rows))
+
+    def _record(self, relpath, chunks):
+        # listed before its first byte, so a run that fails while writing it removes it
+        self.files[str(relpath)] = None
         self.files[str(relpath)] = _write_file(self.out / relpath, chunks)
 
 
@@ -672,11 +776,11 @@ def _write_study(cfg: StudyConfig, writer: StudyWriter):
     rep = TwoScaleReport([], [], [], [], [], [], [])
     for eps in cfg.epsilons:
         t = _time.perf_counter()
-        geom, grid, sim, snaps = run_micro_study(cfg, eps)
+        geom, grid, times = _stream_micro_rung(cfg, eps, writer)
         timings[f"micro eps={eps}"] = _time.perf_counter() - t
-        write_micro_fields(writer, eps, snaps)
-        compute_report(rep, cfg, eps, (geom, grid, snaps), limit, trace_const)
-        del sim, snaps  # the next rung runs without this one's operator and snapshots
+        with _file_rows(writer.out / field_path(eps), (len(times), grid.n_cells)) as read:
+            snaps = SnapshotRows(grid, times, read)
+            compute_report(rep, cfg, eps, (geom, grid, snaps), limit, trace_const)
     writer.write("report.csv", report_csv_text(rep))
 
     manifest = {
@@ -763,12 +867,11 @@ class StoredStudy:
         return _read_npy(relpath, self.field_bytes(relpath), shape)
 
     def rung(self, eps):
-        """The stored micro run of `eps` as (geom, grid, snaps of row views), checked now."""
+        """The stored micro run of `eps` as (geom, grid, `SnapshotRows` of row views of its
+        file's bytes), every check of the file made now."""
         geom, grid = _rung_grid(self.cfg, eps)
         rows = self.field_values(field_path(eps), (len(self.macro_snaps), grid.n_cells))
-        snaps = [MicroState(t=state.t, u=Field(grid, row))
-                 for state, row in zip(self.macro_snaps, rows)]
-        return geom, grid, snaps
+        return geom, grid, SnapshotRows(grid, [s.t for s in self.macro_snaps], rows.__getitem__)
 
 
 def load_study(study_dir) -> StoredStudy:

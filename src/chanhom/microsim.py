@@ -216,22 +216,28 @@ class ImexSimulation:
             - dt * float(rate.sum())
         )
 
-    def run(self, init: InitialData, T, dt, snapshot_stride=1):
-        """Backward-Euler/explicit stepping to T; returns snapshot states.
+    def snapshots(self, init: InitialData, T, dt, snapshot_stride=1):
+        """Backward-Euler/explicit stepping to T, yielding each state of `snapshot_steps`
+        as it is reached.
 
-        The factored implicit matrices are dropped on return.
+        Between steps only the current state is kept, so a caller that drops each
+        state it is given holds at most two.  The factored implicit matrices are
+        dropped when the iterator ends, fails or is closed.
         """
-        stored = snapshot_steps(T, dt, snapshot_stride)
+        steps = snapshot_steps(T, dt, snapshot_stride)
         state = self.initial_state(init)
-        snaps = [state]
         try:
-            for n in range(1, stored[-1] + 1):
-                state = self.step(state, dt)
-                if n == stored[len(snaps)]:
-                    snaps.append(state)
+            yield state
+            for done, n in zip(steps, steps[1:]):
+                for _ in range(n - done):
+                    state = self.step(state, dt)
+                yield state
         finally:
             self._implicit.clear()
-        return snaps
+
+    def run(self, init: InitialData, T, dt, snapshot_stride=1) -> list:
+        """Every state `snapshots` yields, held in one list."""
+        return list(self.snapshots(init, T, dt, snapshot_stride))
 
 
 class MicroSimulation(ImexSimulation):

@@ -275,7 +275,8 @@ def shift_diagnostic(micro_states, geom: MicroGeometry, grid: RectGrid, l: int, 
     tw = _trapezoid_weights(_snapshot_times(micro_states))
 
     sup_l2 = grad_sq = bulk_sq = init_sq = 0.0
-    for n, (w, s) in enumerate(zip(tw, micro_states)):
+    for n, s in enumerate(micro_states):  # zip inside enumerate would keep a third state
+        w = tw[n]
         d[src] = s.values[dst] - s.values[src]
         sup_l2 = max(sup_l2, float(np.dot(vol[chan_lhs], d[chan_lhs] ** 2)))
         grad_sq += w * energy(d, 1.0)

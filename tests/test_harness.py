@@ -14,7 +14,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chanhom import cli, harness, microsim
+from chanhom import cli, harness, linsolve, microsim
+from chanhom import grid as grid_module
 from chanhom.errors import ConfigError, SolverError
 from chanhom.microsim import snapshot_steps
 from test_microsim import _scaled_coupling
@@ -286,19 +287,52 @@ class RungWatch:
         assert not held, f"rung {rung} starts while rung {held} still holds its snapshots"
 
 
-def test_run_holds_one_rung_of_snapshots_at_a_time(tmp_path, monkeypatch):
+def test_run_holds_at_most_two_micro_snapshots(tmp_path, monkeypatch):
+    """Weak references count the live micro snapshots (`MicroState`s, stored ones too) and
+    the live `Field`s of their values whenever one is made, at every solve and around
+    `compute_report`; the most seen is the most ever alive: the state a step starts
+    from and the one it makes, and in `compute_report` the snapshot a diagnostic reads
+    and the next."""
     cfg = harness.parse_config(mini_config(epsilon=["1/4", "1/8"]))
-    watch, run_micro_study = RungWatch(), harness.run_micro_study
+    live, seen, phase = {"states": [], "fields": []}, {"step": [], "report": []}, ["step"]
 
-    def watched(cfg, eps):
-        watch.start(eps)
-        geom, grid, sim, snaps = run_micro_study(cfg, eps)
-        watch.keep(eps, snaps[-1].u)
-        return geom, grid, sim, snaps
+    def count():
+        for refs in live.values():
+            refs[:] = [ref for ref in refs if ref() is not None]
+        seen[phase[0]].append(max(len(refs) for refs in live.values()))
 
-    monkeypatch.setattr(harness, "run_micro_study", watched)
+    def tracking(kind, init):
+        def tracked(obj, *args, **kwargs):
+            init(obj, *args, **kwargs)
+            live[kind].append(weakref.ref(obj))
+            count()
+        return tracked
+
+    for cls in (microsim.MicroState, *microsim.MicroState.__subclasses__()):
+        monkeypatch.setattr(cls, "__init__", tracking("states", vars(cls)["__init__"]))
+    field = grid_module.Field
+    monkeypatch.setattr(field, "__post_init__", tracking("fields", field.__post_init__))
+    solve, compute_report = linsolve.solve_spd, harness.compute_report
+
+    def solve_counted(*args, **kwargs):
+        count()
+        return solve(*args, **kwargs)
+
+    def report_counted(*args):
+        phase[0] = "report"
+        count()
+        compute_report(*args)
+        count()
+        phase[0] = "step"
+
+    monkeypatch.setattr(linsolve, "solve_spd", solve_counted)
+    monkeypatch.setattr(harness, "compute_report", report_counted)
     harness.run_study(cfg, out_dir=tmp_path / "study")
-    assert list(watch.last) == cfg.epsilons
+    assert max(seen["step"]) == 2 and max(seen["report"]) <= 2
+    n_steps = round(cfg.T / cfg.dt)
+    # each rung: the initial state, then a solve, a field and a state per step
+    assert len(seen["step"]) >= len(cfg.epsilons) * (3 * n_steps + 2)
+    assert len(seen["report"]) > 4 * len(cfg.epsilons)
 
 
 def test_report_holds_one_rung_of_snapshots_at_a_time(tmp_path, monkeypatch):
@@ -758,18 +792,23 @@ def test_failed_run_leaves_no_output_directory(tmp_path, capsys):
 
 
 def test_run_failing_on_a_later_rung_removes_every_written_file(tmp_path, capsys, monkeypatch):
-    run_micro_study = harness.run_micro_study
-
-    def failing(cfg, eps):
-        if eps == cfg.epsilons[1]:
-            raise SolverError("injected failure")
-        return run_micro_study(cfg, eps)
-
-    monkeypatch.setattr(harness, "run_micro_study", failing)
-    p = write_config(tmp_path, mini_config(epsilon=["1/4", "1/8"]))
+    """A step of the second rung fails after that rung's file was opened and its first
+    rows written: the partly written file goes with the rest."""
+    raw = mini_config(epsilon=["1/4", "1/8"])
+    second = harness.parse_config(raw).epsilons[1]
+    step, partial = microsim.MicroSimulation.step, []
     out = tmp_path / "study"
-    assert cli.main(["run", str(p), "--out", str(out)]) == 2
+
+    def failing(sim, state, dt):
+        if sim.geom.eps == second and state.t >= 6 * dt:
+            partial.append((out / harness.field_path(second)).is_file())
+            raise SolverError("injected failure")
+        return step(sim, state, dt)
+
+    monkeypatch.setattr(microsim.MicroSimulation, "step", failing)
+    assert cli.main(["run", str(write_config(tmp_path, raw)), "--out", str(out)]) == 2
     assert "numerical failure: injected failure" in capsys.readouterr().err
+    assert partial == [True]
     assert list(tmp_path.rglob("*.npy")) == [] and not out.exists()
 
 
@@ -988,11 +1027,41 @@ def test_cli_report_refuses_a_forged_field_file(tmp_path, capsys, rel, forge, na
 def test_read_npy_is_a_view_of_what_np_load_reads(shape):
     """The written chunks are np.save's bytes, and the values read are np.load's."""
     rows = np.random.default_rng(shape[1]).normal(size=shape)
-    data = b"".join(bytes(chunk) for chunk in harness._npy_chunks(list(rows)))
+    data = b"".join(bytes(chunk) for chunk in harness._npy_chunks(shape, iter(rows)))
     assert data == npy_of(rows)
     got = harness._read_npy("f.npy", data, shape)
     assert np.array_equal(got, np.load(io.BytesIO(data))) and got.dtype == np.dtype("<f8")
     assert not got.flags.writeable  # a view of data, not a parsed copy
+
+
+@pytest.mark.parametrize("count", [2, 4])
+def test_streamed_rows_must_fill_their_header(tmp_path, count):
+    """Rows that end before the header's shape or run past it fail the write, and the
+    file is listed from its first byte, so a failed run removes it."""
+    writer = harness.StudyWriter(tmp_path)
+    with pytest.raises(ValueError, match=rf"{count} rows for a .npy header of shape \(3, 2\)"):
+        writer.write_rows("fields/x.npy", (3, 2), iter(np.ones((count, 2))))
+    assert writer.files == {"fields/x.npy": None}
+
+
+def test_streamed_rung_reads_its_rows_back_one_at_a_time(tmp_path):
+    """A streamed rung's snapshots are its held run's bit for bit; length, iteration,
+    indexing and the times read no row, and a state reads its own row once."""
+    cfg = harness.parse_config(mini_config())
+    (eps,) = cfg.epsilons
+    geom, grid, times = harness._stream_micro_rung(cfg, eps, harness.StudyWriter(tmp_path))
+    held = harness.run_micro_study(cfg, eps)[3]
+    reads = []
+    with harness._file_rows(tmp_path / harness.field_path(eps), (5, grid.n_cells)) as read:
+        snaps = harness.SnapshotRows(grid, times, lambda i: reads.append(i) or read(i))
+        assert len(snaps) == len(held) == 5 and snaps[-1].t == held[-1].t
+        assert [s.t for s in snaps] == [s.t for s in held] and reads == []
+        last = snaps[-1]
+        assert last.values.tobytes() == held[-1].values.tobytes() and last.u.grid is grid
+        assert reads == [4] and not last.values.flags.writeable
+        assert [s.values.tobytes() for s in snaps] == [s.values.tobytes() for s in held]
+        with pytest.raises(IndexError):
+            snaps[5]
 
 
 def test_cli_report_that_cannot_write_report_csv_exits_one(tmp_path, capsys):

@@ -273,6 +273,14 @@ def test_run_drops_the_factored_matrices():
     assert len(snaps) == 5 and not sim._implicit
 
 
+def test_closing_the_snapshot_iterator_early_drops_the_factored_matrices():
+    _, _, sim = setup(kin=B1_KIN)
+    states = sim.snapshots(B1_INIT, 0.04, 1e-2)
+    assert [next(states).t for _ in range(2)] == [0.0, 1e-2] and sim._implicit
+    states.close()
+    assert not sim._implicit
+
+
 @pytest.mark.parametrize("rate, modulation, named", [
     ("f_plus", ("cos_ybar", 3.0), "f_plus.modulation"),
     ("f_minus", ("yn", 0.5), "f_minus.modulation"),
@@ -535,6 +543,16 @@ def test_opening_factor_rejects_other_forms():
             _scaled_coupling(csr, grid.index[5, 3], grid.index[5, 4], 1e-6), blocks)
     with pytest.raises(SolverError, match="no bulk and channel labels"):
         linsolve.OpeningCapacitance(csr, None)
+    # 12 bulk columns and 3 channels, labelled so that the blocks do not split evenly:
+    # bulk blocks of three columns (4 blocks), or the channels' cells in 8 equal groups
+    wide = blocks.copy()
+    wide[blocks >= 0] //= 3
+    with pytest.raises(SolverError, match="does not invert its matrix"):
+        linsolve.OpeningCapacitance(csr, wide)
+    split = blocks.copy()
+    split[chan] = -1 - np.arange(len(chan)) // (len(chan) // 8)
+    with pytest.raises(SolverError, match="unequal openings"):
+        linsolve.OpeningCapacitance(csr, split)
 
 
 def test_probe_refuses_one_bulk_coupling_off_by_1e_10():

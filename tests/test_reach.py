@@ -21,6 +21,8 @@ from test_harness import mini_config
 NOT_RUN = {
     "cli._Parser.error": "test_harness.py::test_cli_run_has_no_seed_option (usage errors)",
     "errors.SolverError.__init__": "test_linsolve.py::test_nonconvergence_raises_with_residual",
+    "harness.run_micro_study":
+        "test_acceptance.py (the sweep of criteria 4, 7 and 8); a study streams each rung",
     "geometry.ChannelProfile.rectangle": "test_microsim.py, test_grid.py (rectangle channels)",
     "grid.RectGrid.cells_dense": "test_shift_oracle.py (dense shift oracle)",
     "grid.leps_diff": "test_acceptance.py::test_criterion_3_discretization_self_convergence",
