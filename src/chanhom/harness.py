@@ -608,35 +608,32 @@ def _npy_chunks(shape, rows):
         raise ValueError(f"{count} rows for a .npy header of shape {shape}")
 
 
+_BLOCK = 1 << 20  # bytes of a stored file hashed, or checked finite, per read
+
+
 @contextlib.contextmanager
-def _file_rows(path, shape):
-    """read(i): row i of the float64 `.npy` array of `shape` in file `path`, read alone
-    into a new read-only array, while the file is held open."""
-    offset, n = len(_npy_header(shape)), shape[1]
-    with open(path, "rb", buffering=0) as fh:
-
-        def read(i):
-            row = np.empty(n, dtype="<f8")
-            fh.seek(offset + 8 * n * i)
-            if fh.readinto(row) != 8 * n:
-                raise ValueError(f"{path}: no row {i} of {shape}")
-            row.flags.writeable = False
-            return row
-
-        yield read
+def _field_errors(relpath):
+    """ConfigError naming the field file `relpath` for an OSError inside the block."""
+    try:
+        yield
+    except FileNotFoundError as exc:
+        raise ConfigError(f"{relpath}: field file is missing") from exc
+    except OSError as exc:
+        raise ConfigError(f"{relpath}: cannot read the field file ({exc.strerror})") from exc
 
 
-def _read_npy(relpath, data, shape) -> np.ndarray:
-    """The finite float64 values of a `.npy` file of `shape`, a read-only view of `data`
-    once its header is checked; ConfigError naming the file otherwise."""
-    buf = io.BytesIO(data)
+def _npy_values_at(relpath, fh, size, shape) -> int:
+    """The offset of the values of the `.npy` file of `size` bytes read from its start
+    by `fh`, once its header gives C-order float64 values of `shape` and its size their
+    byte count; ConfigError naming the file otherwise.  Nothing is allocated from the
+    header's shape."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            version = np.lib.format.read_magic(buf)
+            version = np.lib.format.read_magic(fh)
             if version != (1, 0):  # the one version `_npy_chunks` writes
                 raise ValueError(f"format version {version}")
-            got, fortran_order, dtype = np.lib.format.read_array_header_1_0(buf)
+            got, fortran_order, dtype = np.lib.format.read_array_header_1_0(fh)
     # bad magic or version, short or malformed header (numpy evaluates it as a Python
     # literal, and tokenizes it when that fails), or one numpy reads only with a warning
     except (ValueError, SyntaxError, TypeError, OverflowError, MemoryError,
@@ -646,13 +643,83 @@ def _read_npy(relpath, data, shape) -> np.ndarray:
         order = "Fortran" if fortran_order else "C"
         raise ConfigError(f"{relpath}: holds {dtype.str} values of shape {got} in {order} "
                           f"order, expected <f8 of shape {shape} in C order")
-    size, want = len(data) - buf.tell(), 8 * math.prod(shape)
-    if size != want:
-        raise ConfigError(f"{relpath}: holds {size} bytes of values, expected {want}")
-    vals = np.frombuffer(data, dtype="<f8", offset=buf.tell()).reshape(shape)
+    offset = fh.tell()
+    if size - offset != 8 * math.prod(shape):
+        raise ConfigError(f"{relpath}: holds {size - offset} bytes of values, "
+                          f"expected {8 * math.prod(shape)}")
+    return offset
+
+
+def _read_npy(relpath, data, shape) -> np.ndarray:
+    """The finite float64 values of a `.npy` file of `shape`, a read-only view of `data`
+    once its header is checked; ConfigError naming the file otherwise."""
+    offset = _npy_values_at(relpath, io.BytesIO(data), len(data), shape)
+    vals = np.frombuffer(data, dtype="<f8", offset=offset).reshape(shape)
     if not np.isfinite(vals).all():
         raise ConfigError(f"{relpath}: holds non-finite values")
     return vals
+
+
+def _checked_values_at(relpath, fh, size, shape, sha256) -> int:
+    """The offset of the values of the `.npy` file of `size` bytes open as `fh`, once its
+    bytes match `sha256`, then its header and byte count give `shape` (`_npy_values_at`),
+    then its values are finite; ConfigError naming the file otherwise.  The file is read
+    once, one `_BLOCK` at a time, each block hashed and checked finite."""
+    fd = fh.fileno()
+    try:
+        offset, refusal = _npy_values_at(relpath, fh, size, shape), None
+    except Exception as exc:  # judged only once the bytes match their hash
+        offset, refusal = 0, exc
+    block = np.empty(_BLOCK // 8, dtype="<f8")
+    buf = memoryview(block).cast("B")
+    digest, finite, at = hashlib.sha256(os.pread(fd, offset, 0)), True, offset
+    while count := os.preadv(fd, [buf], at):
+        digest.update(buf[:count])
+        finite = finite and bool(np.isfinite(block[: count // 8]).all())
+        at += count
+    if digest.hexdigest() != sha256:
+        raise ConfigError(f"{relpath}: content does not match its manifest SHA-256")
+    if refusal is not None:
+        raise refusal
+    if not finite:
+        raise ConfigError(f"{relpath}: holds non-finite values")
+    return offset
+
+
+def _stamp(fd):
+    st = os.fstat(fd)
+    return st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns
+
+
+@contextlib.contextmanager
+def _file_rows(out, relpath, shape, sha256):
+    """read(i): row i of the float64 `.npy` array of `shape` in file out/relpath, one
+    positioned read into a new read-only array, while the file is held open.
+
+    Every check of `_checked_values_at` is made before any row.  A file written while
+    it is held (its inode, size, mtime or ctime moved since before the check) is
+    refused when the block ends; ConfigError naming the file either way.
+    """
+    with _field_errors(relpath):
+        fh = open(out / relpath, "rb", buffering=0)
+    with fh:
+        stamp = _stamp(fh.fileno())
+        with _field_errors(relpath):
+            offset = _checked_values_at(relpath, fh, stamp[1], shape, sha256)
+        n = shape[1]
+
+        def read(i):  # fh.fileno() raises once the block has closed the file
+            row = np.empty(n, dtype="<f8")
+            if os.preadv(fh.fileno(), [row], offset + 8 * n * i) != 8 * n:
+                raise ConfigError(f"{relpath}: the field file changed while it was read")
+            row.flags.writeable = False
+            return row
+
+        try:
+            yield read
+        finally:
+            if _stamp(fh.fileno()) != stamp:
+                raise ConfigError(f"{relpath}: the field file changed while it was read")
 
 
 class SnapshotRows:
@@ -679,7 +746,7 @@ class SnapshotRows:
 
 class _StoredState(MicroState):
     """Snapshot `i` of a `SnapshotRows`: its time now, its row when first used, and a
-    `Field` of it only when asked for (the row was checked when it was stored)."""
+    `Field` of it only when asked for (its file was checked before any row was read)."""
 
     def __init__(self, t, rows, i):
         self.t, self._rows, self._i = t, rows, i
@@ -778,7 +845,9 @@ def _write_study(cfg: StudyConfig, writer: StudyWriter):
         t = _time.perf_counter()
         geom, grid, times = _stream_micro_rung(cfg, eps, writer)
         timings[f"micro eps={eps}"] = _time.perf_counter() - t
-        with _file_rows(writer.out / field_path(eps), (len(times), grid.n_cells)) as read:
+        relpath = field_path(eps)
+        with _file_rows(writer.out, relpath, (len(times), grid.n_cells),
+                        writer.files[relpath]) as read:
             snaps = SnapshotRows(grid, times, read)
             compute_report(rep, cfg, eps, (geom, grid, snaps), limit, trace_const)
     writer.write("report.csv", report_csv_text(rep))
@@ -853,25 +922,21 @@ class StoredStudy:
 
     def field_bytes(self, relpath) -> bytes:
         """A field file's bytes, if they match its manifest SHA-256; ConfigError otherwise."""
-        try:
+        with _field_errors(relpath):
             data = (self.out / relpath).read_bytes()
-        except FileNotFoundError as exc:
-            raise ConfigError(f"{relpath}: field file is missing") from exc
-        except OSError as exc:
-            raise ConfigError(f"{relpath}: cannot read the field file ({exc.strerror})") from exc
         if self.files.get(relpath) != _sha256(data):
             raise ConfigError(f"{relpath}: content does not match its manifest SHA-256")
         return data
 
-    def field_values(self, relpath, shape) -> np.ndarray:
-        return _read_npy(relpath, self.field_bytes(relpath), shape)
-
+    @contextlib.contextmanager
     def rung(self, eps):
-        """The stored micro run of `eps` as (geom, grid, `SnapshotRows` of row views of its
-        file's bytes), every check of the file made now."""
+        """The stored micro run of `eps` as (geom, grid, `SnapshotRows` of its file's rows),
+        in a block that holds the file open; `_file_rows` checks it all on entry."""
         geom, grid = _rung_grid(self.cfg, eps)
-        rows = self.field_values(field_path(eps), (len(self.macro_snaps), grid.n_cells))
-        return geom, grid, SnapshotRows(grid, [s.t for s in self.macro_snaps], rows.__getitem__)
+        relpath, times = field_path(eps), [s.t for s in self.macro_snaps]
+        with _file_rows(self.out, relpath, (len(times), grid.n_cells),
+                        self.files.get(relpath)) as read:
+            yield geom, grid, SnapshotRows(grid, times, read)
 
 
 def load_study(study_dir) -> StoredStudy:
@@ -905,7 +970,7 @@ def load_study(study_dir) -> StoredStudy:
 
     study = StoredStudy(out, files, cfg, _limit_model(cfg), [], [])
     sim = study.macro_sim
-    rows = study.field_values(field_path(), (len(times), sim.n))
+    rows = _read_npy(field_path(), study.field_bytes(field_path()), (len(times), sim.n))
     for idx, (t, u) in enumerate(zip(times, rows)):
         state = MacroState(t=t, u=u, sim=sim)
         relpath = csv_path(idx, part="traces")
@@ -924,7 +989,8 @@ def rederive_report(study_dir):
     trace_const = calibrate_trace_constant(study.macro_sim.cell_grid)
     rep = TwoScaleReport([], [], [], [], [], [], [])
     for eps in study.cfg.epsilons:
-        compute_report(rep, study.cfg, eps, study.rung(eps), limit, trace_const)
+        with study.rung(eps) as rung:
+            compute_report(rep, study.cfg, eps, rung, limit, trace_const)
     _write_file(Path(study_dir) / "report.csv", [report_csv_text(rep).encode()])
     return rep
 
@@ -937,11 +1003,13 @@ def export_study(study_dir, out_dir) -> dict:
     `macro_traces`. Returns the SHA-256 of each written file.
     """
     study = load_study(study_dir)
-    rungs = [study.rung(eps) for eps in study.cfg.epsilons]  # all checked before any write
-    writer = StudyWriter(out_dir)
-    for eps, (_, grid, snaps) in zip(study.cfg.epsilons, rungs):
-        for idx, state in enumerate(snaps):
-            writer.write(csv_path(idx, eps=eps), micro_field_csv(grid, state))
+    with contextlib.ExitStack() as held:
+        # every rung checked before any write
+        rungs = [held.enter_context(study.rung(eps)) for eps in study.cfg.epsilons]
+        writer = StudyWriter(out_dir)
+        for eps, (_, grid, snaps) in zip(study.cfg.epsilons, rungs):
+            for idx, state in enumerate(snaps):
+                writer.write(csv_path(idx, eps=eps), micro_field_csv(grid, state))
     sim = study.macro_sim
     for idx, (state, traces) in enumerate(zip(study.macro_snaps, study.traces)):
         writer.write(csv_path(idx, part="bulk"), macro_bulk_csv(sim, state))

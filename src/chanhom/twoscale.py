@@ -19,7 +19,6 @@ from .grid import (
     RectGrid,
     chan_cell_indices,
     channel_index_matrix,
-    inner_product_leps,
     l2_overlap_diff_sq,
     region_overlap,
     wall_faces,
@@ -191,18 +190,21 @@ def apriori_norm(micro_states) -> float:
 
     Each snapshot counts with its energy norm squared: the weighted L2 norm
     plus the gradient energy, weighted 1 in the bulk and eps in the channel,
-    its gradient maps built once for the trajectory's grid.
+    of its values; the weights and gradient maps are built once for the
+    trajectory's grid.
     """
     times = _snapshot_times(micro_states)
     tw = _trapezoid_weights(times)
     grid = micro_states[0].u.grid
     energy = GradientQuadrature(grid, np.ones(grid.n_cells, dtype=bool))
     region = np.where(grid.cell_tag == CHAN, grid.eps, 1.0)
+    weight = grid.weight * grid.cell_vol  # the pairing of `inner_product_leps`
 
-    def norm_heps(u):
-        return float(np.sqrt(max(inner_product_leps(u, u) + energy(u.values, region), 0.0)))
+    def norm_heps(values):
+        return float(np.sqrt(max(float(np.dot(weight, values * values))
+                                 + energy(values, region), 0.0)))
 
-    total = sum(w * norm_heps(s.u) ** 2 for w, s in zip(tw, micro_states))
+    total = sum(w * norm_heps(s.values) ** 2 for w, s in zip(tw, micro_states))
     return float(np.sqrt(total))
 
 

@@ -271,22 +271,6 @@ def test_manifest_records_blas_threading_that_report_does_not_read(tmp_path, mon
     assert (out / "report.csv").read_bytes() == original
 
 
-class RungWatch:
-    """A weak reference to the last micro snapshot each rung made or read."""
-
-    def __init__(self):
-        self.last = {}
-
-    def keep(self, rung, values):
-        self.last[rung] = weakref.ref(values)
-
-    def start(self, rung):
-        """At the start of `rung`: no earlier rung's last snapshot is still alive."""
-        gc.collect()
-        held = [r for r, ref in self.last.items() if ref() is not None]
-        assert not held, f"rung {rung} starts while rung {held} still holds its snapshots"
-
-
 def test_run_holds_at_most_two_micro_snapshots(tmp_path, monkeypatch):
     """Weak references count the live micro snapshots (`MicroState`s, stored ones too) and
     the live `Field`s of their values whenever one is made, at every solve and around
@@ -335,26 +319,191 @@ def test_run_holds_at_most_two_micro_snapshots(tmp_path, monkeypatch):
     assert len(seen["report"]) > 4 * len(cfg.epsilons)
 
 
-def test_report_holds_one_rung_of_snapshots_at_a_time(tmp_path, monkeypatch):
+@pytest.mark.parametrize("entry", ["rederive_report", "export_study"])
+def test_stored_study_holds_at_most_two_micro_rows(tmp_path, monkeypatch, entry):
+    """Weak references count the live micro rows a stored study's rungs hand out, at
+    every row read, around `compute_report` and at every micro CSV: `report` and
+    `export` hold at most two (the row a pass reads and the next), each a row of its
+    own, not a view of a held file."""
     cfg = harness.parse_config(mini_config(epsilon=["1/4", "1/8"]))
     out = tmp_path / "study"
     harness.run_study(cfg, out_dir=out)
     original = (out / "report.csv").read_bytes()
-    watch, read_npy = RungWatch(), harness._read_npy
+    live, seen = [], []
 
-    def watched(relpath, data, shape):  # a rung's snapshots are one file, read at once
-        rung = Path(relpath).stem if relpath.startswith("fields/micro_") else None
-        if rung is not None:
-            watch.start(rung)
-        values = read_npy(relpath, data, shape)
-        if rung is not None:
-            watch.keep(rung, values)
-        return values
+    def count():
+        live[:] = [ref for ref in live if ref() is not None]
+        seen.append(len(live))
 
-    monkeypatch.setattr(harness, "_read_npy", watched)
-    harness.rederive_report(out)
-    assert list(watch.last) == ["micro_eps4", "micro_eps8"]
+    init = harness.SnapshotRows.__init__
+
+    def tracked(rows, grid, times, read):
+        def counted(i):
+            row = read(i)
+            assert row.base is None and not row.flags.writeable
+            live.append(weakref.ref(row))
+            count()
+            return row
+        init(rows, grid, times, counted)
+
+    def counting(fn):
+        def counted(*args):
+            count()
+            out = fn(*args)
+            count()
+            return out
+        return counted
+
+    monkeypatch.setattr(harness.SnapshotRows, "__init__", tracked)
+    for name in ("compute_report", "micro_field_csv"):
+        monkeypatch.setattr(harness, name, counting(getattr(harness, name)))
+    if entry == "rederive_report":
+        harness.rederive_report(out)
+    else:
+        harness.export_study(out, tmp_path / "csv")
+    assert 1 <= max(seen) <= 2
+    # each rung: 5 snapshots, read three times by the report and once by export
+    reads = 3 if entry == "rederive_report" else 1
+    assert len(seen) >= len(cfg.epsilons) * 5 * reads
     assert (out / "report.csv").read_bytes() == original
+
+
+def test_cli_report_refuses_a_rung_written_while_it_is_read(tmp_path, capsys, monkeypatch):
+    """A rung file rewritten in place while its report row is computed is refused, by
+    name, and report.csv is left as it was."""
+    out = run_mini(tmp_path, "study")[1]
+    report = (out / "report.csv").read_bytes()
+    compute_report = harness.compute_report
+
+    def rewriting(*args):
+        with open(out / MICRO, "r+b") as fh:  # the last value, one bit changed
+            fh.seek(-8, os.SEEK_END)
+            value = bytearray(fh.read(8))
+            value[0] ^= 1
+            fh.seek(-8, os.SEEK_END)
+            fh.write(value)
+        compute_report(*args)
+
+    monkeypatch.setattr(harness, "compute_report", rewriting)
+    capsys.readouterr()
+    assert cli.main(["report", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {MICRO}: the field file changed while it was read")
+    assert "Traceback" not in err
+    assert (out / "report.csv").read_bytes() == report
+
+
+class OpenFiles:
+    """Every rung file `harness` opens for reading by name, and which are open now."""
+
+    def __init__(self, monkeypatch):
+        self.files = []
+        monkeypatch.setattr(harness, "open", self.open, raising=False)
+
+    def open(self, *args, **kwargs):
+        fh = open(*args, **kwargs)
+        if fh.mode == "rb":
+            self.files.append(fh)
+        return fh
+
+    def opened(self):
+        return [f"fields/{Path(fh.name).name}" for fh in self.files]
+
+    def held(self):
+        return [name for name, fh in zip(self.opened(), self.files) if not fh.closed]
+
+
+TWO_RUNGS = ["fields/micro_eps4.npy", "fields/micro_eps8.npy"]
+
+
+def two_rungs(tmp_path, stored):
+    """The config of a two-rung study and its directory, with the study in it if `stored`."""
+    cfg = harness.parse_config(mini_config(epsilon=["1/4", "1/8"]))
+    if stored:
+        harness.run_study(cfg, out_dir=tmp_path / "study")
+    return cfg, tmp_path / "study"
+
+
+def run_entry(entry, cfg, out, tmp_path):
+    if entry == "run_study":
+        return harness.run_study(cfg, out_dir=out)
+    if entry == "rederive_report":
+        return harness.rederive_report(out)
+    return harness.export_study(out, tmp_path / "csv")
+
+
+@pytest.mark.parametrize("entry", ["run_study", "rederive_report", "export_study"])
+def test_every_rung_file_is_closed_after_its_rung(tmp_path, monkeypatch, entry):
+    """`run` and `report` hold only the rung they compute the row of; `export` holds every
+    rung while it writes the micro CSVs, checked before any write, and none after."""
+    cfg, out = two_rungs(tmp_path, stored=entry != "run_study")
+    files, held = OpenFiles(monkeypatch), []
+    for name in ("compute_report", "macro_bulk_csv"):
+        def holding(*args, fn=getattr(harness, name)):
+            held.append(files.held())
+            return fn(*args)
+        monkeypatch.setattr(harness, name, holding)
+    run_entry(entry, cfg, out, tmp_path)
+    if entry == "export_study":
+        assert held == [[]] * 5  # one bulk CSV per limit-model snapshot
+    else:
+        assert held == [TWO_RUNGS[:1], TWO_RUNGS[1:]]
+    assert files.opened() == TWO_RUNGS and files.held() == []
+
+
+def forge_in_place(path, edit):
+    """Replace the second rung's file `path` by edit(its bytes), rehashed in the manifest."""
+    data = edit(path.read_bytes())
+    path.write_bytes(data)
+    manifest = path.parents[1] / "manifest.json"
+    files = json.loads(manifest.read_text())
+    files["files"][TWO_RUNGS[1]] = hashlib.sha256(data).hexdigest()
+    manifest.write_text(json.dumps(files))
+
+
+# each refusal of the second rung's file, made after the first rung's file was opened
+REFUSALS = {
+    "content_mismatch": lambda path: path.write_bytes(path.read_bytes()[:-8] + bytes(8)),
+    "unreadable_header": lambda path: forge_in_place(path, lambda data: data[:20]),
+    "wrong_shape": lambda path: forge_in_place(
+        path, lambda data: npy_of(np.load(io.BytesIO(data))[:, :-1])),
+    "trailing_bytes": lambda path: forge_in_place(path, lambda data: data + bytes(8)),
+    "nan_values": lambda path: forge_in_place(
+        path, lambda data: data[:-8] + np.float64(np.nan).tobytes()),
+}
+
+
+@pytest.mark.parametrize("entry", ["rederive_report", "export_study"])
+@pytest.mark.parametrize("refusal", REFUSALS.values(), ids=list(REFUSALS))
+def test_every_rung_file_is_closed_when_a_rung_is_refused(tmp_path, monkeypatch, entry,
+                                                         refusal):
+    """Checked while the refusal's traceback still holds every frame it left."""
+    cfg, out = two_rungs(tmp_path, stored=True)
+    refusal(out / TWO_RUNGS[1])
+    files = OpenFiles(monkeypatch)
+    with pytest.raises(ConfigError, match=f"^{TWO_RUNGS[1]}: ") as refused:
+        run_entry(entry, cfg, out, tmp_path)
+    assert refused.traceback and files.opened() == TWO_RUNGS and files.held() == []
+    assert not (tmp_path / "csv").exists()  # export checks every rung before any write
+
+
+@pytest.mark.parametrize("entry", ["run_study", "rederive_report"])
+def test_every_rung_file_is_closed_when_compute_report_raises(tmp_path, monkeypatch, entry):
+    """Checked while the error's traceback still holds every frame it left."""
+    cfg, out = two_rungs(tmp_path, stored=entry == "rederive_report")
+    compute_report, calls = harness.compute_report, []
+
+    def failing(*args):
+        calls.append(args[2])
+        if len(calls) == 2:
+            raise ValueError("a diagnostic failed")
+        compute_report(*args)
+
+    monkeypatch.setattr(harness, "compute_report", failing)
+    files = OpenFiles(monkeypatch)
+    with pytest.raises(ValueError, match="a diagnostic failed") as failed:
+        run_entry(entry, cfg, out, tmp_path)
+    assert failed.traceback and files.opened() == TWO_RUNGS and files.held() == []
 
 
 def test_run_study_takes_only_one_thread(tmp_path):
@@ -1023,6 +1172,25 @@ def test_cli_report_refuses_a_forged_field_file(tmp_path, capsys, rel, forge, na
     assert (out / "report.csv").read_bytes() == report
 
 
+@pytest.mark.parametrize("forge", [
+    lambda data: data[:20],
+    lambda data: npy_of(np.load(io.BytesIO(data))[:, :-1]),
+    lambda data: data + b"garbage!",
+    lambda data: data[:-8] + np.float64(np.nan).tobytes(),
+], ids=["truncated_header", "wrong_length", "trailing_bytes", "nan_values"])
+def test_cli_report_refuses_a_forged_rung_by_its_hash_first(tmp_path, capsys, forge):
+    """A forged rung file left with the SHA-256 of the bytes it replaced is refused by
+    that hash before its content is judged."""
+    out = run_mini(tmp_path, "study")[1]
+    report = (out / "report.csv").read_bytes()
+    (out / MICRO).write_bytes(forge((out / MICRO).read_bytes()))
+    capsys.readouterr()
+    assert cli.main(["report", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {MICRO}: content does not match its manifest SHA-256\n"
+    assert (out / "report.csv").read_bytes() == report
+
+
 @pytest.mark.parametrize("shape", [(0, 0), (1, 5), (17, 288), (3, 100000), (65, 12288)])
 def test_read_npy_is_a_view_of_what_np_load_reads(shape):
     """The written chunks are np.save's bytes, and the values read are np.load's."""
@@ -1046,13 +1214,15 @@ def test_streamed_rows_must_fill_their_header(tmp_path, count):
 
 def test_streamed_rung_reads_its_rows_back_one_at_a_time(tmp_path):
     """A streamed rung's snapshots are its held run's bit for bit; length, iteration,
-    indexing and the times read no row, and a state reads its own row once."""
+    indexing and the times read no row, a state reads its own row once, and no row is
+    read once the reader's block has closed the file."""
     cfg = harness.parse_config(mini_config())
     (eps,) = cfg.epsilons
-    geom, grid, times = harness._stream_micro_rung(cfg, eps, harness.StudyWriter(tmp_path))
+    writer, relpath = harness.StudyWriter(tmp_path), harness.field_path(eps)
+    geom, grid, times = harness._stream_micro_rung(cfg, eps, writer)
     held = harness.run_micro_study(cfg, eps)[3]
     reads = []
-    with harness._file_rows(tmp_path / harness.field_path(eps), (5, grid.n_cells)) as read:
+    with harness._file_rows(tmp_path, relpath, (5, grid.n_cells), writer.files[relpath]) as read:
         snaps = harness.SnapshotRows(grid, times, lambda i: reads.append(i) or read(i))
         assert len(snaps) == len(held) == 5 and snaps[-1].t == held[-1].t
         assert [s.t for s in snaps] == [s.t for s in held] and reads == []
@@ -1062,6 +1232,8 @@ def test_streamed_rung_reads_its_rows_back_one_at_a_time(tmp_path):
         assert [s.values.tobytes() for s in snaps] == [s.values.tobytes() for s in held]
         with pytest.raises(IndexError):
             snaps[5]
+    with pytest.raises(ValueError, match="closed file"):  # no row once the file is closed
+        read(0)
 
 
 def test_cli_report_that_cannot_write_report_csv_exits_one(tmp_path, capsys):

@@ -25,6 +25,8 @@ NOT_RUN = {
         "test_acceptance.py (the sweep of criteria 4, 7 and 8); a study streams each rung",
     "geometry.ChannelProfile.rectangle": "test_microsim.py, test_grid.py (rectangle channels)",
     "grid.RectGrid.cells_dense": "test_shift_oracle.py (dense shift oracle)",
+    "grid.inner_product_leps":
+        "test_grid.py, test_microsim.py (weighted L2 pairing); apriori_norm inlines it",
     "grid.leps_diff": "test_acceptance.py::test_criterion_3_discretization_self_convergence",
     "grid.leps_project_diff":
         "test_acceptance.py::test_criterion_3_discretization_self_convergence",
