@@ -13,10 +13,8 @@ once, in its stiffness K, and gets every system it solves from K:
   the interface, so cosine modes along the interface decouple it exactly.
   Construction reads that block and the coupling from the first block's
   rows and diagonalises every mode block in one eigenbasis (fast
-  diagonalisation); a solve is a dense orthonormal DCT-II product, one
-  product with the eigenbasis, a scaling, and both products back.  The
-  transform is O(n_blocks^2) per unknown of a block, but one BLAS product:
-  at 512 blocks it still takes half the time of a block sweep.
+  diagonalisation); a solve is an orthonormal DCT-II along the blocks, one
+  product with the eigenbasis, a scaling, and both back.
 * `OpeningCapacitance` (the micro grid: bulk cells by grid column, channel
   cells by channel): with its R opening faces taken off, the bulk is
   separable along the columns and is solved in the same cosine modes, and
@@ -24,8 +22,17 @@ once, in its stiffness K, and gets every system it solves from K:
   call.  The faces come back through one symmetric Woodbury update, a dense
   R x R capacitance system on them.  Construction reads the bulk from the
   rows of grid column 0, and the channels and the faces from the channel
-  rows.  A solve is the same two dense transforms as `CosineModes` plus one
+  rows.  A solve is the same two transforms as `CosineModes` plus one
   R x R product and two batched channel solves, with no loop over columns.
+
+The transform is chosen by size.  Below FFT_BLOCKS = 256 blocks it is one
+dense n_blocks x n_blocks product each way (`DenseCosine`); from 256 on it
+is Makhoul's DCT-II through one real FFT (`FastCosine`), O(n_blocks log
+n_blocks) per unknown of a block, with no n_blocks x n_blocks matrix kept.
+With BLAS on one thread an `OpeningCapacitance` solve on b1's grid takes
+0.055 / 0.12 ms dense at 64 / 128 blocks against 0.079 / 0.13 ms through
+the FFT, and 0.53 / 2.1 / 11.5 ms dense at 256 / 512 / 1024 blocks against
+0.31 / 0.93 / 3.4 ms through the FFT.
 
 Neither factor reads the whole matrix or compares it with its form.  Each
 construction ends with one probe solve (`_probe`, Freivalds' randomized
@@ -54,6 +61,8 @@ from .errors import SolverError
 
 # relative residual of every solve
 SOLVER_TOL = 1e-12
+# the fewest blocks at which a factor's cosine transform runs through numpy.fft
+FFT_BLOCKS = 256
 
 
 @dataclass(eq=False)
@@ -232,13 +241,82 @@ def _entries(csr, rows):
     return i, csr.indices[at], csr.data[at]
 
 
+def _dct_columns(nb, cols) -> np.ndarray:
+    """Columns `cols` of the orthonormal nb-point DCT-II matrix Q,
+    Q[k, j] = s_k cos(pi k (2 j + 1) / (2 nb)), s_0 = sqrt(1 / nb) and s_k = sqrt(2 / nb)."""
+    modes = np.arange(nb)
+    return np.sqrt(np.where(modes == 0, 1.0, 2.0) / nb)[:, None] * np.cos(
+        np.pi * np.outer(modes, 2 * cols + 1) / (2 * nb)
+    )
+
+
+class DenseCosine:
+    """Q x and Q^T y along axis 0 as one dense product each, Q = `_dct_columns` of every block."""
+
+    def __init__(self, nb):
+        self.Q = _dct_columns(nb, np.arange(nb))
+
+    def gather(self, order) -> np.ndarray:
+        """The node-major index `order` in the block order `forward` reads: as it is."""
+        return order
+
+    def forward(self, x) -> np.ndarray:
+        return self.Q @ x
+
+    def inverse(self, y) -> np.ndarray:
+        return self.Q.T @ y
+
+
+class FastCosine:
+    """Q x and Q^T y along axis 0 through one real FFT each (Makhoul, IEEE Trans. ASSP 28
+    (1980) 27-34), in O(nb log nb) per column and with no nb x nb matrix.
+
+    `forward` reads the blocks of x even ones up, then odd ones down
+    (v = x[0], x[2], ..., x[3], x[1]; `gather` puts them so).  With V = FFT(v)
+    and Y_k = s_k exp(-i pi k / (2 nb)) V_k for 0 <= k <= nb / 2, (Q x)_k = Re Y_k
+    and (Q x)_{nb-k} = -Im Y_k.  `inverse` builds Y from y = Q x the same way,
+    undoes the twiddle and returns v = Q^T y, its blocks in that same order.
+    """
+
+    def __init__(self, nb):
+        half = np.arange(nb // 2 + 1)
+        self.twiddle = (np.exp(-0.5j * np.pi * half / nb)
+                        * np.sqrt(np.where(half == 0, 1.0, 2.0) / nb))[:, None]
+        self.untwiddle = 1.0 / self.twiddle  # a product, not a complex division, per solve
+        blocks = np.arange(nb)
+        self.perm = np.concatenate([blocks[::2], blocks[1::2][::-1]])
+
+    def gather(self, order) -> np.ndarray:
+        """The node-major index `order` with its nodes in the order `forward` reads them."""
+        return order.reshape(len(self.perm), -1)[self.perm].reshape(-1)
+
+    def forward(self, v) -> np.ndarray:
+        nb, h = len(self.perm), len(self.twiddle)
+        Y = np.fft.rfft(v, axis=0)  # numpy.fft loads here, in a run with such a factor only
+        Y *= self.twiddle
+        y = np.empty(v.shape)
+        y[:h] = Y.real
+        np.negative(Y.imag[nb - h:0:-1], out=y[h:])  # y[nb - k] = -Im Y_k
+        return y
+
+    def inverse(self, y) -> np.ndarray:
+        nb, h = len(self.perm), len(self.twiddle)
+        Y = np.empty((h,) + y.shape[1:], dtype=complex)
+        Y.real = y[:h]
+        Y.imag[0] = 0.0
+        np.negative(y[:nb - h:-1], out=Y.imag[1:])  # Im Y_k = -y[nb - k]
+        Y *= self.untwiddle
+        return np.fft.irfft(Y, nb, axis=0)
+
+
 def _cosine_modes(csr, unknowns, labels):
     """The cosine-mode factor of the matrix on `unknowns`, blocks labelled by `labels`.
 
     Returns `unknowns` node-major (by block, each block in ascending order),
-    the DCT-II matrix, S and 1 / D of `CosineModes`.  A0 and c are read from
-    the first block's rows alone: A0 from their entries in that block, c_i
-    from row i's coupling to row i of the second block.  Blocks of unequal
+    the cosine transform along the blocks (`FastCosine` from FFT_BLOCKS blocks
+    on, `DenseCosine` below), S and 1 / D of `CosineModes`.  A0 and c are read
+    from the first block's rows alone: A0 from their entries in that block,
+    c_i from row i's coupling to row i of the second block.  Blocks of unequal
     size, an A0 without a Cholesky factor or a mode with some D_k <= 0 raise
     SolverError; whether the rest of the matrix has the form is left to the
     factor's probe (`_probe`).
@@ -261,20 +339,17 @@ def _cosine_modes(csr, unknowns, labels):
         coef[i[beside]] = -v[beside]
         A0[np.diag_indices(m)] -= coef
 
-    modes = np.arange(nb)
-    dct = np.sqrt(np.where(modes == 0, 1.0, 2.0) / nb)[:, None] * np.cos(
-        np.pi * np.outer(modes, 2 * modes + 1) / (2 * nb)
-    )
     try:
         L_inv = np.linalg.inv(np.linalg.cholesky(A0))
     except np.linalg.LinAlgError as exc:
         raise SolverError("mode 0 is not positive definite") from exc
     mu, V = np.linalg.eigh((L_inv * coef) @ L_inv.T)
-    D = 1.0 + np.outer(2.0 - 2.0 * np.cos(np.pi * modes / nb), mu)
+    D = 1.0 + np.outer(2.0 - 2.0 * np.cos(np.pi * np.arange(nb) / nb), mu)
     indefinite = np.flatnonzero(np.any(D <= 0.0, axis=1))
     if len(indefinite):
         raise SolverError(f"mode {indefinite[0]} is not positive definite")
-    return order, dct, L_inv.T @ V, 1.0 / D
+    transform = (FastCosine if nb >= FFT_BLOCKS else DenseCosine)(nb)
+    return order, transform, L_inv.T @ V, 1.0 / D
 
 
 def _probe(factor, csr) -> float:
@@ -319,7 +394,10 @@ class CosineModes:
 
         (A0 + lam_k diag(c))^{-1} = S diag(1 / D_k) S^T,  D_k = 1 + lam_k mu,
 
-    so the factor keeps S (m x m) and 1 / D (n x m).  Construction reads A0
+    so the factor keeps S (m x m) and 1 / D (n x m).  Q (x) I is the
+    factor's `transform`, chosen by n: the dense Q below FFT_BLOCKS blocks,
+    one real FFT from there on, whose block order (even blocks up, odd ones
+    down) is folded into the gather index `order`.  Construction reads A0
     and c from the first block's rows (`_cosine_modes`); every mode block
     must be positive definite (A0 has a Cholesky factor and every D_k > 0),
     and one probe solve must show that the factor inverts the whole matrix
@@ -327,17 +405,18 @@ class CosineModes:
     """
 
     def __init__(self, csr, blocks):
-        self.order, self.dct, self.S, self.inv_D = _cosine_modes(
+        order, self.transform, self.S, self.inv_D = _cosine_modes(
             csr, np.arange(csr.shape[0]), blocks)
+        self.order = self.transform.gather(order)
         _probe(self, csr)
 
     def solve(self, b) -> np.ndarray:
         """x with A x = b: transform, scale in the eigenbasis, inverse transform."""
         nb, m = self.inv_D.shape
-        y = (self.dct @ b[self.order].reshape(nb, m)) @ self.S
+        y = self.transform.forward(b[self.order].reshape(nb, m)) @ self.S
         y *= self.inv_D
         x = np.empty_like(b)
-        x[self.order] = (self.dct.T @ (y @ self.S.T)).reshape(-1)
+        x[self.order] = self.transform.inverse(y @ self.S.T).reshape(-1)
         return x
 
 
@@ -368,8 +447,11 @@ class OpeningCapacitance:
         Z = T^{-1} + P A_sep^{-1} P^T + Q A_ch^{-1} Q^T,
 
     and Z is symmetric positive definite.  Its bulk part is read off the
-    cosine modes' eigenbasis at (opening column, opening row), its channel
-    part is gathered from the channel inverses, and Z^{-1} is kept dense.  A
+    cosine modes' eigenbasis at (opening column, opening row) through `qc`,
+    the DCT-II columns of the opening columns in closed form; its channel
+    part is gathered from the channel inverses, and Z^{-1} is kept dense.
+    The bulk's transform is chosen by size as in `CosineModes`, dense or
+    through the FFT, and the FFT's block order is folded into `bulk`.  A
     solve is a batched channel solve, the forward transform into the modes'
     eigenbasis, the gather s = x_B[P] - x_C[Q], one R x R product, the
     correction in the eigenbasis and the inverse transform, and a second
@@ -391,13 +473,13 @@ class OpeningCapacitance:
         self.chan = chan[np.argsort(which, kind="stable")]
 
         # node-major: column, then row
-        self.bulk, self.dct, self.S, self.inv_D = _cosine_modes(csr, bulk, blocks[bulk])
-        m = self.inv_D.shape[1]
+        order, self.transform, self.S, self.inv_D = _cosine_modes(csr, bulk, blocks[bulk])
+        nb, m = self.inv_D.shape
 
         # position of every channel cell in `chan` and of every bulk cell in `bulk`
         where = np.empty(len(blocks), dtype=np.int64)
         where[self.chan] = np.arange(len(chan))
-        where[self.bulk] = np.arange(len(bulk))
+        where[order] = np.arange(len(bulk))
         # channel rows: an entry in the row's own channel is A_ch's, one in a bulk column a face
         i, j, v = _entries(csr, self.chan)
         face = blocks[j] >= 0
@@ -422,7 +504,9 @@ class OpeningCapacitance:
         cols, col = np.unique(p // m, return_inverse=True)
         self.rows, row = np.unique(p % m, return_inverse=True)
         self.slot = col * len(self.rows) + row  # p in the (opening column, opening row) grid
-        self.qc = self.dct[:, cols]
+        # column-major, as a column slice of the dense DCT is: BLAS rounds by the operands'
+        # layout, and this one keeps the bits of every factor under FFT_BLOCKS columns
+        self.qc = np.asfortranarray(_dct_columns(nb, cols))
         self.S_rows = self.S[self.rows]
 
         # Z = T^-1 + P A_sep^-1 P^T + Q A_ch^-1 Q^T, the bulk part by pairs of opening rows
@@ -439,6 +523,7 @@ class OpeningCapacitance:
             j[:, None, None], local[:, :, None], local[:, None, :]]
         self.W = np.linalg.inv(Z)
         del Z  # freed before the probe solve
+        self.bulk = self.transform.gather(order)
         _probe(self, csr)
 
     def solve(self, b) -> np.ndarray:
@@ -447,7 +532,7 @@ class OpeningCapacitance:
         n_chan, mc = self.chan_inv.shape[:2]
         b_c = b[self.chan]
         x_c = np.matmul(self.chan_inv, b_c.reshape(n_chan, mc, 1)).reshape(-1)
-        y = (self.dct @ b[self.bulk].reshape(nb, m)) @ self.S  # by mode and eigenvector
+        y = self.transform.forward(b[self.bulk].reshape(nb, m)) @ self.S  # by mode, eigenvector
         y *= self.inv_D
         s = (self.qc.T @ (y @ self.S_rows.T)).reshape(-1)[self.slot] - x_c[self.face_c]
         q = self.W @ s
@@ -455,7 +540,7 @@ class OpeningCapacitance:
         z.flat[self.slot] = q
         y -= ((self.qc @ z) @ self.S_rows) * self.inv_D
         x = np.empty_like(b)
-        x[self.bulk] = (self.dct.T @ (y @ self.S.T)).reshape(-1)
+        x[self.bulk] = self.transform.inverse(y @ self.S.T).reshape(-1)
         b_c += np.bincount(self.face_c, q, n_chan * mc)
         x[self.chan] = np.matmul(self.chan_inv, b_c.reshape(n_chan, mc, 1)).reshape(-1)
         return x
@@ -480,7 +565,7 @@ def solve_spd(A: SparseMatrix, b, x0=None) -> np.ndarray:
     From x0 this is one step of iterative refinement, and it keeps the deep
     micro rungs under the tolerance of 1e-12: over the first 12 steps at dt
     1/512 the worst relative residual is 3.5e-13 on an hourglass channel at
-    1/eps 128 and 3.7e-13 on b1 at 1/eps 256, against 6.6e-13 and 6.2e-13
+    1/eps 128 and 3.7e-13 on b1 at 1/eps 256, against 5.3e-13 and 4.5e-13
     for a one-shot `factor.solve(b)`.
     """
     M = A.csr

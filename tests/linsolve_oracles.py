@@ -4,7 +4,9 @@
 no assumption on the blocks themselves; the match tests compare the
 structured factors of the program against it.  `from_scipy` and `to_scipy`
 move a matrix between a scipy CSR and the program's own `CSR`, and `rows`
-gives the row of every entry that CSR stores.
+gives the row of every entry that CSR stores.  `TRANSFORMS` sets
+`linsolve.FFT_BLOCKS` so that every factor takes one of its two cosine
+transforms, whatever its size.
 """
 
 import numpy as np
@@ -12,6 +14,9 @@ import scipy.sparse as sp
 
 from chanhom.errors import SolverError
 from chanhom.linsolve import CSR
+
+# FFT_BLOCKS under which every factor takes the dense DCT product, then the FFT
+TRANSFORMS = (np.inf, 1)
 
 
 def from_scipy(m) -> CSR:

@@ -10,9 +10,11 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chanhom import linsolve
 from chanhom.errors import SolverError
-from chanhom.linsolve import SOLVER_TOL, CosineModes, SparseMatrix, laplacian, solve_spd
-from linsolve_oracles import BlockLDL, from_scipy, to_scipy
+from chanhom.linsolve import (SOLVER_TOL, CosineModes, FastCosine, SparseMatrix, laplacian,
+                              solve_spd)
+from linsolve_oracles import TRANSFORMS, BlockLDL, from_scipy, to_scipy
 
 
 def identity_matrix(n):
@@ -243,6 +245,25 @@ def random_spd_block(rng, size):
     return G @ G.T + 0.1 * np.eye(size)
 
 
+def dct_matrix(nb):
+    """The orthonormal DCT-II matrix, each angle reduced exactly: k (2 j + 1) mod 4 nb."""
+    modes = np.arange(nb)
+    angle = np.outer(modes, 2 * modes + 1) % (4 * nb)
+    return np.sqrt(np.where(modes == 0, 1.0, 2.0) / nb)[:, None] * np.cos(np.pi * angle / (2 * nb))
+
+
+@pytest.mark.parametrize("nb", [1, 2, 3, 4, 5, 255, 256, 257, 512, 1000])
+def test_fft_transform_matches_the_dense_dct(nb):
+    """Both directions of `FastCosine` against Q and Q^T, blocks in the order it reads them."""
+    Q, fast = dct_matrix(nb), FastCosine(nb)
+    x = np.random.default_rng(nb).normal(size=(nb, 3))
+    y = Q @ x
+    assert np.max(np.abs(fast.forward(x[fast.perm]) - y)) <= 1e-13 * np.max(np.abs(y))
+    assert np.max(np.abs(fast.inverse(y) - x[fast.perm])) <= 1e-13 * np.max(np.abs(x))
+    order = np.arange(2 * nb)  # node-major, two unknowns per block
+    assert np.array_equal(fast.gather(order), order.reshape(nb, 2)[fast.perm].reshape(-1))
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(seed=st.integers(0, 2**32 - 1), n_nodes=st.integers(1, 16), size=st.integers(1, 8))
 def test_cosine_modes_match_dense_solve_on_separable_systems(seed, n_nodes, size):
@@ -251,12 +272,15 @@ def test_cosine_modes_match_dense_solve_on_separable_systems(seed, n_nodes, size
     where, node = interleaved(rng, n_nodes, size)
     dense = separable(random_spd_block(rng, size), c, n_nodes)[np.ix_(where, where)]
     names = np.sort(rng.choice(np.arange(-1000, 1000), size=n_nodes, replace=False))
-    A = SparseMatrix(csr=from_scipy(dense), blocks=names[node], factorization=CosineModes)
     b = rng.normal(size=len(where))
     oracle = np.linalg.solve(dense, b)
     scale = np.max(np.abs(oracle))
-    assert np.max(np.abs(A.factor.solve(b) - oracle)) <= 1e-10 * scale
-    assert np.max(np.abs(solve_spd(A, b) - oracle)) <= 1e-10 * scale
+    with pytest.MonkeyPatch.context() as mp:  # hypothesis reruns the body: no fixture
+        for fft_blocks in TRANSFORMS:
+            mp.setattr(linsolve, "FFT_BLOCKS", fft_blocks)
+            A = SparseMatrix(csr=from_scipy(dense), blocks=names[node], factorization=CosineModes)
+            assert np.max(np.abs(A.factor.solve(b) - oracle)) <= 1e-10 * scale
+            assert np.max(np.abs(solve_spd(A, b) - oracle)) <= 1e-10 * scale
 
 
 def _couple(dense, i, j, value):
@@ -266,12 +290,11 @@ def _couple(dense, i, j, value):
     return out
 
 
-def test_cosine_modes_reject_what_is_not_separable():
+def test_cosine_modes_reject_what_is_not_separable(monkeypatch):
     rng = np.random.default_rng(5)
     n_nodes, size = 4, 3
     fixed = separable(random_spd_block(rng, size), np.ones(size), n_nodes)
     where, node = interleaved(rng, n_nodes, size)
-    CosineModes(from_scipy(fixed[np.ix_(where, where)]), node)  # the unperturbed matrix factors
     n2 = 2 * size  # first unknown of node 2
     broken = {
         "perturbed node block": _couple(fixed, n2, n2 + 1, 1e-6),
@@ -281,22 +304,27 @@ def test_cosine_modes_reject_what_is_not_separable():
         # c != 0, so the form has this entry, but the matrix stores none
         "missing neighbour coupling": _couple(fixed, n2, n2 + size, -fixed[n2, n2 + size]),
     }
-    for name, dense in broken.items():
-        with pytest.raises(SolverError, match="does not invert its matrix"):
-            CosineModes(from_scipy(dense[np.ix_(where, where)]), node)
+    for fft_blocks in TRANSFORMS:
+        monkeypatch.setattr(linsolve, "FFT_BLOCKS", fft_blocks)
+        CosineModes(from_scipy(fixed[np.ix_(where, where)]), node)  # the unperturbed matrix factors
+        for name, dense in broken.items():
+            with pytest.raises(SolverError, match="does not invert its matrix"):
+                CosineModes(from_scipy(dense[np.ix_(where, where)]), node)
     with pytest.raises(SolverError, match="unequal size"):
         CosineModes(from_scipy(sp.identity(3)), np.array([0, 0, 1]))
 
 
-def test_cosine_modes_reject_an_entry_missing_from_one_block():
+def test_cosine_modes_reject_an_entry_missing_from_one_block(monkeypatch):
     """The probe covers the form's entries that the matrix does not store."""
     rng = np.random.default_rng(6)
     n_nodes, size = 4, 3
     fixed = separable(random_spd_block(rng, size), np.ones(size), n_nodes)
     n2 = 2 * size
     broken = _couple(fixed, n2, n2 + 1, -fixed[n2, n2 + 1])  # a zero is not stored
-    with pytest.raises(SolverError, match="does not invert its matrix"):
-        CosineModes(from_scipy(broken), np.repeat(np.arange(n_nodes), size))
+    for fft_blocks in TRANSFORMS:
+        monkeypatch.setattr(linsolve, "FFT_BLOCKS", fft_blocks)
+        with pytest.raises(SolverError, match="does not invert its matrix"):
+            CosineModes(from_scipy(broken), np.repeat(np.arange(n_nodes), size))
 
 
 def test_cosine_modes_reject_an_indefinite_mode():

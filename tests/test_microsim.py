@@ -14,7 +14,7 @@ from chanhom.grid import Field, build_micro_grid, inner_product_leps, leps_diff
 from chanhom.kinetics import InitialData, KineticsSpec
 from chanhom.macrosim import InterfaceLayout, MacroSimulation
 from chanhom.microsim import DiffusionSpec, KineticsBundle, MicroSimulation
-from linsolve_oracles import BlockLDL, from_scipy, to_scipy
+from linsolve_oracles import TRANSFORMS, BlockLDL, from_scipy, to_scipy
 from test_geometry import hourglass
 from test_tiling import aligned_profiles
 
@@ -398,12 +398,15 @@ FUNNEL_DIFF = DiffusionSpec(0.7, 1.6, ((0.4, 0.9), (1.2, 0.6), (0.8, 1.5)))
     (ChannelProfile.rectangle(F(1, 2)), 4, B1_DIFF), (hourglass(), 8, HOURGLASS_DIFF),
     (FUNNEL, 8, FUNNEL_DIFF),
 ], ids=["rectangle", "hourglass", "funnel"])
-def test_opening_factor_matches_the_block_sweep(profile, k, diff, inv_eps):
+def test_opening_factor_matches_the_block_sweep(profile, k, diff, inv_eps, monkeypatch):
     rng = np.random.default_rng(inv_eps)
     for dt in (1 / 512, 1.0):
         sim, csr = micro_matrix(profile, k, inv_eps, diff, dt)
         assert sim.stiffness.factorization is linsolve.OpeningCapacitance
-        assert_matches_block_sweep(sim, csr, rng.normal(size=csr.shape[0]))
+        b = rng.normal(size=csr.shape[0])
+        for fft_blocks in TRANSFORMS:
+            monkeypatch.setattr(linsolve, "FFT_BLOCKS", fft_blocks)
+            assert_matches_block_sweep(sim, csr, b)
 
 
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
@@ -419,13 +422,15 @@ def test_opening_factor_matches_the_block_sweep_on_random_profiles(profile_k, in
     assert_matches_block_sweep(sim, csr, rng.normal(size=csr.shape[0]))
 
 
-def test_opening_factor_solves_are_bit_identical():
+def test_opening_factor_solves_are_bit_identical(monkeypatch):
     sim, csr = micro_matrix(hourglass(), 8, 3, HOURGLASS_DIFF, 1 / 128)
     b = np.random.default_rng(7).normal(size=csr.shape[0])
-    first = linsolve.OpeningCapacitance(csr, sim.stiffness.blocks)
-    x = first.solve(b)
-    assert np.array_equal(first.solve(b), x)
-    assert np.array_equal(linsolve.OpeningCapacitance(csr, sim.stiffness.blocks).solve(b), x)
+    for fft_blocks in TRANSFORMS:
+        monkeypatch.setattr(linsolve, "FFT_BLOCKS", fft_blocks)
+        first = linsolve.OpeningCapacitance(csr, sim.stiffness.blocks)
+        x = first.solve(b)
+        assert np.array_equal(first.solve(b), x)
+        assert np.array_equal(linsolve.OpeningCapacitance(csr, sim.stiffness.blocks).solve(b), x)
 
 
 def kept_bytes(obj):
@@ -436,7 +441,7 @@ def kept_bytes(obj):
 
 def test_opening_factor_keeps_one_transform_column_per_opening_column():
     # 1/eps 128: 512 grid columns, 256 of them hold a top and a bottom opening (R = 512).
-    # The factor keeps 17.5 MB; one transform column per opening cell would add 1 MB.
+    # The factor keeps 3.9 MB; one transform column per opening cell would add 1 MB.
     _, _, sim = setup(eps=F(1, 128))
     factor = sim.stiffness.plus_diagonal(sim.weights, 1 / 512).factor
     assert factor.qc.shape == (512, 256) and factor.W.shape == (512, 512)
@@ -445,7 +450,8 @@ def test_opening_factor_keeps_one_transform_column_per_opening_column():
 
 def test_opening_factor_keeps_no_inverse_per_mode():
     # 1/eps 128: 512 bulk columns of 52 rows; one eigenbasis and 1 / D in place of the
-    # 512 inverses of 52 x 52 (11.1 MB) that a per-mode factor keeps
+    # 512 inverses of 52 x 52 (11.1 MB) that a per-mode factor keeps, and, from
+    # linsolve.FFT_BLOCKS = 256 columns on, no 512 x 512 DCT matrix (2.1 MB)
     _, _, sim = setup(eps=F(1, 128))
     factor = sim.stiffness.plus_diagonal(sim.weights, 1 / 512).factor
     nb, m = factor.inv_D.shape
@@ -459,14 +465,17 @@ def test_opening_factor_keeps_no_inverse_per_mode():
                 yield from arrays(v)
 
     assert max(a.size for a in arrays(factor)) < nb * m * m
+    # W is R x R over the opening faces, and R = nb = 512 here
+    assert max(a.size for a in arrays(factor) if a is not factor.W) < nb * nb
 
 
 def test_refined_micro_solves_keep_their_margin(monkeypatch):
     """The x0 step keeps the deep rungs well under `linsolve.SOLVER_TOL` (1e-12).
 
     Hourglass channel at 1/eps 128, k = m = 8, first 12 steps at dt 1/512:
-    the worst final relative residual is 3.5e-13, and the factor build's probe
-    solve reads 7.4e-14.
+    1024 grid columns, so the factor transforms through the FFT.  The worst
+    final relative residual is 3.51e-13 (3.53e-13 with the dense transform),
+    and the factor build's probe solve reads 3.2e-15 (7.4e-14).
     """
     kin = KineticsBundle(
         f_plus=B1_KIN.f_plus, f_minus=B1_KIN.f_minus, g=B1_KIN.g,
@@ -513,55 +522,60 @@ def _scaled_coupling(csr, a, b, delta):
     return _couple(csr, a, b, -delta * row.data[row.indices == b][0])
 
 
-def test_opening_factor_rejects_other_forms():
+def test_opening_factor_rejects_other_forms(monkeypatch):
     """A labelling the build cannot shape its arrays from is refused by name; a matrix of
-    another form is refused by the probe solve."""
+    another form is refused by the probe solve, through either transform."""
     sim, csr = micro_matrix(ChannelProfile.rectangle(F(1, 2)), 4, 3, B1_DIFF, 1 / 128)
     grid, blocks = sim.grid, sim.stiffness.blocks
-    linsolve.OpeningCapacitance(csr, blocks)  # the unperturbed matrix factors
     chan = np.flatnonzero(blocks < 0)
     chan0, chan1 = chan[blocks[chan] == -1], chan[blocks[chan] == -2]
     # a bulk cell with a channel cell above it: an opening of channel 0
     above = grid.index[grid.cell_i[chan0], grid.cell_j[chan0] + 1]
     opening = above[(above >= 0) & (blocks[np.maximum(above, 0)] >= 0)][0]
     bulk_row = np.flatnonzero((blocks >= 0) & (grid.cell_j == grid.cell_j[opening]))
+    # 12 bulk columns and 3 channels, labelled so that the blocks do not split evenly:
+    # bulk blocks of three columns (4 blocks), or (below) the channels' cells in 8 groups
+    wide = blocks.copy()
+    wide[blocks >= 0] //= 3
 
-    with pytest.raises(SolverError, match="does not invert its matrix"):  # couples two channels
-        linsolve.OpeningCapacitance(_couple(csr, chan0[0], chan1[0], 0.5), blocks)
+    for fft_blocks in TRANSFORMS:
+        monkeypatch.setattr(linsolve, "FFT_BLOCKS", fft_blocks)
+        linsolve.OpeningCapacitance(csr, blocks)  # the unperturbed matrix factors
+        with pytest.raises(SolverError, match="does not invert its matrix"):  # couples channels
+            linsolve.OpeningCapacitance(_couple(csr, chan0[0], chan1[0], 0.5), blocks)
+        with pytest.raises(SolverError, match="does not invert its matrix"):  # not I (x) A0 + ...
+            linsolve.OpeningCapacitance(_couple(csr, bulk_row[0], bulk_row[1], 1e-6), blocks)
+        # one bulk column that is not the same as the others: a vertical coupling in column 5
+        with pytest.raises(SolverError, match="does not invert its matrix"):
+            linsolve.OpeningCapacitance(
+                _scaled_coupling(csr, grid.index[5, 3], grid.index[5, 4], 1e-6), blocks)
+        with pytest.raises(SolverError, match="does not invert its matrix"):
+            linsolve.OpeningCapacitance(csr, wide)
+
     moved = blocks.copy()
     moved[chan1[0]] = -1
     with pytest.raises(SolverError, match="unequal size"):
         linsolve.OpeningCapacitance(csr, moved)
-    with pytest.raises(SolverError, match="does not invert its matrix"):  # not I (x) A0 + ...
-        linsolve.OpeningCapacitance(_couple(csr, bulk_row[0], bulk_row[1], 1e-6), blocks)
     # a bulk cell coupled to a channel outside its column: channel 1 gains an opening
     with pytest.raises(SolverError, match="unequal openings"):
         linsolve.OpeningCapacitance(_couple(csr, opening, chan1[0], 0.5), blocks)
-    # one bulk column that is not the same as the others: a vertical coupling in column 5
-    with pytest.raises(SolverError, match="does not invert its matrix"):
-        linsolve.OpeningCapacitance(
-            _scaled_coupling(csr, grid.index[5, 3], grid.index[5, 4], 1e-6), blocks)
     with pytest.raises(SolverError, match="no bulk and channel labels"):
         linsolve.OpeningCapacitance(csr, None)
-    # 12 bulk columns and 3 channels, labelled so that the blocks do not split evenly:
-    # bulk blocks of three columns (4 blocks), or the channels' cells in 8 equal groups
-    wide = blocks.copy()
-    wide[blocks >= 0] //= 3
-    with pytest.raises(SolverError, match="does not invert its matrix"):
-        linsolve.OpeningCapacitance(csr, wide)
     split = blocks.copy()
     split[chan] = -1 - np.arange(len(chan)) // (len(chan) // 8)
     with pytest.raises(SolverError, match="unequal openings"):
         linsolve.OpeningCapacitance(csr, split)
 
 
-def test_probe_refuses_one_bulk_coupling_off_by_1e_10():
+def test_probe_refuses_one_bulk_coupling_off_by_1e_10(monkeypatch):
     """b1's M + dt K at 1/eps 16 with the x-coupling of bulk cells (5, 3) and (6, 3) scaled
     by 1 + 1e-10: the probe solve reads 3.1e-12 and refuses it; at 1 + 1e-11 it passes."""
     _, grid, sim = setup(eps=F(1, 16))
     csr = sim.stiffness.plus_diagonal(sim.weights, 1 / 512).csr
     a, b = grid.index[5, 3], grid.index[6, 3]
-    with pytest.raises(SolverError, match="does not invert its matrix") as err:
-        linsolve.OpeningCapacitance(_scaled_coupling(csr, a, b, 1e-10), sim.stiffness.blocks)
-    assert err.value.residual > 2e-12
-    linsolve.OpeningCapacitance(_scaled_coupling(csr, a, b, 1e-11), sim.stiffness.blocks)
+    for fft_blocks in TRANSFORMS:
+        monkeypatch.setattr(linsolve, "FFT_BLOCKS", fft_blocks)
+        with pytest.raises(SolverError, match="does not invert its matrix") as err:
+            linsolve.OpeningCapacitance(_scaled_coupling(csr, a, b, 1e-10), sim.stiffness.blocks)
+        assert err.value.residual > 2e-12
+        linsolve.OpeningCapacitance(_scaled_coupling(csr, a, b, 1e-11), sim.stiffness.blocks)

@@ -17,6 +17,8 @@ import chanhom
 from chanhom import cli
 from test_harness import mini_config
 
+# a factor of linsolve.FFT_BLOCKS (256) or more blocks, which the small study here has not
+FFT_PATH = "test_linsolve.py::test_fft_transform_matches_the_dense_dct; perfbench ladder64 (1/64)"
 # qualified name -> the test or benchmark that calls it
 NOT_RUN = {
     "cli._Parser.error": "test_harness.py::test_cli_run_has_no_seed_option (usage errors)",
@@ -32,6 +34,10 @@ NOT_RUN = {
         "test_acceptance.py::test_criterion_3_discretization_self_convergence",
     "kinetics.InitialData.constants": "test_acceptance.py::test_criterion_2_conservation",
     "linsolve.CSR.getrow": "test_acceptance.py::test_criterion_5_interface_closure",
+    "linsolve.FastCosine.__init__": FFT_PATH,
+    "linsolve.FastCosine.forward": FFT_PATH,
+    "linsolve.FastCosine.gather": FFT_PATH,
+    "linsolve.FastCosine.inverse": FFT_PATH,
     "macrosim.MacroSimulation.flux_balance_residuals":
         "test_acceptance.py::test_criterion_5_interface_closure; perfbench limit_fine check",
     "macrosim.MacroSimulation.steady_conduction":
