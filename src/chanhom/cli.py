@@ -32,10 +32,11 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("config", help="config file path")
     run.add_argument("--out", default=None, help="output directory (default from config)")
 
-    ver = sub.add_parser("verify-operators", help="unfolding identity suite on random fields")
+    ver = sub.add_parser("verify-operators",
+                         help="unfolding identities checked entry by entry on every rung")
     ver.add_argument("config", help="config file path")
     ver.add_argument("--seed", type=int, default=None,
-                     help="seed of the random fields (default from config)")
+                     help="overrides the config's seed; the check draws nothing from it")
 
     rep = sub.add_parser("report", help="re-derive report.csv from a stored study")
     rep.add_argument("study_dir")

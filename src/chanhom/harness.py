@@ -29,6 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import microsim
 from .errors import AlignmentError, ConfigError
 from .geometry import (
     BULK_M,
@@ -46,8 +47,10 @@ from .microsim import (
     KineticsBundle,
     MicroSimulation,
     MicroState,
+    channel_tensor,
     snapshot_steps,
     step_count,
+    two_point_stiffness,
 )
 from .twoscale import (
     TwoScaleReport,
@@ -1021,8 +1024,13 @@ def export_study(study_dir, out_dir) -> dict:
 # ---------------------------------------------------------------------------
 # operator identity verification
 
-def _chan_face_map(uf: Unfolder):
-    """Channel-channel micro faces paired with their reference-cell distances."""
+def _chan_face_map(uf: Unfolder, ref_trans):
+    """Channel-channel micro faces paired with their reference-cell faces.
+
+    Per face: its cells (a, b), the column and local indices of both, its
+    centre distance, and the reference face's distance and transmissibility
+    (`ref_trans`, the reference cell's `two_point_stiffness`).
+    """
     grid, cg = uf.grid, uf.cell_grid
     ncol, nloc = uf.columns.shape
     col = np.full(grid.n_cells, -1)
@@ -1032,79 +1040,151 @@ def _chan_face_map(uf: Unfolder):
     ref_loc = np.full(cg.n_cells, -1)
     ref_loc[uf.chan_ids] = np.arange(nloc)
     # a channel face is named by its axis and the local index of its lower cell
-    ref_dist = np.zeros((2, nloc))
-    for fs in cg.faces:
+    ref_dist, ref_t = np.zeros((2, nloc)), np.zeros((2, nloc))
+    for fs, (_, _, t) in zip(cg.faces, ref_trans):
         keep = (ref_loc[fs.a] >= 0) & (ref_loc[fs.b] >= 0)
         ref_dist[fs.axis, ref_loc[fs.a[keep]]] = (fs.dist_a + fs.dist_b)[keep]
+        ref_t[fs.axis, ref_loc[fs.a[keep]]] = t[keep]
     parts = []
     for fs in grid.faces:
         keep = (loc[fs.a] >= 0) & (loc[fs.b] >= 0)
         a, b = fs.a[keep], fs.b[keep]
         parts.append((a, b, col[a], loc[a], loc[b], (fs.dist_a + fs.dist_b)[keep],
-                      ref_dist[fs.axis, loc[a]]))
+                      ref_dist[fs.axis, loc[a]], ref_t[fs.axis, loc[a]]))
     return tuple(np.concatenate(x) for x in zip(*parts))
 
 
-def verify_operators(cfg: StudyConfig, n_fields=100, tol=1e-12):
-    """Max relative residual of the unfolding identities over random fields.
+def _max_rel(got, want) -> float:
+    """The largest |got - want| / |want|, 0 over no entries."""
+    return float(np.max(np.abs(got - want) / np.abs(want), initial=0.0))
 
-    Per rung and field, v and w are standard normal on the channel cells and
-    0 in the bulk, which no identity reads; phi is standard normal on every
+
+def _entry_deviations(uf: Unfolder, stiffness, weights, faces) -> dict:
+    """Largest relative deviation of each per-entry statement on one rung.
+
+    `stiffness` and `weights` are what `assemble_micro_operator` returns for
+    the rung, `faces` its `_chan_face_map`.
+    """
+    grid, eps = uf.grid, uf.eps
+    fa, fb, *_, dmic, dref, tref = faces
+    chan = grid.cell_tag == CHAN
+    ids = np.arange(1.0, grid.n_cells + 1)  # the cell numbering, from 1
+    tv = uf.unfold(ids)
+    micro_sum = float(np.dot(grid.cell_vol[chan], ids[chan] ** 2)) / eps
+    return {
+        # a bijection onto the channel cells that `average` inverts gives each
+        # channel cell its own number back and every other cell 0
+        "bijection": float(np.max(np.abs(uf.average(tv) - np.where(chan, ids, 0.0)) / ids)),
+        "pairing": abs(uf.ts_inner(tv, tv) - micro_sum) / micro_sum,
+        "cell_volume": _max_rel(uf.unfold(grid.cell_vol), eps ** 2 * uf.cell_vol),
+        "face_distance": _max_rel(dmic, eps * dref),
+        "wall_length": _max_rel(uf.micro_wall_len.reshape(len(uf.columns), -1),
+                                eps * uf.ref_wall_len),
+        # the critical scaling as the micro model assembles it (d = eps D)
+        "transmissibility": _max_rel(-stiffness.at(fa, fb), eps * tref),
+        "weighted_volume": _max_rel(uf.unfold(weights), eps * uf.cell_vol),
+    }
+
+
+def _random_identity_residuals(uf: Unfolder, faces, rng, n_fields) -> dict:
+    """Max relative residual of the five unfolding identities over random fields.
+
+    Per field, v and w are standard normal on the channel cells and 0 in the
+    bulk, which no identity reads; phi is standard normal on every
     (column, reference cell) pair.
     """
-    rng = np.random.default_rng(cfg.seed)
+    grid, eps = uf.grid, uf.eps
+    chan = np.flatnonzero(grid.cell_tag == CHAN)
+    vol = grid.cell_vol[chan]
+    fa, fb, fcol, fia, fib, dmic, dref, _ = faces
+    res = dict.fromkeys(
+        ("inner_product", "boundary_norm", "gradient_commutation", "adjoint", "round_trip"),
+        0.0,
+    )
+    inv_eps = 1.0 / eps
+    for _ in range(n_fields):
+        v = np.zeros(grid.n_cells)
+        w = np.zeros(grid.n_cells)
+        v[chan] = rng.normal(size=len(chan))
+        w[chan] = rng.normal(size=len(chan))
+        tv = uf.unfold(v)
+        vc = v[chan]
+
+        # residuals are measured against the Cauchy-Schwarz scale of the
+        # pairing; the raw value of a random inner product can cancel
+        lhs = uf.ts_inner(tv, uf.unfold(w))
+        wc = w[chan]
+        rhs = inv_eps * float(np.dot(vol, vc * wc))
+        nv = np.sqrt(inv_eps * float(np.dot(vol, vc ** 2)))
+        nw = np.sqrt(inv_eps * float(np.dot(vol, wc ** 2)))
+        res["inner_product"] = max(res["inner_product"], abs(lhs - rhs) / (nv * nw))
+
+        tr = uf.wall_trace(v)
+        tb = uf.unfold_boundary(tr)
+        lhs = uf.wall_inner(tb, tb)
+        rhs = uf.wall_norm_sq_micro(tr)
+        res["boundary_norm"] = max(res["boundary_norm"], abs(lhs - rhs) / abs(rhs))
+
+        lhs_g = (tv[fcol, fib] - tv[fcol, fia]) / dref
+        rhs_g = eps * (v[fb] - v[fa]) / dmic
+        scale = np.maximum(np.maximum(np.abs(lhs_g), np.abs(rhs_g)), 1e-300)
+        res["gradient_commutation"] = max(
+            res["gradient_commutation"], float(np.max(np.abs(lhs_g - rhs_g) / scale))
+        )
+
+        phi = rng.normal(size=uf.columns.shape)
+        lhs = uf.ts_inner(tv, phi)
+        rhs = inv_eps * float(np.dot(vol, vc * uf.average(phi)[chan]))
+        res["adjoint"] = max(res["adjoint"], abs(lhs - rhs) / (nv * uf.ts_norm(phi)))
+
+        back = uf.average(tv)
+        num = float(np.max(np.abs(back[chan] - vc)))
+        den = float(np.max(np.abs(vc))) or 1.0
+        res["round_trip"] = max(res["round_trip"], num / den)
+    return res
+
+
+def verify_operators(cfg: StudyConfig, n_fields=0, tol=1e-12):
+    """The unfolding identities of every rung, checked entry by entry.
+
+    Because `unfold` is a gather, the identities (inner product, boundary
+    norm, gradient commutation, adjoint, round trip) reduce to per-entry
+    statements, each reported per rung as its largest relative deviation:
+
+    - bijection: `unfold` gathers each channel cell once and no other cell,
+      and `average` puts each back;
+    - pairing: `ts_inner` of the unfolded cell numbering v equals its micro
+      sum, sum(vol v^2) / eps;
+    - cell_volume: each micro channel cell volume is eps^2 x its reference
+      volume;
+    - face_distance: each channel-channel face's centre distance is eps x
+      the reference one;
+    - wall_length: each micro wall length, from `wall_faces(grid)`, is eps x
+      the reference one;
+    - transmissibility, weighted_volume: the critical scaling as
+      `microsim.assemble_micro_operator` builds it.  Each channel-channel
+      transmissibility is eps x the reference cell's, and each channel
+      cell's accumulation weight x volume is eps x its reference volume.
+
+    With `n_fields` > 0 the five identities themselves are also evaluated on
+    that many random field pairs per rung, drawn from `cfg.seed`; by default
+    nothing is drawn.  Returns (worst, flat_max, flat_max <= tol), where
+    worst[str(eps)] maps each statement (and identity) to its deviation.
+    """
     cell_grid = build_cell_grid(cfg.cell, cfg.m)
+    # the reference cell's transmissibilities, with the unscaled channel tensor
+    ref_trans = two_point_stiffness(
+        cell_grid, channel_tensor(cfg.cell.profile, cell_grid.cell_y, cfg.diffusion))
+    rng = np.random.default_rng(cfg.seed) if n_fields > 0 else None
     worst = {}
     for eps in cfg.epsilons:
         geom, grid = _rung_grid(cfg, eps)
         uf = Unfolder(geom, grid, cell_grid)
-        chan = np.flatnonzero(grid.cell_tag == CHAN)
-        vol = grid.cell_vol[chan]
-        fa, fb, fcol, fia, fib, dmic, dref = _chan_face_map(uf)
-        res = dict.fromkeys(
-            ("inner_product", "boundary_norm", "gradient_commutation", "adjoint", "round_trip"),
-            0.0,
-        )
-        inv_eps = 1.0 / float(eps)
-        for _ in range(n_fields):
-            v = np.zeros(grid.n_cells)
-            w = np.zeros(grid.n_cells)
-            v[chan] = rng.normal(size=len(chan))
-            w[chan] = rng.normal(size=len(chan))
-            tv = uf.unfold(v)
-            vc = v[chan]
-
-            # residuals are measured against the Cauchy-Schwarz scale of the
-            # pairing; the raw value of a random inner product can cancel
-            lhs = uf.ts_inner(tv, uf.unfold(w))
-            wc = w[chan]
-            rhs = inv_eps * float(np.dot(vol, vc * wc))
-            nv = np.sqrt(inv_eps * float(np.dot(vol, vc ** 2)))
-            nw = np.sqrt(inv_eps * float(np.dot(vol, wc ** 2)))
-            res["inner_product"] = max(res["inner_product"], abs(lhs - rhs) / (nv * nw))
-
-            tr = uf.wall_trace(v)
-            tb = uf.unfold_boundary(tr)
-            lhs = uf.wall_inner(tb, tb)
-            rhs = uf.wall_norm_sq_micro(tr)
-            res["boundary_norm"] = max(res["boundary_norm"], abs(lhs - rhs) / abs(rhs))
-
-            lhs_g = (tv[fcol, fib] - tv[fcol, fia]) / dref
-            rhs_g = float(eps) * (v[fb] - v[fa]) / dmic
-            scale = np.maximum(np.maximum(np.abs(lhs_g), np.abs(rhs_g)), 1e-300)
-            res["gradient_commutation"] = max(
-                res["gradient_commutation"], float(np.max(np.abs(lhs_g - rhs_g) / scale))
-            )
-
-            phi = rng.normal(size=uf.columns.shape)
-            lhs = uf.ts_inner(tv, phi)
-            rhs = inv_eps * float(np.dot(vol, vc * uf.average(phi)[chan]))
-            res["adjoint"] = max(res["adjoint"], abs(lhs - rhs) / (nv * uf.ts_norm(phi)))
-
-            back = uf.average(tv)
-            num = float(np.max(np.abs(back[chan] - vc)))
-            den = float(np.max(np.abs(vc))) or 1.0
-            res["round_trip"] = max(res["round_trip"], num / den)
-        worst[str(eps)] = res
+        faces = _chan_face_map(uf, ref_trans)
+        # looked up at call time, so a mutant patched into the micro model is seen
+        stiffness, weights = microsim.assemble_micro_operator(geom, grid, cfg.diffusion)
+        res = worst[str(eps)] = _entry_deviations(uf, stiffness, weights, faces)
+        if n_fields > 0:
+            res.update(_random_identity_residuals(uf, faces, rng, n_fields))
     flat_max = max(v for res in worst.values() for v in res.values())
     return worst, flat_max, flat_max <= tol

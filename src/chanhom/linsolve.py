@@ -83,6 +83,16 @@ class CSR:
         return CSR(np.array([0, hi - lo]), self.indices[lo:hi], self.data[lo:hi],
                    (1, self.shape[1]))
 
+    def at(self, rows, cols) -> np.ndarray:
+        """A[rows[i], cols[i]] for each i, 0 where no entry is stored."""
+        n = self.shape[1]
+        # canonical rows make row * n + column ascending over `data`; one key past them all
+        keys = np.append(np.repeat(np.arange(self.shape[0]), np.diff(self.indptr)) * n
+                         + self.indices, self.shape[0] * n)
+        want = np.asarray(rows) * n + np.asarray(cols)
+        at = np.searchsorted(keys, want)
+        return np.where(keys[at] == want, np.append(self.data, 0.0)[at], 0.0)
+
     @cached_property
     def _diagonal(self) -> np.ndarray:
         """Position in `data` of every row's diagonal entry."""
@@ -221,7 +231,10 @@ def laplacian(parts, n) -> CSR:
     if np.any(ends == other):
         raise ValueError("pair on the diagonal")
     keys = np.concatenate([ends * n + other, np.arange(n) * (n + 1)])
-    order = np.argsort(keys)
+    # each part lists its pairs in ascending order, so the keys come in a few sorted runs,
+    # which numpy's stable sort (a run-aware merge) orders faster than its quicksort; the
+    # order is the same, since a key that repeats is refused below
+    order = np.argsort(keys, kind="stable")
     keys = keys[order]
     if np.any(keys[1:] == keys[:-1]):
         raise ValueError("pair given twice")

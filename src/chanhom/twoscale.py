@@ -5,8 +5,10 @@ is a pure permutation of channel cells: column by column, the channel block
 of the micro grid is a scaled copy of the reference-cell grid.  All the
 operator identities (scaled inner-product identity, boundary norm equality,
 gradient commutation, adjointness of the averaging operator, round trip)
-then hold at machine precision, which is what the verification suite
-checks before trusting the error norms.
+then hold at machine precision.  Because `unfold` is a gather, they reduce
+to per-entry statements (each micro channel cell, face and wall is its
+reference counterpart scaled by eps), which `harness.verify_operators`
+checks before the error norms are trusted.
 """
 
 from dataclasses import dataclass, field
@@ -48,7 +50,14 @@ class TwoScaleReport:
 
 
 class Unfolder:
-    """Index maps between one micro grid and the matching reference-cell grid."""
+    """Index maps between one micro grid and the matching reference-cell grid.
+
+    `columns` is the gather of `unfold`: the micro channel cell at each
+    (column, reference channel cell).  The micro wall faces are read from
+    `wall_faces(grid)`, the faces the micro model's wall flux reads, in the
+    reference cell's wall order; `micro_wall_len` holds their lengths,
+    column by column.
+    """
 
     def __init__(self, geom: MicroGeometry, grid: RectGrid, cell_grid: RectGrid):
         if grid.k != cell_grid.k:
@@ -70,7 +79,7 @@ class Unfolder:
         # every column is a copy of the reference cell, walls included
         pos = np.searchsorted(self.chan_ids, self.ref_wall_cells)
         self.micro_wall_cells = self.columns[:, pos]
-        self.micro_wall_len = np.tile(self.eps * self.ref_wall_len, len(self.columns))
+        self.micro_wall_len = wall_faces(grid).length.reshape(-1)
 
     # -- operators ----------------------------------------------------------
 

@@ -117,7 +117,8 @@ def random_vector(rng, n):
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12), max_copies=st.integers(3, 5))
 def test_products_match_scipy_on_random_matrices(seed, n, max_copies):
     """Every product form multiplies to scipy's bits, on matrices scipy sums from random
-    triplets: empty rows, signed zeros and exactly cancelled entries included."""
+    triplets: empty rows, signed zeros and exactly cancelled entries included.  `at`
+    reads every entry, stored or not."""
     rng = np.random.default_rng(seed)
     want = scipy_csr(*random_triplets(rng, n, max_copies), n)
     got = from_scipy(want)
@@ -127,6 +128,8 @@ def test_products_match_scipy_on_random_matrices(seed, n, max_copies):
         assert form(got)(x).tobytes() == (want @ x).tobytes()
     for i in range(n):
         assert got.getrow(i).indices.tolist() == want.getrow(i).indices.tolist()
+    rows, cols = np.divmod(np.arange(n * n), n)
+    assert got.at(rows, cols).tolist() == want.toarray().ravel().tolist()
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)

@@ -548,6 +548,8 @@ def test_verify_operators_residuals_are_tiny():
     worst, flat_max, ok = harness.verify_operators(cfg, n_fields=10)
     assert ok
     assert flat_max <= 1e-12
+    # every per-entry statement and every random-field identity, on every rung
+    assert all(len(res) == 12 for res in worst.values()), worst
 
 
 class _BulkColumn(harness.Unfolder):
@@ -580,26 +582,75 @@ class _ScaledAverage(harness.Unfolder):
         return 1.01 * super().average(phi)
 
 
-# each broken Unfolder and the identities it must trip; together they trip all five
-@pytest.mark.parametrize("mutant, tripped", [
-    (_BulkColumn, ["inner_product", "round_trip"]),
-    (_RolledUnfold, ["gradient_commutation", "adjoint", "round_trip"]),
-    (_LongMicroWalls, ["boundary_norm"]),
-    (_ScaledPairing, ["inner_product", "adjoint"]),
-    (_ScaledAverage, ["adjoint", "round_trip"]),
+class _OneLongMicroWall(harness.Unfolder):
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.micro_wall_len = self.micro_wall_len.copy()
+        self.micro_wall_len[0] *= 1 + 1e-11
+
+
+def tripped(worst):
+    """The statements of each rung that deviate by more than 1e-12."""
+    return {eps: [name for name, val in res.items() if val > 1e-12]
+            for eps, res in worst.items()}
+
+
+# each broken Unfolder and the statements it trips, on every rung; the rest read exactly 0
+@pytest.mark.parametrize("mutant, statements", [
+    (_BulkColumn, ["bijection", "pairing", "cell_volume", "weighted_volume"]),
+    (_RolledUnfold, ["bijection"]),
+    (_LongMicroWalls, ["wall_length"]),
+    (_ScaledPairing, ["pairing"]),
+    (_ScaledAverage, ["bijection"]),
+    (_OneLongMicroWall, ["wall_length"]),
 ], ids=["bulk_column", "rolled_unfold", "long_micro_walls", "scaled_pairing",
-        "scaled_average"])
-def test_verify_operators_catches_a_broken_unfolder(monkeypatch, mutant, tripped):
+        "scaled_average", "one_long_micro_wall"])
+def test_verify_operators_catches_a_broken_unfolder(monkeypatch, mutant, statements):
     cfg = harness.parse_config(mini_config(epsilon=["1/4", "1/8"]))
     monkeypatch.setattr(harness, "Unfolder", mutant)
-    worst, flat_max, ok = harness.verify_operators(cfg, n_fields=3)
-    assert not ok and flat_max > 1e-9
-    for res in worst.values():
-        assert all(res[name] > 1e-9 for name in tripped), res
+    worst, flat_max, ok = harness.verify_operators(cfg)
+    assert not ok
+    assert tripped(worst) == {"1/4": statements, "1/8": statements}, worst
+    assert all(val == 0.0 for res in worst.values() for name, val in res.items()
+               if name not in statements), worst
+
+
+def test_verify_operators_sees_one_channel_volume_off_by_1e_11(monkeypatch):
+    """Entry by entry the one cell shows in full; the random pairings dilute it below 1e-12."""
+    cfg = harness.parse_config(mini_config(epsilon=["1/4", "1/8"]))
+    rung_grid = harness._rung_grid
+
+    def mutant(cfg, eps):
+        geom, grid = rung_grid(cfg, eps)
+        vol = grid.cell_vol.copy()
+        vol[np.flatnonzero(grid.cell_tag == harness.CHAN)[0]] *= 1 + 1e-11
+        grid.cell_vol = vol
+        return geom, grid
+
+    monkeypatch.setattr(harness, "_rung_grid", mutant)
+    worst, flat_max, ok = harness.verify_operators(cfg)
+    assert not ok
+    assert tripped(worst) == dict.fromkeys(worst, ["cell_volume", "weighted_volume"]), worst
+    assert all(res["cell_volume"] == pytest.approx(1e-11, rel=1e-3) for res in worst.values())
+    random = ("inner_product", "boundary_norm", "gradient_commutation", "adjoint", "round_trip")
+    worst = harness.verify_operators(cfg, n_fields=100)[0]
+    assert max(res[name] for res in worst.values() for name in random) <= 1e-12, worst
+
+
+def test_verify_operators_is_deterministic():
+    """By default nothing is drawn: the seed changes no deviation."""
+    cfg = harness.parse_config(mini_config(epsilon=["1/4", "1/8"]))
+    results = []
+    for seed in (0, 3, 20240901):
+        cfg.seed = seed
+        results.append(harness.verify_operators(cfg))
+    assert results[0] == results[1] == results[2]
+    assert results[0][1] == 0.0 and results[0][2]  # exact at power-of-two eps
 
 
 def test_verify_operators_draws_only_channel_values(monkeypatch):
-    """v, w and phi: three normal values per channel cell, per field and rung."""
+    """By default no generator is built; with n_fields, v, w and phi draw three normal
+    values per channel cell, per field and rung."""
     cfg = harness.parse_config(mini_config(epsilon=["1/4", "1/8"]))
     default_rng, rngs = np.random.default_rng, []
 
@@ -613,6 +664,8 @@ def test_verify_operators_draws_only_channel_values(monkeypatch):
             return self.rng.normal(size=size)
 
     monkeypatch.setattr(harness.np.random, "default_rng", CountingRng)
+    assert harness.verify_operators(cfg)[2]
+    assert rngs == []
     assert harness.verify_operators(cfg, n_fields=3)[2]
     chan = sum(int(np.sum(harness._rung_grid(cfg, eps)[1].cell_tag == harness.CHAN))
                for eps in cfg.epsilons)
@@ -669,8 +722,8 @@ def test_cli_verify_operators_takes_a_seed(tmp_path, capsys):
     assert "max identity residual" in capsys.readouterr().out
 
 
-# the config's seed draws only the random fields of verify-operators, and run echoes it;
-# a study runs its rungs one after another
+# the config's seed draws only the optional random fields of verify_operators, and run
+# echoes it; a study runs its rungs one after another
 @pytest.mark.parametrize("option", [["--seed", "3"], ["--threads", "2"]], ids=["seed", "threads"])
 def test_cli_run_has_no_seed_option(tmp_path, capsys, option):
     p = write_config(tmp_path, mini_config())

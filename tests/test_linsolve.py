@@ -345,22 +345,26 @@ def test_cosine_modes_reject_an_indefinite_node_block():
 # -- what a run imports ----------------------------------------------------------
 
 def test_runs_leave_heavy_scipy_modules_unloaded(tmp_path):
-    """Importing the harness, a study run, its report and its export load no scipy module.
+    """Importing the harness, a study run, its report, its export and a default
+    verify-operators load no scipy module and no numpy.random module.
 
     `import scipy.sparse` alone costs about 0.2 s and 22 MB of RSS per
     process; the program's sparse matrices and factors use numpy only.
+    `numpy.random` adds about 2 MB of RSS, and only the random-field form of
+    `verify_operators` (n_fields > 0) draws from it.
     """
     repo = Path(__file__).resolve().parents[1]
     code = f"""
 import json, sys
 sys.path.insert(0, {str(repo / "src")!r})
 
-def scipy_modules():
-    return sorted(name for name in sys.modules if name == "scipy" or name.startswith("scipy."))
+def heavy_modules():
+    return sorted(name for name in sys.modules
+                  if name.split(".")[0] == "scipy" or name.startswith("numpy.random"))
 
 loaded = {{}}
 from chanhom import harness
-loaded["import"] = scipy_modules()
+loaded["import"] = heavy_modules()
 from chanhom import cli
 raw = json.loads(open({str(repo / "configs" / "b1.json")!r}).read())
 raw["epsilon"] = ["1/4", "1/8"]
@@ -371,15 +375,17 @@ with open(cfg, "w") as fh:
     json.dump(raw, fh)
 study = {str(tmp_path / "study")!r}
 assert cli.main(["run", cfg, "--out", study]) == 0
-loaded["run"] = scipy_modules()
+loaded["run"] = heavy_modules()
 assert cli.main(["report", study]) == 0
-loaded["report"] = scipy_modules()
+loaded["report"] = heavy_modules()
 assert cli.main(["export", study, "--out", {str(tmp_path / "csv")!r}]) == 0
-loaded["export"] = scipy_modules()
+loaded["export"] = heavy_modules()
+assert cli.main(["verify-operators", cfg]) == 0
+loaded["verify-operators"] = heavy_modules()
 print(json.dumps(loaded))
 """
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=env)
-    assert json.loads(out.stdout.splitlines()[-1]) == {"import": [], "run": [], "report": [],
-                                                      "export": []}
+    assert json.loads(out.stdout.splitlines()[-1]) == {
+        "import": [], "run": [], "report": [], "export": [], "verify-operators": []}

@@ -9,7 +9,8 @@ least ORDER_MIN: criterion 4 certifies that the error falls, the order that
 it falls at the rate of the correct pair.  The correct pair meets both with
 every column falling; every mutant must fail the order bound, and all but the
 lid mutant fail criterion 4 too.  The columns that do not fall under a mutant
-and its last E_chan order are its row of the README table.
+and its last E_chan order are its row of the README table.  The channel
+mutants fail `verify_operators` as well, before any run.
 """
 
 import math
@@ -114,3 +115,19 @@ def test_a_wrong_model_fails_criterion_4(monkeypatch, mutate, caught_by, passes_
     assert [col for col in COLUMNS if not falls(errs[col])] == caught_by, errs
     assert criterion_4(errs) is passes_4, errs
     assert not meets_order(errs), errs
+
+
+# each channel mutant and the critical-scaling statement it trips on every rung
+@pytest.mark.parametrize("mutate, statement", [
+    (lambda mp: channel_scaling(mp, 0.5), "transmissibility"),
+    (lambda mp: channel_scaling(mp, 2.0), "transmissibility"),
+    (channel_weight_one, "weighted_volume"),
+], ids=["channel_eps_power_0.5", "channel_eps_power_2", "channel_weight_1"])
+def test_a_wrong_channel_scaling_fails_verify_operators(monkeypatch, mutate, statement):
+    mutate(monkeypatch)
+    worst, flat_max, ok = harness.verify_operators(harness.load_config(B1))
+    assert not ok, worst
+    for eps, res in worst.items():
+        # off by a factor eps^(-1/2) or eps: at least 0.75 away from 1 on b1's ladder
+        assert res[statement] >= 0.75, (eps, res)
+        assert all(val == 0.0 for name, val in res.items() if name != statement), (eps, res)

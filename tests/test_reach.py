@@ -19,10 +19,13 @@ from test_harness import mini_config
 
 # a factor of linsolve.FFT_BLOCKS (256) or more blocks, which the small study here has not
 FFT_PATH = "test_linsolve.py::test_fft_transform_matches_the_dense_dct; perfbench ladder64 (1/64)"
+# the bilinear identities on random fields, which verify-operators draws none of
+RANDOM_FIELDS = "test_acceptance.py::test_criterion_1_operator_identities (n_fields=100)"
 # qualified name -> the test or benchmark that calls it
 NOT_RUN = {
     "cli._Parser.error": "test_harness.py::test_cli_run_has_no_seed_option (usage errors)",
     "errors.SolverError.__init__": "test_linsolve.py::test_nonconvergence_raises_with_residual",
+    "harness._random_identity_residuals": RANDOM_FIELDS,
     "harness.run_micro_study":
         "test_acceptance.py (the sweep of criteria 4, 7 and 8); a study streams each rung",
     "geometry.ChannelProfile.rectangle": "test_microsim.py, test_grid.py (rectangle channels)",
@@ -48,6 +51,9 @@ NOT_RUN = {
     "microsim.ImexSimulation.weighted_mass":
         "test_acceptance.py::test_criterion_2_conservation; perfbench limit_fine reference",
     "microsim.KineticsBundle.zero": "test_acceptance.py::test_criterion_2_conservation",
+    "twoscale.Unfolder.ts_norm": RANDOM_FIELDS,
+    "twoscale.Unfolder.unfold_boundary": RANDOM_FIELDS,
+    "twoscale.Unfolder.wall_inner": RANDOM_FIELDS,
 }
 
 

@@ -73,6 +73,12 @@ def scan(grid, geom=None):
     }
 
 
+def segment_diffusion(profile):
+    """A channel tensor of its own on every segment of the profile."""
+    return DiffusionSpec(1.0, 2.0, tuple((0.5 + 0.1 * n, 0.3 + 0.2 * n)
+                                         for n in range(len(profile.segments))))
+
+
 def check_tiled_maps(geom, grid, cell_grid):
     """Exact agreement of every tiled map with the scan; returns both local coordinates."""
     ref, found = scan(cell_grid), wall_faces(cell_grid)
@@ -87,22 +93,30 @@ def check_tiled_maps(geom, grid, cell_grid):
     assert np.array_equal(walls.cells, micro["cells"])
     assert np.array_equal(uf.micro_wall_cells, micro["cells"])
     assert np.array_equal(walls.length, micro["length"])
+    assert np.array_equal(uf.micro_wall_len, micro["length"].reshape(-1))
     assert np.array_equal(np.broadcast_to(walls.key, micro["key"].shape), micro["key"])
     assert np.array_equal(uf.ref_wall_cells, ref["cells"][0])
     return np.broadcast_to(walls.local, micro["local"].shape), micro["local"]
 
 
-@pytest.mark.parametrize("inv_eps", [3, 4, 12])
+@pytest.mark.parametrize("inv_eps", [3, 4, 12, 100])
 @pytest.mark.parametrize("profile, k", [(ChannelProfile.rectangle(F(1, 2)), 4),
                                         (hourglass(), 8)], ids=["rectangle", "hourglass"])
 def test_tiled_maps_match_a_cell_by_cell_scan(profile, k, inv_eps):
+    """And the per-entry unfolding statements hold: exactly at a power-of-two eps, to
+    round-off elsewhere (at most 6.8e-14, on the hourglass at 1/100)."""
     cell = build_reference_cell(profile)
     geom = build_micro_geometry(F(1, inv_eps), 1, cell)
     tiled, scanned = check_tiled_maps(geom, build_micro_grid(geom, k), build_cell_grid(cell, k))
     # the scan carries the round-off of mapping micro midpoints back to the cell
     assert np.max(np.abs(tiled - scanned)) <= 1e-13
+    study = SimpleNamespace(seed=0, cell=cell, k=k, m=k, epsilons=[geom.eps], H=F(1),
+                            diffusion=segment_diffusion(profile))
+    worst, flat_max, ok = harness.verify_operators(study)
+    assert ok and flat_max <= 1e-12, worst
     if inv_eps & (inv_eps - 1) == 0:
         assert np.array_equal(tiled, scanned)
+        assert flat_max == 0.0, worst
 
 
 @pytest.mark.parametrize("modulation", ["arc_cos", "ybar", "yn"])
@@ -142,13 +156,15 @@ def test_tiled_maps_and_unfolding_identities_on_random_profiles(profile_k, inv_e
     geom = build_micro_geometry(eps, 1, cell)
     tiled, scanned = check_tiled_maps(geom, build_micro_grid(geom, k), build_cell_grid(cell, k))
     assert np.max(np.abs(tiled - scanned)) <= 1e-13
-    study = SimpleNamespace(seed=inv_eps, cell=cell, k=k, m=k, epsilons=[eps], H=F(1))
+    study = SimpleNamespace(seed=inv_eps, cell=cell, k=k, m=k, epsilons=[eps], H=F(1),
+                            diffusion=segment_diffusion(profile))
     worst, flat_max, ok = harness.verify_operators(study, n_fields=3)
     assert ok and flat_max <= 1e-12, worst
 
 
 def test_set_up_calls_wall_faces_through_each_module(monkeypatch):
-    """Each simulator and the unfolder look `grid.wall_faces` up by name at set-up."""
+    """Each simulator and the unfolder look `grid.wall_faces` up by name at set-up; the
+    unfolder reads the walls of both its grids."""
     modules = (microsim, macrosim, twoscale)
     assert all(mod.wall_faces is grid_module.wall_faces for mod in modules)
     calls = []
@@ -168,4 +184,4 @@ def test_set_up_calls_wall_faces_through_each_module(monkeypatch):
                              KineticsBundle.zero())
     assert calls == ["chanhom.microsim", "chanhom.macrosim"]
     twoscale.Unfolder(geom, grid, build_cell_grid(cell, 4))
-    assert calls == ["chanhom.microsim", "chanhom.macrosim", "chanhom.twoscale"]
+    assert calls == ["chanhom.microsim", "chanhom.macrosim", *2 * ["chanhom.twoscale"]]
