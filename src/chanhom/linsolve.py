@@ -231,10 +231,7 @@ def laplacian(parts, n) -> CSR:
     if np.any(ends == other):
         raise ValueError("pair on the diagonal")
     keys = np.concatenate([ends * n + other, np.arange(n) * (n + 1)])
-    # each part lists its pairs in ascending order, so the keys come in a few sorted runs,
-    # which numpy's stable sort (a run-aware merge) orders faster than its quicksort; the
-    # order is the same, since a key that repeats is refused below
-    order = np.argsort(keys, kind="stable")
+    order = np.argsort(keys)
     keys = keys[order]
     if np.any(keys[1:] == keys[:-1]):
         raise ValueError("pair given twice")

@@ -12,6 +12,7 @@ checks before the error norms are trusted.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -53,10 +54,9 @@ class Unfolder:
     """Index maps between one micro grid and the matching reference-cell grid.
 
     `columns` is the gather of `unfold`: the micro channel cell at each
-    (column, reference channel cell).  The micro wall faces are read from
-    `wall_faces(grid)`, the faces the micro model's wall flux reads, in the
-    reference cell's wall order; `micro_wall_len` holds their lengths,
-    column by column.
+    (column, reference channel cell).  The error norms weigh the walls by
+    the reference lengths; `micro_wall_len`, the lengths of the faces the
+    micro model's wall flux reads, is read only by the operator check.
     """
 
     def __init__(self, geom: MicroGeometry, grid: RectGrid, cell_grid: RectGrid):
@@ -79,7 +79,12 @@ class Unfolder:
         # every column is a copy of the reference cell, walls included
         pos = np.searchsorted(self.chan_ids, self.ref_wall_cells)
         self.micro_wall_cells = self.columns[:, pos]
-        self.micro_wall_len = wall_faces(grid).length.reshape(-1)
+
+    @cached_property
+    def micro_wall_len(self) -> np.ndarray:
+        """The micro wall lengths from `wall_faces(grid)`, column by column in the
+        reference cell's wall order."""
+        return wall_faces(self.grid).length.reshape(-1)
 
     # -- operators ----------------------------------------------------------
 

@@ -595,17 +595,19 @@ def tripped(worst):
             for eps, res in worst.items()}
 
 
-# each broken Unfolder and the statements it trips, on every rung; the rest read exactly 0
-@pytest.mark.parametrize("mutant, statements", [
-    (_BulkColumn, ["bijection", "pairing", "cell_volume", "weighted_volume"]),
-    (_RolledUnfold, ["bijection"]),
-    (_LongMicroWalls, ["wall_length"]),
-    (_ScaledPairing, ["pairing"]),
-    (_ScaledAverage, ["bijection"]),
-    (_OneLongMicroWall, ["wall_length"]),
+# each broken Unfolder, the statements a default call trips on every rung (the rest read
+# exactly 0), and the identities the random fields trip; together they trip all five
+@pytest.mark.parametrize("mutant, statements, identities", [
+    (_BulkColumn, ["bijection", "pairing", "cell_volume", "weighted_volume"],
+     ["inner_product", "round_trip"]),
+    (_RolledUnfold, ["bijection"], ["gradient_commutation", "adjoint", "round_trip"]),
+    (_LongMicroWalls, ["wall_length"], ["boundary_norm"]),
+    (_ScaledPairing, ["pairing"], ["inner_product", "adjoint"]),
+    (_ScaledAverage, ["bijection"], ["adjoint", "round_trip"]),
 ], ids=["bulk_column", "rolled_unfold", "long_micro_walls", "scaled_pairing",
-        "scaled_average", "one_long_micro_wall"])
-def test_verify_operators_catches_a_broken_unfolder(monkeypatch, mutant, statements):
+        "scaled_average"])
+def test_verify_operators_catches_a_broken_unfolder(monkeypatch, mutant, statements,
+                                                    identities):
     cfg = harness.parse_config(mini_config(epsilon=["1/4", "1/8"]))
     monkeypatch.setattr(harness, "Unfolder", mutant)
     worst, flat_max, ok = harness.verify_operators(cfg)
@@ -613,6 +615,19 @@ def test_verify_operators_catches_a_broken_unfolder(monkeypatch, mutant, stateme
     assert tripped(worst) == {"1/4": statements, "1/8": statements}, worst
     assert all(val == 0.0 for res in worst.values() for name, val in res.items()
                if name not in statements), worst
+    worst, flat_max, ok = harness.verify_operators(cfg, n_fields=3)
+    assert not ok and flat_max > 1e-9
+    for res in worst.values():
+        assert all(res[name] > 1e-9 for name in identities), res
+
+
+def test_verify_operators_sees_one_micro_wall_off_by_1e_11(monkeypatch):
+    cfg = harness.parse_config(mini_config(epsilon=["1/4", "1/8"]))
+    monkeypatch.setattr(harness, "Unfolder", _OneLongMicroWall)
+    worst, flat_max, ok = harness.verify_operators(cfg)
+    assert not ok
+    assert tripped(worst) == {"1/4": ["wall_length"], "1/8": ["wall_length"]}, worst
+    assert all(res["wall_length"] == pytest.approx(1e-11, rel=1e-3) for res in worst.values())
 
 
 def test_verify_operators_sees_one_channel_volume_off_by_1e_11(monkeypatch):

@@ -164,7 +164,7 @@ def test_tiled_maps_and_unfolding_identities_on_random_profiles(profile_k, inv_e
 
 def test_set_up_calls_wall_faces_through_each_module(monkeypatch):
     """Each simulator and the unfolder look `grid.wall_faces` up by name at set-up; the
-    unfolder reads the walls of both its grids."""
+    unfolder reads the micro grid's walls only when their lengths are asked for."""
     modules = (microsim, macrosim, twoscale)
     assert all(mod.wall_faces is grid_module.wall_faces for mod in modules)
     calls = []
@@ -183,5 +183,7 @@ def test_set_up_calls_wall_faces_through_each_module(monkeypatch):
     macrosim.MacroSimulation(cell, 1.0, InterfaceLayout(n_sigma=4, m=4), diff,
                              KineticsBundle.zero())
     assert calls == ["chanhom.microsim", "chanhom.macrosim"]
-    twoscale.Unfolder(geom, grid, build_cell_grid(cell, 4))
+    uf = twoscale.Unfolder(geom, grid, build_cell_grid(cell, 4))
+    assert calls == ["chanhom.microsim", "chanhom.macrosim", "chanhom.twoscale"]
+    uf.micro_wall_len
     assert calls == ["chanhom.microsim", "chanhom.macrosim", *2 * ["chanhom.twoscale"]]
