@@ -39,7 +39,7 @@ from .geometry import (
     build_micro_geometry,
     build_reference_cell,
 )
-from .grid import Field, build_cell_grid, build_micro_grid, check_alignment
+from .grid import Field, build_cell_grid, build_micro_grid, check_alignment, wall_faces
 from .kinetics import BASE_KINDS, InitialData, KineticsSpec
 from .macrosim import InterfaceLayout, MacroSimulation, MacroState
 from .microsim import (
@@ -1068,6 +1068,8 @@ def _entry_deviations(uf: Unfolder, stiffness, weights, faces) -> dict:
     grid, eps = uf.grid, uf.eps
     fa, fb, *_, dmic, dref, tref = faces
     chan = grid.cell_tag == CHAN
+    # the unfolder's wall lengths and the micro model's, both column by column
+    walls = np.stack([uf.micro_wall_len, wall_faces(grid).length.reshape(-1)])
     ids = np.arange(1.0, grid.n_cells + 1)  # the cell numbering, from 1
     tv = uf.unfold(ids)
     micro_sum = float(np.dot(grid.cell_vol[chan], ids[chan] ** 2)) / eps
@@ -1078,8 +1080,7 @@ def _entry_deviations(uf: Unfolder, stiffness, weights, faces) -> dict:
         "pairing": abs(uf.ts_inner(tv, tv) - micro_sum) / micro_sum,
         "cell_volume": _max_rel(uf.unfold(grid.cell_vol), eps ** 2 * uf.cell_vol),
         "face_distance": _max_rel(dmic, eps * dref),
-        "wall_length": _max_rel(uf.micro_wall_len.reshape(len(uf.columns), -1),
-                                eps * uf.ref_wall_len),
+        "wall_length": _max_rel(walls.reshape(2, len(uf.columns), -1), eps * uf.ref_wall_len),
         # the critical scaling as the micro model assembles it (d = eps D)
         "transmissibility": _max_rel(-stiffness.at(fa, fb), eps * tref),
         "weighted_volume": _max_rel(uf.unfold(weights), eps * uf.cell_vol),
@@ -1159,8 +1160,8 @@ def verify_operators(cfg: StudyConfig, n_fields=0, tol=1e-12):
       volume;
     - face_distance: each channel-channel face's centre distance is eps x
       the reference one;
-    - wall_length: each micro wall length, from `wall_faces(grid)`, is eps x
-      the reference one;
+    - wall_length: each micro wall length, the unfolder's and the micro
+      model's from `wall_faces(grid)`, is eps x the reference one;
     - transmissibility, weighted_volume: the critical scaling as
       `microsim.assemble_micro_operator` builds it.  Each channel-channel
       transmissibility is eps x the reference cell's, and each channel

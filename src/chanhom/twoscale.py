@@ -12,7 +12,6 @@ checks before the error norms are trusted.
 """
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -54,9 +53,10 @@ class Unfolder:
     """Index maps between one micro grid and the matching reference-cell grid.
 
     `columns` is the gather of `unfold`: the micro channel cell at each
-    (column, reference channel cell).  The error norms weigh the walls by
-    the reference lengths; `micro_wall_len`, the lengths of the faces the
-    micro model's wall flux reads, is read only by the operator check.
+    (column, reference channel cell).  `micro_wall_len` is eps x the
+    reference wall lengths, column by column, as the trace diagnostic reads
+    them; `harness.verify_operators` checks them, and the micro model's own
+    wall lengths, entry by entry against that scaling.
     """
 
     def __init__(self, geom: MicroGeometry, grid: RectGrid, cell_grid: RectGrid):
@@ -79,12 +79,7 @@ class Unfolder:
         # every column is a copy of the reference cell, walls included
         pos = np.searchsorted(self.chan_ids, self.ref_wall_cells)
         self.micro_wall_cells = self.columns[:, pos]
-
-    @cached_property
-    def micro_wall_len(self) -> np.ndarray:
-        """The micro wall lengths from `wall_faces(grid)`, column by column in the
-        reference cell's wall order."""
-        return wall_faces(self.grid).length.reshape(-1)
+        self.micro_wall_len = np.tile(self.eps * self.ref_wall_len, len(self.columns))
 
     # -- operators ----------------------------------------------------------
 

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import gc
 import hashlib
 import importlib
@@ -621,9 +622,21 @@ def test_verify_operators_catches_a_broken_unfolder(monkeypatch, mutant, stateme
         assert all(res[name] > 1e-9 for name in identities), res
 
 
-def test_verify_operators_sees_one_micro_wall_off_by_1e_11(monkeypatch):
+def _one_long_wall_face(grid):
+    """The micro model's walls, the first length x (1 + 1e-11)."""
+    walls = grid_module.wall_faces(grid)
+    length = walls.length.copy()
+    length[0, 0] *= 1 + 1e-11
+    return dataclasses.replace(walls, length=length)
+
+
+# one wall off in the unfolder's lengths, or in the micro model's own
+@pytest.mark.parametrize("name, mutant", [("Unfolder", _OneLongMicroWall),
+                                          ("wall_faces", _one_long_wall_face)],
+                         ids=["unfolder", "micro_model"])
+def test_verify_operators_sees_one_micro_wall_off_by_1e_11(monkeypatch, name, mutant):
     cfg = harness.parse_config(mini_config(epsilon=["1/4", "1/8"]))
-    monkeypatch.setattr(harness, "Unfolder", _OneLongMicroWall)
+    monkeypatch.setattr(harness, name, mutant)
     worst, flat_max, ok = harness.verify_operators(cfg)
     assert not ok
     assert tripped(worst) == {"1/4": ["wall_length"], "1/8": ["wall_length"]}, worst

@@ -93,7 +93,6 @@ def check_tiled_maps(geom, grid, cell_grid):
     assert np.array_equal(walls.cells, micro["cells"])
     assert np.array_equal(uf.micro_wall_cells, micro["cells"])
     assert np.array_equal(walls.length, micro["length"])
-    assert np.array_equal(uf.micro_wall_len, micro["length"].reshape(-1))
     assert np.array_equal(np.broadcast_to(walls.key, micro["key"].shape), micro["key"])
     assert np.array_equal(uf.ref_wall_cells, ref["cells"][0])
     return np.broadcast_to(walls.local, micro["local"].shape), micro["local"]
@@ -163,8 +162,7 @@ def test_tiled_maps_and_unfolding_identities_on_random_profiles(profile_k, inv_e
 
 
 def test_set_up_calls_wall_faces_through_each_module(monkeypatch):
-    """Each simulator and the unfolder look `grid.wall_faces` up by name at set-up; the
-    unfolder reads the micro grid's walls only when their lengths are asked for."""
+    """Each simulator and the unfolder look `grid.wall_faces` up by name at set-up."""
     modules = (microsim, macrosim, twoscale)
     assert all(mod.wall_faces is grid_module.wall_faces for mod in modules)
     calls = []
@@ -183,7 +181,5 @@ def test_set_up_calls_wall_faces_through_each_module(monkeypatch):
     macrosim.MacroSimulation(cell, 1.0, InterfaceLayout(n_sigma=4, m=4), diff,
                              KineticsBundle.zero())
     assert calls == ["chanhom.microsim", "chanhom.macrosim"]
-    uf = twoscale.Unfolder(geom, grid, build_cell_grid(cell, 4))
+    twoscale.Unfolder(geom, grid, build_cell_grid(cell, 4))
     assert calls == ["chanhom.microsim", "chanhom.macrosim", "chanhom.twoscale"]
-    uf.micro_wall_len
-    assert calls == ["chanhom.microsim", "chanhom.macrosim", *2 * ["chanhom.twoscale"]]
