@@ -35,8 +35,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify-operators",
                          help="unfolding identities checked entry by entry on every rung")
     ver.add_argument("config", help="config file path")
-    ver.add_argument("--seed", type=int, default=None,
-                     help="overrides the config's seed; the check draws nothing from it")
 
     rep = sub.add_parser("report", help="re-derive report.csv from a stored study")
     rep.add_argument("study_dir")
@@ -45,16 +43,6 @@ def _build_parser() -> argparse.ArgumentParser:
     exp.add_argument("study_dir")
     exp.add_argument("--out", required=True, help="directory to write fields/*.csv into")
     return p
-
-
-def _load(args):
-    seed = getattr(args, "seed", None)
-    if seed is not None and seed < 0:
-        raise ConfigError("--seed: must be >= 0")
-    cfg = harness.load_config(args.config)
-    if seed is not None:
-        cfg.seed = seed
-    return cfg
 
 
 def main(argv=None) -> int:
@@ -78,7 +66,7 @@ def main(argv=None) -> int:
 
 def _dispatch(args) -> int:
     if args.command == "run":
-        cfg = _load(args)
+        cfg = harness.load_config(args.config)
         rep, manifest = harness.run_study(cfg, out_dir=args.out)
         out = Path(args.out if args.out is not None else cfg.output_dir)
         print(harness.report_csv_text(rep), end="")
@@ -86,7 +74,7 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "verify-operators":
-        cfg = _load(args)
+        cfg = harness.load_config(args.config)
         worst, flat_max, ok = harness.verify_operators(cfg)
         for eps, res in worst.items():
             for name, val in res.items():

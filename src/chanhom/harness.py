@@ -2,13 +2,14 @@
 
 A study is described by one JSON file: geometry, diffusivities, kinetics,
 initial data, time horizon, the list of scale parameters, refinements, and
-output options.  Running a study solves the channel-resolved problem for
-every scale parameter, solves the limit model once, computes the
-unfolding-based error norms per scale, and writes a report CSV, the field
+output options.  Running a study solves the limit model once and the
+channel-resolved problem for every scale parameter, and writes the field
 snapshots (one float64 `.npy` array per run, plus each limit-model snapshot's
-interface traces as CSV), and a manifest with content hashes.  Everything is
-rebuildable: the `report` entry point re-derives the report from the stored
-fields and the config echoed in the manifest, byte for byte, and `export`
+interface traces as CSV), a report CSV of the unfolding-based error norms per
+scale, and a manifest with content hashes.  `StoredStudy.report` computes the
+report from the stored files, each `.npy` read by one checked row reader: `run`
+on the files it has just written, the `report` entry point on a study checked
+by `load_study`, so `report` rebuilds `run`'s report byte for byte.  `export`
 writes the stored snapshots as CSV for human readers.
 """
 
@@ -453,9 +454,9 @@ def run_micro_study(cfg: StudyConfig, eps: Fraction):
     return geom, grid, sim, snaps
 
 
-def _stream_micro_rung(cfg: StudyConfig, eps: Fraction, writer):
+def _stream_micro_rung(cfg: StudyConfig, eps: Fraction, writer) -> list:
     """Run rung `eps`, each snapshot's row written to its field file as it is made;
-    return (geom, grid, the snapshot times).
+    return the snapshot times.
 
     The simulation and its factored system go when this returns.
     """
@@ -470,7 +471,7 @@ def _stream_micro_rung(cfg: StudyConfig, eps: Fraction, writer):
     shape = (len(snapshot_steps(cfg.T, cfg.dt, cfg.snapshot_stride)), grid.n_cells)
     states = sim.snapshots(cfg.initial, cfg.T, cfg.dt, cfg.snapshot_stride)
     writer.write_rows(field_path(eps), shape, map(row, states))
-    return geom, grid, times
+    return times
 
 
 def run_macro_study(cfg: StudyConfig):
@@ -653,16 +654,6 @@ def _npy_values_at(relpath, fh, size, shape) -> int:
     return offset
 
 
-def _read_npy(relpath, data, shape) -> np.ndarray:
-    """The finite float64 values of a `.npy` file of `shape`, a read-only view of `data`
-    once its header is checked; ConfigError naming the file otherwise."""
-    offset = _npy_values_at(relpath, io.BytesIO(data), len(data), shape)
-    vals = np.frombuffer(data, dtype="<f8", offset=offset).reshape(shape)
-    if not np.isfinite(vals).all():
-        raise ConfigError(f"{relpath}: holds non-finite values")
-    return vals
-
-
 def _checked_values_at(relpath, fh, size, shape, sha256) -> int:
     """The offset of the values of the `.npy` file of `size` bytes open as `fh`, once its
     bytes match `sha256`, then its header and byte count give `shape` (`_npy_values_at`),
@@ -841,18 +832,18 @@ def _write_study(cfg: StudyConfig, writer: StudyWriter):
     limit = run_macro_study(cfg)
     timings = {"macro": _time.perf_counter() - t0}
     write_macro_fields(writer, *limit)
-    trace_const = calibrate_trace_constant(limit[0].cell_grid)
+    limit_times = [s.t for s in limit[1]]
 
-    rep = TwoScaleReport([], [], [], [], [], [], [])
     for eps in cfg.epsilons:
         t = _time.perf_counter()
-        geom, grid, times = _stream_micro_rung(cfg, eps, writer)
+        times = _stream_micro_rung(cfg, eps, writer)
         timings[f"micro eps={eps}"] = _time.perf_counter() - t
-        relpath = field_path(eps)
-        with _file_rows(writer.out, relpath, (len(times), grid.n_cells),
-                        writer.files[relpath]) as read:
-            snaps = SnapshotRows(grid, times, read)
-            compute_report(rep, cfg, eps, (geom, grid, snaps), limit, trace_const)
+        # the stored rung is read at the limit run's times, so its own must be those
+        if len(times) != len(limit_times) or np.max(np.abs(
+                np.subtract(times, limit_times))) > 1e-9:
+            raise ValueError(f"micro run of eps={eps}: snapshots at other times than the "
+                             f"limit run's")
+    rep = StoredStudy(writer.out, writer.files, cfg, *limit).report()
     writer.write("report.csv", report_csv_text(rep))
 
     manifest = {
@@ -860,7 +851,7 @@ def _write_study(cfg: StudyConfig, writer: StudyWriter):
         "config": cfg.echo,
         "config_sha256": _config_sha256(cfg.echo),
         "versions": _versions(),
-        "snapshot_times": [s.t for s in limit[1]],
+        "snapshot_times": limit_times,
         "timings": timings,
         "files": writer.files,
     }
@@ -914,14 +905,14 @@ def _check_schedule(cfg: StudyConfig, times):
 
 @dataclass
 class StoredStudy:
-    """A checked study: its config and limit-model run; micro rungs are read by `rung`."""
+    """A stored study's files, config and limit-model run: `rung` reads a micro rung,
+    `report` computes the report rows from every rung."""
 
     out: Path
     files: dict          # manifest.json.files: relative path -> SHA-256
     cfg: StudyConfig
     macro_sim: MacroSimulation
     macro_snaps: list
-    traces: list         # the verified traces CSV text of each limit-model snapshot
 
     def field_bytes(self, relpath) -> bytes:
         """A field file's bytes, if they match its manifest SHA-256; ConfigError otherwise."""
@@ -940,6 +931,17 @@ class StoredStudy:
         with _file_rows(self.out, relpath, (len(times), grid.n_cells),
                         self.files.get(relpath)) as read:
             yield geom, grid, SnapshotRows(grid, times, read)
+
+    def report(self) -> TwoScaleReport:
+        """The report rows, rung by rung, each rung's computed from its stored file
+        against the limit-model run while `rung` holds that file open."""
+        limit = (self.macro_sim, self.macro_snaps)
+        trace_const = calibrate_trace_constant(self.macro_sim.cell_grid)
+        rep = TwoScaleReport([], [], [], [], [], [], [])
+        for eps in self.cfg.epsilons:
+            with self.rung(eps) as rung:
+                compute_report(rep, self.cfg, eps, rung, limit, trace_const)
+        return rep
 
 
 def load_study(study_dir) -> StoredStudy:
@@ -971,29 +973,28 @@ def load_study(study_dir) -> StoredStudy:
         None if sha == _config_sha256(cfg.echo) else "does not match manifest.json.config "
         "(missing, or the config was edited after the run)"))
 
-    study = StoredStudy(out, files, cfg, _limit_model(cfg), [], [])
+    study = StoredStudy(out, files, cfg, _limit_model(cfg), [])
     sim = study.macro_sim
-    rows = _read_npy(field_path(), study.field_bytes(field_path()), (len(times), sim.n))
+    shape = (len(times), sim.n)
+    with _file_rows(out, field_path(), shape, files.get(field_path())) as read:
+        # one array, made once the file is checked to hold its values: a heap chunk
+        # per row, held by the study, raised certify's peak RSS
+        rows = np.empty(shape)
+        for idx, row in enumerate(rows):
+            row[:] = read(idx)
+    rows.flags.writeable = False
     for idx, (t, u) in enumerate(zip(times, rows)):
         state = MacroState(t=t, u=u, sim=sim)
         relpath = csv_path(idx, part="traces")
-        text = macro_traces_csv(sim, state)
-        if study.field_bytes(relpath) != text.encode():
+        if study.field_bytes(relpath) != macro_traces_csv(sim, state).encode():
             raise ConfigError(f"{relpath}: is not the traces CSV of row {idx} of {field_path()}")
         study.macro_snaps.append(state)
-        study.traces.append(text)
     return study
 
 
 def rederive_report(study_dir):
     """Recompute report.csv of a stored study rung by rung; rewrite it after the last row."""
-    study = load_study(study_dir)
-    limit = (study.macro_sim, study.macro_snaps)
-    trace_const = calibrate_trace_constant(study.macro_sim.cell_grid)
-    rep = TwoScaleReport([], [], [], [], [], [], [])
-    for eps in study.cfg.epsilons:
-        with study.rung(eps) as rung:
-            compute_report(rep, study.cfg, eps, rung, limit, trace_const)
+    rep = load_study(study_dir).report()
     _write_file(Path(study_dir) / "report.csv", [report_csv_text(rep).encode()])
     return rep
 
@@ -1014,10 +1015,11 @@ def export_study(study_dir, out_dir) -> dict:
             for idx, state in enumerate(snaps):
                 writer.write(csv_path(idx, eps=eps), micro_field_csv(grid, state))
     sim = study.macro_sim
-    for idx, (state, traces) in enumerate(zip(study.macro_snaps, study.traces)):
+    for idx, state in enumerate(study.macro_snaps):
         writer.write(csv_path(idx, part="bulk"), macro_bulk_csv(sim, state))
         writer.write(csv_path(idx, part="cells"), macro_cells_csv(sim, state))
-        writer.write(csv_path(idx, part="traces"), traces)
+        traces = csv_path(idx, part="traces")
+        writer.write(traces, study.field_bytes(traces).decode())
     return writer.files
 
 

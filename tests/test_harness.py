@@ -395,7 +395,7 @@ def test_cli_report_refuses_a_rung_written_while_it_is_read(tmp_path, capsys, mo
 
 
 class OpenFiles:
-    """Every rung file `harness` opens for reading by name, and which are open now."""
+    """Every field file `harness` opens for reading by name, and which are open now."""
 
     def __init__(self, monkeypatch):
         self.files = []
@@ -417,6 +417,12 @@ class OpenFiles:
 TWO_RUNGS = ["fields/micro_eps4.npy", "fields/micro_eps8.npy"]
 
 
+def read_by(entry):
+    """The field files `entry` opens, in order: a stored study's limit-model file, read
+    by `load_study`, before its rungs; `run` reads back only the rungs it wrote."""
+    return TWO_RUNGS if entry == "run_study" else ["fields/macro.npy", *TWO_RUNGS]
+
+
 def two_rungs(tmp_path, stored):
     """The config of a two-rung study and its directory, with the study in it if `stored`."""
     cfg = harness.parse_config(mini_config(epsilon=["1/4", "1/8"]))
@@ -436,7 +442,8 @@ def run_entry(entry, cfg, out, tmp_path):
 @pytest.mark.parametrize("entry", ["run_study", "rederive_report", "export_study"])
 def test_every_rung_file_is_closed_after_its_rung(tmp_path, monkeypatch, entry):
     """`run` and `report` hold only the rung they compute the row of; `export` holds every
-    rung while it writes the micro CSVs, checked before any write, and none after."""
+    rung while it writes the micro CSVs, checked before any write, and none after.  The
+    limit-model file `report` and `export` read first is closed before any rung opens."""
     cfg, out = two_rungs(tmp_path, stored=entry != "run_study")
     files, held = OpenFiles(monkeypatch), []
     for name in ("compute_report", "macro_bulk_csv"):
@@ -449,7 +456,7 @@ def test_every_rung_file_is_closed_after_its_rung(tmp_path, monkeypatch, entry):
         assert held == [[]] * 5  # one bulk CSV per limit-model snapshot
     else:
         assert held == [TWO_RUNGS[:1], TWO_RUNGS[1:]]
-    assert files.opened() == TWO_RUNGS and files.held() == []
+    assert files.opened() == read_by(entry) and files.held() == []
 
 
 def forge_in_place(path, edit):
@@ -484,7 +491,7 @@ def test_every_rung_file_is_closed_when_a_rung_is_refused(tmp_path, monkeypatch,
     files = OpenFiles(monkeypatch)
     with pytest.raises(ConfigError, match=f"^{TWO_RUNGS[1]}: ") as refused:
         run_entry(entry, cfg, out, tmp_path)
-    assert refused.traceback and files.opened() == TWO_RUNGS and files.held() == []
+    assert refused.traceback and files.opened() == read_by(entry) and files.held() == []
     assert not (tmp_path / "csv").exists()  # export checks every rung before any write
 
 
@@ -504,7 +511,21 @@ def test_every_rung_file_is_closed_when_compute_report_raises(tmp_path, monkeypa
     files = OpenFiles(monkeypatch)
     with pytest.raises(ValueError, match="a diagnostic failed") as failed:
         run_entry(entry, cfg, out, tmp_path)
-    assert failed.traceback and files.opened() == TWO_RUNGS and files.held() == []
+    assert failed.traceback and files.opened() == read_by(entry) and files.held() == []
+
+
+def test_run_refuses_a_rung_stepped_at_other_times(tmp_path, monkeypatch):
+    """A rung's rows are read back at the limit run's times, so `run` checks that the
+    micro run made its snapshots at those times; the refused run leaves no file."""
+    class Late(microsim.MicroSimulation):
+        def snapshots(self, *args):
+            for state in super().snapshots(*args):
+                yield microsim.MicroState(t=state.t + 1e-6, u=state.u)
+
+    monkeypatch.setattr(harness, "MicroSimulation", Late)
+    with pytest.raises(ValueError, match="micro run of eps=1/4: snapshots at other times"):
+        harness.run_study(harness.parse_config(mini_config()), out_dir=tmp_path / "x")
+    assert not (tmp_path / "x").exists()
 
 
 def test_run_study_takes_only_one_thread(tmp_path):
@@ -738,24 +759,15 @@ def test_cli_verify_operators_exit_zero(tmp_path, capsys):
     assert "max identity residual" in capsys.readouterr().out
 
 
-def test_cli_verify_operators_refuses_a_negative_seed(tmp_path, capsys):
+# the config's seed draws only the optional random fields of the library's
+# verify_operators, and run echoes it; a study runs its rungs one after another
+@pytest.mark.parametrize("command, option", [
+    ("run", ["--seed", "3"]), ("run", ["--threads", "2"]), ("verify-operators", ["--seed", "3"]),
+], ids=["seed", "threads", "verify_operators_seed"])
+def test_cli_run_has_no_seed_option(tmp_path, capsys, command, option):
     p = write_config(tmp_path, mini_config())
-    assert cli.main(["verify-operators", str(p), "--seed", "-1"]) == 1
-    assert "error: --seed:" in capsys.readouterr().err
-
-
-def test_cli_verify_operators_takes_a_seed(tmp_path, capsys):
-    p = write_config(tmp_path, mini_config())
-    assert cli.main(["verify-operators", str(p), "--seed", "3"]) == 0
-    assert "max identity residual" in capsys.readouterr().out
-
-
-# the config's seed draws only the optional random fields of verify_operators, and run
-# echoes it; a study runs its rungs one after another
-@pytest.mark.parametrize("option", [["--seed", "3"], ["--threads", "2"]], ids=["seed", "threads"])
-def test_cli_run_has_no_seed_option(tmp_path, capsys, option):
-    p = write_config(tmp_path, mini_config())
-    assert cli.main(["run", str(p), "--out", str(tmp_path / "x"), *option]) == 1
+    out = ["--out", str(tmp_path / "x")] if command == "run" else []
+    assert cli.main([command, str(p), *out, *option]) == 1
     err = capsys.readouterr().err
     assert "usage" in err and f"unrecognized arguments: {' '.join(option)}" in err
     assert not (tmp_path / "x").exists()
@@ -1273,14 +1285,18 @@ def test_cli_report_refuses_a_forged_rung_by_its_hash_first(tmp_path, capsys, fo
 
 
 @pytest.mark.parametrize("shape", [(0, 0), (1, 5), (17, 288), (3, 100000), (65, 12288)])
-def test_read_npy_is_a_view_of_what_np_load_reads(shape):
-    """The written chunks are np.save's bytes, and the values read are np.load's."""
+def test_read_npy_is_a_view_of_what_np_load_reads(tmp_path, shape):
+    """The written chunks are np.save's bytes, and the rows the one checked reader
+    (`_file_rows`) reads back are np.load's, each a read-only array of its own."""
     rows = np.random.default_rng(shape[1]).normal(size=shape)
     data = b"".join(bytes(chunk) for chunk in harness._npy_chunks(shape, iter(rows)))
     assert data == npy_of(rows)
-    got = harness._read_npy("f.npy", data, shape)
-    assert np.array_equal(got, np.load(io.BytesIO(data))) and got.dtype == np.dtype("<f8")
-    assert not got.flags.writeable  # a view of data, not a parsed copy
+    (tmp_path / "f.npy").write_bytes(data)
+    with harness._file_rows(tmp_path, "f.npy", shape, hashlib.sha256(data).hexdigest()) as read:
+        got = [read(i) for i in range(shape[0])]
+    assert all(row.dtype == np.dtype("<f8") and row.base is None and not row.flags.writeable
+               for row in got)
+    assert np.array_equal(np.reshape(got, shape), np.load(io.BytesIO(data)))
 
 
 @pytest.mark.parametrize("count", [2, 4])
@@ -1300,7 +1316,8 @@ def test_streamed_rung_reads_its_rows_back_one_at_a_time(tmp_path):
     cfg = harness.parse_config(mini_config())
     (eps,) = cfg.epsilons
     writer, relpath = harness.StudyWriter(tmp_path), harness.field_path(eps)
-    geom, grid, times = harness._stream_micro_rung(cfg, eps, writer)
+    times = harness._stream_micro_rung(cfg, eps, writer)
+    grid = harness._rung_grid(cfg, eps)[1]
     held = harness.run_micro_study(cfg, eps)[3]
     reads = []
     with harness._file_rows(tmp_path, relpath, (5, grid.n_cells), writer.files[relpath]) as read:
