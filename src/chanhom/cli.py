@@ -1,6 +1,6 @@
 """Command-line entry points.
 
-Exit codes: 0 success, 1 configuration/usage error, 2 numerical failure.
+Exit codes: 0 success, 1 configuration/usage error or no memory for a rung, 2 numerical failure.
 """
 
 import argparse
@@ -56,8 +56,8 @@ def main(argv=None) -> int:
         return 1
     try:
         return _dispatch(args)
-    except (ConfigError, GeometryError, AlignmentError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ConfigError, GeometryError, AlignmentError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
     except (SolverError, StabilityError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -36,16 +36,15 @@ class FaceSet:
 
 @dataclass(frozen=True)
 class Walls:
-    """Faces between channel and void cells, column by column in lattice-key order.
+    """Faces between channel and void cells, column by column, as `wall_faces` finds them.
 
-    Every column of the layer is a copy of the reference column, so the key
-    and the reference-cell coordinates of a face are shared by all columns.
+    Every column of the layer is a copy of the reference column, so the faces
+    come in one order in every column and share their reference-cell coordinates.
     """
 
     cells: np.ndarray   # (n_columns, n_faces) adjacent channel cell
     length: np.ndarray  # (n_columns, n_faces) face length on this grid
     local: np.ndarray   # (n_faces, 2) reference-cell (ybar, y_n) of the midpoint
-    key: np.ndarray     # (n_faces, 4) (axis, sgn, 2k ybar, 2k (y_n + 1)), sorted
 
 
 class RectGrid:
@@ -333,10 +332,11 @@ def _half_lattice(edges):
 def wall_faces(grid: RectGrid) -> Walls:
     """Faces between channel and void cells of a micro or reference-cell grid.
 
-    The faces of the reference column are found once, keyed on the
-    half-spacing lattice of the reference cell, and offset to every column.
-    Faces on the top and bottom rows of the layer are channel openings, not
-    wall.
+    The one derivation of the walls: both simulators and the unfolder call it.
+    The faces of the reference column are found once, in (axis, side) then
+    lattice order on the half-spacing lattice of the reference cell, and
+    offset to every column.  Faces on the top and bottom rows of the layer
+    are channel openings, not wall.
     """
     k = grid.k
     j0, block = _reference_column(grid)
@@ -357,7 +357,7 @@ def wall_faces(grid: RectGrid) -> Walls:
     gi, gj = _tiled(grid, j0, faces[:, 0], faces[:, 1])
     return Walls(cells=grid.index[gi, gj],
                  length=np.where(key[:, 0] == 0, grid.dy[gj], grid.dx[gi]),
-                 local=local, key=key)
+                 local=local)
 
 
 def boundary_row_faces(grid: RectGrid, side: str):

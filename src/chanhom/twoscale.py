@@ -53,10 +53,10 @@ class Unfolder:
     """Index maps between one micro grid and the matching reference-cell grid.
 
     `columns` is the gather of `unfold`: the micro channel cell at each
-    (column, reference channel cell).  `micro_wall_len` is eps x the
-    reference wall lengths, column by column, as the trace diagnostic reads
-    them; `harness.verify_operators` checks them, and the micro model's own
-    wall lengths, entry by entry against that scaling.
+    (column, reference channel cell).  The wall faces, reference and micro,
+    are those of `wall_faces`, the ones the simulators' wall kinetics step
+    with; `harness.verify_operators` checks each micro wall length against
+    eps x its reference length.
     """
 
     def __init__(self, geom: MicroGeometry, grid: RectGrid, cell_grid: RectGrid):
@@ -73,13 +73,11 @@ class Unfolder:
         self.chan_ids = chan_cell_indices(cell_grid)       # (nloc,) cell-grid ids
         self.cell_vol = cell_grid.cell_vol[self.chan_ids]  # reference volumes
 
-        ref_walls = wall_faces(cell_grid)
+        ref_walls, walls = wall_faces(cell_grid), wall_faces(grid)
         self.ref_wall_cells = ref_walls.cells[0]
         self.ref_wall_len = ref_walls.length[0]
-        # every column is a copy of the reference cell, walls included
-        pos = np.searchsorted(self.chan_ids, self.ref_wall_cells)
-        self.micro_wall_cells = self.columns[:, pos]
-        self.micro_wall_len = np.tile(self.eps * self.ref_wall_len, len(self.columns))
+        self.micro_wall_cells = walls.cells                 # (ncol, n_faces)
+        self.micro_wall_len = walls.length.reshape(-1)
 
     # -- operators ----------------------------------------------------------
 

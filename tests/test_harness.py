@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chanhom import cli, harness, linsolve, microsim
+from chanhom import cli, harness, linsolve, microsim, twoscale
 from chanhom import grid as grid_module
 from chanhom.errors import ConfigError, SolverError
 from chanhom.microsim import snapshot_steps
@@ -644,20 +644,24 @@ def test_verify_operators_catches_a_broken_unfolder(monkeypatch, mutant, stateme
 
 
 def _one_long_wall_face(grid):
-    """The micro model's walls, the first length x (1 + 1e-11)."""
+    """A micro grid's walls with the first length x (1 + 1e-11); the reference cell's
+    (eps unset) as they are, so only the micro side of the statement is off."""
     walls = grid_module.wall_faces(grid)
+    if grid.eps is None:
+        return walls
     length = walls.length.copy()
     length[0, 0] *= 1 + 1e-11
     return dataclasses.replace(walls, length=length)
 
 
-# one wall off in the unfolder's lengths, or in the micro model's own
-@pytest.mark.parametrize("name, mutant", [("Unfolder", _OneLongMicroWall),
-                                          ("wall_faces", _one_long_wall_face)],
-                         ids=["unfolder", "micro_model"])
-def test_verify_operators_sees_one_micro_wall_off_by_1e_11(monkeypatch, name, mutant):
+# one wall off in the unfolder's lengths, or in the micro walls `wall_faces` derives for
+# the unfolder as for the micro model
+@pytest.mark.parametrize("module, name, mutant", [
+    (harness, "Unfolder", _OneLongMicroWall), (twoscale, "wall_faces", _one_long_wall_face),
+], ids=["unfolder", "micro_model"])
+def test_verify_operators_sees_one_micro_wall_off_by_1e_11(monkeypatch, module, name, mutant):
     cfg = harness.parse_config(mini_config(epsilon=["1/4", "1/8"]))
-    monkeypatch.setattr(harness, name, mutant)
+    monkeypatch.setattr(module, name, mutant)
     worst, flat_max, ok = harness.verify_operators(cfg)
     assert not ok
     assert tripped(worst) == {"1/4": ["wall_length"], "1/8": ["wall_length"]}, worst
@@ -1070,6 +1074,34 @@ def test_run_whose_factor_the_probe_refuses_exits_two(tmp_path, capsys, monkeypa
     err = capsys.readouterr().err
     assert "numerical failure: OpeningCapacitance does not invert its matrix" in err
     assert "Traceback" not in err and not out.exists()
+
+
+# numpy's MemoryError names the allocation; a bare one has no text
+@pytest.mark.parametrize("message, err", [
+    ("Unable to allocate 1.00 TiB for an array", "Unable to allocate 1.00 TiB for an array"),
+    ("", "out of memory"),
+], ids=["numpy", "bare"])
+@pytest.mark.parametrize("command", ["run", "verify-operators"])
+def test_cli_rung_too_large_for_memory_exits_one(tmp_path, capsys, monkeypatch, command,
+                                                 message, err):
+    """The second rung's grid cannot be allocated: one `error:` line, no traceback, and a
+    run removes what the limit model and the first rung wrote."""
+    raw = mini_config(epsilon=["1/4", "1/8"])
+    second = harness.parse_config(raw).epsilons[1]
+    build = harness.build_micro_grid
+
+    def too_large(geom, k):
+        if geom.eps == second:
+            raise MemoryError(message)
+        return build(geom, k)
+
+    monkeypatch.setattr(harness, "build_micro_grid", too_large)
+    out = tmp_path / "study"
+    argv = [command, str(write_config(tmp_path, raw))]
+    assert cli.main(argv + (["--out", str(out)] if command == "run" else [])) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {err}\n" and captured.out == ""
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
 def test_failed_run_keeps_what_was_in_the_output_directory(tmp_path, capsys):

@@ -66,7 +66,6 @@ def scan(grid, geom=None):
     per_col = np.array([w[1:] for w in walls], dtype=object).reshape(ncol, -1, 5)
     return {
         "columns": np.array([[idx for _, idx in sorted(chan[c])] for c in range(ncol)]),
-        "key": np.array(per_col[..., 0].tolist()),
         "cells": per_col[..., 1].astype(np.int64),
         "length": per_col[..., 2].astype(float),
         "local": per_col[..., 3:].astype(float),
@@ -80,11 +79,11 @@ def segment_diffusion(profile):
 
 
 def check_tiled_maps(geom, grid, cell_grid):
-    """Exact agreement of every tiled map with the scan; returns both local coordinates."""
+    """Exact agreement of every tiled map with the scan, face by face in the scan's order;
+    returns both local coordinates."""
     ref, found = scan(cell_grid), wall_faces(cell_grid)
     assert np.array_equal(found.cells, ref["cells"])
     assert np.array_equal(found.length, ref["length"])
-    assert np.array_equal(found.key, ref["key"][0])
     assert np.array_equal(found.local, ref["local"][0])  # the limit model's wall positions
 
     micro, walls, uf = scan(grid, geom), wall_faces(grid), Unfolder(geom, grid, cell_grid)
@@ -93,7 +92,8 @@ def check_tiled_maps(geom, grid, cell_grid):
     assert np.array_equal(walls.cells, micro["cells"])
     assert np.array_equal(uf.micro_wall_cells, micro["cells"])
     assert np.array_equal(walls.length, micro["length"])
-    assert np.array_equal(np.broadcast_to(walls.key, micro["key"].shape), micro["key"])
+    # the unfolder's wall norms read the lengths the micro model's wall kinetics step with
+    assert np.array_equal(uf.micro_wall_len, walls.length.reshape(-1))
     assert np.array_equal(uf.ref_wall_cells, ref["cells"][0])
     return np.broadcast_to(walls.local, micro["local"].shape), micro["local"]
 
@@ -181,5 +181,6 @@ def test_set_up_calls_wall_faces_through_each_module(monkeypatch):
     macrosim.MacroSimulation(cell, 1.0, InterfaceLayout(n_sigma=4, m=4), diff,
                              KineticsBundle.zero())
     assert calls == ["chanhom.microsim", "chanhom.macrosim"]
-    twoscale.Unfolder(geom, grid, build_cell_grid(cell, 4))
-    assert calls == ["chanhom.microsim", "chanhom.macrosim", "chanhom.twoscale"]
+    twoscale.Unfolder(geom, grid, build_cell_grid(cell, 4))  # the cell's walls, the grid's
+    assert calls == ["chanhom.microsim", "chanhom.macrosim", "chanhom.twoscale",
+                     "chanhom.twoscale"]
